@@ -13,7 +13,7 @@ resilience layer's core invariants:
   to the unprotected baseline.
 
 ``--crash-recovery`` runs the durability matrix instead: for each of
-the cold / warm / sharded dispatch modes, a child process running a
+the cold / warm dispatch modes, a child process running a
 journaled+checkpointed simulation is SIGKILLed at several frame offsets
 (at the frame boundary, after the journal append, and mid-frame, before
 it), then the run is resumed from the surviving artifacts and asserted
@@ -62,7 +62,7 @@ from repro.trace import boston_profile  # noqa: E402
 ALGORITHMS = ("Greedy", "NSTD-P")
 
 #: Dispatch-mode matrix of the crash-recovery harness.
-CRASH_MODES = ("cold", "warm", "sharded")
+CRASH_MODES = ("cold", "warm")
 
 #: (frame offset, crash phase) matrix.  With ``CHECKPOINT_EVERY = 8``
 #: this covers the three recovery shapes: frame 5 crashes before any
@@ -166,8 +166,7 @@ def make_crash_simulator(
     dispatcher = NSTDDispatcher(
         oracle,
         sim_config.dispatch,
-        warm_start=mode in ("warm", "sharded"),
-        sharded=mode == "sharded",
+        warm_start=mode == "warm",
     )
     return Simulator(dispatcher, oracle, sim_config, durability=durability)
 

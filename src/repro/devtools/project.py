@@ -7,7 +7,7 @@ cross-module ones the interprocedural rules need:
 
 * a **module/symbol table** — every top-level function and class of
   every linted file, addressable by importable dotted name, so a call
-  like ``sharding._solve_shard_payload`` resolves to the function node
+  like ``sharding.solve_shard`` resolves to the function node
   it names even from another file;
 * **per-class attribute-mutation summaries** — every ``self.x = ...``
   site per class (plain/augmented/subscript assignment, loop and

@@ -1,9 +1,9 @@
 """REP009 — process-pool callables must be module-level and capture-free.
 
-The sharded solve path (PR 7) and the experiment runner fan frames out
-through :class:`concurrent.futures.ProcessPoolExecutor`.  Everything
-submitted crosses a pickle boundary, which makes two whole bug classes
-possible that never compile on the single-process path:
+The experiment runner fans work out through
+:class:`concurrent.futures.ProcessPoolExecutor`.  Everything submitted
+crosses a pickle boundary, which makes two whole bug classes possible
+that never compile on the single-process path:
 
 * **unpicklable callables** — lambdas, functions defined inside another
   function, and bound methods either fail to pickle outright or (worse,
@@ -17,9 +17,8 @@ possible that never compile on the single-process path:
 The rule finds every ``.submit(...)`` / ``.map(...)`` on a
 ProcessPoolExecutor — whether the pool is a local variable, a ``with``
 target, an instance attribute, or the result of a helper annotated
-``-> ProcessPoolExecutor`` (the dispatcher's ``_ensure_shard_pool``
-shape) — and requires the submitted callable to resolve to a
-module-level function (local or imported).  ``functools.partial`` is
+``-> ProcessPoolExecutor`` — and requires the submitted callable to
+resolve to a module-level function (local or imported).  ``functools.partial`` is
 unwrapped and its bound arguments are scanned for captured engines /
 oracles / caches / RNGs by constructor and naming convention.
 """
@@ -122,7 +121,7 @@ class PoolSafetyRule:
     rule_id = "REP009"
     summary = "process-pool callable is not a capture-free module-level function"
     convention = (
-        "Sharded fan-out (PR 7): everything crossing the ProcessPoolExecutor pickle "
+        "Process fan-out: everything crossing the ProcessPoolExecutor pickle "
         "boundary must be a module-level function with explicit picklable arguments."
     )
 

@@ -1,8 +1,7 @@
 """REP010 — warm solver state must be invalidated when its inputs change.
 
-The warm-start fast paths (PRs 6-7) carry solver state between
-consecutive frames — :class:`FrameSolveState`, the sharded
-:class:`ShardedFrameState`, and the per-frame
+The warm-start fast paths carry solver state between consecutive
+frames — :class:`FrameSolveState` and the per-frame
 :class:`FrameDistanceCache` memo.  Each is a *derived* structure: it is
 only valid while the inputs it was computed from stay untouched.  The
 stability guarantee (Definition 1) is exactly what breaks when a
@@ -43,10 +42,10 @@ from repro.devtools.registry import register_rule
 __all__ = ["WarmInvalidationRule"]
 
 #: Types whose instances are frame-derived solver state.
-WARM_STATE_TYPES = ("FrameSolveState", "ShardedFrameState", "FrameDistanceCache")
+WARM_STATE_TYPES = ("FrameSolveState", "FrameDistanceCache")
 
 #: Module-level factories that build warm state from a cold solve.
-WARM_STATE_FACTORIES = ("frame_state_from_cold", "sharded_state_from_cold")
+WARM_STATE_FACTORIES = ("frame_state_from_cold",)
 
 #: Method-name prefixes whose mutations are lifecycle management, not
 #: input drift (they either rebuild or discard the warm state).
@@ -89,8 +88,8 @@ class WarmInvalidationRule:
     rule_id = "REP010"
     summary = "warm-state input mutated without reaching an invalidation path"
     convention = (
-        "Warm-start soundness (PRs 6-7): FrameSolveState/ShardedFrameState/"
-        "FrameDistanceCache are derived state; every input mutation must reset them."
+        "Warm-start soundness: FrameSolveState/FrameDistanceCache are "
+        "derived state; every input mutation must reset them."
     )
 
     def project_check(self, project: ProjectContext) -> Iterator[Finding]:

@@ -66,7 +66,7 @@ class Dispatcher(abc.ABC):
     frame_budget: "FrameBudget | None" = None
 
     #: Which solve path answered the most recent :meth:`dispatch` call
-    #: (``"cold"``, ``"warm"``, ``"warm_sharded"``, ``"sharded_cold"``);
+    #: (``"cold"`` or ``"warm"``);
     #: ``None`` until a frame runs.  The stability auditor keys its
     #: sampling eligibility off this — only fast-path frames carry state
     #: worth re-verifying.
@@ -232,7 +232,7 @@ def trusted_single_assignment(taxi: Taxi, request: PassengerRequest) -> Assignme
 class PackedSingleSchedule(DispatchSchedule):
     """A frame's single-request assignments held as matched row arrays.
 
-    Array egress paths (the sharded warm solver) already know the
+    Array egress paths (the warm frame solver) already know the
     matched ``(taxi, request)`` rows into the frame's own ``taxis`` /
     ``requests`` sequences — and, when available, the exact pickup and
     trip leg lengths of every pair.  This schedule carries those arrays

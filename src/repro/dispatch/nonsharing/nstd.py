@@ -20,47 +20,27 @@ it instead of recomputed.
 state across frames through the warm frame solver
 (:mod:`repro.matching.warm_frame`): only churn-proportional distance
 strips are scored (never the full taxi × request pickup kernel), the
-retained queue's coordinates/party/trip facts ride along as persistent
-arrays, and the stable matching is recomputed by the same Gale–Shapley
-rounds on a lean CSR that is bit-identical to the cold pack.  Any frame
-whose state fails a warm precondition falls back to a cold solve
-transparently; :meth:`NSTDDispatcher.run_telemetry` reports warm/cold
-frame counts, fallbacks, and rebuild fractions.
-
-``sharded=True`` (array fast paths only) routes frames through the
-θ-ball component decomposition of :mod:`repro.matching.sharding`: cold
-frames decompose into connected components of the acceptability graph
-and solve each shard independently (bit-identical to the global solve
-by the component-decomposition theorem), while warm frames run the
-fused sharded warm solver (:mod:`repro.matching.shard_warm`), which
-adaptively probes the shard structure and restricts churn strips to
-mixed components only when that pays.  Under a frame budget the cold
-sharded path degrades *per shard*: shards are solved smallest-first
-with a checkpoint between them, and once the deadline fires only the
-remaining (hot) shards are answered greedily — one hot shard degrades
-alone.  ``shard_workers=N`` additionally farms cold-frame shards out to
-a process pool (opt-in; the serial path is the benchmarked baseline).
+retained entities' facts ride along as fused arrays, and the stable
+matching is recomputed by keyed Gale–Shapley rounds that are
+bit-identical to the cold solve.  Warm frames ship a
+:class:`~repro.dispatch.base.PackedSingleSchedule` carrying the
+solver's matched rows and leg lengths.  Any frame whose state fails a
+warm precondition falls back to a cold solve transparently;
+:meth:`NSTDDispatcher.run_telemetry` reports warm/cold frame counts,
+fallbacks, and rebuild fractions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, ClassVar
 
 import numpy as np
 
 from repro.core.config import DispatchConfig
-from repro.core.errors import (
-    WARM_FALLBACK_OTHER,
-    WARM_FALLBACK_REASONS,
-    FrameBudgetExceededError,
-    WarmStartError,
-)
+from repro.core.errors import WARM_FALLBACK_OTHER, WARM_FALLBACK_REASONS, WarmStartError
 from repro.core.types import DispatchSchedule, PassengerRequest, Taxi
 from repro.dispatch.base import Dispatcher, PackedSingleSchedule, single_assignment
-from repro.dispatch.nonsharing.greedy import GreedyNearestDispatcher
-from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle
 from repro.matching.arrays import PreferenceArrays
 from repro.matching.lattice import median_stable_matching
@@ -71,18 +51,6 @@ from repro.matching.preferences import (
     build_nonsharing_table,
 )
 from repro.matching.result import Matching
-from repro.matching.shard_warm import (
-    ShardedFrameState,
-    sharded_state_from_cold,
-    sharded_warm_frame_solve,
-)
-from repro.matching.sharding import (
-    _check_global_ids,
-    _solve_shard_payload,
-    frame_decomposition,
-    shard_problems,
-    solve_shard,
-)
 from repro.matching.warm_frame import (
     FrameSolveState,
     frame_state_from_cold,
@@ -121,18 +89,6 @@ class NSTDDispatcher(Dispatcher):
             "solves cold and reseeds it (bit-identical by the warm-start "
             "equivalence contract)"
         ),
-        "_sharded_state": (
-            "derived sharded solver state; rebuilt from the first cold "
-            "frame after resume exactly like _warm_state"
-        ),
-        "_shard_pool": (
-            "live process handles cannot cross a checkpoint; the pool is "
-            "respawned lazily on the first sharded frame after resume"
-        ),
-        "_frame_degraded": (
-            "intra-frame flag consumed before the frame ends; checkpoints "
-            "are only written at frame boundaries where it is always False"
-        ),
         "last_frame_mode": (
             "diagnostic label of the previous frame; the auditor only "
             "samples fast-path frames and the first resumed frame is cold"
@@ -149,8 +105,6 @@ class NSTDDispatcher(Dispatcher):
         alpha_by_taxi: Mapping[int, float] | None = None,
         use_arrays: bool = True,
         warm_start: bool = False,
-        sharded: bool = False,
-        shard_workers: int | None = None,
     ):
         super().__init__(oracle, config)
         if optimize_for not in self._NAMES:
@@ -163,33 +117,13 @@ class NSTDDispatcher(Dispatcher):
                 "warm_start requires the array fast path: use_arrays=True, "
                 "optimize_for in ('passenger', 'taxi'), exact=False"
             )
-        if sharded and not array_fast_path:
-            raise ValueError(
-                "sharded requires the array fast path: use_arrays=True, "
-                "optimize_for in ('passenger', 'taxi'), exact=False"
-            )
-        if shard_workers is not None:
-            if not sharded:
-                raise ValueError("shard_workers requires sharded=True")
-            if warm_start:
-                raise ValueError(
-                    "shard_workers composes with the cold sharded path only; "
-                    "warm_start frames are solved by the serial fused solver"
-                )
-            if shard_workers < 1:
-                raise ValueError(f"shard_workers must be >= 1, got {shard_workers}")
         self.optimize_for = optimize_for
         self.exact = exact
         self.alpha_by_taxi = dict(alpha_by_taxi) if alpha_by_taxi else None
         self.use_arrays = use_arrays
         self.warm_start = warm_start
-        self.sharded = sharded
-        self.shard_workers = shard_workers
         self.name = self._NAMES[optimize_for]
         self._warm_state: FrameSolveState | None = None
-        self._sharded_state: ShardedFrameState | None = None
-        self._shard_pool: ProcessPoolExecutor | None = None
-        self._frame_degraded = False
         self._telemetry: dict[str, float | int] = {}
 
     # -- warm-start lifecycle ---------------------------------------------
@@ -202,7 +136,6 @@ class NSTDDispatcher(Dispatcher):
         which breaks the consecutive-frame invariant the state encodes.
         """
         self._warm_state = None
-        self._sharded_state = None
         if counters:
             self._telemetry = {}
 
@@ -241,7 +174,7 @@ class NSTDDispatcher(Dispatcher):
         """The frame's preference arrays, rebuilt by the cold path.
 
         Reads the frame distance cache when installed (exact by
-        contract) but never touches the carried warm/sharded state, so
+        contract) but never touches the carried warm state, so
         the result is a state-independent oracle for the auditor.
         """
         pickup_matrix = trip_km = None
@@ -257,12 +190,6 @@ class NSTDDispatcher(Dispatcher):
             pickup_matrix=pickup_matrix,
             trip_km=trip_km,
         )
-
-    def shutdown_shard_pool(self) -> None:
-        """Tear down the lazily created ``shard_workers`` process pool."""
-        if self._shard_pool is not None:
-            self._shard_pool.shutdown()
-            self._shard_pool = None
 
     def run_telemetry(self) -> dict[str, float | int]:
         """Warm-start counters since the last full reset.
@@ -293,53 +220,23 @@ class NSTDDispatcher(Dispatcher):
             and self.optimize_for in ("passenger", "taxi")
             and not self.exact
         )
-        self._frame_degraded = False
-        matched_rows: tuple[np.ndarray, np.ndarray] | None = None
-        matched_legs: tuple[np.ndarray, np.ndarray] | None = None
         if self.warm_start and array_path:
-            matching, matched_rows, matched_legs = self._dispatch_warm(taxis, requests)
-        elif self.sharded:
-            matching = self._dispatch_sharded_cold(taxis, requests)
-        else:
-            matching = self._dispatch_cold(taxis, requests, array_path)
-        if not self._frame_degraded:
-            # A per-shard degraded frame already spent its budget and
-            # answered in full; checkpointing again would re-raise and
-            # hand the whole frame to the ladder, discarding the exact
-            # small-shard solutions.
-            self.checkpoint("nstd:matched")
-        if matched_rows is not None:
-            # Warm frames: the solver hands back matched (taxi, request)
-            # row pairs already sorted by request id, indexing straight
-            # into this frame's sequences — the schedule is assembled
-            # without re-keying either side by id.  The rows come from
-            # deferred-acceptance partner arrays (one partner per side
-            # by construction), so the structural re-validation the id
-            # path pays is redundant here; the engine still validates
-            # every schedule it executes.
-            t_rows, r_rows = matched_rows
-            if self.sharded:
-                # The sharded egress ships the solver's row arrays (and
-                # the matched pairs' exact leg lengths) verbatim: the
-                # engine executes them directly, and any other consumer
+            warm = self._dispatch_warm(taxis, requests)
+            if warm is not None:
+                self.checkpoint("nstd:matched")
+                # The solver hands back the matched (taxi, request) rows
+                # already sorted by request id, indexing straight into
+                # this frame's sequences, plus each pair's exact leg
+                # lengths.  The schedule ships them verbatim: the engine
+                # executes the rows directly (it validates every
+                # schedule it executes), and any other consumer
                 # materializes ordinary assignments lazily.
-                pick_legs, trip_legs = (
-                    matched_legs if matched_legs is not None else (None, None)
-                )
+                (t_rows, r_rows), (pick_legs, trip_legs) = warm
                 return PackedSingleSchedule(
-                    taxis,
-                    requests,
-                    t_rows,
-                    r_rows,
-                    pickup_km=pick_legs,
-                    trip_km=trip_legs,
+                    taxis, requests, t_rows, r_rows, pickup_km=pick_legs, trip_km=trip_legs
                 )
-            # The legacy warm path keeps the belt-and-braces
-            # constructor it shipped with.
-            add = schedule.assignments.append
-            for t_row, r_row in zip(t_rows.tolist(), r_rows.tolist()):
-                add(single_assignment(taxis[t_row], requests[r_row]))
-            return schedule
+        matching = self._dispatch_cold(taxis, requests, array_path)
+        self.checkpoint("nstd:matched")
         taxis_by_id = {t.taxi_id: t for t in taxis}
         requests_by_id = {r.request_id: r for r in requests}
         for request_id, taxi_id in sorted(matching.pairs):
@@ -380,23 +277,6 @@ class NSTDDispatcher(Dispatcher):
                 trip_km=trip_km,
             )
         self.checkpoint("nstd:prefs-built")
-        if self.warm_start and isinstance(prefs, PreferenceArrays):
-            # Cold frame of a warm-started run (first frame, or a warm
-            # precondition failed): solve exactly as the stateless path
-            # does, then seed the next frame's warm state from the
-            # frame's own facts (the trip vector was computed above
-            # either way).
-            if self.optimize_for == "taxi":
-                matching = taxi_optimal(prefs)
-            else:
-                matching = passenger_optimal(prefs)
-            trips = (
-                np.asarray(trip_km, dtype=np.float64)
-                if trip_km is not None
-                else request_trips(requests, self.oracle)
-            )
-            self._warm_state = frame_state_from_cold(taxis, requests, matching, trip=trips)
-            return matching
         if self.optimize_for == "passenger":
             matching = passenger_optimal(prefs)
         elif self.optimize_for == "median":
@@ -410,153 +290,46 @@ class NSTDDispatcher(Dispatcher):
             matching = taxi_optimal_exact(prefs, deadline=self.frame_budget)
         else:
             matching = taxi_optimal(prefs)
-        return matching
-
-    def _dispatch_sharded_cold(
-        self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
-    ) -> Matching:
-        """One cold frame through the θ-ball decomposition.
-
-        Decompose → solve each mixed component independently → union,
-        bit-identical to the global cold solve (the component-
-        decomposition theorem; degenerate decompositions are literally
-        the global solve).  Shards run smallest-first with a cooperative
-        checkpoint between them, so under a frame deadline the many
-        small shards finish exactly and only the remaining hot shards
-        are answered by a greedy fallback — per-shard degradation.  With
-        ``shard_workers`` > 1 the shards are farmed to a process pool
-        instead (largest first, for pool balance; no mid-frame
-        degradation on that path — the pool call is bracketed by
-        checkpoints).  When the dispatcher is warm-started, the frame
-        additionally seeds the sharded warm state, unless degradation
-        produced a non-stable answer no warm frame may build on.
-        """
-        self.last_frame_mode = "sharded_cold"
-        cache = self.frame_cache
-        _, request_ids = _check_global_ids(taxis, requests)
-        trip = (
-            np.asarray(cache.trip_km(requests), dtype=np.float64)
-            if cache is not None
-            else request_trips(requests, self.oracle)
-        )
-        alpha_max = float(self.config.alpha)
-        if self.alpha_by_taxi:
-            alpha_max = max(alpha_max, max(float(a) for a in self.alpha_by_taxi.values()))
-        taxi_xy = as_point_array([t.location for t in taxis], check_finite=False)
-        pick_xy = as_point_array([r.pickup for r in requests], check_finite=False)
-        decomp = frame_decomposition(
-            taxi_xy, pick_xy, trip, self.oracle, self.config, alpha_max=alpha_max
-        )
-        problems = shard_problems(decomp, request_ids)
-        self._bump("sharded_frames")
-        if decomp.degenerate_reason is None:
-            entities = np.bincount(decomp.taxi_labels, minlength=decomp.n_shards)
-            entities += np.bincount(decomp.request_labels, minlength=decomp.n_shards)
-            self._bump("shard_decomposed_frames")
-            self._bump("shard_count", len(problems))
-            self._bump("largest_shard_entities", int(entities.max()) if entities.size else 0)
-            self._bump("frame_entities", len(taxis) + len(requests))
-            covered = sum(shard.pair_count for shard in problems)
-            self._bump("cross_shard_pairs_avoided", len(taxis) * len(requests) - covered)
-        self.checkpoint("nstd:decomposed")
-        pairs: dict[int, int] = {}
-        degrade_from: int | None = None
-        if self.shard_workers is not None and self.shard_workers > 1 and len(problems) > 1:
-            payloads = [
-                (
-                    tuple(taxis[i] for i in shard.taxi_rows.tolist()),
-                    tuple(requests[j] for j in shard.request_rows.tolist()),
-                    self.oracle,
-                    self.config,
-                    self.optimize_for,
-                    self.alpha_by_taxi,
-                    trip[shard.request_rows],
-                )
-                for shard in reversed(problems)
-            ]
-            for matched_pairs in self._ensure_shard_pool().map(
-                _solve_shard_payload, payloads
-            ):
-                pairs.update(matched_pairs)
-        else:
-            for position, shard in enumerate(problems):
-                try:
-                    self.checkpoint("nstd:shard")
-                except FrameBudgetExceededError:
-                    degrade_from = position
-                    break
-                matched = solve_shard(
-                    [taxis[i] for i in shard.taxi_rows.tolist()],
-                    [requests[j] for j in shard.request_rows.tolist()],
-                    self.oracle,
-                    self.config,
-                    optimize_for=self.optimize_for,
-                    alpha_by_taxi=self.alpha_by_taxi,
-                    trip_km=trip[shard.request_rows],
-                )
-                pairs.update(matched.pairs)
-        if degrade_from is not None:
-            # The deadline fired between shards: every shard already
-            # solved keeps its exact stable answer, and only the shards
-            # still pending (the largest ones, by construction of the
-            # ordering) degrade to the greedy ladder rung.  The fallback
-            # dispatcher is fresh — no frame cache and no budget — so
-            # its checkpoints are no-ops and it cannot re-raise.
-            self._frame_degraded = True
-            self._bump("shards_degraded", len(problems) - degrade_from)
-            fallback = GreedyNearestDispatcher(self.oracle, self.config)
-            for shard in problems[degrade_from:]:
-                degraded = fallback.dispatch(
-                    [taxis[i] for i in shard.taxi_rows.tolist()],
-                    [requests[j] for j in shard.request_rows.tolist()],
-                )
-                for assignment in degraded.assignments:
-                    pairs[assignment.request_ids[0]] = assignment.taxi_id
-        matching = Matching(pairs)
-        if self.warm_start:
-            # Seed the next frame's warm state — but never from a
-            # degraded frame, whose matching is not the stable matching
-            # the warm induction invariant assumes.
-            self._sharded_state = (
-                None
-                if degrade_from is not None
-                else sharded_state_from_cold(
-                    taxis,
-                    requests,
-                    matching,
-                    trip=trip,
-                    config=self.config,
-                    alpha_by_taxi=self.alpha_by_taxi,
-                )
+        if self.warm_start and isinstance(prefs, PreferenceArrays):
+            # Cold frame of a warm-started run (first frame, or a warm
+            # precondition failed): seed the next frame's warm state
+            # from the frame's own facts.
+            trips = (
+                np.asarray(trip_km, dtype=np.float64)
+                if trip_km is not None
+                else request_trips(requests, self.oracle)
+            )
+            self._warm_state = frame_state_from_cold(
+                taxis,
+                requests,
+                matching,
+                trip=trips,
+                config=self.config,
+                alpha_by_taxi=self.alpha_by_taxi,
             )
         return matching
 
-    def _ensure_shard_pool(self) -> ProcessPoolExecutor:
-        if self._shard_pool is None:
-            self._shard_pool = ProcessPoolExecutor(max_workers=self.shard_workers)
-        return self._shard_pool
-
-    def _dispatch_warm_sharded(
+    def _dispatch_warm(
         self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
-    ) -> tuple[
-        Matching,
-        tuple[np.ndarray, np.ndarray] | None,
-        tuple[np.ndarray, np.ndarray] | None,
-    ]:
-        """One frame through the fused sharded warm solver.
+    ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None:
+        """One frame through the warm frame solver.
 
-        Mirrors :meth:`_dispatch_warm` (same fallback contract, same
-        telemetry) with the sharded state and solver, and additionally
-        records what the adaptive shard probe did.
+        Crucially this path never touches the full taxi × request pickup
+        kernel — only the churn strips are scored — and never rebuilds
+        the retained entities' facts: they ride along inside the carried
+        :class:`~repro.matching.warm_frame.FrameSolveState`.
+
+        Returns the solver's matched ``(taxi_rows, request_rows)`` and
+        the matched pairs' ``(pickup_km, trip_km)`` leg lengths, or
+        ``None`` when the frame must be solved cold instead: there is no
+        carried state yet, or the state failed a warm precondition
+        (counted as a fallback, and the state is dropped).
         """
-        state = self._sharded_state
-        if state is None:
-            self._bump("cold_frames")
-            return self._dispatch_sharded_cold(taxis, requests), None, None
-        cache = self.frame_cache
-        try:
-            matching, matched_rows, matched_legs, build_stats, new_state, info = (
-                sharded_warm_frame_solve(
+        state = self._warm_state
+        if state is not None:
+            cache = self.frame_cache
+            try:
+                _, matched_rows, matched_legs, build_stats, new_state = warm_frame_solve(
                     state,
                     taxis,
                     requests,
@@ -564,88 +337,25 @@ class NSTDDispatcher(Dispatcher):
                     self.config,
                     optimize_for=self.optimize_for,
                     alpha_by_taxi=self.alpha_by_taxi,
+                    # Keep the engine's request-keyed trip memo primed so
+                    # per-assignment scoring hits it on warm frames too.
                     on_new_trips=None if cache is None else cache.prime_trip_km,
                 )
-            )
-        except WarmStartError as exc:
-            self._bump("warm_fallbacks")
-            self._bump(f"warm_fallback_{_reason_key(exc.reason)}")
-            self._sharded_state = None
-            self._bump("cold_frames")
-            return self._dispatch_sharded_cold(taxis, requests), None, None
-        self.checkpoint("nstd:prefs-built")
-        self.last_frame_mode = "warm_sharded"
-        self._sharded_state = new_state
-        self._bump("warm_frames")
-        self._bump("pairs_scored_warm", build_stats.pairs_scored)
-        self._bump("full_pairs_warm", build_stats.full_pairs)
-        self._bump("sharded_frames")
-        if info.largest_entities:
-            self._bump("shard_decomposed_frames")
-            self._bump("shard_count", info.n_shards)
-            self._bump("largest_shard_entities", info.largest_entities)
-            self._bump("frame_entities", info.frame_entities)
-        if info.probed:
-            self._bump("shard_probe_frames")
-        if info.restricted:
-            self._bump("shard_restricted_frames")
-            self._bump("cross_shard_pairs_avoided", info.pairs_global - info.pairs_scored)
-        return matching, matched_rows, matched_legs
-
-    def _dispatch_warm(
-        self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
-    ) -> tuple[
-        Matching,
-        tuple[np.ndarray, np.ndarray] | None,
-        tuple[np.ndarray, np.ndarray] | None,
-    ]:
-        """One frame through the warm frame solver.
-
-        Crucially this path never touches the full taxi × request pickup
-        kernel — only the churn strips are scored — and never rebuilds
-        the queue's per-request facts: coordinates, party sizes and trip
-        distances of retained requests ride along inside the carried
-        :class:`~repro.matching.warm_frame.FrameSolveState`.
-
-        Returns the matching plus the solver's matched row pairs and
-        (sharded only) the matched pairs' leg lengths; the rows are
-        ``None`` when the frame fell back to a cold solve (the id-keyed
-        schedule path handles those).
-        """
-        if self.sharded:
-            return self._dispatch_warm_sharded(taxis, requests)
-        state = self._warm_state
-        if state is None:
-            self._bump("cold_frames")
-            return self._dispatch_cold(taxis, requests, array_path=True), None, None
-        cache = self.frame_cache
-        try:
-            matching, matched_rows, build_stats, new_state = warm_frame_solve(
-                state,
-                taxis,
-                requests,
-                self.oracle,
-                self.config,
-                optimize_for=self.optimize_for,
-                alpha_by_taxi=self.alpha_by_taxi,
-                # Keep the engine's request-keyed trip memo primed so
-                # per-assignment scoring hits it on warm frames too.
-                on_new_trips=None if cache is None else cache.prime_trip_km,
-            )
-        except WarmStartError as exc:
-            # The frame failed a warm precondition; redo it cold.
-            self._bump("warm_fallbacks")
-            self._bump(f"warm_fallback_{_reason_key(exc.reason)}")
-            self._warm_state = None
-            self._bump("cold_frames")
-            return self._dispatch_cold(taxis, requests, array_path=True), None, None
-        self.checkpoint("nstd:prefs-built")
-        self.last_frame_mode = "warm"
-        self._warm_state = new_state
-        self._bump("warm_frames")
-        self._bump("pairs_scored_warm", build_stats.pairs_scored)
-        self._bump("full_pairs_warm", build_stats.full_pairs)
-        return matching, matched_rows, None
+            except WarmStartError as exc:
+                # The frame failed a warm precondition; redo it cold.
+                self._bump("warm_fallbacks")
+                self._bump(f"warm_fallback_{_reason_key(exc.reason)}")
+                self._warm_state = None
+            else:
+                self.checkpoint("nstd:prefs-built")
+                self.last_frame_mode = "warm"
+                self._warm_state = new_state
+                self._bump("warm_frames")
+                self._bump("pairs_scored_warm", build_stats.pairs_scored)
+                self._bump("full_pairs_warm", build_stats.full_pairs)
+                return matched_rows, matched_legs
+        self._bump("cold_frames")
+        return None
 
 
 def nstd_p(oracle: DistanceOracle, config: DispatchConfig | None = None) -> NSTDDispatcher:

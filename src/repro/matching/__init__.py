@@ -58,12 +58,6 @@ from repro.matching.rotations import (
     eliminate_rotation,
     exposed_rotations,
 )
-from repro.matching.shard_warm import (
-    ShardedFrameState,
-    ShardFrameInfo,
-    sharded_state_from_cold,
-    sharded_warm_frame_solve,
-)
 from repro.matching.sharding import (
     Shard,
     ShardDecomposition,
@@ -118,14 +112,10 @@ __all__ = [
     "resume_deferred_acceptance",
     "Shard",
     "ShardDecomposition",
-    "ShardedFrameState",
-    "ShardFrameInfo",
     "acceptability_radii",
     "frame_decomposition",
     "shard_problems",
     "sharded_nonsharing_match",
-    "sharded_state_from_cold",
-    "sharded_warm_frame_solve",
     "solve_shard",
     "theta_components",
     "all_stable_matchings",

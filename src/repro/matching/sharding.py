@@ -352,32 +352,6 @@ def solve_shard(
     return passenger_optimal(prefs)
 
 
-def _solve_shard_payload(
-    payload: tuple[
-        tuple[Taxi, ...],
-        tuple[PassengerRequest, ...],
-        DistanceOracle,
-        DispatchConfig,
-        str,
-        dict[int, float] | None,
-        np.ndarray | None,
-    ],
-) -> frozenset[tuple[int, int]]:
-    """Worker entry point for ``shard_workers``: one picklable shard in,
-    its matched id pairs out.  Module-level so process pools can import
-    it by qualified name."""
-    taxis, requests, oracle, config, optimize_for, alpha_by_taxi, trip_km = payload
-    return solve_shard(
-        taxis,
-        requests,
-        oracle,
-        config,
-        optimize_for=optimize_for,
-        alpha_by_taxi=alpha_by_taxi,
-        trip_km=trip_km,
-    ).pairs
-
-
 def _check_global_ids(
     taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -412,10 +386,10 @@ def sharded_nonsharing_match(
     """One frame solved shard by shard — bit-identical to the global DA.
 
     This is the serial reference composition (decompose → per-shard
-    build → per-shard deferred acceptance → union); the dispatcher's
-    sharded path adds budget degradation, process workers and telemetry
-    around the same pieces.  Returns the matching and the decomposition
-    so callers can inspect shard structure.
+    build → per-shard deferred acceptance → union); the streaming zone
+    matcher adds zone keys, warm reuse and per-group budgets around the
+    same pieces.  Returns the matching and the decomposition so callers
+    can inspect shard structure.
 
     Raises :class:`~repro.core.errors.PreferenceError` on duplicate ids
     on either side (the same guard every cold builder applies); the

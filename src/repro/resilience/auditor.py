@@ -1,9 +1,9 @@
 """Sampled runtime re-verification of matching stability.
 
-The warm-start and sharded fast paths (DESIGN.md §10–11) carry mutable
-cross-frame state whose silent corruption nothing at runtime would
-otherwise catch — the bit-identity guarantees are proven in tests and
-benchmarks, not re-checked in production.  The
+The warm-start fast path (DESIGN.md §10) carries mutable cross-frame
+state whose silent corruption nothing at runtime would otherwise catch
+— the bit-identity guarantees are proven in tests and benchmarks, not
+re-checked in production.  The
 :class:`StabilityAuditor` closes that gap: on a deterministic sample of
 fast-path frames it rebuilds the frame's preference structure *cold*
 (through :meth:`~repro.dispatch.base.Dispatcher.audit_preferences`, a
@@ -54,10 +54,10 @@ __all__ = [
 #: added wall-clock well under the 5% budget on warm city-day runs.
 DEFAULT_AUDIT_RATE = 1.0 / 64.0
 
-#: Frame modes carrying cross-frame or decomposition state worth
-#: re-verifying.  Plain cold frames run the very code path the auditor
-#: would rebuild, so auditing them checks nothing new.
-AUDITED_MODES = frozenset({"warm", "warm_sharded", "sharded_cold"})
+#: Frame modes carrying cross-frame state worth re-verifying.  Plain
+#: cold frames run the very code path the auditor would rebuild, so
+#: auditing them checks nothing new.
+AUDITED_MODES = frozenset({"warm"})
 
 #: ``blocking_pairs`` sentinel for a structurally invalid matching
 #: (unknown ids or an unacceptable pair) — worse than any blocking-pair
@@ -96,7 +96,7 @@ class StabilityAuditor:
     One auditor serves one run: the engine constructs (or resets) it at
     run start and harvests :attr:`report` into the result.  ``rate`` is
     the sampled fraction of eligible frames; ``modes`` restricts
-    eligibility (default: the warm/sharded fast paths).
+    eligibility (default: the warm fast path).
     """
 
     def __init__(

@@ -5,12 +5,12 @@ The other half of the crash-recovery story (the write-ahead journal is
 frames the engine serializes its *complete* mutable run state — taxi
 agents, outcome accumulators, the pending queue, frame statistics,
 resilience records, and the fault injector's captured seeded-RNG state
-— into an atomically written, checksummed snapshot.  Warm-start and
-sharded solver state (``FrameSolveState`` / ``ShardedFrameState``) is
-deliberately **not** persisted: the warm paths are proven bit-identical
-to the cold solve (DESIGN.md §10–11), so a resumed run simply restarts
-them cold and converges on the same matchings, which keeps snapshots
-small and the resume path independent of solver internals.
+— into an atomically written, checksummed snapshot.  Warm-start
+solver state (``FrameSolveState``) is deliberately **not** persisted:
+the warm path is proven bit-identical to the cold solve (DESIGN.md
+§10), so a resumed run simply restarts it cold and converges on the
+same matchings, which keeps snapshots small and the resume path
+independent of solver internals.
 
 Recovery (:func:`resume_simulation`) loads the newest snapshot that
 passes validation, replays the journal's surviving frames, and verifies

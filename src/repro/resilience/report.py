@@ -103,11 +103,11 @@ class ResilienceReport:
 class StabilityAuditRecord:
     """One sampled frame's stability re-verification outcome.
 
-    ``mode`` is the fast path the frame was served by (``"warm"``,
-    ``"warm_sharded"``, ``"cold"``, ...).  ``diverged`` marks the case
-    the auditor exists for: the fast path shipped a matching with
-    blocking pairs, the auditor invalidated warm state and recomputed
-    the frame cold, and ``healed`` records that the replacement passed.
+    ``mode`` is the path the frame was served by (``"warm"`` or
+    ``"cold"``).  ``diverged`` marks the case the auditor exists for:
+    the fast path shipped a matching with blocking pairs, the auditor
+    invalidated warm state and recomputed the frame cold, and
+    ``healed`` records that the replacement passed.
     ``blocking_pairs`` counts the violations found in the *original*
     matching (zero on a clean audit).
     """

@@ -154,16 +154,6 @@ class SimulationResult:
         full = self.dispatch_telemetry.get("full_pairs_warm", 0)
         if full:
             stats["warm_rebuild_fraction"] = float(scored) / float(full)
-        decomposed = self.dispatch_telemetry.get("shard_decomposed_frames", 0)
-        if decomposed:
-            stats["shard_count_mean"] = float(
-                self.dispatch_telemetry.get("shard_count", 0)
-            ) / float(decomposed)
-        entities = self.dispatch_telemetry.get("frame_entities", 0)
-        if entities:
-            stats["largest_shard_fraction"] = float(
-                self.dispatch_telemetry.get("largest_shard_entities", 0)
-            ) / float(entities)
         epochs = self.dispatch_telemetry.get("epochs_run", 0)
         if epochs:
             # Streaming runs: mean event-queue traffic per matching
@@ -331,7 +321,6 @@ class Simulator:
                     "frame_length_s": config.frame_length_s,
                     "horizon_s": config.horizon_s,
                     "warm_start": bool(getattr(self.dispatcher, "warm_start", False)),
-                    "sharded": bool(getattr(self.dispatcher, "sharded", False)),
                 },
                 resuming=durability.resuming,
             )
@@ -393,9 +382,9 @@ class Simulator:
         def _state_payload() -> dict:
             """Everything a resumed run needs, as pure JSON values.
 
-            Warm/sharded solver state is deliberately absent: resume
-            restarts those paths cold, which is proven bit-identical
-            (DESIGN.md §10–11) and keeps snapshots solver-agnostic.
+            Warm solver state is deliberately absent: resume restarts
+            that path cold, which is proven bit-identical (DESIGN.md
+            §10) and keeps snapshots solver-agnostic.
             """
             payload: dict = {
                 "time_s": time_s,

@@ -213,7 +213,14 @@ class ZoneMatcher:
             trip_km=group_trip,
         )
         state = (
-            frame_state_from_cold(group_taxis, group_requests, matched, trip=group_trip)
+            frame_state_from_cold(
+                group_taxis,
+                group_requests,
+                matched,
+                trip=group_trip,
+                config=self.config,
+                alpha_by_taxi=self.alpha_by_taxi,
+            )
             if self.warm_start
             else None
         )
@@ -334,7 +341,7 @@ class ZoneMatcher:
             pairs: dict[int, int] | None = None
             if state is not None:
                 try:
-                    matching, _, build_stats, new_state = warm_frame_solve(
+                    matching, _, _, build_stats, new_state = warm_frame_solve(
                         state,
                         group_taxis,
                         group_requests,

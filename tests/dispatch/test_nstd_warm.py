@@ -2,18 +2,22 @@
 
 Covers the lifecycle around the solver: the opt-in flag's
 preconditions, cold seeding of the first frame, transparent fallback
-with telemetry, and state reset semantics.  The frame-by-frame
-bit-identity guarantees live in the property suite.
+with telemetry, state reset semantics, and the packed egress schedule
+of warm frames.  The frame-by-frame bit-identity guarantees live in the
+property suite.
 """
 
+import numpy as np
 import pytest
 
-from repro.core import PassengerRequest, Taxi
+from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.core.errors import PreferenceError
+from repro.dispatch.base import PackedSingleSchedule
 from repro.dispatch.nonsharing import NSTDDispatcher
 from repro.geometry import EuclideanDistance, Point
 
 ORACLE = EuclideanDistance()
+CLUSTER_CONFIG = DispatchConfig(passenger_threshold_km=3.0, taxi_threshold_km=5.0)
 
 
 def _frame():
@@ -120,3 +124,100 @@ class TestWarmLifecycle:
             [PassengerRequest(5, Point(0.2, 2.5), Point(1.0, 1.0))],
         )
         assert dispatcher.run_telemetry()["warm_frames"] == 1
+
+
+def _clustered_frame(seed=11, n_clusters=3, per_cluster=4):
+    """Several well-separated clusters of taxis and requests."""
+    rng = np.random.default_rng(seed)
+    taxis, requests = [], []
+    for c in range(n_clusters):
+        cx = c * 100.0
+        for _ in range(per_cluster):
+            taxis.append(Taxi(len(taxis), Point(cx + rng.uniform(-1, 1), rng.uniform(-1, 1))))
+            requests.append(
+                PassengerRequest(
+                    1000 + len(requests),
+                    Point(cx + rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                    Point(cx + rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                )
+            )
+    return taxis, requests
+
+
+def _pairs_of(schedule):
+    return sorted((a.taxi_id, a.request_ids) for a in schedule.assignments)
+
+
+class TestPackedEgress:
+    def _warm_frames(self, mode="passenger"):
+        """Two engine-contract frames; frame two is warm and non-empty."""
+        rng = np.random.default_rng(31)
+        taxis, requests = _clustered_frame(seed=31)
+        # More requests than taxis, so frame two still has a queue.
+        requests += [
+            PassengerRequest(
+                2000 + i,
+                Point(i % 3 * 100.0 + rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                Point(i % 3 * 100.0 + rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            )
+            for i in range(6)
+        ]
+        dispatcher = NSTDDispatcher(
+            ORACLE, CLUSTER_CONFIG, optimize_for=mode, warm_start=True
+        )
+        first = dispatcher.dispatch(taxis, requests)
+        served = first.served_request_ids
+        dispatched = first.dispatched_taxi_ids
+        # Dispatched taxis return as fresh objects at new positions.
+        next_taxis = [t for t in taxis if t.taxi_id not in dispatched] + [
+            Taxi(
+                t.taxi_id,
+                Point(float(rng.integers(0, 3)) * 100.0 + rng.uniform(-1, 1), rng.uniform(-1, 1)),
+            )
+            for t in taxis
+            if t.taxi_id in dispatched
+        ]
+        next_requests = [r for r in requests if r.request_id not in served]
+        second = dispatcher.dispatch(next_taxis, next_requests)
+        assert next_taxis and next_requests and second.assignments
+        return dispatcher, next_taxis, next_requests, second
+
+    def test_warm_frame_returns_packed_schedule(self):
+        dispatcher, _, _, second = self._warm_frames()
+        assert isinstance(second, PackedSingleSchedule)
+        assert dispatcher.run_telemetry().get("warm_frames", 0) == 1
+
+    def test_packed_schedule_matches_cold_dispatcher(self):
+        for mode in ("passenger", "taxi"):
+            _, taxis, requests, second = self._warm_frames(mode)
+            cold = NSTDDispatcher(ORACLE, CLUSTER_CONFIG, optimize_for=mode)
+            assert _pairs_of(second) == _pairs_of(cold.dispatch(taxis, requests))
+
+    def test_lazy_assignments_materialize_once(self):
+        _, taxis, requests, second = self._warm_frames()
+        first_read = second.assignments
+        assert second.assignments is first_read  # memoized in the slot
+        for assignment, (t_row, r_row) in zip(
+            first_read, zip(second.taxi_rows.tolist(), second.request_rows.tolist())
+        ):
+            assert assignment.taxi_id == taxis[t_row].taxi_id
+            assert assignment.request_ids == (requests[r_row].request_id,)
+            pickup, dropoff = assignment.stops
+            assert pickup.is_pickup and not dropoff.is_pickup
+            assert pickup.point == requests[r_row].pickup
+            assert dropoff.point == requests[r_row].dropoff
+
+    def test_packed_legs_are_bit_exact(self):
+        for mode in ("passenger", "taxi"):
+            _, taxis, requests, second = self._warm_frames(mode)
+            assert second.pickup_km is not None and second.trip_km is not None
+            for index, (t_row, r_row) in enumerate(
+                zip(second.taxi_rows.tolist(), second.request_rows.tolist())
+            ):
+                request = requests[r_row]
+                assert second.pickup_km[index] == ORACLE.distance(
+                    taxis[t_row].location, request.pickup
+                )
+                assert second.trip_km[index] == ORACLE.distance(
+                    request.pickup, request.dropoff
+                )

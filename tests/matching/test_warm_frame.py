@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.core.errors import WarmStartError
+from repro.dispatch.nonsharing import NSTDDispatcher
 from repro.geometry import EuclideanDistance, Point
 from repro.matching import build_nonsharing_arrays, passenger_optimal
 from repro.matching.warm_frame import (
@@ -49,7 +50,9 @@ def _seed_state(taxis, requests, config=CONFIG):
     arrays = build_nonsharing_arrays(taxis, requests, ORACLE, config)
     matching = passenger_optimal(arrays)
     trips = request_trips(requests, ORACLE)
-    return matching, frame_state_from_cold(taxis, requests, matching, trip=trips)
+    return matching, frame_state_from_cold(
+        taxis, requests, matching, trip=trips, config=config
+    )
 
 
 class TestRetentionByAddress:
@@ -62,7 +65,7 @@ class TestRetentionByAddress:
         next_requests = [r for r in requests if r.request_id not in matched_r]
         next_taxis = [t for t in taxis if t.taxi_id not in matched_t]
         assert next_taxis and next_requests
-        _, _, stats, _ = warm_frame_solve(
+        _, _, _, stats, _ = warm_frame_solve(
             state, next_taxis, next_requests, ORACLE, CONFIG_THRESH
         )
         assert stats.retained_taxis == len(next_taxis)
@@ -86,7 +89,7 @@ class TestRetentionByAddress:
             Taxi(t.taxi_id, t.location, t.seats) for t in taxis if t.taxi_id not in matched_t
         ]
         assert clones_t and clones_r
-        _, _, stats, _ = warm_frame_solve(state, clones_t, clones_r, ORACLE, CONFIG_THRESH)
+        _, _, _, stats, _ = warm_frame_solve(state, clones_t, clones_r, ORACLE, CONFIG_THRESH)
         assert stats.retained_taxis == 0
         assert stats.retained_requests == 0
         assert stats.pairs_scored == stats.full_pairs
@@ -99,7 +102,7 @@ class TestRetentionByAddress:
         taxis, requests = _frame(6, 5, seed=2)
         matching, state = _seed_state(taxis, requests, CONFIG_THRESH)
         assert matching.pairs
-        _, _, stats, _ = warm_frame_solve(
+        _, _, _, stats, _ = warm_frame_solve(
             state, list(taxis), list(requests), ORACLE, CONFIG_THRESH
         )
         assert stats.retained_taxis == len(taxis) - len({t for _, t in matching.pairs})
@@ -117,7 +120,7 @@ class TestSolveOutputs:
         new_requests = [
             PassengerRequest(r.request_id + 10, r.pickup, r.dropoff) for r in new_requests
         ]
-        matching, matched_rows, _, _ = warm_frame_solve(
+        matching, matched_rows, _, _, _ = warm_frame_solve(
             state, new_taxis, new_requests, ORACLE, CONFIG
         )
         cold = passenger_optimal(build_nonsharing_arrays(new_taxis, new_requests, ORACLE, CONFIG))
@@ -186,6 +189,27 @@ class TestFallbacks:
                 alpha_by_taxi={50: -1.0},
             )
         assert err.value.reason == "bad-alpha"
+
+    def test_id_overflow_frame_falls_back_to_the_cold_schedule(self):
+        # The keyed rounds carry ids in a float64 lane; an id at 2^53
+        # or beyond cannot ride there exactly, so the dispatcher must
+        # count the fallback and answer the frame exactly as cold.
+        taxis, requests = _frame(5, 6, seed=4)
+        big = [
+            PassengerRequest(2**53 + j, r.pickup, r.dropoff)
+            for j, r in enumerate(_frame(3, 3, seed=5)[1])
+        ]
+        warm = NSTDDispatcher(ORACLE, CONFIG, warm_start=True)
+        cold = NSTDDispatcher(ORACLE, CONFIG)
+        for frame in (requests, big):
+            warm_schedule = warm.dispatch(taxis, frame)
+            cold_schedule = cold.dispatch(taxis, frame)
+            assert [(a.taxi_id, a.request_ids, a.stops) for a in warm_schedule.assignments] == [
+                (a.taxi_id, a.request_ids, a.stops) for a in cold_schedule.assignments
+            ]
+        telemetry = warm.run_telemetry()
+        assert telemetry["warm_fallback_id-overflow"] == 1
+        assert telemetry["cold_frames"] == 2
 
 
 class TestRequestTrips:

@@ -10,8 +10,8 @@ with a cold solve on everything observable, at each of its layers:
 * the warm-started :class:`~repro.dispatch.nonsharing.nstd.
   NSTDDispatcher` produces the *identical* schedule to a stateless one
   on every frame of every sequence, for both the passenger- and
-  taxi-optimal modes, with zero fallbacks (the emulated churn never
-  breaks a warm precondition);
+  taxi-optimal modes, under a homogeneous or a per-driver α, with zero
+  fallbacks (the emulated churn never breaks a warm precondition);
 * :func:`~repro.matching.incremental.incremental_nonsharing_arrays`
   rebuilds a *structurally identical* :class:`~repro.matching.arrays.
   PreferenceArrays` from churn-sized strips (every field, not just the
@@ -127,17 +127,26 @@ class ChurnWorld:
             self.busy[tid] = frame + 1 + int(self.rng.integers(0, 3))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     n_frames=st.integers(min_value=2, max_value=7),
     config_index=st.integers(min_value=0, max_value=len(CONFIGS) - 1),
     mode=st.sampled_from(["passenger", "taxi"]),
+    # Per-driver α for the first taxi ids (later ids fall back to
+    # config.alpha = 1.0), or None for the homogeneous market.
+    alphas=st.none()
+    | st.lists(st.sampled_from([0.0, 0.5, 2.0, 4.0]), min_size=4, max_size=16),
 )
-def test_warm_dispatcher_identical_to_cold_over_churn(seed, n_frames, config_index, mode):
+def test_warm_dispatcher_identical_to_cold_over_churn(
+    seed, n_frames, config_index, mode, alphas
+):
     config = CONFIGS[config_index]
-    warm = NSTDDispatcher(ORACLE, config, optimize_for=mode, warm_start=True)
-    cold = NSTDDispatcher(ORACLE, config, optimize_for=mode)
+    alpha_by_taxi = None if alphas is None else dict(enumerate(alphas))
+    warm = NSTDDispatcher(
+        ORACLE, config, optimize_for=mode, alpha_by_taxi=alpha_by_taxi, warm_start=True
+    )
+    cold = NSTDDispatcher(ORACLE, config, optimize_for=mode, alpha_by_taxi=alpha_by_taxi)
     world = ChurnWorld(np.random.default_rng(seed))
     solved_any = False
     for frame in range(n_frames):

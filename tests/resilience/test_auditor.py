@@ -64,7 +64,6 @@ class TestSampler:
         auditor = StabilityAuditor(rate=1.0)
         assert auditor.modes == AUDITED_MODES
         assert auditor.should_audit(0, "warm")
-        assert auditor.should_audit(0, "warm_sharded")
         assert not auditor.should_audit(0, "cold")
         assert not auditor.should_audit(0, None)
 

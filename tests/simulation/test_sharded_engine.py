@@ -1,14 +1,14 @@
-"""Engine-level sharded equivalence and the packed execution fast path.
+"""Engine-level identity of the fused warm solver on a small city day.
 
-The matching and dispatcher suites pin per-frame identity; these tests
-drive the whole stack — workload synthesis, the engine's packed-schedule
-branch, the frame cache, telemetry — and check that flipping ``sharded``
-changes nothing observable but the perf counters, that the engine's
-packed fast path and its generic fallback execute identical frames, and
-that malformed packed schedules are rejected rather than executed.
+The fused solver (fact matrices, unmatched-only address index, keyed GS
+rounds, legs returned with the matching) was once reached only through
+``sharded=True``; it is now the solver behind every warm frame, and
+every warm frame ships a :class:`PackedSingleSchedule`.  This test
+drives the whole stack and checks that such a run is indistinguishable
+from the cold run, and that the packed schedules really are what the
+engine executed.
 """
 
-import numpy as np
 import pytest
 
 from repro.dispatch.base import PackedSingleSchedule
@@ -30,13 +30,20 @@ def workload():
     return sim_config, fleet, requests
 
 
-def _run(sim_config, fleet, requests, *, dispatcher=None, **kwargs):
-    if dispatcher is None:
-        dispatcher = NSTDDispatcher(
-            ORACLE, sim_config.dispatch, optimize_for="passenger", **kwargs
-        )
-    simulator = Simulator(dispatcher, ORACLE, sim_config)
-    return simulator.run(fleet, requests)
+class _PackedCountingDispatcher(NSTDDispatcher):
+    """Counts the frames whose schedule comes back packed."""
+
+    packed_frames = 0
+
+    def dispatch(self, taxis, requests):
+        schedule = super().dispatch(taxis, requests)
+        if isinstance(schedule, PackedSingleSchedule):
+            self.packed_frames += 1
+        return schedule
+
+
+def _run(sim_config, fleet, requests, dispatcher):
+    return Simulator(dispatcher, ORACLE, sim_config).run(fleet, requests)
 
 
 def _observable(result):
@@ -53,90 +60,22 @@ def _observable(result):
     )
 
 
-class _PassThroughDispatcher(NSTDDispatcher):
-    """Sharded warm dispatcher whose packed schedules are re-wrapped.
-
-    Copying the sequences breaks the engine's ``is``-identity check, so
-    every packed frame is forced down the generic validation path — the
-    two runs must still be indistinguishable.
-    """
-
-    def dispatch(self, taxis, requests):
-        schedule = super().dispatch(taxis, requests)
-        if isinstance(schedule, PackedSingleSchedule):
-            return PackedSingleSchedule(
-                list(schedule.taxis),
-                list(schedule.requests),
-                schedule.taxi_rows,
-                schedule.request_rows,
-                pickup_km=schedule.pickup_km,
-                trip_km=schedule.trip_km,
-            )
-        return schedule
-
-
-class _CorruptPackedDispatcher(NSTDDispatcher):
-    """Duplicates the first matched row pair of every packed frame."""
-
-    def dispatch(self, taxis, requests):
-        schedule = super().dispatch(taxis, requests)
-        if isinstance(schedule, PackedSingleSchedule) and schedule.taxi_rows.size:
-            dup = np.concatenate([schedule.taxi_rows[:1], schedule.taxi_rows])
-            dup_r = np.concatenate([schedule.request_rows[:1], schedule.request_rows])
-            return PackedSingleSchedule(schedule.taxis, schedule.requests, dup, dup_r)
-        return schedule
-
-
 class TestShardedEngineEquivalence:
     def test_sharded_warm_run_identical_to_cold(self, workload):
         sim_config, fleet, requests = workload
-        cold = _run(sim_config, fleet, requests)
-        sharded = _run(sim_config, fleet, requests, warm_start=True, sharded=True)
-        assert _observable(cold) == _observable(sharded)
-
-    def test_sharded_cold_run_identical_too(self, workload):
-        sim_config, fleet, requests = workload
-        cold = _run(sim_config, fleet, requests)
-        sharded = _run(sim_config, fleet, requests, sharded=True)
-        assert _observable(cold) == _observable(sharded)
-
-    def test_perf_stats_report_shard_counters(self, workload):
-        sim_config, fleet, requests = workload
-        result = _run(sim_config, fleet, requests, warm_start=True, sharded=True)
-        perf = result.perf_stats()
-        assert perf["sharded_frames"] > 0
-        assert perf.get("shards_degraded", 0) == 0
-        if perf.get("shard_decomposed_frames", 0):
-            assert perf["shard_count_mean"] >= 1.0
-            assert 0.0 < perf["largest_shard_fraction"] <= 1.0
-        # Cold non-sharded runs carry none of the shard keys.
-        assert "sharded_frames" not in _run(sim_config, fleet, requests).perf_stats()
-
-    def test_generic_fallback_identical_to_packed_path(self, workload):
-        sim_config, fleet, requests = workload
-        packed = _run(sim_config, fleet, requests, warm_start=True, sharded=True)
-        rewrapped = _run(
+        cold = _run(
             sim_config,
             fleet,
             requests,
-            dispatcher=_PassThroughDispatcher(
-                ORACLE,
-                sim_config.dispatch,
-                optimize_for="passenger",
-                warm_start=True,
-                sharded=True,
-            ),
+            NSTDDispatcher(ORACLE, sim_config.dispatch, optimize_for="passenger"),
         )
-        assert _observable(packed) == _observable(rewrapped)
-
-    def test_corrupt_packed_rows_are_rejected(self, workload):
-        sim_config, fleet, requests = workload
-        dispatcher = _CorruptPackedDispatcher(
-            ORACLE,
-            sim_config.dispatch,
-            optimize_for="passenger",
-            warm_start=True,
-            sharded=True,
+        dispatcher = _PackedCountingDispatcher(
+            ORACLE, sim_config.dispatch, optimize_for="passenger", warm_start=True
         )
-        with pytest.raises(ValueError, match="duplicate or out-of-range"):
-            _run(sim_config, fleet, requests, dispatcher=dispatcher)
+        warm = _run(sim_config, fleet, requests, dispatcher)
+        assert _observable(cold) == _observable(warm)
+        perf = warm.perf_stats()
+        assert perf["warm_frames"] > 0
+        assert perf.get("warm_fallbacks", 0) == 0
+        # Every warm-solved frame was executed from its packed schedule.
+        assert dispatcher.packed_frames == perf["warm_frames"]
