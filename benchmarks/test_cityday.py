@@ -57,14 +57,20 @@ HOURS = (17.0, 19.0) if SMOKE else None
 REPEATS = 1 if SMOKE else 3
 SEED = 7
 MIN_WARM_SPEEDUP = 1.5
-#: The warm city-day wall time of the previous warm solver (plain
-#: churn strips, rank-based rounds, object egress), measured on a
-#: one-CPU x86_64 host with CPython 3.11 and NumPy 2.4.  Pinned here so
-#: baseline refreshes cannot move the reference the current warm
-#: solver is held to.
+#: The cold and warm city-day wall times of one run of the previous warm
+#: solver (plain churn strips, rank-based rounds, object egress),
+#: measured on a one-CPU x86_64 host with CPython 3.11 and NumPy 2.4.
+#: Pinned here so baseline refreshes cannot move the reference the
+#: current warm solver is held to.
+PINNED_COLD_MS = 4216.8063
 PINNED_WARM_HEADLINE_MS = 2599.3487
-#: The warm run must beat :data:`PINNED_WARM_HEADLINE_MS` by this factor.
+#: The warm run must beat the pinned warm solver by this factor.
 MIN_SPEEDUP_VS_PINNED_WARM = 1.25
+#: The same bar as a same-run ratio, so it does not depend on the host's
+#: speed: beating the pinned warm time by 1.25x on the pin's host is a
+#: warm speedup over this run's cold path of 1.25 x 4216.8063 / 2599.3487
+#: (about 2.028).
+MIN_WARM_SPEEDUP_VS_COLD = MIN_SPEEDUP_VS_PINNED_WARM * PINNED_COLD_MS / PINNED_WARM_HEADLINE_MS
 
 
 class TestCityDayBenchmark:
@@ -155,7 +161,15 @@ class TestCityDayBenchmark:
                 "warm_rebuild_fraction": round(
                     warm_best_perf.get("warm_rebuild_fraction", math.nan), 4
                 ),
-                "speedup_vs_pinned_warm": round(PINNED_WARM_HEADLINE_MS / best_warm[1], 3),
+                # The warm speedup over cold, relative to the pinned
+                # solver's, in the same run.
+                "speedup_vs_pinned_warm": round(
+                    rows["cityday_nstd_p_cold"]["ms"]
+                    / best_warm[1]
+                    * PINNED_WARM_HEADLINE_MS
+                    / PINNED_COLD_MS,
+                    3,
+                ),
             },
         )
 
@@ -266,9 +280,9 @@ class TestCityDayBenchmark:
 
         # Acceptance bars, full scale only (smoke frames are a few dozen
         # requests each, all fixed overhead): the warm-start city-day
-        # beats the cold one ≥1.5x end to end, and beats the pinned
-        # previous-solver warm headline ≥1.25x.
+        # beats the cold one ≥1.5x end to end, and its speedup over cold
+        # is ≥1.25x the pinned previous solver's (same-run ratio).
         if not SMOKE:
             warm_row = rows["cityday_nstd_p_warm"]
             assert warm_row["speedup_vs_cold"] >= MIN_WARM_SPEEDUP
-            assert warm_row["speedup_vs_pinned_warm"] >= MIN_SPEEDUP_VS_PINNED_WARM
+            assert warm_row["speedup_vs_cold"] >= MIN_WARM_SPEEDUP_VS_COLD

@@ -85,11 +85,11 @@ class EnumerationBudgetError(MatchingError):
 class WarmStartError(MatchingError):
     """A warm-start seed cannot be safely resumed on the new instance.
 
-    Raised by :mod:`repro.matching.incremental` when the frame delta
-    violates a resume precondition (e.g. a held proposer was removed
-    while its reviewer stayed, or a preference prefix changed under a
-    proposer's cursor).  Callers fall back to a cold solve; the error
-    carries the reason for warm-hit-rate telemetry.
+    Raised by the warm frame solver (:mod:`repro.matching.warm_frame`)
+    when a frame violates one of its preconditions (e.g. a negative α,
+    duplicate ids, or an id beyond the float-exact range).  Callers fall
+    back to a cold solve; the error carries the reason for warm-hit-rate
+    telemetry.
     """
 
     def __init__(self, message: str, *, reason: str = "invalid-seed"):
@@ -106,10 +106,6 @@ class WarmStartError(MatchingError):
 WARM_FALLBACK_REASONS: frozenset[str] = frozenset(
     {
         "invalid-seed",
-        "holder-removed",
-        "prefix-changed",
-        "reviewer-order-changed",
-        "held-edge-removed",
         "bad-alpha",
         "duplicate-ids",
         "id-overflow",

@@ -20,16 +20,6 @@ from repro.matching.enumeration import (
     enumerate_all_stable_matchings,
 )
 from repro.matching.hopcroft_karp import hopcroft_karp, maximum_matching_size
-from repro.matching.incremental import (
-    FrameChurn,
-    IncrementalBuildStats,
-    WarmDAState,
-    WarmFrameState,
-    classify_frame_churn,
-    deferred_acceptance_resumable,
-    incremental_nonsharing_arrays,
-    resume_deferred_acceptance,
-)
 from repro.matching.lattice import (
     join,
     lattice_extremes,
@@ -87,6 +77,7 @@ from repro.matching.verification import (
     is_stable,
     is_valid_matching,
 )
+from repro.matching.warm_frame import IncrementalBuildStats
 
 __all__ = [
     "PreferenceTable",
@@ -102,14 +93,7 @@ __all__ = [
     "deferred_acceptance_dict",
     "deferred_acceptance_arrays",
     "DeferredAcceptanceStats",
-    "FrameChurn",
     "IncrementalBuildStats",
-    "WarmFrameState",
-    "WarmDAState",
-    "classify_frame_churn",
-    "incremental_nonsharing_arrays",
-    "deferred_acceptance_resumable",
-    "resume_deferred_acceptance",
     "Shard",
     "ShardDecomposition",
     "acceptability_radii",

@@ -351,12 +351,10 @@ def arrays_from_pairs(
 
     ``rj`` / ``ti`` are request/taxi *positions* into the given
     sequences, ``pick`` / ``driver`` the two scores, in any order.  This
-    is the shared CSR tail of :func:`build_nonsharing_arrays` and the
-    incremental frame builder in :mod:`repro.matching.incremental`: both
-    produce their edge lists differently but rank and pack them through
-    this one function, which is what makes the incremental path
-    bit-identical to the cold one (same lexsort keys, same tie-breaks,
-    same dense-matrix scatters).
+    is the CSR tail of :func:`build_nonsharing_arrays`; any builder that
+    produces its edge list differently but ranks and packs it through
+    this one function is bit-identical to the cold one (same lexsort
+    keys, same tie-breaks, same dense-matrix scatters).
     """
     from repro.matching.arrays import PreferenceArrays, UNRANKED  # deferred: avoids cycle
 

@@ -1,9 +1,8 @@
 """The warm frame solver: churn strips, fused facts, keyed GS rounds.
 
-This is the degenerate-resume specialization of the incremental
-machinery in :mod:`repro.matching.incremental`, fused into one
-allocation-lean path for the engines' frame cadence.  Two facts about
-the engines make the specialization exact:
+The one warm solver: each frame solves only the edges its churn
+touched, in one allocation-lean path for the engines' frame cadence.
+Two facts about the engines make this exact:
 
 **Stability theorem (edge turnover).**  In a stable matching with
 dummies, an unmatched proposer and an unmatched reviewer cannot be
@@ -98,11 +97,11 @@ from repro.geometry.batch import (
 from repro.geometry.distance import DistanceOracle
 from repro.geometry.point import Point
 from repro.matching.arrays import NO_PARTNER
-from repro.matching.incremental import IncrementalBuildStats
 from repro.matching.result import Matching
 
 __all__ = [
     "FrameSolveState",
+    "IncrementalBuildStats",
     "frame_state_from_cold",
     "request_trips",
     "warm_frame_solve",
@@ -115,6 +114,34 @@ _TX, _TY, _TSEATS, _TALPHA = 0, 1, 2, 3
 
 #: Ids and counts carried in float64 lanes must stay integer-exact.
 _FLOAT_EXACT = float(1 << 53)
+
+
+@dataclass(frozen=True, slots=True)
+class IncrementalBuildStats:
+    """Accounting for one warm frame's preference build.
+
+    ``pairs_scored`` counts the candidate pairs whose distances were
+    actually computed this frame; ``full_pairs`` is what a cold build
+    would have scored.  Their ratio is the frame's *rebuild fraction* —
+    1.0 means the warm build saved nothing, 0.0 means a fully static
+    frame.
+    """
+
+    n_taxis: int
+    n_requests: int
+    retained_taxis: int
+    retained_requests: int
+    pairs_scored: int
+    full_pairs: int
+
+    @property
+    def rebuild_fraction(self) -> float:
+        """Fraction of the dense pair block actually scored this frame
+        (``pairs_scored / full_pairs``; 0.0 on an empty frame) — the
+        ``warm_rebuild_fraction`` telemetry field."""
+        if self.full_pairs == 0:
+            return 0.0
+        return self.pairs_scored / self.full_pairs
 
 
 @dataclass(slots=True)

@@ -2,12 +2,13 @@
 
 The streaming counterpart to the batch :class:`~repro.simulation.
 engine.Simulator`: a monotonic virtual-clock event queue (request
-arrivals, taxi releases, self-scheduling matching epochs) drives a
-persistent per-zone NSTD matcher with explicit boundary-taxi
-reconciliation and per-zone budget slices.  With the epoch length
-equal to the batch frame length the engine is bit-identical to the
-batch engine — the proven equivalence mode the city-day benchmark
-asserts — and a shorter epoch gives sub-frame reaction latency.
+arrivals, self-scheduling matching epochs) drives the shared run core
+(:mod:`repro.simulation.core`) and a persistent per-zone NSTD matcher
+with explicit boundary-taxi reconciliation and per-zone budget slices.
+At epoch length ``e`` the engine is bit-identical to the cold batch
+engine at frame length ``e`` — the default ``e`` is the frame length,
+the equivalence mode the city-day benchmark asserts — and a shorter
+epoch gives sub-frame reaction latency.
 
 See DESIGN.md §14 and docs/ARCHITECTURE.md for the architecture.
 """
@@ -16,12 +17,10 @@ from repro.streaming.engine import StreamingEngine
 from repro.streaming.events import (
     PRIORITY_MATCHING_EPOCH,
     PRIORITY_REQUEST_ARRIVAL,
-    PRIORITY_TAXI_RELEASE,
     Event,
     EventQueue,
     MatchingEpoch,
     RequestArrival,
-    TaxiRelease,
 )
 from repro.streaming.matcher import EpochMatchReport, ZoneMatcher
 from repro.streaming.zones import (
@@ -40,9 +39,7 @@ __all__ = [
     "EventQueue",
     "Event",
     "RequestArrival",
-    "TaxiRelease",
     "MatchingEpoch",
-    "PRIORITY_TAXI_RELEASE",
     "PRIORITY_REQUEST_ARRIVAL",
     "PRIORITY_MATCHING_EPOCH",
     "ZoneGroup",

@@ -3,71 +3,51 @@
 Where the batch :class:`~repro.simulation.engine.Simulator` advances a
 fixed per-minute frame loop, :class:`StreamingEngine` advances a
 discrete-event queue (:mod:`repro.streaming.events`): request arrivals
-stream in at their trace times, taxi releases fire at the exact second
-an assignment completes, and matching epochs self-schedule every
-``epoch_length_s``.  Matching itself is zone-sharded with persistent
-per-zone warm state (:mod:`repro.streaming.matcher`), with boundary
-taxis reconciled by merging reachable zones into solve groups
-(:mod:`repro.streaming.zones`) and an optional per-epoch
-:class:`~repro.resilience.budget.FrameBudget` sliced per zone group.
+stream in at their trace times and matching epochs self-schedule every
+``epoch_length_s``.  Both are clocks over the same
+:class:`~repro.simulation.core.RunCore`, which owns admission, patience
+expiry, the idle gather, execution and result assembly.  Matching is
+zone-sharded with persistent per-zone warm state
+(:mod:`repro.streaming.matcher`), boundary taxis reconciled by merging
+reachable zones into solve groups (:mod:`repro.streaming.zones`), and an
+optional per-epoch :class:`~repro.resilience.budget.FrameBudget` sliced
+per zone group.
 
-**Equivalence mode.**  With ``epoch_length_s == frame_length_s`` (the
-default) the engine is *bit-identical* to the batch engine running the
-cold ``NSTDDispatcher`` on the same trace: epochs fire at the batch
-frame times by the same float accumulation, the event priorities
-reproduce the batch engine's inclusive admission/idleness scans,
-patience expiry runs the same prefix scan at epoch boundaries, the
-zone-group union equals the global stable matching (component-
-decomposition theorem + warm ≡ cold), assignments execute in the same
-ascending-request-id order with the same exact float arithmetic, and
-the run terminates on the same condition.  The city-day benchmark
-asserts this equality on summary, outcomes and assignments before
-timing the streaming row.
+**Equivalence.**  At epoch length ``e`` the engine is *bit-identical*
+to the cold ``NSTDDispatcher`` batch run at frame length ``e``: epochs
+fire at the batch frame times by the same float accumulation, arrivals
+pop before the epoch at their timestamp (inclusive admission), the
+zone-group union equals the global stable matching (component
+decomposition + warm ≡ cold), and the core executes the pairs in
+ascending request id — the batch order.  The default epoch is the frame
+length, which the city-day benchmark asserts before timing the
+streaming row; a shorter epoch reacts to demand sooner, exactly as a
+batch run at that finer frame length would (DESIGN.md §14.5).
 
-A *shorter* epoch than the frame length is the streaming engine's
-reason to exist: the dispatcher reacts to demand at epoch granularity
-instead of holding arrivals for a full minute.  Results then
-legitimately differ from the batch engine (they correspond to a batch
-run at the finer frame length, modulo patience expiry at epoch
-boundaries).
-
-Repositioning policies, the degradation ladder, durability and the
-stability auditor remain batch-engine features; the streaming engine's
-resilience story is the per-zone budget (one hot zone degrades alone).
-
-Returns the same :class:`~repro.simulation.engine.SimulationResult` as
-the batch engine — every summary, analysis and ``perf_stats()``
-consumer works unchanged — with the streaming counters
-(``events_processed``, per-zone queue depths, boundary
-reconciliations, zone group accounting) merged into
-``dispatch_telemetry``.
+Repositioning, the degradation ladder, durability and the stability
+auditor remain batch-engine features; the streaming engine's resilience
+story is the per-zone budget (one hot zone degrades alone).  The result
+is the batch engine's :class:`~repro.simulation.engine.SimulationResult`
+with the streaming counters (events, per-zone queue depths, boundary
+reconciliations, zone groups) merged into ``dispatch_telemetry``.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable, Mapping, Sequence
 
-import numpy as np
-
 from repro.core.config import SimulationConfig
-from repro.core.errors import SimulationError
 from repro.core.types import PassengerRequest, Taxi
 from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle
 from repro.resilience.budget import FrameBudget
-from repro.simulation.engine import SimulationResult
-from repro.simulation.events import AssignmentRecord, FrameStats, RequestOutcome, TaxiStats
-from repro.simulation.frame_cache import FrameDistanceCache
-from repro.simulation.taxi_state import TaxiAgent
+from repro.simulation.core import RunCore, SimulationResult, telemetry_clock
 from repro.streaming.events import (
     PRIORITY_MATCHING_EPOCH,
     PRIORITY_REQUEST_ARRIVAL,
-    PRIORITY_TAXI_RELEASE,
     EventQueue,
     MatchingEpoch,
     RequestArrival,
-    TaxiRelease,
 )
 from repro.streaming.matcher import ZoneMatcher
 from repro.streaming.zones import zone_queue_depths
@@ -149,38 +129,6 @@ class StreamingEngine:
         streaming counters in ``dispatch_telemetry``.
         """
         config = self.sim_config
-        agents = {t.taxi_id: TaxiAgent.from_taxi(t) for t in taxis}
-        if len(agents) != len(taxis):
-            raise SimulationError("duplicate taxi ids in fleet")
-        agent_list = list(agents.values())
-        agent_row = {agent.taxi_id: row for row, agent in enumerate(agent_list)}
-        snapshots = [agent.snapshot() for agent in agent_list]
-        # Idleness is event-maintained: assignments clear a taxi's flag,
-        # its TaxiRelease event sets it back.  The per-epoch idle gather
-        # is one flatnonzero over the flags, in fleet-row order — the
-        # same ascending-row order the batch engine's availability scan
-        # produces.
-        is_idle = np.ones(len(agent_list), dtype=bool)
-
-        ordered = sorted(requests, key=lambda r: (r.request_time_s, r.request_id))
-        outcomes = [
-            RequestOutcome(request_id=r.request_id, request_time_s=r.request_time_s)
-            for r in ordered
-        ]
-        outcomes_by_id = {outcome.request_id: outcome for outcome in outcomes}
-        if len(outcomes_by_id) != len(ordered):
-            raise SimulationError("duplicate request ids in trace")
-
-        arrival_cursor = 0
-        # Insertion-ordered by admission (arrival events pop in trace
-        # order), so request times are non-decreasing along the queue —
-        # the prefix-scan patience invariant, inherited from the batch
-        # engine.
-        queue: dict[int, PassengerRequest] = {}
-        assignments: list[AssignmentRecord] = []
-        frame_stats: list[FrameStats] = []
-
-        cache = FrameDistanceCache(self.oracle)
         matcher = ZoneMatcher(
             self.oracle,
             config.dispatch,
@@ -191,70 +139,45 @@ class StreamingEngine:
             replan_every=self.zone_replan_every,
         )
         matcher.reset(counters=True)
+        core = RunCore(taxis, requests, self.oracle, config, matcher.config)
+        cache = core.cache
 
         epoch = self.epoch_length_s
         deadline = config.horizon_s + self.overrun_s
-        frames_run = 0
-        arrivals_processed = 0
-        releases_processed = 0
         boundary_reconciliations = 0
         zones_active_max = 0
         zones_pending_max = 0
         zone_queue_depth_max = 0
-        final_time_s = deadline
-        dcfg = matcher.config
-        oracle = self.oracle
 
         events = EventQueue()
-        if ordered:
-            first = ordered[0]
+        first = core.next_arrival
+        if first is not None:
             events.push(first.request_time_s, PRIORITY_REQUEST_ARRIVAL, RequestArrival(first))
-        events.push(epoch, PRIORITY_MATCHING_EPOCH, MatchingEpoch())
+        core.advance(epoch)
+        events.push(core.time_s, PRIORITY_MATCHING_EPOCH, MatchingEpoch())
 
         while events:
-            time_s, event = events.pop()
-            if isinstance(event, TaxiRelease):
-                is_idle[event.taxi_row] = True
-                releases_processed += 1
-                continue
+            _, event = events.pop()
             if isinstance(event, RequestArrival):
-                incoming = event.request
-                queue[incoming.request_id] = incoming
-                arrival_cursor += 1
-                arrivals_processed += 1
-                if arrival_cursor < len(ordered):
-                    nxt = ordered[arrival_cursor]
+                # Arrivals are chained lazily: admitting this request
+                # (the event's own) schedules the next in trace order.
+                core.admit_next()
+                nxt = core.next_arrival
+                if nxt is not None:
                     events.push(
                         nxt.request_time_s, PRIORITY_REQUEST_ARRIVAL, RequestArrival(nxt)
                     )
                 continue
 
-            # -- matching epoch at time_s ---------------------------------
-            abandoned_now = 0
-            if config.passenger_patience_s != float("inf"):
-                # Expired entries form a prefix of the admission-ordered
-                # queue; stop at the first survivor (batch semantics).
-                expired = []
-                for rid, queued in queue.items():
-                    if time_s - queued.request_time_s <= config.passenger_patience_s:
-                        break
-                    expired.append(rid)
-                for rid in expired:
-                    del queue[rid]
-                    outcomes_by_id[rid].abandoned = True
-                abandoned_now = len(expired)
-                cache.retire_requests(expired)
-
-            queue_length_before = len(queue)
-            dispatched_now = 0
-            assignments_before = len(assignments)
-            idle = [snapshots[row] for row in np.flatnonzero(is_idle).tolist()]
+            # -- matching epoch at core.time_s ----------------------------
+            abandoned = core.expire()
+            queue_length = len(core.queue)
+            idle = core.idle()
+            dispatched = (0, 0)
             dispatch_ms = 0.0
-            cache.begin_frame()  # taxi positions changed: drop stale matrices
-            if queue and idle:
-                batch = list(queue.values())
-                # repro-lint: disable=REP001 telemetry only: dispatch_ms never feeds a decision
-                dispatch_start = time.perf_counter()
+            if core.queue and idle:
+                batch = list(core.queue.values())
+                dispatch_start = telemetry_clock()
                 trip = cache.trip_km(batch)
                 report = matcher.match_epoch(
                     idle,
@@ -263,8 +186,7 @@ class StreamingEngine:
                     budget=self._make_epoch_budget(),
                     on_new_trips=cache.prime_trip_km,
                 )
-                # repro-lint: disable=REP001 telemetry only: dispatch_ms never feeds a decision
-                dispatch_ms = (time.perf_counter() - dispatch_start) * 1e3
+                dispatch_ms = (telemetry_clock() - dispatch_start) * 1e3
                 plan = report.plan
                 if plan is not None:
                     boundary_reconciliations += plan.boundary_merges
@@ -283,100 +205,28 @@ class StreamingEngine:
                     if depths is not None and depths.size:
                         zone_queue_depth_max = max(zone_queue_depth_max, int(depths.max()))
                         zones_pending_max = max(zones_pending_max, int(depths.size))
-                retired: list[int] = []
                 # Ascending request id — the order the batch NSTD path
-                # emits (sorted matching pairs) and the engine executes.
-                for rid, taxi_id in sorted(report.pairs.items()):
-                    request = queue[rid]
-                    agent = agents[taxi_id]
-                    # The batch engine's canonical non-sharing execution,
-                    # operation for operation: both legs from the exact
-                    # oracle/memo, the ``0.0 +`` seed, the cumulative
-                    # subtraction — every recorded float bit-identical.
-                    d1 = oracle.distance(agent.location, request.pickup)
-                    d2 = cache.trip_distance(request)
-                    pickup_km = 0.0 + d1
-                    total_drive = pickup_km + d2
-                    detour = (total_drive - pickup_km) - d2
-                    taxi_dis = total_drive - (dcfg.alpha + 1.0) * d2
-                    pickup_s, dropoff_s = agent.assign_single(
-                        request, time_s, d1, d2, config
-                    )
-                    outcome = outcomes_by_id[rid]
-                    outcome.pickup_time_s = pickup_s
-                    outcome.dropoff_time_s = dropoff_s
-                    outcome.dispatch_time_s = time_s
-                    outcome.taxi_id = taxi_id
-                    outcome.group_size = 1
-                    outcome.passenger_dissatisfaction = pickup_km + dcfg.beta * detour
-                    del queue[rid]
-                    retired.append(rid)
-                    row = agent_row[taxi_id]
-                    is_idle[row] = False
-                    snapshots[row] = agent.snapshot()
-                    events.push(
-                        agent.available_at_s, PRIORITY_TAXI_RELEASE, TaxiRelease(row)
-                    )
-                    assignments.append(
-                        AssignmentRecord(
-                            frame_time_s=time_s,
-                            taxi_id=taxi_id,
-                            request_ids=(rid,),
-                            taxi_dissatisfaction=taxi_dis,
-                            total_drive_km=total_drive,
-                            revenue_km=d2,
-                        )
-                    )
-                    dispatched_now += 1
-                cache.retire_requests(retired)
+                # emits (sorted matching pairs) and executes.
+                dispatched = core.execute_pairs(sorted(report.pairs.items()))
 
-            frame_stats.append(
-                FrameStats(
-                    time_s=time_s,
-                    queue_length=queue_length_before,
-                    idle_taxis=len(idle),
-                    dispatched_requests=dispatched_now,
-                    dispatched_taxis=len(assignments) - assignments_before,
-                    abandoned=abandoned_now,
-                    dispatch_ms=dispatch_ms,
-                )
-            )
-            frames_run += 1
+            core.record_frame(queue_length, len(idle), dispatched, abandoned, dispatch_ms)
             # Past the horizon no new requests arrive; stop as soon as
             # the queue drains (the batch engine's exit condition).
-            if time_s >= config.horizon_s and not queue and arrival_cursor >= len(ordered):
-                final_time_s = time_s
+            if core.time_s >= config.horizon_s and core.drained:
                 break
-            next_epoch_s = time_s + epoch
-            if next_epoch_s <= deadline:
-                events.push(next_epoch_s, PRIORITY_MATCHING_EPOCH, MatchingEpoch())
-            else:
-                final_time_s = deadline
+            core.advance(epoch)
+            if core.time_s > deadline:
                 break
-
-        revenue_by_taxi: dict[int, float] = {t: 0.0 for t in agents}
-        for record in assignments:
-            revenue_by_taxi[record.taxi_id] += record.revenue_km
-        taxi_stats = {
-            taxi_id: TaxiStats(
-                taxi_id=taxi_id,
-                driven_km=agent.total_driven_km,
-                rides=agent.completed_trips,
-                requests_served=agent.served_requests,
-                revenue_km=revenue_by_taxi[taxi_id],
-            )
-            for taxi_id, agent in agents.items()
-        }
+            events.push(core.time_s, PRIORITY_MATCHING_EPOCH, MatchingEpoch())
 
         telemetry: dict[str, float | int] = dict(matcher.run_telemetry())
         telemetry.update(cache.stats())
         telemetry.update(
             {
                 "events_processed": events.popped,
-                "events_arrivals": arrivals_processed,
-                "events_releases": releases_processed,
-                "events_epochs": frames_run,
-                "epochs_run": frames_run,
+                "events_arrivals": core.arrival_cursor,
+                "events_epochs": core.frames_run,
+                "epochs_run": core.frames_run,
                 "epoch_length_s": epoch,
                 "boundary_reconciliations": boundary_reconciliations,
                 "zones_active_max": zones_active_max,
@@ -388,16 +238,4 @@ class StreamingEngine:
         if zone_eff is not None:
             telemetry["zone_km"] = zone_eff
 
-        return SimulationResult(
-            dispatcher_name=self.name,
-            outcomes=outcomes,
-            assignments=assignments,
-            frames_run=frames_run,
-            final_time_s=min(final_time_s, deadline),
-            taxi_stats=taxi_stats,
-            frame_stats=frame_stats,
-            frame_length_s=epoch,
-            resilience=None,
-            dispatch_telemetry=telemetry,
-            stability_audit=None,
-        )
+        return core.result(self.name, epoch, deadline, telemetry)

@@ -2,16 +2,13 @@
 
 The batch engine materializes one frame per minute whether or not
 anything happened in it; the streaming engine instead advances a
-**monotonic virtual clock** over three event kinds:
+**monotonic virtual clock** over two event kinds:
 
 * :class:`RequestArrival` — a passenger enters the pending queue.  The
   trace is pre-sorted by ``(request_time_s, request_id)`` and arrivals
   are fed lazily (each popped arrival schedules the next), so the heap
   holds at most one unarrived request at a time and equal-time arrivals
   pop in the batch engine's admission order.
-* :class:`TaxiRelease` — a dispatched taxi finishes its last dropoff
-  and returns to the idle pool.  Scheduled by the engine at the exact
-  ``available_at_s`` its assignment produced.
 * :class:`MatchingEpoch` — the dispatcher runs over the currently idle
   taxis and pending requests.  Epochs self-schedule: processing the
   epoch at ``T`` enqueues the next at ``T + epoch_length_s`` by the
@@ -19,11 +16,14 @@ anything happened in it; the streaming engine instead advances a
   ``epoch_length_s == frame_length_s`` the epoch times are *bit-equal*
   to the batch frame times.
 
+Taxi idleness is not an event: the epoch reads it from the run core's
+``available_at`` array with the batch engine's inclusive
+``available_at <= time_s`` scan.
+
 **Ordering contract.**  Events pop in ``(time_s, priority, seq)``
-order with priorities ``release < arrival < epoch``: everything that
-happens *at* time ``T`` is visible to the matching epoch at ``T``,
-mirroring the batch engine's inclusive scans (``request_time_s <=
-time_s`` admission, ``available_at <= time_s`` idleness).  ``seq`` is
+order with priorities ``arrival < epoch``: every request arriving *at*
+time ``T`` is visible to the matching epoch at ``T``, mirroring the
+batch engine's inclusive ``request_time_s <= time_s`` admission.  ``seq`` is
 the push ticket, so equal-(time, priority) events pop in push order —
 deterministic by construction, never by object identity.
 
@@ -42,23 +42,20 @@ from repro.core.errors import SimulationError
 from repro.core.types import PassengerRequest
 
 __all__ = [
-    "PRIORITY_TAXI_RELEASE",
     "PRIORITY_REQUEST_ARRIVAL",
     "PRIORITY_MATCHING_EPOCH",
     "RequestArrival",
-    "TaxiRelease",
     "MatchingEpoch",
     "Event",
     "EventQueue",
 ]
 
 
-#: Same-timestamp processing order (lower pops first).  Releases and
-#: arrivals at time ``T`` precede the epoch at ``T`` so the epoch sees
-#: them — the batch engine's inclusive ``<= time_s`` scans, as events.
-PRIORITY_TAXI_RELEASE = 0
-PRIORITY_REQUEST_ARRIVAL = 1
-PRIORITY_MATCHING_EPOCH = 2
+#: Same-timestamp processing order (lower pops first).  Arrivals at time
+#: ``T`` precede the epoch at ``T`` so the epoch sees them — the batch
+#: engine's inclusive ``<= time_s`` admission, as events.
+PRIORITY_REQUEST_ARRIVAL = 0
+PRIORITY_MATCHING_EPOCH = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,18 +66,11 @@ class RequestArrival:
 
 
 @dataclass(frozen=True, slots=True)
-class TaxiRelease:
-    """A taxi returning to the idle pool (row into the engine's fleet)."""
-
-    taxi_row: int
-
-
-@dataclass(frozen=True, slots=True)
 class MatchingEpoch:
     """A dispatch round over the idle fleet and pending queue."""
 
 
-Event = RequestArrival | TaxiRelease | MatchingEpoch
+Event = RequestArrival | MatchingEpoch
 
 
 class EventQueue:

@@ -4,22 +4,12 @@ Hypothesis drives random multi-frame *churn sequences* that follow the
 simulation engine's contract — matched pairs leave together, unmatched
 requests persist as the same frozen objects (some expire), matched
 taxis go busy and return moved, idle taxis occasionally reposition,
-fresh entities arrive — and asserts the warm-start machinery agrees
-with a cold solve on everything observable, at each of its layers:
-
-* the warm-started :class:`~repro.dispatch.nonsharing.nstd.
-  NSTDDispatcher` produces the *identical* schedule to a stateless one
-  on every frame of every sequence, for both the passenger- and
-  taxi-optimal modes, under a homogeneous or a per-driver α, with zero
-  fallbacks (the emulated churn never breaks a warm precondition);
-* :func:`~repro.matching.incremental.incremental_nonsharing_arrays`
-  rebuilds a *structurally identical* :class:`~repro.matching.arrays.
-  PreferenceArrays` from churn-sized strips (every field, not just the
-  matching);
-* :func:`~repro.matching.incremental.resume_deferred_acceptance`
-  reaches the same stable matching as a cold solve, or raises
-  :class:`~repro.core.errors.WarmStartError` — in which case the
-  documented fallback (a cold solve) restores identity.
+fresh entities arrive — and asserts that the warm-started
+:class:`~repro.dispatch.nonsharing.nstd.NSTDDispatcher` produces the
+*identical* schedule to a stateless one on every frame of every
+sequence, for both the passenger- and taxi-optimal modes, under a
+homogeneous or a per-driver α, with zero fallbacks (the emulated churn
+never breaks a warm precondition).
 
 Frames use integer coordinates with integer θ/2θ dummy thresholds so
 candidates regularly land *exactly* on the acceptability boundary, and
@@ -32,18 +22,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DispatchConfig, PassengerRequest, Taxi
-from repro.core.errors import WarmStartError
 from repro.dispatch.nonsharing import NSTDDispatcher
 from repro.geometry import EuclideanDistance, Point
-from repro.matching import (
-    WarmFrameState,
-    build_nonsharing_arrays,
-    classify_frame_churn,
-    deferred_acceptance_arrays,
-    deferred_acceptance_resumable,
-    incremental_nonsharing_arrays,
-    resume_deferred_acceptance,
-)
 
 ORACLE = EuclideanDistance()
 
@@ -53,19 +33,6 @@ CONFIGS = (
     DispatchConfig(),
     DispatchConfig(passenger_threshold_km=2.0, taxi_threshold_km=4.0),
     DispatchConfig(passenger_threshold_km=1.0, taxi_threshold_km=2.0),
-)
-
-ARRAY_FIELDS = (
-    "proposer_ids",
-    "reviewer_ids",
-    "proposer_indptr",
-    "proposer_list",
-    "proposer_list_rank",
-    "reviewer_indptr",
-    "reviewer_list",
-    "reviewer_list_rank",
-    "proposer_rank",
-    "reviewer_rank",
 )
 
 
@@ -166,58 +133,3 @@ def test_warm_dispatcher_identical_to_cold_over_churn(
     assert telemetry.get("warm_fallbacks", 0) == 0
     if solved_any:
         assert telemetry.get("warm_frames", 0) + telemetry.get("cold_frames", 0) >= 1
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    n_frames=st.integers(min_value=2, max_value=6),
-    config_index=st.integers(min_value=0, max_value=len(CONFIGS) - 1),
-)
-def test_incremental_arrays_and_resume_identical(seed, n_frames, config_index):
-    config = CONFIGS[config_index]
-    world = ChurnWorld(np.random.default_rng(seed))
-    state = da_state = None
-    for frame in range(n_frames):
-        taxis, requests = world.step(frame)
-        if not taxis or not requests:
-            continue  # the dispatcher skips empty frames; so does this loop
-        cold_arrays = build_nonsharing_arrays(taxis, requests, ORACLE, config)
-        cold_matching = deferred_acceptance_arrays(cold_arrays)
-        alphas = {t.taxi_id: config.alpha for t in taxis}
-        if state is None:
-            matching, _, da_state = deferred_acceptance_resumable(cold_arrays)
-        else:
-            churn = classify_frame_churn(state, taxis, requests, alphas=alphas)
-            warm_arrays, stats = incremental_nonsharing_arrays(
-                state, taxis, requests, ORACLE, config, churn=churn
-            )
-            # Structural identity: every field, not merely the matching.
-            for field in ARRAY_FIELDS:
-                assert np.array_equal(
-                    getattr(warm_arrays, field), getattr(cold_arrays, field)
-                ), field
-            assert 0 <= stats.pairs_scored <= stats.full_pairs
-            try:
-                matching, _, da_state = resume_deferred_acceptance(
-                    da_state,
-                    warm_arrays,
-                    retained_proposer_ids={
-                        int(requests[i].request_id) for i in churn.retained_requests
-                    },
-                    retained_reviewer_ids={
-                        int(taxis[i].taxi_id) for i in churn.retained_taxis
-                    },
-                )
-            except WarmStartError:
-                # A legitimately unreachable seed (e.g. a new taxi that
-                # outranks an already-proposed one): the documented
-                # fallback is a cold solve, which must restore identity.
-                matching, _, da_state = deferred_acceptance_resumable(cold_arrays)
-        assert matching.pairs == cold_matching.pairs
-        state = WarmFrameState.from_frame(
-            taxis, requests, matching, alphas=alphas, da_state=da_state
-        )
-        world.absorb(
-            {p for p, _ in matching.pairs}, {t for _, t in matching.pairs}, frame
-        )

@@ -1,8 +1,8 @@
 """Event-queue ordering, determinism and monotonicity contracts.
 
 The streaming engine's batch equivalence rests on the queue popping
-same-timestamp events in priority order (releases, then arrivals, then
-the epoch) with FIFO ties — and on the virtual clock never running
+same-timestamp events in priority order (arrivals before the epoch)
+with FIFO ties — and on the virtual clock never running
 backwards.  These tests pin exactly those contracts.
 """
 
@@ -16,11 +16,9 @@ from repro.geometry import Point
 from repro.streaming import (
     PRIORITY_MATCHING_EPOCH,
     PRIORITY_REQUEST_ARRIVAL,
-    PRIORITY_TAXI_RELEASE,
     EventQueue,
     MatchingEpoch,
     RequestArrival,
-    TaxiRelease,
 )
 
 
@@ -35,25 +33,24 @@ def _request(rid: int, t: float = 0.0) -> PassengerRequest:
 
 class TestEventOrdering:
     def test_priorities_break_timestamp_ties(self):
-        """At one timestamp: releases before arrivals before the epoch.
+        """At one timestamp: arrivals before the epoch.
 
-        That is what makes an epoch at time T see every taxi released
-        at T and every request arriving at T — the batch engine's
-        inclusive ``<=`` scans.
+        That is what makes an epoch at time T see every request arriving
+        at T — the batch engine's inclusive ``<=`` admission.
         """
         q = EventQueue()
         q.push(60.0, PRIORITY_MATCHING_EPOCH, MatchingEpoch())
         q.push(60.0, PRIORITY_REQUEST_ARRIVAL, RequestArrival(_request(1)))
-        q.push(60.0, PRIORITY_TAXI_RELEASE, TaxiRelease(3))
+        q.push(60.0, PRIORITY_REQUEST_ARRIVAL, RequestArrival(_request(2)))
         kinds = [type(q.pop()[1]) for _ in range(3)]
-        assert kinds == [TaxiRelease, RequestArrival, MatchingEpoch]
+        assert kinds == [RequestArrival, RequestArrival, MatchingEpoch]
 
     def test_time_dominates_priority(self):
         q = EventQueue()
-        q.push(120.0, PRIORITY_TAXI_RELEASE, TaxiRelease(0))
+        q.push(120.0, PRIORITY_REQUEST_ARRIVAL, RequestArrival(_request(1, 120.0)))
         q.push(60.0, PRIORITY_MATCHING_EPOCH, MatchingEpoch())
         assert isinstance(q.pop()[1], MatchingEpoch)
-        assert isinstance(q.pop()[1], TaxiRelease)
+        assert isinstance(q.pop()[1], RequestArrival)
 
     def test_fifo_within_same_time_and_priority(self):
         q = EventQueue()
@@ -76,15 +73,15 @@ class TestMonotonicity:
         q.push(100.0, PRIORITY_MATCHING_EPOCH, MatchingEpoch())
         q.pop()
         with pytest.raises(SimulationError):
-            q.push(99.0, PRIORITY_TAXI_RELEASE, TaxiRelease(0))
+            q.push(99.0, PRIORITY_REQUEST_ARRIVAL, RequestArrival(_request(0, 99.0)))
 
     def test_push_at_clock_allowed(self):
-        """Same-timestamp pushes stay legal (a release scheduled *at*
-        the current epoch time must be admissible)."""
+        """Same-timestamp pushes stay legal (an arrival chained *at*
+        the current clock time must be admissible)."""
         q = EventQueue()
-        q.push(100.0, PRIORITY_MATCHING_EPOCH, MatchingEpoch())
+        q.push(100.0, PRIORITY_REQUEST_ARRIVAL, RequestArrival(_request(0, 100.0)))
         q.pop()
-        q.push(100.0, PRIORITY_TAXI_RELEASE, TaxiRelease(0))
+        q.push(100.0, PRIORITY_REQUEST_ARRIVAL, RequestArrival(_request(1, 100.0)))
         assert q.pop()[0] == pytest.approx(100.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -109,7 +106,7 @@ class TestCountersAndViews:
         q = EventQueue()
         assert not q and len(q) == 0 and q.peek_time() is None
         q.push(5.0, PRIORITY_REQUEST_ARRIVAL, RequestArrival(_request(1, 5.0)))
-        q.push(3.0, PRIORITY_TAXI_RELEASE, TaxiRelease(2))
+        q.push(3.0, PRIORITY_MATCHING_EPOCH, MatchingEpoch())
         assert q and len(q) == 2
         assert q.peek_time() == pytest.approx(3.0)
         q.pop()

@@ -6,6 +6,8 @@ here on the same city-day smoke slice the engine suites use, down to
 the per-frame statistics series.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.errors import SimulationError
@@ -76,6 +78,17 @@ class TestBatchEquivalence:
         assert _observable(reference) == _observable(streamed)
         assert streamed.dispatch_telemetry.get("warm_frames", 0) == 0
 
+    @pytest.mark.parametrize("epoch_s", [60.0, 30.0, 15.0])
+    def test_epoch_equals_batch_at_same_frame_length(self, workload, epoch_s):
+        """Epoch length ``e`` is the batch engine at frame length ``e``,
+        bit for bit — sub-frame epochs included."""
+        sim_config, fleet, requests = workload
+        reference = _batch(replace(sim_config, frame_length_s=epoch_s), fleet, requests)
+        streamed = StreamingEngine(ORACLE, sim_config, epoch_length_s=epoch_s).run(
+            fleet, requests
+        )
+        assert _observable(reference) == _observable(streamed)
+
     def test_explicit_zone_km_equivalent_too(self, workload):
         sim_config, fleet, requests = workload
         reference = _batch(sim_config, fleet, requests)
@@ -94,9 +107,7 @@ class TestStreamingTelemetry:
         assert telemetry["events_arrivals"] == len(requests)
         assert telemetry["events_epochs"] == result.frames_run
         assert telemetry["events_processed"] == (
-            telemetry["events_arrivals"]
-            + telemetry["events_releases"]
-            + telemetry["events_epochs"]
+            telemetry["events_arrivals"] + telemetry["events_epochs"]
         )
         assert telemetry["epochs_run"] == result.frames_run
         assert telemetry["epoch_length_s"] == sim_config.frame_length_s
