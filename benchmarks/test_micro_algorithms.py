@@ -189,24 +189,6 @@ class TestKernelSpeedups:
                 baseline=f"preference_table_scalar_{label}",
             )
 
-        # The grid-pruned engine, for visibility (auto picks the dense
-        # engine below ~4M pairs where the full kernel matrix is cheaper
-        # than per-request grid gathering).
-        pruned_config = table_configs[0][1]
-        pruned = build_nonsharing_table(taxis, requests, ORACLE, pruned_config, engine="pruned")
-        assert _tables_equal(
-            build_nonsharing_table_reference(taxis, requests, ORACLE, pruned_config), pruned
-        )
-        record(
-            "preference_table_pruned_radius_1km",
-            _best_ms(
-                lambda: build_nonsharing_table(
-                    taxis, requests, ORACLE, pruned_config, engine="pruned"
-                )
-            ),
-            baseline="preference_table_scalar_radius_1km",
-        )
-
         # -- raw pairwise kernel ------------------------------------------
         pickups = [r.pickup for r in requests]
         locations = [t.location for t in taxis]
@@ -224,7 +206,7 @@ class TestKernelSpeedups:
         )
 
         # -- bipartite cost matrix ----------------------------------------
-        threshold = pruned_config.passenger_threshold_km
+        threshold = table_configs[0][1].passenger_threshold_km  # radius_1km
 
         def scalar_cost_matrix():
             matrix = np.full((len(requests), len(taxis)), math.inf)

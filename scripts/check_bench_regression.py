@@ -67,7 +67,6 @@ SUITES = (
         # it is built on.
         guarded_prefixes=(
             "preference_table_vectorized_",
-            "preference_table_pruned_",
             "pairwise_euclidean",
             "cost_matrix_batched",
         ),

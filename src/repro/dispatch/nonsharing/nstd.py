@@ -6,23 +6,29 @@ taxi-proposing fast path (provably equal to Algorithm 2's taxi-best
 pick — see :mod:`repro.matching.optimality`), with an ``exact`` switch
 that runs the full Algorithm 2 enumeration instead.
 
-The passenger/taxi fast paths run array-native end to end: the frame is
-compiled straight into :class:`~repro.matching.arrays.PreferenceArrays`
-(no per-pair dicts) and matched by the array deferred-acceptance
-engine, which is bit-identical to the dict reference (``use_arrays=
-False`` forces the dict path; the median and ``exact`` selectors always
-use it, since lattice enumeration walks dict tables).  When the
-simulation engine installs a :class:`~repro.simulation.frame_cache.
-FrameDistanceCache`, the pickup matrix and trip distances are read from
-it instead of recomputed.
+NSTD has three solve paths, two of which share one Gale–Shapley round
+kernel (:func:`~repro.matching.deferred_acceptance.gale_shapley_rounds`):
 
-``warm_start=True`` (array fast paths only) additionally carries solver
+* the **cold array path** (NSTD-P and NSTD-T): the frame is compiled
+  straight into :class:`~repro.matching.arrays.PreferenceArrays` by the
+  dense pair builder (no per-pair dicts) and matched by the array
+  deferred-acceptance engine, bit-identical to the dict reference;
+* the **warm path** (below), which feeds the same kernel complex keys;
+* the **dict path** (NSTD-M and exact NSTD-T), since lattice
+  enumeration walks dict tables.
+
+When the simulation engine installs a
+:class:`~repro.simulation.frame_cache.FrameDistanceCache`, the pickup
+matrix and trip distances are read from it instead of recomputed, on
+both cold paths and in the auditor's rebuild.
+
+``warm_start=True`` (NSTD-P and NSTD-T only) additionally carries solver
 state across frames through the warm frame solver
 (:mod:`repro.matching.warm_frame`): only churn-proportional distance
 strips are scored (never the full taxi × request pickup kernel), the
 retained entities' facts ride along as fused arrays, and the stable
-matching is recomputed by keyed Gale–Shapley rounds that are
-bit-identical to the cold solve.  Warm frames ship a
+matching is recomputed by the shared Gale–Shapley rounds on complex
+suitor keys, bit-identical to the cold solve.  Warm frames ship a
 :class:`~repro.dispatch.base.PackedSingleSchedule` carrying the
 solver's matched rows and leg lengths.  Any frame whose state fails a
 warm precondition falls back to a cold solve transparently;
@@ -32,8 +38,8 @@ fallbacks, and rebuild fractions.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from typing import Any, ClassVar
+from collections.abc import Callable, Mapping, Sequence
+from typing import Any, ClassVar, TypeVar
 
 import numpy as np
 
@@ -59,6 +65,8 @@ from repro.matching.warm_frame import (
 )
 
 __all__ = ["NSTDDispatcher", "nstd_p", "nstd_t", "nstd_m"]
+
+_Prefs = TypeVar("_Prefs", PreferenceArrays, PreferenceTable)
 
 
 def _reason_key(reason: str) -> str:
@@ -103,7 +111,6 @@ class NSTDDispatcher(Dispatcher):
         optimize_for: str = "passenger",
         exact: bool = False,
         alpha_by_taxi: Mapping[int, float] | None = None,
-        use_arrays: bool = True,
         warm_start: bool = False,
     ):
         super().__init__(oracle, config)
@@ -111,16 +118,17 @@ class NSTDDispatcher(Dispatcher):
             raise ValueError(
                 f"optimize_for must be one of {sorted(self._NAMES)}, got {optimize_for!r}"
             )
-        array_fast_path = use_arrays and optimize_for in ("passenger", "taxi") and not exact
-        if warm_start and not array_fast_path:
+        # NSTD-M and exact NSTD-T enumerate the stable lattice, which
+        # walks dict tables; every other frame runs on arrays.
+        self._array_path = optimize_for in ("passenger", "taxi") and not exact
+        if warm_start and not self._array_path:
             raise ValueError(
-                "warm_start requires the array fast path: use_arrays=True, "
+                "warm_start requires the array fast path: "
                 "optimize_for in ('passenger', 'taxi'), exact=False"
             )
         self.optimize_for = optimize_for
         self.exact = exact
         self.alpha_by_taxi = dict(alpha_by_taxi) if alpha_by_taxi else None
-        self.use_arrays = use_arrays
         self.warm_start = warm_start
         self.name = self._NAMES[optimize_for]
         self._warm_state: FrameSolveState | None = None
@@ -177,11 +185,25 @@ class NSTDDispatcher(Dispatcher):
         contract) but never touches the carried warm state, so
         the result is a state-independent oracle for the auditor.
         """
+        return self._cold_prefs(taxis, requests, build_nonsharing_arrays)[0]
+
+    def _cold_prefs(
+        self,
+        taxis: Sequence[Taxi],
+        requests: Sequence[PassengerRequest],
+        build: Callable[..., _Prefs],
+    ) -> tuple[_Prefs, np.ndarray | None]:
+        """The frame's cold preference structure, built by ``build``
+        (:func:`build_nonsharing_arrays` or :func:`build_nonsharing_table`)
+        from the frame cache's kernels when one is installed.
+
+        Also returns the cached trip vector (``None`` without a cache).
+        """
         pickup_matrix = trip_km = None
         if self.frame_cache is not None:
             pickup_matrix = self.frame_cache.pickup_matrix(taxis, requests)
             trip_km = self.frame_cache.trip_km(requests)
-        return build_nonsharing_arrays(
+        prefs = build(
             taxis,
             requests,
             self.oracle,
@@ -190,6 +212,7 @@ class NSTDDispatcher(Dispatcher):
             pickup_matrix=pickup_matrix,
             trip_km=trip_km,
         )
+        return prefs, trip_km
 
     def run_telemetry(self) -> dict[str, float | int]:
         """Warm-start counters since the last full reset.
@@ -215,12 +238,7 @@ class NSTDDispatcher(Dispatcher):
             # so churn classification against it remains sound.
             return schedule
         self.checkpoint("nstd:start")
-        array_path = (
-            self.use_arrays
-            and self.optimize_for in ("passenger", "taxi")
-            and not self.exact
-        )
-        if self.warm_start and array_path:
+        if self.warm_start:
             warm = self._dispatch_warm(taxis, requests)
             if warm is not None:
                 self.checkpoint("nstd:matched")
@@ -235,7 +253,7 @@ class NSTDDispatcher(Dispatcher):
                 return PackedSingleSchedule(
                     taxis, requests, t_rows, r_rows, pickup_km=pick_legs, trip_km=trip_legs
                 )
-        matching = self._dispatch_cold(taxis, requests, array_path)
+        matching = self._dispatch_cold(taxis, requests)
         self.checkpoint("nstd:matched")
         taxis_by_id = {t.taxi_id: t for t in taxis}
         requests_by_id = {r.request_id: r for r in requests}
@@ -244,38 +262,15 @@ class NSTDDispatcher(Dispatcher):
         return self._validated(schedule, taxis, requests)
 
     def _dispatch_cold(
-        self,
-        taxis: Sequence[Taxi],
-        requests: Sequence[PassengerRequest],
-        array_path: bool,
+        self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
     ) -> Matching:
         """The stateless frame solve (the pre-warm-start behaviour)."""
         self.last_frame_mode = "cold"
-        pickup_matrix = trip_km = None
-        if self.frame_cache is not None:
-            pickup_matrix = self.frame_cache.pickup_matrix(taxis, requests)
-            trip_km = self.frame_cache.trip_km(requests)
         prefs: PreferenceArrays | PreferenceTable
-        if array_path:
-            prefs = build_nonsharing_arrays(
-                taxis,
-                requests,
-                self.oracle,
-                self.config,
-                alpha_by_taxi=self.alpha_by_taxi,
-                pickup_matrix=pickup_matrix,
-                trip_km=trip_km,
-            )
+        if self._array_path:
+            prefs, trip_km = self._cold_prefs(taxis, requests, build_nonsharing_arrays)
         else:
-            prefs = build_nonsharing_table(
-                taxis,
-                requests,
-                self.oracle,
-                self.config,
-                alpha_by_taxi=self.alpha_by_taxi,
-                pickup_matrix=pickup_matrix,
-                trip_km=trip_km,
-            )
+            prefs, trip_km = self._cold_prefs(taxis, requests, build_nonsharing_table)
         self.checkpoint("nstd:prefs-built")
         if self.optimize_for == "passenger":
             matching = passenger_optimal(prefs)
@@ -290,7 +285,7 @@ class NSTDDispatcher(Dispatcher):
             matching = taxi_optimal_exact(prefs, deadline=self.frame_budget)
         else:
             matching = taxi_optimal(prefs)
-        if self.warm_start and isinstance(prefs, PreferenceArrays):
+        if self.warm_start:
             # Cold frame of a warm-started run (first frame, or a warm
             # precondition failed): seed the next frame's warm state
             # from the frame's own facts.

@@ -223,44 +223,12 @@ class GridSpatialIndex:
         found.sort()
         return [(key, dist) for dist, _, key in found[:k]]
 
-    def box_candidates(self, point: Point, radius_km: float) -> list[Hashable]:
-        """Unfiltered candidate keys for a ``within`` query: every key in
-        a cell intersecting the L-infinity box of ``radius_km`` around
-        ``point``.
-
-        A strict superset of ``within(point, radius_km)`` keys (for
-        oracles dominating L-infinity), with no distance evaluation and
-        no ordering — bulk callers such as the pruned preference engine
-        gather candidates for many queries and filter the exact
-        distances in one vectorized pass.
-        """
-        if radius_km < 0.0:
-            raise ValueError(f"radius must be non-negative, got {radius_km}")
-        if not self._points:
-            return []
-        if not math.isfinite(radius_km):
-            return list(self._points)
-        cx, cy = self._cell_of(point)
-        reach = int(math.floor(radius_km / self._cell_size)) + 2
-        out: list[Hashable] = []
-        if (2 * reach + 1) ** 2 < len(self._cells):
-            for x in range(cx - reach, cx + reach + 1):
-                for y in range(cy - reach, cy + reach + 1):
-                    bucket = self._cells.get((x, y))
-                    if bucket:
-                        out.extend(bucket)
-        else:
-            for (x, y), bucket in self._cells.items():
-                if abs(x - cx) <= reach and abs(y - cy) <= reach:
-                    out.extend(bucket)
-        return out
-
     def within(self, point: Point, radius_km: float) -> list[tuple[Hashable, float]]:
         """All items within ``radius_km`` of ``point``, sorted by distance.
 
-        The boundary is inclusive (``dist <= radius_km``) — the candidate
-        -pruning invariant the preference builder relies on: a partner at
-        exactly the acceptance threshold is never dropped.
+        The boundary is inclusive (``dist <= radius_km``), like the
+        acceptance thresholds: a partner at exactly the radius is never
+        dropped.
         """
         if radius_km < 0.0:
             raise ValueError(f"radius must be non-negative, got {radius_km}")

@@ -19,12 +19,18 @@ Two engines implement the identical algorithm:
   retained semantic reference;
 * the **array engine** (:func:`deferred_acceptance_arrays`) runs on
   :class:`~repro.matching.arrays.PreferenceArrays` with flat
-  ``next_choice`` / ``current_partner`` / ``current_rank`` int arrays
-  and the per-edge cross-rank refusal test — no rank dictionaries are
-  ever built, which is where the dict engine spends most of a frame.
-  It executes in **batched proposal rounds**: every free proposer
-  proposes to its next choice at once, and each reviewer keeps the
-  best suitor via one vectorized min-reduction.
+  ``next_choice`` / ``partner`` / ``best`` arrays and the per-edge
+  cross-rank refusal test — no rank dictionaries are ever built, which
+  is where the dict engine spends most of a frame.  It executes in
+  **batched proposal rounds**: every free proposer proposes to its next
+  choice at once, and each reviewer keeps the best suitor via one
+  vectorized min-reduction.
+
+The rounds live in one kernel, :func:`gale_shapley_rounds`, generic
+over the reviewer-side key of each edge: int ranks on cold frames,
+complex ``score + 1j·id`` keys on the warm frames of
+:mod:`repro.matching.warm_frame`.  Every NSTD-P and NSTD-T frame, cold
+or warm, is matched by this one loop.
 
 The two engines run different proposal *orders* yet are bit-identical
 in matching *and* counters, which the property suite asserts.  Both
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.matching.arrays import NO_PARTNER, UNRANKED, PreferenceArrays
+from repro.matching.arrays import NO_PARTNER, PreferenceArrays
 from repro.matching.preferences import PreferenceTable
 from repro.matching.result import Matching
 
@@ -153,24 +159,24 @@ def deferred_acceptance_arrays(
 
     State is three flat arrays indexed by entity position —
     ``next_choice[p]`` (cursor into the proposer's CSR segment),
-    ``current_partner[r]`` (:data:`NO_PARTNER` means the dummy) and
-    ``current_rank[r]``, the rank at which the reviewer accepted its
-    held proposer (:data:`UNRANKED` for the dummy).  Each round, every
-    free proposer with entries left proposes to its next choice at
-    once; ``np.minimum.at`` folds the proposals into ``current_rank``
-    so a reviewer keeps exactly the suitor it prefers over everything
-    it has seen, dummy included (ranks within a reviewer's list are
-    unique, so the round's winner is the proposal whose rank equals the
-    reduced value).  Refused proposers and displaced holders form the
-    next round's free pool.  Nothing is hashed and no rank structure is
-    built at run time; per-round work is a handful of vectorized ops
-    over the currently free proposers.
+    ``partner[r]`` (:data:`NO_PARTNER` means the dummy) and ``best[r]``,
+    the rank at which the reviewer accepted its held proposer
+    (:data:`~repro.matching.arrays.UNRANKED` for the dummy).  Each
+    round, every free proposer with entries left proposes to its next
+    choice at once; ``np.minimum.at`` folds the proposals into ``best``
+    so a reviewer keeps exactly the suitor it prefers over everything it
+    has seen, dummy included (ranks within a reviewer's list are unique,
+    so the round's winner is the proposal whose rank equals the reduced
+    value).  Refused proposers and displaced holders form the next
+    round's free pool.  Nothing is hashed and no rank structure is built
+    at run time; the rounds are :func:`gale_shapley_rounds` fed the
+    per-edge ranks as keys.
 
     By McVitie–Wilson order-independence this produces the identical
     matching and counters as the sequential dict engine (see the module
     docstring).
     """
-    current_partner, proposals, refusals = gale_shapley_rounds(
+    current_partner, _, proposals, refusals = gale_shapley_rounds(
         arrays.proposer_indptr,
         arrays.proposer_list,
         arrays.proposer_list_rank,
@@ -198,28 +204,42 @@ def deferred_acceptance_arrays(
 def gale_shapley_rounds(
     indptr: np.ndarray,
     pref: np.ndarray,
-    pref_rank: np.ndarray,
+    keys: np.ndarray,
     n_reviewers: int,
-) -> tuple[np.ndarray, int, int]:
-    """The batched-round Gale–Shapley core over a raw proposer CSR.
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The batched-round Gale–Shapley kernel over a raw proposer CSR.
 
     ``indptr``/``pref`` is the proposer-side CSR (each segment in the
-    proposer's preference order); ``pref_rank[e]`` is the rank of the
-    edge's proposer inside the listed reviewer's own order.  Returns
-    ``(current_partner, proposals, refusals)`` where
-    ``current_partner[r]`` is the proposer *position* reviewer ``r``
-    holds (:data:`NO_PARTNER` for the dummy).  This is the entire array
-    engine minus id translation — shared between
-    :func:`deferred_acceptance_arrays` and the warm frame solver in
-    :mod:`repro.matching.warm_frame`, which is what makes the two
-    bit-identical in matching and counters on equal CSR input.
+    proposer's preference order); ``keys[e]`` is the listed reviewer's
+    key for the edge's proposer — smaller is better, unique among one
+    reviewer's suitors.  Two key kinds feed it:
+
+    * int ranks (``proposer_list_rank``, the rank of the proposer inside
+      the reviewer's own list) on cold frames;
+    * complex ``score + 1j·proposer_id`` keys on warm frames.  NumPy
+      orders complex values lexicographically, so the smallest key is
+      exactly the suitor a ``(score, id)``-sorted list ranks best.
+
+    The dummy partner's key is the largest value of the key dtype
+    (``inf`` for float and complex keys), so any listed suitor beats it.
+    Equal reviewer orders therefore traverse equal rounds whatever the
+    key kind: the matching and counters are bit-identical.
+
+    Returns ``(partner, next_choice, proposals, refusals)``.
+    ``partner[r]`` is the proposer *position* reviewer ``r`` holds
+    (:data:`NO_PARTNER` for the dummy).  A proposer stops proposing the
+    moment it is accepted and resumes only when displaced, so for every
+    proposer matched at termination ``next_choice[p] - 1`` is the CSR
+    index of its *accepted* edge.  This is the entire array engine
+    minus id translation, shared by :func:`deferred_acceptance_arrays`
+    and the warm frame solver in :mod:`repro.matching.warm_frame`.
     """
     n_prop = len(indptr) - 1
     next_choice = indptr[:-1].copy()  # each cursor starts at its CSR segment
     ends = indptr[1:]
-    current_partner = np.full(n_reviewers, NO_PARTNER, dtype=np.int64)
-    # The dummy's rank: any listed entry beats it.
-    current_rank = np.full(n_reviewers, np.int64(UNRANKED), dtype=np.int64)
+    partner = np.full(n_reviewers, NO_PARTNER, dtype=np.int64)
+    dummy = np.iinfo(keys.dtype).max if np.issubdtype(keys.dtype, np.integer) else np.inf
+    best = np.full(n_reviewers, dummy, dtype=keys.dtype)
 
     proposals = 0
     refusals = 0
@@ -232,22 +252,23 @@ def gale_shapley_rounds(
         if active.size == 0:
             break
         edges = next_choice[active]
-        reviewers = pref[edges].astype(np.int64)
-        ranks = pref_rank[edges].astype(np.int64)
+        # Native-width indices keep the scatter/gathers below cast-free.
+        reviewers = pref[edges].astype(np.intp, copy=False)
+        offered = keys[edges]
         next_choice[active] += 1
         proposals += int(active.size)
         # Refusal lines 10-14, one reduction for the whole round: each
-        # proposed-to reviewer's held rank drops to its best incoming
+        # proposed-to reviewer's held key drops to its best incoming
         # offer; the unique proposal achieving it is accepted.
-        np.minimum.at(current_rank, reviewers, ranks)
-        won = ranks == current_rank[reviewers]
+        np.minimum.at(best, reviewers, offered)
+        won = offered == best[reviewers]
         winners = active[won]
         win_reviewers = reviewers[won]
-        holders = current_partner[win_reviewers]
+        holders = partner[win_reviewers]
         displaced = holders[holders != NO_PARTNER]
-        current_partner[win_reviewers] = winners
+        partner[win_reviewers] = winners
         # Line 16 (immediate refusals) plus line 14 (displacements).
         refusals += int(active.size - winners.size) + int(displaced.size)
         free = np.concatenate((active[~won], displaced))
 
-    return current_partner, proposals, refusals
+    return partner, next_choice, proposals, refusals

@@ -21,25 +21,20 @@ with an ordered list of acceptable partners.  A pair appears on one
 side's list iff it appears on the other's, which keeps the stability
 definition symmetric.
 
-**Construction engines.**  :func:`build_nonsharing_table` is the frame
-hot path (O(|T|·|R|) pairs every frame) and runs on the batched
-distance kernels of :mod:`repro.geometry.batch`:
+**Construction.**  :func:`build_nonsharing_table` and
+:func:`build_nonsharing_arrays` share one dense pair builder on the
+batched distance kernels of :mod:`repro.geometry.batch`: one vectorized
+taxi × request score matrix (or the frame cache's), threshold masks,
+and a single global lexsort per side.  The dense matrix suits the
+engines' frame sizes: the largest NSTD frame of the full-scale NYC day
+holds about 10^5 candidate pairs.
 
-* ``dense`` — one vectorized score matrix, threshold masks, and a
-  single global lexsort per side;
-* ``pruned`` — a uniform-grid candidate query per request restricts
-  scoring to taxis within ``passenger_threshold_km`` (sound because the
-  grid query is inclusive at the radius and the passenger threshold is
-  the only distance-based acceptability cut on the passenger side), so
-  the cost tracks the acceptable-pair count instead of |T|·|R|;
-* ``scalar`` — the retained double-loop reference implementation
-  (:func:`build_nonsharing_table_reference`).
-
-All engines produce **identical** tables — same preference orders, same
-scores, same deterministic id tie-breaks — which the property suite
-asserts pair-for-pair against the scalar reference.  Pairs whose score
-would be non-finite (a disconnected road-network pair, an infinite trip)
-are unacceptable under every engine.
+The scalar double loop (:func:`build_nonsharing_table_reference`) is
+the retained semantic specification.  The dense builder reproduces it
+**identically** — same preference orders, same scores, same
+deterministic id tie-breaks — which the property suite asserts pair for
+pair.  Pairs whose score would be non-finite (a disconnected
+road-network pair, an infinite trip) are unacceptable in both.
 """
 
 from __future__ import annotations
@@ -54,14 +49,13 @@ import numpy as np
 from repro.core.config import DispatchConfig
 from repro.core.errors import PreferenceError
 from repro.core.types import PassengerRequest, Taxi
-from repro.geometry.distance import DistanceOracle, oracle_dominates_linf
+from repro.geometry.distance import DistanceOracle
 from repro.geometry.batch import (
     as_point_array,
     batch_kernels_exact,
     oracle_paired,
     oracle_pairwise,
 )
-from repro.geometry.spatial_index import GridSpatialIndex, suggest_cell_size
 
 if TYPE_CHECKING:  # annotation-only: repro.matching.arrays imports this module
     from repro.matching.arrays import PreferenceArrays
@@ -75,15 +69,6 @@ __all__ = [
     "passenger_score",
     "taxi_score",
 ]
-
-#: Below this many candidate pairs the dense engine wins outright: the
-#: full vectorized distance matrix is cheaper than the per-request
-#: Python grid gather (measured crossover on paper-scale frames — at
-#: 700×700 the dense kernel costs ~5 ms while grid gathering costs
-#: ~15 ms).  Grid pruning pays off once the dense matrix and its mask
-#: temporaries stop fitting comfortably in cache/memory.
-_PRUNE_MIN_PAIRS = 4_000_000
-
 
 def passenger_score(taxi: Taxi, request: PassengerRequest, oracle: DistanceOracle) -> float:
     """``D(t_i, r_j^s)``: the passenger dissatisfaction of this pairing."""
@@ -244,7 +229,6 @@ def build_nonsharing_table(
     config: DispatchConfig | None = None,
     *,
     alpha_by_taxi: Mapping[int, float] | None = None,
-    engine: str = "auto",
     pickup_matrix: np.ndarray | None = None,
     trip_km: np.ndarray | None = None,
 ) -> PreferenceTable:
@@ -269,31 +253,17 @@ def build_nonsharing_table(
     make the stable lattice — and the company's Algorithm-2 choice —
     meaningful.
 
-    ``engine`` selects the construction strategy: ``"auto"`` (pruned
-    when the passenger threshold is finite, the oracle admits grid
-    pruning, and the frame is big enough; dense otherwise), ``"dense"``,
-    ``"pruned"``, or ``"scalar"`` (the reference double loop).  Every
-    engine returns an identical table.
-
     ``pickup_matrix`` / ``trip_km`` optionally inject frame-cached
     distance kernels (the taxi-major ``D(t_i, r_j^s)`` matrix and the
     per-request trip vector; see
-    :class:`repro.simulation.FrameDistanceCache`).  Supplying a pickup
-    matrix forces the dense engine — the matrix *is* the dense kernel
-    output — and the caller is responsible for the values being
-    bit-identical to scalar ``distance`` calls (true for every cache in
-    this package, which computes with ``exact=True`` kernels).
+    :class:`repro.simulation.FrameDistanceCache`).  The matrix *is* the
+    dense kernel output, and the caller is responsible for its values
+    being bit-identical to scalar ``distance`` calls (true for every
+    cache in this package, which computes with ``exact=True`` kernels).
     """
     config = config if config is not None else DispatchConfig()
     alphas = _checked_alphas(taxis, requests, config, alpha_by_taxi)
-
-    if engine == "scalar":
-        if pickup_matrix is not None:
-            raise PreferenceError("pickup_matrix requires a vectorized engine")
-        return _scalar_table(taxis, requests, oracle, config, alphas)
-    pairs = _vectorized_pairs_dispatch(
-        taxis, requests, oracle, config, alphas, engine, pickup_matrix, trip_km
-    )
+    pairs = _dense_pairs(taxis, requests, oracle, config, alphas, pickup_matrix, trip_km)
     return _pairs_to_table(taxis, requests, *pairs)
 
 
@@ -304,14 +274,13 @@ def build_nonsharing_arrays(
     config: DispatchConfig | None = None,
     *,
     alpha_by_taxi: Mapping[int, float] | None = None,
-    engine: str = "auto",
     pickup_matrix: np.ndarray | None = None,
     trip_km: np.ndarray | None = None,
 ) -> "PreferenceArrays":
     """The same market as :func:`build_nonsharing_table`, emitted directly
     as :class:`~repro.matching.arrays.PreferenceArrays`.
 
-    This is the frame fast path: the vectorized pair pipeline feeds two
+    This is the frame fast path: the dense pair builder feeds two
     lexsorts and a handful of scatters, and **no intermediate Python
     dict or tuple is materialized** — proposer index ``j`` is position
     ``j`` in ``requests``, reviewer index ``i`` is position ``i`` in
@@ -320,20 +289,13 @@ def build_nonsharing_arrays(
     ``PreferenceArrays.from_table(build_nonsharing_table(...))`` (the
     property suite asserts this), at a fraction of the cost.
 
-    ``engine``/``pickup_matrix``/``trip_km`` behave as in
-    :func:`build_nonsharing_table`; ``engine="scalar"`` routes through
-    the dict reference and packs it (the oracle path for tests).
+    ``pickup_matrix``/``trip_km`` behave as in
+    :func:`build_nonsharing_table`.
     """
-    from repro.matching.arrays import PreferenceArrays  # deferred: avoids cycle
-
     config = config if config is not None else DispatchConfig()
     alphas = _checked_alphas(taxis, requests, config, alpha_by_taxi)
-    if engine == "scalar":
-        if pickup_matrix is not None:
-            raise PreferenceError("pickup_matrix requires a vectorized engine")
-        return PreferenceArrays.from_table(_scalar_table(taxis, requests, oracle, config, alphas))
-    rj, ti, pick, driver = _vectorized_pairs_dispatch(
-        taxis, requests, oracle, config, alphas, engine, pickup_matrix, trip_km
+    rj, ti, pick, driver = _dense_pairs(
+        taxis, requests, oracle, config, alphas, pickup_matrix, trip_km
     )
     return arrays_from_pairs(taxis, requests, rj=rj, ti=ti, pick=pick, driver=driver)
 
@@ -421,49 +383,6 @@ def _checked_alphas(
     return alphas
 
 
-def _vectorized_pairs_dispatch(
-    taxis: Sequence[Taxi],
-    requests: Sequence[PassengerRequest],
-    oracle: DistanceOracle,
-    config: DispatchConfig,
-    alphas: Mapping[int, float],
-    engine: str,
-    pickup_matrix: np.ndarray | None,
-    trip_km: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Engine selection for the vectorized candidate-pair pipeline."""
-    if pickup_matrix is not None and engine == "pruned":
-        raise PreferenceError("pickup_matrix implies the dense engine")
-    if engine == "pruned":
-        if not _prune_eligible(oracle, config):
-            raise PreferenceError(
-                "pruned engine requires a finite passenger threshold and a "
-                "grid-prunable oracle (Euclidean/Manhattan or an "
-                "expansion-scaled wrapper of one)"
-            )
-        prune = True
-    elif engine == "dense":
-        prune = False
-    elif engine == "auto":
-        prune = (
-            pickup_matrix is None
-            and _prune_eligible(oracle, config)
-            and len(taxis) * len(requests) >= _PRUNE_MIN_PAIRS
-        )
-    else:
-        raise PreferenceError(f"unknown engine {engine!r}")
-    return _vectorized_pairs(
-        taxis,
-        requests,
-        oracle,
-        config,
-        alphas,
-        prune=prune,
-        pickup_matrix=pickup_matrix,
-        trip_km=trip_km,
-    )
-
-
 def build_nonsharing_table_reference(
     taxis: Sequence[Taxi],
     requests: Sequence[PassengerRequest],
@@ -476,23 +395,11 @@ def build_nonsharing_table_reference(
 
     Kept as the semantic specification of :func:`build_nonsharing_table`:
     the equivalence property tests and the kernel benchmark both compare
-    the vectorized engines against this, pair for pair and bit for bit.
+    the dense builder against this, pair for pair and bit for bit.
     """
-    return build_nonsharing_table(
-        taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi, engine="scalar"
-    )
-
-
-def _prune_eligible(oracle: DistanceOracle, config: DispatchConfig) -> bool:
-    """Whether grid candidate pruning is sound for this oracle/config.
-
-    The grid query under-approximates distance with L-infinity cell
-    geometry, so it is exact only for metrics that dominate L-infinity
-    on the stored planar coordinates
-    (:func:`~repro.geometry.distance.oracle_dominates_linf`), and only
-    when the passenger threshold actually bounds the candidate ball.
-    """
-    return math.isfinite(config.passenger_threshold_km) and oracle_dominates_linf(oracle)
+    config = config if config is not None else DispatchConfig()
+    alphas = _checked_alphas(taxis, requests, config, alpha_by_taxi)
+    return _scalar_table(taxis, requests, oracle, config, alphas)
 
 
 def _scalar_table(
@@ -538,16 +445,14 @@ def _scalar_table(
     )
 
 
-def _vectorized_pairs(
+def _dense_pairs(
     taxis: Sequence[Taxi],
     requests: Sequence[PassengerRequest],
     oracle: DistanceOracle,
     config: DispatchConfig,
     alphas: Mapping[int, float],
-    *,
-    prune: bool,
-    pickup_matrix: np.ndarray | None = None,
-    trip_km: np.ndarray | None = None,
+    pickup_matrix: np.ndarray | None,
+    trip_km: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The acceptable candidate pairs of one frame, as flat arrays.
 
@@ -568,12 +473,10 @@ def _vectorized_pairs(
     party = np.array([r.passengers for r in requests], dtype=np.int64)
     alpha_arr = np.array([alphas[t.taxi_id] for t in taxis], dtype=np.float64)
     pickups = [r.pickup for r in requests]
-    taxi_points = [t.location for t in taxis]
     # Only kernels honouring the bit-exactness contract may replace
-    # scalar ``distance`` calls, so every engine's scores match the
-    # reference bit for bit.  When the contract holds, points are packed
-    # once and the packed arrays feed every kernel call below; otherwise
-    # the Point lists go through the scalar-loop fallbacks.
+    # scalar ``distance`` calls, so the scores match the reference bit
+    # for bit; otherwise the Point lists go through the scalar-loop
+    # fallbacks.
     exact_kernels = batch_kernels_exact(oracle)
     if trip_km is not None:
         trip = np.asarray(trip_km, dtype=np.float64)
@@ -591,65 +494,35 @@ def _vectorized_pairs(
         trip = oracle_paired(
             oracle, sources=pickups, targets=[r.dropoff for r in requests], exact=True
         )
-    if exact_kernels and (prune or pickup_matrix is None):
-        pickup_xy = as_point_array(pickups)
-        taxi_xy = as_point_array(taxi_points)
 
-    if prune:
-        # Candidate pruning: only taxis within the passenger threshold can
-        # be acceptable.  The grid box query over-approximates the
-        # threshold ball (and the exact filter below is inclusive at the
-        # boundary), so no acceptable pair is ever dropped.
-        index = GridSpatialIndex(cell_size=suggest_cell_size(taxi_points), oracle=oracle)
-        index.bulk_load((i, point) for i, point in enumerate(taxi_points))
-        cols: list[int] = []
-        counts = np.empty(n_requests, dtype=np.intp)
-        for j, request in enumerate(requests):
-            candidates = index.box_candidates(request.pickup, config.passenger_threshold_km)
-            cols.extend(candidates)
-            counts[j] = len(candidates)
-        ti = np.array(cols, dtype=np.intp)
-        rj = np.repeat(np.arange(n_requests, dtype=np.intp), counts)
-        # Sources are taxi locations, as in the scalar reference's
-        # ``distance(taxi.location, request.pickup)`` — the order matters
-        # for asymmetric oracles (oneway road edges) and for the exact
-        # float association of the road network's snap offsets.
-        if exact_kernels:
-            pick = np.asarray(
-                oracle.paired(sources=taxi_xy[ti], targets=pickup_xy[rj]), dtype=np.float64
+    # Taxi-major matrix so rows/sources are taxi locations, matching the
+    # scalar ``distance(taxi.location, request.pickup)`` order — the
+    # order matters for asymmetric oracles (oneway road edges).
+    if pickup_matrix is not None:
+        pick_matrix = np.asarray(pickup_matrix, dtype=np.float64)
+        if pick_matrix.shape != (n_taxis, n_requests):
+            raise PreferenceError(
+                f"pickup_matrix has shape {pick_matrix.shape}, "
+                f"expected ({n_taxis}, {n_requests})"
             )
-        else:  # candidate distances stay scalar `distance` calls
-            distance = oracle.distance
-            pick = np.array(
-                [distance(taxi_points[i], pickups[j]) for j, i in zip(rj.tolist(), ti.tolist())],
-                dtype=np.float64,
-            )
-        flat_keep = np.flatnonzero(pick <= config.passenger_threshold_km)
-        rj, ti, pick = rj[flat_keep], ti[flat_keep], pick[flat_keep]
+    elif exact_kernels:
+        pick_matrix = np.asarray(
+            oracle.pairwise(
+                sources=as_point_array([t.location for t in taxis]),
+                targets=as_point_array(pickups),
+            ),
+            dtype=np.float64,
+        )
     else:
-        # Taxi-major matrix so rows/sources are taxi locations, matching
-        # the scalar ``distance(taxi.location, request.pickup)`` order.
-        if pickup_matrix is not None:
-            pick_matrix = np.asarray(pickup_matrix, dtype=np.float64)
-            if pick_matrix.shape != (n_taxis, n_requests):
-                raise PreferenceError(
-                    f"pickup_matrix has shape {pick_matrix.shape}, "
-                    f"expected ({n_taxis}, {n_requests})"
-                )
-        elif exact_kernels:
-            pick_matrix = np.asarray(
-                oracle.pairwise(sources=taxi_xy, targets=pickup_xy), dtype=np.float64
-            )
-        else:
-            pick_matrix = oracle_pairwise(
-                oracle, sources=taxi_points, targets=pickups, exact=True
-            )
-        # Staged masking: the cheap threshold compare first (it rejects
-        # NaN too), then every remaining acceptability condition only on
-        # the surviving pairs.
-        flat = np.flatnonzero(pick_matrix <= config.passenger_threshold_km)
-        ti, rj = np.divmod(flat, n_requests)
-        pick = pick_matrix.ravel()[flat]
+        pick_matrix = oracle_pairwise(
+            oracle, sources=[t.location for t in taxis], targets=pickups, exact=True
+        )
+    # Staged masking: the cheap threshold compare first (it rejects NaN
+    # too), then every remaining acceptability condition only on the
+    # surviving pairs.
+    flat = np.flatnonzero(pick_matrix <= config.passenger_threshold_km)
+    ti, rj = np.divmod(flat, n_requests)
+    pick = pick_matrix.ravel()[flat]
 
     driver = pick - alpha_arr[ti] * trip[rj]
     ok = (
@@ -669,7 +542,7 @@ def _pairs_to_table(
     pick: np.ndarray,
     driver: np.ndarray,
 ) -> PreferenceTable:
-    """The dict tail of the vectorized pipeline: sort, group, tuple-ize."""
+    """The dict tail of the dense pipeline: sort, group, tuple-ize."""
     n_requests = len(requests)
     n_taxis = len(taxis)
     request_ids = np.array([r.request_id for r in requests], dtype=np.int64)

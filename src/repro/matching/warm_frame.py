@@ -1,4 +1,4 @@
-"""The warm frame solver: churn strips, fused facts, keyed GS rounds.
+"""The warm frame solver: churn strips, fused facts, shared GS rounds.
 
 The one warm solver: each frame solves only the edges its churn
 touched, in one allocation-lean path for the engines' frame cadence.
@@ -46,9 +46,12 @@ What the warm path then saves per frame:
   ``reviewer_score + 1j·proposer_id``.  NumPy orders complex values
   lexicographically, so a single ``np.minimum`` reduction picks exactly
   the suitor the reviewer's ``(score, id)``-sorted list ranks best —
-  the same winner, round for round, as the rank engine.  Ids ride in
-  the imaginary float64 lane, exact below 2^53; larger ids raise
-  :class:`~repro.core.errors.WarmStartError` and the frame re-runs
+  the same winner, round for round, as the cold frame's ranks.  The
+  rounds themselves are the cold engine's:
+  :func:`~repro.matching.deferred_acceptance.gale_shapley_rounds` takes
+  the reviewer key of each edge, int rank or complex key alike.  Ids
+  ride in the imaginary float64 lane, exact below 2^53; larger ids
+  raise :class:`~repro.core.errors.WarmStartError` and the frame re-runs
   cold.  Party and seat counts share the same float-exact bound.
 
 Each matched pair's pickup and trip leg lengths are read straight out
@@ -97,6 +100,7 @@ from repro.geometry.batch import (
 from repro.geometry.distance import DistanceOracle
 from repro.geometry.point import Point
 from repro.matching.arrays import NO_PARTNER
+from repro.matching.deferred_acceptance import gale_shapley_rounds
 from repro.matching.result import Matching
 
 __all__ = [
@@ -346,53 +350,6 @@ def frame_state_from_cold(
     )
 
 
-def _gs_rounds_keyed(
-    indptr: np.ndarray, pref: np.ndarray, keys: np.ndarray, n_reviewers: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Gale–Shapley rounds on complex suitor keys.
-
-    The same round structure as
-    :func:`~repro.matching.deferred_acceptance.gale_shapley_rounds`,
-    with the per-reviewer rank reduction replaced by a lexicographic
-    ``np.minimum`` over ``score + 1j·proposer_id`` keys.  Within one
-    round each reviewer accepts the incoming suitor with the smallest
-    key — exactly the best-ranked suitor of the rank engine, since the
-    reviewer's rank order *is* ascending ``(score, id)``.  Equal key
-    sets traverse equal rounds, so the matching is bit-identical; the
-    proposal/refusal counters the rank engine reports are not
-    maintained (warm frames never consume them).
-
-    Returns ``(partner, next_choice)``.  A proposer stops proposing the
-    moment it is accepted and only resumes when displaced, so for every
-    proposer matched at termination ``next_choice[p] - 1`` is the packed
-    index of its *accepted* edge — the egress reads the matched pair's
-    already-computed leg lengths straight out of the edge arrays.
-    """
-    next_choice = indptr[:-1].copy()
-    ends = indptr[1:]
-    partner = np.full(n_reviewers, NO_PARTNER, dtype=np.int64)
-    # The dummy partner's key: any listed suitor beats it.
-    best = np.full(n_reviewers, np.inf, dtype=np.complex128)
-    free = np.flatnonzero(ends > next_choice)
-    while free.size:
-        active = free[next_choice[free] < ends[free]]
-        if active.size == 0:
-            break
-        edges = next_choice[active]
-        reviewers = pref[edges]
-        offered = keys[edges]
-        next_choice[active] += 1
-        np.minimum.at(best, reviewers, offered)
-        won = offered == best[reviewers]
-        winners = active[won]
-        win_reviewers = reviewers[won]
-        holders = partner[win_reviewers]
-        displaced = holders[holders != NO_PARTNER]
-        partner[win_reviewers] = winners
-        free = np.concatenate((active[~won], displaced))
-    return partner, next_choice
-
-
 def warm_frame_solve(
     state: FrameSolveState,
     taxis: Sequence[Taxi],
@@ -410,7 +367,7 @@ def warm_frame_solve(
     IncrementalBuildStats,
     FrameSolveState,
 ]:
-    """Solve one frame warm: churn strips, proposer-only pack, keyed GS.
+    """Solve one frame warm: churn strips, proposer-only pack, shared GS rounds.
 
     Returns ``(matching, matched_rows, matched_legs, stats, next_state)``:
     the frame's stable matching (request id → taxi id, in NSTD
@@ -665,7 +622,7 @@ def warm_frame_solve(
         driver = np.empty(0, dtype=np.float64)
     n_edges = len(rj)
 
-    # -- proposer-only canonical pack + keyed GS ---------------------------
+    # -- proposer-only canonical pack + shared GS rounds -------------------
     # One lexsort realizes the total (proposer row, score, partner id)
     # order of the cold pack regardless of strip emission order — the key
     # triple is unique per edge (a partner appears once per row), so the
@@ -701,7 +658,7 @@ def warm_frame_solve(
     keys = np.empty(n_edges, dtype=np.complex128)
     keys.real = rev_score[order]
     keys.imag = rev_tie_ids[prop_rows[order]].astype(np.float64)
-    partner, final_choice = _gs_rounds_keyed(indptr, pref, keys, n_rev)
+    partner, final_choice, _, _ = gale_shapley_rounds(indptr, pref, keys, n_rev)
 
     matched_rev = np.flatnonzero(partner != NO_PARTNER)
     matched_prop = partner[matched_rev]

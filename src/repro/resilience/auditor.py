@@ -31,10 +31,10 @@ random stream any other component shares.
 
 from __future__ import annotations
 
-import time
 import zlib
 from collections.abc import Sequence
 
+from repro.core.clock import telemetry_clock
 from repro.core.errors import EnumerationBudgetError, MatchingError
 from repro.core.types import DispatchSchedule, PassengerRequest, Taxi
 from repro.dispatch.base import Dispatcher, PackedSingleSchedule
@@ -170,8 +170,7 @@ class StabilityAuditor:
         mode = dispatcher.last_frame_mode
         if not self.should_audit(frame_index, mode):
             return schedule, None
-        # repro-lint: disable=REP001 telemetry only: audit_ms never feeds a decision
-        start = time.perf_counter()
+        start = telemetry_clock()
         pairs = schedule_pairs(schedule, taxis, requests)
         if pairs is None:
             return schedule, None
@@ -198,7 +197,6 @@ class StabilityAuditor:
                 healed_pairs is not None
                 and self._violations(dispatcher, taxis, requests, healed_pairs) == 0
             )
-        # repro-lint: disable=REP001 telemetry only: audit_ms never feeds a decision
-        record.audit_ms = (time.perf_counter() - start) * 1e3
+        record.audit_ms = (telemetry_clock() - start) * 1e3
         self.report.record(record)
         return schedule, record

@@ -58,7 +58,7 @@ class Rung:
 def _nstd_arrays_rung(oracle: DistanceOracle, config: DispatchConfig) -> Dispatcher:
     from repro.dispatch.nonsharing.nstd import NSTDDispatcher
 
-    return NSTDDispatcher(oracle, config, optimize_for="passenger", use_arrays=True)
+    return NSTDDispatcher(oracle, config, optimize_for="passenger")
 
 
 def _nstd_thresholded_rung(oracle: DistanceOracle, config: DispatchConfig) -> Dispatcher:
@@ -72,7 +72,7 @@ def _nstd_thresholded_rung(oracle: DistanceOracle, config: DispatchConfig) -> Di
         passenger_threshold_km=min(config.passenger_threshold_km, tight),
         taxi_threshold_km=min(config.taxi_threshold_km, tight),
     )
-    return NSTDDispatcher(oracle, cheap, optimize_for="passenger", use_arrays=True)
+    return NSTDDispatcher(oracle, cheap, optimize_for="passenger")
 
 
 def _greedy_rung(oracle: DistanceOracle, config: DispatchConfig) -> Dispatcher:

@@ -20,7 +20,6 @@ run at frame length ``e``.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
@@ -41,12 +40,7 @@ from repro.simulation.frame_cache import FrameDistanceCache
 from repro.simulation.repositioning import RepositioningPolicy
 from repro.simulation.taxi_state import TaxiAgent
 
-__all__ = ["RunCore", "SimulationResult", "telemetry_clock"]
-
-#: The one wall-clock read of the frame loop, in seconds.  Both engines
-#: time their ``dispatch_ms`` window with it, and the value only ever
-#: lands in telemetry, never in a decision.
-telemetry_clock = time.perf_counter  # repro-lint: disable=REP001 telemetry only: dispatch_ms never feeds a decision
+__all__ = ["RunCore", "SimulationResult"]
 
 
 @dataclass(slots=True)

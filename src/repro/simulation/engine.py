@@ -18,6 +18,7 @@ from collections.abc import Mapping, Sequence
 from functools import partial
 from typing import Any
 
+from repro.core.clock import telemetry_clock
 from repro.core.config import SimulationConfig
 from repro.core.errors import (
     EnumerationBudgetError,
@@ -39,7 +40,7 @@ from repro.resilience.report import (
     ResilienceReport,
     StabilityAuditRecord,
 )
-from repro.simulation.core import RunCore, SimulationResult, telemetry_clock
+from repro.simulation.core import RunCore, SimulationResult
 from repro.simulation.repositioning import RepositioningPolicy
 
 __all__ = ["Simulator", "SimulationResult"]

@@ -36,12 +36,13 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
 
+from repro.core.clock import telemetry_clock
 from repro.core.config import SimulationConfig
 from repro.core.types import PassengerRequest, Taxi
 from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle
 from repro.resilience.budget import FrameBudget
-from repro.simulation.core import RunCore, SimulationResult, telemetry_clock
+from repro.simulation.core import RunCore, SimulationResult
 from repro.streaming.events import (
     PRIORITY_MATCHING_EPOCH,
     PRIORITY_REQUEST_ARRIVAL,

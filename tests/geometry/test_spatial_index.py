@@ -120,49 +120,3 @@ class TestWithin:
         index = GridSpatialIndex(cell_size=1.0)
         index.insert("edge", Point(5, 0))
         assert index.within(Point(0, 0), 5.0) == [("edge", pytest.approx(5.0))]
-
-
-class TestBoxCandidates:
-    """``box_candidates`` is the unfiltered superset query the vectorized
-    preference engine bulk-filters with a batched distance kernel."""
-
-    def populated(self, n=60, seed=3, cell_size=1.0):
-        rng = np.random.default_rng(seed)
-        items = {f"t{i}": Point(*rng.uniform(-8, 8, 2)) for i in range(n)}
-        index = GridSpatialIndex(cell_size=cell_size)
-        index.bulk_load(items.items())
-        return index, items
-
-    def test_superset_of_within(self):
-        index, items = self.populated()
-        oracle = EuclideanDistance()
-        for radius in (0.5, 2.0, 5.0):
-            query = Point(0.3, -0.7)
-            candidates = set(index.box_candidates(query, radius))
-            inside = {
-                key for key, p in items.items() if oracle.distance(query, p) <= radius
-            }
-            assert inside <= candidates
-
-    def test_boundary_point_is_candidate(self):
-        index = GridSpatialIndex(cell_size=1.0)
-        index.insert("edge", Point(5.0, 0.0))
-        assert "edge" in index.box_candidates(Point(0.0, 0.0), 5.0)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            GridSpatialIndex().box_candidates(Point(0, 0), -0.1)
-
-    def test_infinite_radius_returns_everything(self):
-        index, items = self.populated()
-        assert set(index.box_candidates(Point(0, 0), float("inf"))) == set(items)
-
-    def test_empty_index(self):
-        assert GridSpatialIndex().box_candidates(Point(0, 0), 3.0) == []
-
-    def test_tiny_cells_iterate_buckets_not_box(self):
-        # radius/cell_size is huge, so the implementation must fall back to
-        # scanning occupied buckets instead of the (2·reach+1)² box.
-        index = GridSpatialIndex(cell_size=1e-4)
-        index.bulk_load([("a", Point(0, 0)), ("b", Point(0.5, 0.5)), ("c", Point(50, 50))])
-        assert set(index.box_candidates(Point(0, 0), 2.0)) == {"a", "b"}

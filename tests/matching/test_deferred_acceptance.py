@@ -2,7 +2,9 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.matching import (
     Matching,
@@ -11,6 +13,8 @@ from repro.matching import (
     deferred_acceptance,
     is_stable,
 )
+from repro.matching.arrays import NO_PARTNER
+from repro.matching.deferred_acceptance import gale_shapley_rounds
 from tests.support import TAXI_ID_BASE, random_table
 
 
@@ -112,3 +116,66 @@ def test_full_acceptance_market_is_perfectly_matched(n):
     rng = random.Random(n)
     table = random_table(rng, n, n, acceptance=1.0)
     assert deferred_acceptance(table).size == n
+
+
+@st.composite
+def csr_markets(draw):
+    """A random proposer CSR with both reviewer-key kinds of one market.
+
+    Returns ``(indptr, pref, rank_keys, complex_keys, n_reviewers)``.
+    Reviewer scores come from a small lattice so equal scores occur and
+    the proposer-id tie-break (the complex keys' imaginary lane) matters.
+    """
+    n_prop = draw(st.integers(0, 8))
+    n_rev = draw(st.integers(0, 8))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=n_prop, max_size=n_prop, unique=True))
+    score = st.sampled_from([0.0, 0.5, 1.0, 2.5])
+    edges = {
+        (p, r): (draw(st.integers(0, 3)), draw(score))
+        for p in range(n_prop)
+        for r in range(n_rev)
+        if draw(st.booleans())
+    }
+    # Proposer lists: ascending (proposer score, reviewer); reviewer
+    # ranks: ascending (reviewer score, proposer id).
+    rank_of = {}
+    for r in range(n_rev):
+        suitors = sorted((edges[p, r][1], ids[p], p) for p in range(n_prop) if (p, r) in edges)
+        rank_of.update({(p, r): k for k, (_, _, p) in enumerate(suitors)})
+    indptr = [0]
+    pref, rank_keys, complex_keys = [], [], []
+    for p in range(n_prop):
+        listed = [r for r in range(n_rev) if (p, r) in edges]
+        for r in sorted(listed, key=lambda r: (edges[p, r][0], r)):
+            pref.append(r)
+            rank_keys.append(rank_of[p, r])
+            complex_keys.append(complex(edges[p, r][1], ids[p]))
+        indptr.append(len(pref))
+    return (
+        np.array(indptr, dtype=np.int64),
+        np.array(pref, dtype=np.int32),
+        np.array(rank_keys, dtype=np.int32),
+        np.array(complex_keys, dtype=np.complex128),
+        n_rev,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(csr_markets())
+def test_round_kernel_agrees_on_rank_and_complex_keys(market):
+    """One kernel, two key kinds: int ranks and ``score + 1j·id`` keys
+    encode the same reviewer orders, so every output must agree."""
+    indptr, pref, rank_keys, complex_keys, n_rev = market
+    by_rank = gale_shapley_rounds(indptr, pref, rank_keys, n_rev)
+    by_key = gale_shapley_rounds(indptr, pref, complex_keys, n_rev)
+    partner, next_choice, proposals, refusals = by_rank
+    assert np.array_equal(partner, by_key[0])
+    assert np.array_equal(next_choice, by_key[1])
+    assert (proposals, refusals) == (by_key[2], by_key[3])
+    matched = np.flatnonzero(partner != NO_PARTNER)
+    assert refusals == proposals - matched.size
+    # A matched proposer's last proposal is its accepted edge.
+    for r in matched.tolist():
+        p = int(partner[r])
+        assert indptr[p] < next_choice[p] <= indptr[p + 1]
+        assert pref[next_choice[p] - 1] == r

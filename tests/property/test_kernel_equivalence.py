@@ -1,7 +1,7 @@
-"""Property tests: every preference-construction engine is identical.
+"""Property tests: the dense preference builder equals the scalar reference.
 
-The vectorized engines (dense matrix and grid-pruned) must reproduce
-the scalar double-loop reference *exactly* — same preference orders,
+The vectorized dense builder must reproduce the scalar double-loop
+reference *exactly* — same preference orders,
 same deterministic id tie-breaks, bit-identical score floats — on
 random geometry with heterogeneous per-driver alphas and
 seat-infeasible pairs.  Coordinates are drawn partly from a coarse
@@ -28,7 +28,7 @@ from repro.geometry import (
     ScaledDistance,
 )
 from repro.matching import build_nonsharing_table
-from repro.matching.preferences import _prune_eligible, build_nonsharing_table_reference
+from repro.matching.preferences import build_nonsharing_table_reference
 from repro.network import RoadNetwork
 from repro.routing.shared_route import build_ride_group
 
@@ -101,14 +101,10 @@ def test_every_engine_matches_scalar_reference(market, oracle, config):
     reference = build_nonsharing_table_reference(
         taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
     )
-    engines = ["dense", "auto"]
-    if _prune_eligible(oracle, config):
-        engines.append("pruned")
-    for engine in engines:
-        candidate = build_nonsharing_table(
-            taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi, engine=engine
-        )
-        assert_tables_identical(reference, candidate, engine)
+    candidate = build_nonsharing_table(
+        taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
+    )
+    assert_tables_identical(reference, candidate, "dense")
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,7 +124,7 @@ def test_alpha_heterogeneity_changes_only_reviewer_side(market, oracle):
 
 class TestThresholdBoundary:
     """A pair at *exactly* the acceptance threshold is always kept —
-    the inclusive-boundary invariant grid pruning must preserve."""
+    the inclusive-boundary invariant of the acceptability masks."""
 
     def test_boundary_pair_kept_by_every_engine(self):
         # Euclidean distance exactly 5.0 (3-4-5 triangle, exact in fp).
@@ -136,10 +132,10 @@ class TestThresholdBoundary:
         requests = [PassengerRequest(0, Point(0.0, 0.0), Point(0.0, 1.0))]
         oracle = EuclideanDistance()
         config = DispatchConfig(passenger_threshold_km=5.0, taxi_threshold_km=5.0)
-        for engine in ("scalar", "dense", "pruned", "auto"):
-            table = build_nonsharing_table(taxis, requests, oracle, config, engine=engine)
-            assert table.proposer_prefs[0] == (TAXI_ID_BASE,), engine
-            assert table.proposer_scores[(0, TAXI_ID_BASE)] == 5.0, engine
+        for build in (build_nonsharing_table_reference, build_nonsharing_table):
+            table = build(taxis, requests, oracle, config)
+            assert table.proposer_prefs[0] == (TAXI_ID_BASE,), build.__name__
+            assert table.proposer_scores[(0, TAXI_ID_BASE)] == 5.0, build.__name__
 
     def test_just_beyond_threshold_dropped_by_every_engine(self):
         taxis = [Taxi(TAXI_ID_BASE, Point(3.0, 4.0))]
@@ -148,15 +144,15 @@ class TestThresholdBoundary:
         config = DispatchConfig(
             passenger_threshold_km=math.nextafter(5.0, 0.0), taxi_threshold_km=5.0
         )
-        for engine in ("scalar", "dense", "pruned", "auto"):
-            table = build_nonsharing_table(taxis, requests, oracle, config, engine=engine)
-            assert table.proposer_prefs[0] == (), engine
+        for build in (build_nonsharing_table_reference, build_nonsharing_table):
+            table = build(taxis, requests, oracle, config)
+            assert table.proposer_prefs[0] == (), build.__name__
 
     @settings(max_examples=80, deadline=None)
     @given(markets(), st.sampled_from([EuclideanDistance(), ManhattanDistance()]))
-    def test_pruning_never_drops_an_acceptable_pair(self, market, oracle):
+    def test_realized_distance_threshold_keeps_boundary_pairs(self, market, oracle):
         """Set the passenger threshold to an exact realized distance, so
-        some pair sits on the boundary, and require pruned == scalar."""
+        some pair sits on the boundary, and require dense == scalar."""
         taxis, requests, alpha_by_taxi = market
         distances = sorted(
             d
@@ -169,10 +165,10 @@ class TestThresholdBoundary:
         reference = build_nonsharing_table_reference(
             taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
         )
-        pruned = build_nonsharing_table(
-            taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi, engine="pruned"
+        dense = build_nonsharing_table(
+            taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
         )
-        assert_tables_identical(reference, pruned, "pruned-boundary")
+        assert_tables_identical(reference, dense, "dense-boundary")
 
 
 def oneway_ring() -> RoadNetwork:
@@ -213,20 +209,15 @@ class TestAsymmetricRoadNetwork:
         forward = self.network.distance(taxi.location, request.pickup)
         backward = self.network.distance(request.pickup, taxi.location)
         assert forward != backward  # the ring makes a flipped kernel visible
-        table = build_nonsharing_table(
-            self.taxis, self.requests, self.network, self.config, engine="dense"
-        )
+        table = build_nonsharing_table(self.taxis, self.requests, self.network, self.config)
         assert table.proposer_scores[(0, TAXI_ID_BASE)] == forward
 
     def test_vectorized_engines_match_scalar_reference(self):
         reference = build_nonsharing_table_reference(
             self.taxis, self.requests, self.network, self.config
         )
-        for engine in ("dense", "auto"):
-            candidate = build_nonsharing_table(
-                self.taxis, self.requests, self.network, self.config, engine=engine
-            )
-            assert_tables_identical(reference, candidate, engine)
+        candidate = build_nonsharing_table(self.taxis, self.requests, self.network, self.config)
+        assert_tables_identical(reference, candidate, "dense")
 
     def test_cost_matrix_uses_taxi_to_pickup_direction(self):
         matrix = build_cost_matrix(self.taxis, self.requests, self.network)

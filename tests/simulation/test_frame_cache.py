@@ -155,7 +155,7 @@ class TestDispatcherTransparency:
         yield MinimaxDispatcher(ORACLE, self.CONFIG)
         yield NSTDDispatcher(ORACLE, self.CONFIG, optimize_for="passenger")
         yield NSTDDispatcher(ORACLE, self.CONFIG, optimize_for="taxi")
-        yield NSTDDispatcher(ORACLE, self.CONFIG, optimize_for="passenger", use_arrays=False)
+        yield NSTDDispatcher(ORACLE, self.CONFIG, optimize_for="median")
         yield STDDispatcher(
             ORACLE, self.CONFIG, optimize_for="passenger", pairing_radius_km=3.0
         )
