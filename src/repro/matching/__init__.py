@@ -54,7 +54,6 @@ from repro.matching.sharding import (
     acceptability_radii,
     frame_decomposition,
     shard_problems,
-    sharded_nonsharing_match,
     solve_shard,
     theta_components,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "acceptability_radii",
     "frame_decomposition",
     "shard_problems",
-    "sharded_nonsharing_match",
     "solve_shard",
     "theta_components",
     "all_stable_matchings",

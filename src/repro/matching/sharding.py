@@ -54,7 +54,7 @@ explicitly, with the reason recorded for telemetry.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +64,11 @@ from scipy.sparse.csgraph import connected_components
 from repro.core.config import DispatchConfig
 from repro.core.errors import PreferenceError
 from repro.core.types import PassengerRequest, Taxi
-from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle, oracle_dominates_linf
 from repro.geometry.spatial_index import cell_reach, grid_cells, pack_cell_keys
-from repro.matching.optimality import passenger_optimal, taxi_optimal
+from repro.matching.optimality import passenger_optimal
 from repro.matching.preferences import build_nonsharing_arrays
 from repro.matching.result import Matching
-from repro.matching.warm_frame import request_trips
 
 __all__ = [
     "ShardDecomposition",
@@ -81,7 +79,6 @@ __all__ = [
     "frame_decomposition",
     "shard_problems",
     "solve_shard",
-    "sharded_nonsharing_match",
 ]
 
 
@@ -291,8 +288,8 @@ def shard_problems(decomp: ShardDecomposition, request_ids: np.ndarray) -> list[
     Only components holding both sides produce a matching problem — the
     rest stay unmatched by the decomposition theorem.  Shards are
     ordered by ascending dense pair count ``Tc·Rc`` with ties broken by
-    the shard's minimum request id, so a budgeted caller finishes the
-    many small shards exactly and the one hot shard is what degrades.
+    the shard's minimum request id — an order that depends only on the
+    shards' contents, never on input positions.
     """
     taxi_labels = decomp.taxi_labels
     request_labels = decomp.request_labels
@@ -329,26 +326,15 @@ def solve_shard(
     oracle: DistanceOracle,
     config: DispatchConfig,
     *,
-    optimize_for: str = "passenger",
-    alpha_by_taxi: Mapping[int, float] | None = None,
     trip_km: np.ndarray | None = None,
 ) -> Matching:
-    """Solve one shard with the standard cold builders.
+    """Solve one shard with the standard cold builders (NSTD-P).
 
     The shard never sees a taxi × request block beyond its own, and the
     builders' ``(score, global id)`` ordering makes its lists the global
     lists restricted to the component (the ordering convention above).
     """
-    prefs = build_nonsharing_arrays(
-        taxis,
-        requests,
-        oracle,
-        config,
-        alpha_by_taxi=alpha_by_taxi,
-        trip_km=trip_km,
-    )
-    if optimize_for == "taxi":
-        return taxi_optimal(prefs)
+    prefs = build_nonsharing_arrays(taxis, requests, oracle, config, trip_km=trip_km)
     return passenger_optimal(prefs)
 
 
@@ -370,59 +356,3 @@ def _check_global_ids(
     if np.unique(request_ids).size != request_ids.size:
         raise PreferenceError("duplicate request ids")
     return taxi_ids, request_ids
-
-
-def sharded_nonsharing_match(
-    taxis: Sequence[Taxi],
-    requests: Sequence[PassengerRequest],
-    oracle: DistanceOracle,
-    config: DispatchConfig | None = None,
-    *,
-    optimize_for: str = "passenger",
-    alpha_by_taxi: Mapping[int, float] | None = None,
-    trip_km: np.ndarray | None = None,
-    cell_km: float | None = None,
-) -> tuple[Matching, ShardDecomposition]:
-    """One frame solved shard by shard — bit-identical to the global DA.
-
-    This is the serial reference composition (decompose → per-shard
-    build → per-shard deferred acceptance → union); the streaming zone
-    matcher adds zone keys, warm reuse and per-group budgets around the
-    same pieces.  Returns the matching and the decomposition so callers
-    can inspect shard structure.
-
-    Raises :class:`~repro.core.errors.PreferenceError` on duplicate ids
-    on either side (the same guard every cold builder applies); the
-    per-shard solves propagate any builder error unchanged, so this
-    composition never fails in a way the global solve would not.
-    """
-    config = config if config is not None else DispatchConfig()
-    _, request_ids = _check_global_ids(taxis, requests)
-    if not taxis or not requests:
-        return Matching({}), _single_shard(len(taxis), len(requests), "empty-side")
-    trip = (
-        np.asarray(trip_km, dtype=np.float64)
-        if trip_km is not None
-        else request_trips(requests, oracle)
-    )
-    alpha_max = float(config.alpha)
-    if alpha_by_taxi:
-        alpha_max = max(alpha_max, max(float(a) for a in alpha_by_taxi.values()))
-    taxi_xy = as_point_array([t.location for t in taxis], check_finite=False)
-    pick_xy = as_point_array([r.pickup for r in requests], check_finite=False)
-    decomp = frame_decomposition(
-        taxi_xy, pick_xy, trip, oracle, config, alpha_max=alpha_max, cell_km=cell_km
-    )
-    pairs: dict[int, int] = {}
-    for shard in shard_problems(decomp, request_ids):
-        matched = solve_shard(
-            [taxis[i] for i in shard.taxi_rows.tolist()],
-            [requests[j] for j in shard.request_rows.tolist()],
-            oracle,
-            config,
-            optimize_for=optimize_for,
-            alpha_by_taxi=alpha_by_taxi,
-            trip_km=trip[shard.request_rows],
-        )
-        pairs.update(matched.pairs)
-    return Matching(pairs), decomp

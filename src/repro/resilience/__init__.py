@@ -26,7 +26,7 @@ from repro.resilience.auditor import (
     StabilityAuditor,
     schedule_pairs,
 )
-from repro.resilience.budget import FrameBudget, WorkBudget, zone_budget_slices
+from repro.resilience.budget import FrameBudget, WorkBudget
 from repro.resilience.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointStore,
@@ -62,7 +62,6 @@ from repro.resilience.report import (
 __all__ = [
     "FrameBudget",
     "WorkBudget",
-    "zone_budget_slices",
     "FrameBudgetExceededError",
     "TransientFaultError",
     "EnumerationBudgetError",

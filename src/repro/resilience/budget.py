@@ -28,44 +28,7 @@ from collections.abc import Callable
 
 from repro.core.errors import FrameBudgetExceededError
 
-__all__ = ["FrameBudget", "WorkBudget", "zone_budget_slices"]
-
-
-def zone_budget_slices(duration_s: float, weights: list[int] | list[float]) -> list[float]:
-    """Cumulative per-zone deadline slices of one epoch budget.
-
-    The streaming engine gives each zone group its own slice of the
-    epoch's :class:`FrameBudget` the way the degradation ladder slices
-    a frame across rungs: one budget anchored at the epoch start,
-    ``extend_to``-ed to successive cumulative deadlines.  Slice ``i``
-    is ``duration_s · (Σ_{j≤i} w_j / Σ w)`` — proportional to each
-    group's share of the epoch's work (dense pair counts), so a hot
-    zone that blows *its* slice degrades alone while later zones still
-    meet theirs.  The final slice is exactly ``duration_s``, so the
-    epoch total is never exceeded.
-
-    Non-positive weights get an even share of the weight they span; an
-    all-zero weight list degrades to even slicing.  ``math.inf``
-    duration (no deadline) yields all-``inf`` slices: every checkpoint
-    passes, matching :class:`FrameBudget` semantics.
-    """
-    if duration_s < 0.0:
-        raise ValueError(f"duration_s must be non-negative, got {duration_s}")
-    count = len(weights)
-    if count == 0:
-        return []
-    if math.isinf(duration_s):
-        return [duration_s] * count
-    total = float(sum(max(0.0, float(w)) for w in weights))
-    if total <= 0.0:
-        return [duration_s * (i + 1) / count for i in range(count)]
-    slices: list[float] = []
-    cumulative = 0.0
-    for weight in weights:
-        cumulative += max(0.0, float(weight))
-        slices.append(duration_s * (cumulative / total))
-    slices[-1] = duration_s
-    return slices
+__all__ = ["FrameBudget", "WorkBudget"]
 
 
 class FrameBudget:

@@ -1,14 +1,15 @@
 """Event-driven streaming dispatch core with persistent zone sharding.
 
 The streaming counterpart to the batch :class:`~repro.simulation.
-engine.Simulator`: a monotonic virtual-clock event queue (request
-arrivals, self-scheduling matching epochs) drives the shared run core
-(:mod:`repro.simulation.core`) and a persistent per-zone NSTD matcher
-with explicit boundary-taxi reconciliation and per-zone budget slices.
-At epoch length ``e`` the engine is bit-identical to the cold batch
-engine at frame length ``e`` — the default ``e`` is the frame length,
-the equivalence mode the city-day benchmark asserts — and a shorter
-epoch gives sub-frame reaction latency.
+engine.Simulator`, taking the same inputs: a monotonic virtual-clock
+event queue (request arrivals, matching epochs every
+``frame_length_s``) drives the shared run core
+(:mod:`repro.simulation.core`) and a persistent per-zone NSTD-P matcher
+with explicit boundary-taxi reconciliation.  Under one
+:class:`~repro.core.config.SimulationConfig` the engine is bit-identical
+to the cold batch engine — the equivalence the city-day benchmark
+asserts at the default one-minute frame and the tests assert at 60, 30
+and 15 s.
 
 See DESIGN.md §14 and docs/ARCHITECTURE.md for the architecture.
 """

@@ -11,10 +11,9 @@ anything happened in it; the streaming engine instead advances a
   pop in the batch engine's admission order.
 * :class:`MatchingEpoch` — the dispatcher runs over the currently idle
   taxis and pending requests.  Epochs self-schedule: processing the
-  epoch at ``T`` enqueues the next at ``T + epoch_length_s`` by the
-  same float accumulation the batch loop uses, so at
-  ``epoch_length_s == frame_length_s`` the epoch times are *bit-equal*
-  to the batch frame times.
+  epoch at ``T`` enqueues the next at ``T + frame_length_s`` by the
+  same float accumulation the batch loop uses, so the epoch times are
+  *bit-equal* to the batch frame times.
 
 Taxi idleness is not an event: the epoch reads it from the run core's
 ``available_at`` array with the batch engine's inclusive

@@ -31,29 +31,18 @@ Together with the warm ≡ cold equivalence of the frame solver and the
 component-decomposition theorem, every epoch's union of group
 matchings is bit-identical to the global cold solve — warm hits, cold
 misses, and anchor drift alike.
-
-**Per-zone degradation.**  Under an epoch :class:`~repro.resilience.
-budget.FrameBudget`, the groups (smallest first) share one budget
-anchored at the epoch start, each extended to its own cumulative slice
-(:func:`~repro.resilience.budget.zone_budget_slices`, work-weighted).
-A group whose slice has already elapsed at its start degrades to the
-greedy ladder rung for *its entities only*; later groups still get
-their own (later) deadlines, so one hot zone cannot drag the city
-down.  Degraded groups never seed warm state (their matching is not
-stable) and their stale carried state is dropped.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.config import DispatchConfig
-from repro.core.errors import FrameBudgetExceededError, WarmStartError
+from repro.core.errors import WarmStartError
 from repro.core.types import PassengerRequest, Taxi
-from repro.dispatch.nonsharing.greedy import GreedyNearestDispatcher
 from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle
 from repro.matching.sharding import (
@@ -67,15 +56,13 @@ from repro.matching.warm_frame import (
     frame_state_from_cold,
     warm_frame_solve,
 )
-from repro.resilience.budget import FrameBudget, zone_budget_slices
-from repro.streaming.zones import (
-    EpochZonePlan,
-    ZoneGroup,
-    coarse_epoch_plan,
-    plan_epoch_zones,
-)
+from repro.streaming.zones import EpochZonePlan, coarse_epoch_plan, plan_epoch_zones
 
 __all__ = ["EpochMatchReport", "ZoneMatcher"]
+
+#: A single-component city reuses the coarse city-wide plan for at most
+#: this many epochs before the full θ-ball component sweep runs again.
+REPLAN_EVERY = 8
 
 
 @dataclass(slots=True)
@@ -84,23 +71,19 @@ class EpochMatchReport:
 
     ``pairs`` maps request id → taxi id across all groups; executing
     them in ascending request-id order reproduces the batch engine's
-    assignment order.  The group counters distinguish warm resumes,
-    cold solves and budget degradations; ``zones_degraded`` counts the
-    *zones* inside degraded groups, the per-zone degradation metric the
-    streaming telemetry reports.
+    assignment order.  Every group is either resumed warm or solved
+    cold, so ``warm_groups + cold_groups`` is the number of groups
+    solved.
     """
 
     pairs: dict[int, int] = field(default_factory=dict)
     plan: EpochZonePlan | None = None
-    groups_solved: int = 0
     warm_groups: int = 0
     cold_groups: int = 0
-    degraded_groups: int = 0
-    zones_degraded: int = 0
 
 
 class ZoneMatcher:
-    """Persistent per-zone NSTD matcher, warm across matching epochs.
+    """Persistent per-zone NSTD-P matcher, warm across matching epochs.
 
     One instance lives for one streaming run; it owns a dict of
     zone-keyed :class:`~repro.matching.warm_frame.FrameSolveState`
@@ -108,44 +91,19 @@ class ZoneMatcher:
     every epoch (groups that vanished this epoch drop their state —
     zone churn must not pin dead objects).
 
-    ``optimize_for`` selects the NSTD orientation (``"passenger"`` or
-    ``"taxi"``); ``zone_km`` fixes the zone grid edge, or ``None`` to
-    derive it from the first epoch's median acceptability radius and
-    freeze it for the run (zones must not move between epochs, or the
-    zone keys would not be persistent identities).  ``replan_every``
-    bounds how many epochs a single-component city may reuse the cheap
-    coarse city-wide plan before the full θ-ball component sweep runs
-    again (fragmenting cities replan every epoch; see
+    The zone grid edge is derived from the first epoch's median
+    acceptability radius and frozen for the run (zones must not move
+    between epochs, or the zone keys would not be persistent
+    identities).  A single-component city coasts on the cheap coarse
+    city-wide plan for at most :data:`REPLAN_EVERY` epochs between full
+    θ-ball component sweeps (fragmenting cities replan every epoch; see
     :func:`~repro.streaming.zones.coarse_epoch_plan`).
     """
 
-    def __init__(
-        self,
-        oracle: DistanceOracle,
-        config: DispatchConfig | None = None,
-        *,
-        optimize_for: str = "passenger",
-        alpha_by_taxi: Mapping[int, float] | None = None,
-        warm_start: bool = True,
-        zone_km: float | None = None,
-        replan_every: int = 8,
-    ):
-        if optimize_for not in ("passenger", "taxi"):
-            raise ValueError(
-                f"optimize_for must be 'passenger' or 'taxi', got {optimize_for!r}"
-            )
-        if zone_km is not None and zone_km <= 0.0:
-            raise ValueError(f"zone_km must be positive, got {zone_km}")
-        if replan_every < 1:
-            raise ValueError(f"replan_every must be >= 1, got {replan_every}")
+    def __init__(self, oracle: DistanceOracle, config: DispatchConfig | None = None):
         self.oracle = oracle
         self.config = config if config is not None else DispatchConfig()
-        self.optimize_for = optimize_for
-        self.alpha_by_taxi = dict(alpha_by_taxi) if alpha_by_taxi else None
-        self.warm_start = warm_start
-        self.zone_km = zone_km
-        self.replan_every = replan_every
-        self._zone_km_effective: float | None = zone_km
+        self._zone_km_effective: float | None = None
         self._states: dict[int, FrameSolveState] = {}
         self._telemetry: dict[str, float | int] = {}
         self._epoch_index = 0
@@ -155,7 +113,7 @@ class ZoneMatcher:
 
     @property
     def zone_km_effective(self) -> float | None:
-        """The frozen zone edge, once the first epoch derived/adopted it."""
+        """The frozen zone edge, once the first epoch derived it."""
         return self._zone_km_effective
 
     def reset(self, *, counters: bool = False) -> None:
@@ -163,10 +121,10 @@ class ZoneMatcher:
 
         The engine calls this at run start; a matcher reused across
         runs would otherwise resume states describing another world.
-        A derived ``zone_km`` is dropped too and re-derived next run.
+        The derived zone edge is dropped too and re-derived next run.
         """
         self._states = {}
-        self._zone_km_effective = self.zone_km
+        self._zone_km_effective = None
         self._epoch_index = 0
         self._last_full_groups = None
         if counters:
@@ -201,28 +159,13 @@ class ZoneMatcher:
         group_taxis: list[Taxi],
         group_requests: list[PassengerRequest],
         group_trip: np.ndarray,
-    ) -> tuple[dict[int, int], FrameSolveState | None]:
+    ) -> tuple[dict[int, int], FrameSolveState]:
         """One group through the standard cold builders (+ state seed)."""
         matched = solve_shard(
-            group_taxis,
-            group_requests,
-            self.oracle,
-            self.config,
-            optimize_for=self.optimize_for,
-            alpha_by_taxi=self.alpha_by_taxi,
-            trip_km=group_trip,
+            group_taxis, group_requests, self.oracle, self.config, trip_km=group_trip
         )
-        state = (
-            frame_state_from_cold(
-                group_taxis,
-                group_requests,
-                matched,
-                trip=group_trip,
-                config=self.config,
-                alpha_by_taxi=self.alpha_by_taxi,
-            )
-            if self.warm_start
-            else None
+        state = frame_state_from_cold(
+            group_taxis, group_requests, matched, trip=group_trip, config=self.config
         )
         return dict(matched.pairs), state
 
@@ -232,25 +175,19 @@ class ZoneMatcher:
         requests: Sequence[PassengerRequest],
         *,
         trip_km: np.ndarray,
-        budget: FrameBudget | None = None,
         on_new_trips: Callable[[np.ndarray, np.ndarray], None] | None = None,
     ) -> EpochMatchReport:
         """Solve one matching epoch zone group by zone group.
 
         ``trip_km`` is the epoch's per-request trip vector in request
         order (the engine reads it from the frame cache, exact by
-        contract).  ``budget`` is the epoch's frame budget, freshly
-        anchored at the epoch start; the groups consume it in
-        work-weighted cumulative slices (see module docstring).
-        ``on_new_trips`` receives the ids/trips of requests a warm
-        group scored for the first time, so the engine's trip memo
-        stays primed on warm epochs exactly as on cold ones.
+        contract).  ``on_new_trips`` receives the ids/trips of requests
+        a warm group scored for the first time, so the engine's trip
+        memo stays primed on warm epochs exactly as on cold ones.
 
         Returns the epoch's union matching and group accounting.  The
-        union over groups equals the global NSTD solve of the same
-        inputs bit for bit — warm or cold, degraded groups excepted
-        (their entities get the greedy answer instead, and their
-        carried state is dropped).
+        union over groups equals the global NSTD-P solve of the same
+        inputs bit for bit, warm or cold.
         """
         report = EpochMatchReport()
         if not taxis or not requests:
@@ -262,13 +199,11 @@ class ZoneMatcher:
         _, request_ids = _check_global_ids(taxis, requests)
         trip = np.asarray(trip_km, dtype=np.float64)
         alpha_max = float(self.config.alpha)
-        if self.alpha_by_taxi:
-            alpha_max = max(alpha_max, max(float(a) for a in self.alpha_by_taxi.values()))
         taxi_xy = as_point_array([t.location for t in taxis], check_finite=False)
         pick_xy = as_point_array([r.pickup for r in requests], check_finite=False)
         zone_km = self._resolve_zone_km(trip, alpha_max)
         # Replan policy: the full θ-ball component sweep runs on the
-        # first epoch, every ``replan_every``-th epoch, and on every
+        # first epoch, every ``REPLAN_EVERY``-th epoch, and on every
         # epoch while the city actually fragments (last full plan had
         # more than one group — decomposition is paying for itself).
         # In between, on single-component cities, the coarse city-wide
@@ -277,7 +212,7 @@ class ZoneMatcher:
         full = (
             self._last_full_groups is None
             or self._last_full_groups > 1
-            or self._epoch_index % self.replan_every == 0
+            or self._epoch_index % REPLAN_EVERY == 0
         )
         self._epoch_index += 1
         if full:
@@ -304,26 +239,12 @@ class ZoneMatcher:
         if plan.degenerate_reason is None and not plan.coarse:
             self._bump("zone_decomposed_epochs")
             self._bump("zone_groups", len(plan.groups))
-        epoch_deadline_s = budget.duration_s if budget is not None else 0.0
-        slices = (
-            zone_budget_slices(epoch_deadline_s, [g.pair_count for g in plan.groups])
-            if budget is not None
-            else None
-        )
         next_states: dict[int, FrameSolveState] = {}
         claimed: set[int] = set()
-        for position, group in enumerate(plan.groups):
+        for group in plan.groups:
             group_taxis = [taxis[i] for i in group.taxi_rows.tolist()]
             group_requests = [requests[j] for j in group.request_rows.tolist()]
             group_trip = trip[group.request_rows]
-            if budget is not None and slices is not None:
-                budget.extend_to(slices[position])
-                try:
-                    budget.checkpoint("zone:start")
-                except FrameBudgetExceededError:
-                    self._degrade_group(group, group_taxis, group_requests, report)
-                    continue
-            report.groups_solved += 1
             # Probe every zone key the group spans, smallest first: a
             # group whose composition shifted (zone drained, neighbour
             # merged in) still finds its carried state under any
@@ -331,13 +252,12 @@ class ZoneMatcher:
             # per epoch — if one prior group split in two, the second
             # fragment solves cold rather than racing for the state.
             state: FrameSolveState | None = None
-            if self.warm_start:
-                for key in group.zone_keys:
-                    candidate = self._states.get(key)
-                    if candidate is not None and id(candidate) not in claimed:
-                        state = candidate
-                        claimed.add(id(candidate))
-                        break
+            for key in group.zone_keys:
+                candidate = self._states.get(key)
+                if candidate is not None and id(candidate) not in claimed:
+                    state = candidate
+                    claimed.add(id(candidate))
+                    break
             pairs: dict[int, int] | None = None
             if state is not None:
                 try:
@@ -347,8 +267,6 @@ class ZoneMatcher:
                         group_requests,
                         self.oracle,
                         self.config,
-                        optimize_for=self.optimize_for,
-                        alpha_by_taxi=self.alpha_by_taxi,
                         on_new_trips=on_new_trips,
                     )
                 except WarmStartError:
@@ -365,41 +283,12 @@ class ZoneMatcher:
                 pairs, seeded = self._solve_group_cold(
                     group_taxis, group_requests, group_trip
                 )
-                if seeded is not None:
-                    for key in group.zone_keys:
-                        next_states[key] = seeded
+                for key in group.zone_keys:
+                    next_states[key] = seeded
                 report.cold_groups += 1
                 self._bump("cold_frames")
             report.pairs.update(pairs)
-        if budget is not None:
-            # Hand the budget back at its full epoch deadline: the
-            # engine may still checkpoint after the solve.
-            budget.extend_to(epoch_deadline_s)
         # Wholesale replacement prunes every anchor that did not recur:
-        # stale states must not pin last epoch's objects alive, and a
-        # degraded group's state (stale or fresh) is dropped with them.
+        # stale states must not pin last epoch's objects alive.
         self._states = next_states
         return report
-
-    def _degrade_group(
-        self,
-        group: ZoneGroup,
-        group_taxis: list[Taxi],
-        group_requests: list[PassengerRequest],
-        report: EpochMatchReport,
-    ) -> None:
-        """Answer one over-budget group with the greedy ladder rung.
-
-        The fallback dispatcher is fresh — no frame cache, no budget —
-        so its checkpoints are no-ops and it cannot re-raise; the
-        group's entities get a valid (merely unstable) answer and its
-        warm state is implicitly dropped (never seeded this epoch).
-        """
-        fallback = GreedyNearestDispatcher(self.oracle, self.config)
-        degraded = fallback.dispatch(group_taxis, group_requests)
-        for assignment in degraded.assignments:
-            report.pairs[assignment.request_ids[0]] = assignment.taxi_id
-        report.degraded_groups += 1
-        report.zones_degraded += group.zone_count
-        self._bump("zone_groups_degraded")
-        self._bump("zones_degraded", group.zone_count)

@@ -150,9 +150,8 @@ def plan_epoch_zones(
     solve groups, and any group spanning more than one zone records the
     boundary merges that built it.  Returns groups smallest first
     (ascending dense pair count, ties by minimum request id — the
-    :func:`~repro.matching.sharding.shard_problems` order), so a
-    budgeted caller finishes the many small zones exactly and only a
-    hot group degrades.
+    :func:`~repro.matching.sharding.shard_problems` order), the order
+    in which the matcher claims carried warm states.
 
     Degenerate epochs (see module docstring) return one city-wide
     group anchored at :data:`DEGENERATE_ANCHOR` with zero recorded

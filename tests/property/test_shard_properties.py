@@ -1,20 +1,23 @@
-"""Property tests: the sharded solve is the global DA, always.
+"""Property tests: the zone-sharded streaming solve is the global DA, always.
 
 Hypothesis drives frames built from *adversarial geometries* for the
 θ-ball decomposition — candidate pairs sitting exactly on the θ and 2θ
 acceptability boundaries, duplicated coordinates (many entities in one
 grid cell), one giant connected component, widely separated singleton
-clusters, and empty sides — and asserts that
-:func:`~repro.matching.sharding.sharded_nonsharing_match` returns the
-*identical* matching to the global deferred-acceptance solve, for both
-optimization modes, at several coarsening cell sizes including the
-degenerate single-cell extreme.
+clusters, and empty sides — and checks the three properties the
+streaming matcher's exactness rests on:
 
-A second property pins determinism: permuting the input order of taxis
-and requests never changes the matched pairs (the decomposition labels
-permute with the entities; preference ties break on global ids, not
-positions), so the sharded path inherits the global solver's
-order-independence.
+* every mutually acceptable pair of the scalar reference builder lies
+  inside one :func:`~repro.streaming.zones.plan_epoch_zones` solve
+  group, at the derived zone size and at sizes that over-fragment the
+  cell graph or merge it into one group (the supergraph argument);
+* a :class:`~repro.streaming.matcher.ZoneMatcher` run over two epochs —
+  the survivors of the first epoch (same objects, so carried warm
+  states resume) plus new arrivals — returns the global cold
+  :func:`~repro.matching.sharding.solve_shard` matching on each epoch;
+* permuting the input order of taxis and requests never changes the
+  matched pairs (the decomposition labels permute with the entities;
+  preference ties break on global ids, not positions).
 """
 
 import numpy as np
@@ -22,7 +25,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.geometry import EuclideanDistance, Point
-from repro.matching import sharded_nonsharing_match, solve_shard
+from repro.matching import acceptability_radii, solve_shard
+from repro.matching.preferences import build_nonsharing_table_reference
+from repro.matching.sharding import default_cell_km
+from repro.matching.warm_frame import request_trips
+from repro.streaming import ZoneMatcher, plan_epoch_zones
 
 ORACLE = EuclideanDistance()
 
@@ -35,10 +42,13 @@ CONFIGS = (
     DispatchConfig(passenger_threshold_km=1.0, taxi_threshold_km=2.0),
 )
 
-# None picks the median-radius default; 0.25 over-fragments the cell
-# graph; 1000.0 merges everything into one shard (the global solve
-# itself) — correctness must hold at every granularity.
-CELL_SIZES = (None, 0.25, 1.0, 1000.0)
+# None derives the zone edge from the median radius, as the matcher
+# does; 0.25 over-fragments the cell graph; 1000.0 merges everything
+# into one group (the global solve itself) — every acceptable pair must
+# stay inside one group at every granularity.
+ZONE_SIZES = (None, 0.25, 1.0, 1000.0)
+
+GEOMETRIES = ("giant", "singletons", "boundary", "duplicates", "mixed")
 
 
 def _points(rng: np.random.Generator, n: int, geometry: str) -> list[Point]:
@@ -63,21 +73,87 @@ def _points(rng: np.random.Generator, n: int, geometry: str) -> list[Point]:
 
 
 def _frame(
-    rng: np.random.Generator, geometry: str, n_taxis: int, n_requests: int
+    rng: np.random.Generator,
+    geometry: str,
+    n_taxis: int,
+    n_requests: int,
+    *,
+    first_id: int = 0,
 ) -> tuple[list[Taxi], list[PassengerRequest]]:
     taxis = [
-        Taxi(tid, p) for tid, p in enumerate(_points(rng, n_taxis, geometry))
+        Taxi(first_id + tid, p) for tid, p in enumerate(_points(rng, n_taxis, geometry))
     ]
     pickups = _points(rng, n_requests, geometry)
     dropoffs = _points(rng, n_requests, geometry)
     requests = [
-        PassengerRequest(100 + rid, pickup, dropoff)
+        PassengerRequest(first_id + 100 + rid, pickup, dropoff)
         for rid, (pickup, dropoff) in enumerate(zip(pickups, dropoffs))
     ]
     return taxis, requests
 
 
-GEOMETRIES = ("giant", "singletons", "boundary", "duplicates", "mixed")
+def _xy(points: list[Point]) -> np.ndarray:
+    return np.array([[p.x, p.y] for p in points], dtype=np.float64).reshape(-1, 2)
+
+
+def _global_pairs(taxis, requests, config) -> dict[int, int]:
+    """The global cold NSTD-P solve, empty when either side is."""
+    if not taxis or not requests:
+        return {}
+    trip = request_trips(requests, ORACLE)
+    return dict(solve_shard(taxis, requests, ORACLE, config, trip_km=trip).pairs)
+
+
+def _epoch(matcher: ZoneMatcher, taxis, requests) -> dict[int, int]:
+    return matcher.match_epoch(
+        taxis, requests, trip_km=request_trips(requests, ORACLE)
+    ).pairs
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    geometry=st.sampled_from(GEOMETRIES),
+    n_taxis=st.integers(min_value=1, max_value=9),
+    n_requests=st.integers(min_value=1, max_value=9),
+    config_index=st.integers(min_value=0, max_value=len(CONFIGS) - 1),
+    zone_index=st.integers(min_value=0, max_value=len(ZONE_SIZES) - 1),
+)
+def test_acceptable_pairs_lie_inside_one_zone_group(
+    seed, geometry, n_taxis, n_requests, config_index, zone_index
+):
+    config = CONFIGS[config_index]
+    taxis, requests = _frame(np.random.default_rng(seed), geometry, n_taxis, n_requests)
+    trip = request_trips(requests, ORACLE)
+    alpha_max = float(config.alpha)
+    zone_km = ZONE_SIZES[zone_index]
+    if zone_km is None:
+        zone_km = default_cell_km(acceptability_radii(trip, config, alpha_max=alpha_max))
+    plan = plan_epoch_zones(
+        _xy([t.location for t in taxis]),
+        _xy([r.pickup for r in requests]),
+        trip,
+        np.array([r.request_id for r in requests], dtype=np.int64),
+        ORACLE,
+        config,
+        alpha_max=alpha_max,
+        zone_km=zone_km,
+    )
+    taxi_group: dict[int, int] = {}
+    request_group: dict[int, int] = {}
+    for index, group in enumerate(plan.groups):
+        for row in group.taxi_rows.tolist():
+            assert taxis[row].taxi_id not in taxi_group
+            taxi_group[taxis[row].taxi_id] = index
+        for row in group.request_rows.tolist():
+            assert requests[row].request_id not in request_group
+            request_group[requests[row].request_id] = index
+
+    table = build_nonsharing_table_reference(taxis, requests, ORACLE, config)
+    for request_id, taxi_ids in table.proposer_prefs.items():
+        for taxi_id in taxi_ids:
+            assert request_id in request_group and taxi_id in taxi_group
+            assert request_group[request_id] == taxi_group[taxi_id]
 
 
 @settings(max_examples=120, deadline=None)
@@ -86,39 +162,37 @@ GEOMETRIES = ("giant", "singletons", "boundary", "duplicates", "mixed")
     geometry=st.sampled_from(GEOMETRIES),
     n_taxis=st.integers(min_value=0, max_value=9),
     n_requests=st.integers(min_value=0, max_value=9),
+    n_new_taxis=st.integers(min_value=0, max_value=4),
+    n_new_requests=st.integers(min_value=0, max_value=4),
     config_index=st.integers(min_value=0, max_value=len(CONFIGS) - 1),
-    cell_index=st.integers(min_value=0, max_value=len(CELL_SIZES) - 1),
-    mode=st.sampled_from(["passenger", "taxi"]),
 )
 def test_sharded_identical_to_global_da(
-    seed, geometry, n_taxis, n_requests, config_index, cell_index, mode
+    seed, geometry, n_taxis, n_requests, n_new_taxis, n_new_requests, config_index
 ):
+    """Two epochs through one matcher, each equal to the global cold
+    solve: the second epoch resumes the first's carried states on the
+    surviving objects, so warm groups are checked as well as cold."""
     config = CONFIGS[config_index]
-    taxis, requests = _frame(np.random.default_rng(seed), geometry, n_taxis, n_requests)
+    rng = np.random.default_rng(seed)
+    taxis, requests = _frame(rng, geometry, n_taxis, n_requests)
+    matcher = ZoneMatcher(ORACLE, config)
 
-    sharded, decomp = sharded_nonsharing_match(
-        taxis,
-        requests,
-        ORACLE,
-        config,
-        optimize_for=mode,
-        cell_km=CELL_SIZES[cell_index],
+    first = _epoch(matcher, taxis, requests)
+    assert first == _global_pairs(taxis, requests, config)
+
+    new_taxis, new_requests = _frame(
+        rng, geometry, n_new_taxis, n_new_requests, first_id=1000
     )
-    if not taxis or not requests:
-        # Empty sides short-circuit to an explicitly degenerate
-        # decomposition and an empty matching.
-        assert sharded.pairs == frozenset()
-        assert decomp.degenerate_reason == "empty-side"
-        return
+    matched_taxis = set(first.values())
+    kept_taxis = [t for t in taxis if t.taxi_id not in matched_taxis]
+    kept_requests = [r for r in requests if r.request_id not in first]
+    taxis2 = kept_taxis + new_taxis
+    requests2 = kept_requests + new_requests
+    taxis2 = [taxis2[i] for i in rng.permutation(len(taxis2)).tolist()]
+    requests2 = [requests2[j] for j in rng.permutation(len(requests2)).tolist()]
 
-    global_da = solve_shard(taxis, requests, ORACLE, config, optimize_for=mode)
-    assert sharded.pairs == global_da.pairs
-
-    # The label arrays cover the frame even when the cell graph merged
-    # everything into one shard.
-    assert decomp.taxi_labels.shape == (len(taxis),)
-    assert decomp.request_labels.shape == (len(requests),)
-    assert decomp.n_shards >= 1
+    second = _epoch(matcher, taxis2, requests2)
+    assert second == _global_pairs(taxis2, requests2, config)
 
 
 @settings(max_examples=80, deadline=None)
@@ -128,21 +202,16 @@ def test_sharded_identical_to_global_da(
     n_taxis=st.integers(min_value=1, max_value=8),
     n_requests=st.integers(min_value=1, max_value=8),
     config_index=st.integers(min_value=0, max_value=len(CONFIGS) - 1),
-    mode=st.sampled_from(["passenger", "taxi"]),
 )
 def test_sharded_deterministic_under_permutation(
-    seed, geometry, n_taxis, n_requests, config_index, mode
+    seed, geometry, n_taxis, n_requests, config_index
 ):
     config = CONFIGS[config_index]
     rng = np.random.default_rng(seed)
     taxis, requests = _frame(rng, geometry, n_taxis, n_requests)
 
-    reference, _ = sharded_nonsharing_match(
-        taxis, requests, ORACLE, config, optimize_for=mode
-    )
+    reference = _epoch(ZoneMatcher(ORACLE, config), taxis, requests)
     shuffled_taxis = [taxis[i] for i in rng.permutation(len(taxis)).tolist()]
     shuffled_requests = [requests[j] for j in rng.permutation(len(requests)).tolist()]
-    permuted, _ = sharded_nonsharing_match(
-        shuffled_taxis, shuffled_requests, ORACLE, config, optimize_for=mode
-    )
-    assert permuted.pairs == reference.pairs
+    permuted = _epoch(ZoneMatcher(ORACLE, config), shuffled_taxis, shuffled_requests)
+    assert permuted == reference

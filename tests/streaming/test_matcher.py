@@ -1,9 +1,9 @@
-"""ZoneMatcher: global-solve equality, warm reuse, per-zone degradation.
+"""ZoneMatcher: global-solve equality and warm reuse.
 
 The matcher's contract is that each epoch's union of per-group
-matchings equals the global NSTD solve of the same inputs — warm or
-cold — and that under an epoch budget only the over-budget group
-degrades to the greedy answer while the others stay exact.
+matchings equals the global NSTD-P solve of the same inputs — warm or
+cold.  The zone edge is derived from ``CONFIG``'s acceptability radius
+(the 2 km passenger threshold), so the zone grid is 2 km.
 """
 
 import numpy as np
@@ -12,12 +12,10 @@ from repro.core.config import DispatchConfig
 from repro.core.types import PassengerRequest, Taxi
 from repro.geometry import EuclideanDistance, Point
 from repro.matching.sharding import solve_shard
-from repro.resilience import FrameBudget
 from repro.streaming import ZoneMatcher
 
 ORACLE = EuclideanDistance()
 CONFIG = DispatchConfig(passenger_threshold_km=2.0)
-ZONE_KM = 2.0
 
 
 def _taxi(tid: int, x: float, y: float = 0.0) -> Taxi:
@@ -40,15 +38,12 @@ def _trip(requests) -> np.ndarray:
 
 
 def _global_pairs(taxis, requests) -> dict[int, int]:
-    matched = solve_shard(
-        taxis, requests, ORACLE, CONFIG,
-        optimize_for="passenger", alpha_by_taxi=None, trip_km=_trip(requests),
-    )
+    matched = solve_shard(taxis, requests, ORACLE, CONFIG, trip_km=_trip(requests))
     return dict(matched.pairs)
 
 
-def _matcher(**kwargs) -> ZoneMatcher:
-    return ZoneMatcher(ORACLE, CONFIG, zone_km=ZONE_KM, **kwargs)
+def _matcher() -> ZoneMatcher:
+    return ZoneMatcher(ORACLE, CONFIG)
 
 
 class TestEpochEquality:
@@ -58,11 +53,12 @@ class TestEpochEquality:
             _request(10, 0.5), _request(11, 1.4),
             _request(12, 50.4), _request(13, 51.0),
         ]
-        report = _matcher().match_epoch(taxis, requests, trip_km=_trip(requests))
+        matcher = _matcher()
+        report = matcher.match_epoch(taxis, requests, trip_km=_trip(requests))
         assert report.pairs == _global_pairs(taxis, requests)
         assert report.plan is not None and report.plan.degenerate_reason is None
         assert report.cold_groups == len(report.plan.groups)
-        assert report.degraded_groups == 0
+        assert matcher.zone_km_effective == 2.0
 
     def test_cross_boundary_pair_is_kept(self):
         """The boundary taxi/request pair must survive zone sharding."""
@@ -81,13 +77,12 @@ class TestEpochEquality:
 
     def test_degenerate_epoch_still_equals_global_solve(self):
         """Unbounded radii: one city-wide group, exact nevertheless."""
-        matcher = ZoneMatcher(ORACLE, DispatchConfig(), zone_km=ZONE_KM)
+        matcher = ZoneMatcher(ORACLE, DispatchConfig())
         taxis = [_taxi(1, 0.3), _taxi(2, 30.0)]
         requests = [_request(10, 0.5), _request(11, 30.2)]
         report = matcher.match_epoch(taxis, requests, trip_km=_trip(requests))
         matched = solve_shard(
-            taxis, requests, ORACLE, DispatchConfig(),
-            optimize_for="passenger", alpha_by_taxi=None, trip_km=_trip(requests),
+            taxis, requests, ORACLE, DispatchConfig(), trip_km=_trip(requests)
         )
         assert report.pairs == dict(matched.pairs)
         assert report.plan.degenerate_reason is not None
@@ -144,50 +139,3 @@ class TestWarmReuse:
         matcher.reset(counters=True)
         assert matcher._states == {}
         assert matcher.run_telemetry() == {}
-
-
-class TestPerZoneDegradation:
-    def test_hot_group_degrades_alone(self):
-        """An injected clock burns the big group's slice only: the small
-        group (solved first) stays exact and the hot group gets the
-        greedy answer — one zone degrades, the city does not."""
-        ticks = iter([0.0, 0.05, 5.0])
-        budget = FrameBudget(1.0, clock=lambda: next(ticks, 5.0))
-        matcher = _matcher()
-        # Small group: 1×1 pairs at x≈0.  Big group: 3×3 pairs at x≈50.
-        taxis = [_taxi(1, 0.3), _taxi(2, 50.0), _taxi(3, 50.4), _taxi(4, 50.8)]
-        requests = [
-            _request(10, 0.4),
-            _request(11, 50.1), _request(12, 50.5), _request(13, 50.9),
-        ]
-        report = matcher.match_epoch(
-            taxis, requests, trip_km=_trip(requests), budget=budget
-        )
-        assert report.degraded_groups == 1
-        assert report.groups_solved == 1
-        # The small group's stable pair survives exactly.
-        assert report.pairs[10] == 1
-        # The degraded group's entities still all got a (greedy) answer.
-        assert {11, 12, 13} <= set(report.pairs)
-        assert set(report.pairs.values()) == {1, 2, 3, 4}
-        small, big = report.plan.groups[0], report.plan.groups[1]
-        assert small.pair_count < big.pair_count
-        assert report.zones_degraded == big.zone_count
-        # The degraded group seeds no warm state; the solved one does.
-        assert small.anchor in matcher._states
-        assert big.anchor not in matcher._states
-        telemetry = matcher.run_telemetry()
-        assert telemetry.get("zone_groups_degraded") == 1
-        # The budget is handed back at its full epoch deadline.
-        assert budget.duration_s == 1.0
-
-    def test_generous_budget_degrades_nothing(self):
-        budget = FrameBudget(float("inf"))
-        matcher = _matcher()
-        taxis = [_taxi(1, 0.3), _taxi(2, 50.0)]
-        requests = [_request(10, 0.4), _request(11, 50.2)]
-        report = matcher.match_epoch(
-            taxis, requests, trip_km=_trip(requests), budget=budget
-        )
-        assert report.degraded_groups == 0
-        assert report.pairs == _global_pairs(taxis, requests)
