@@ -10,6 +10,10 @@ carries frame-to-frame solver state; the engine owns its lifecycle
 through :meth:`Dispatcher.reset_warm_state` (called at run start and
 whenever a degradation-ladder fallback answered a frame, which breaks
 the consecutive-frame invariant the state relies on).
+
+Every dispatcher reads its frame's distances from one place,
+:meth:`Dispatcher.distance_cache`: the engine's installed frame cache,
+or a per-call cache of its own when dispatched outside an engine.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ __all__ = [
     "Dispatcher",
     "PackedSingleSchedule",
     "single_assignment",
-    "trusted_single_assignment",
     "group_assignment",
 ]
 
@@ -52,10 +55,11 @@ class Dispatcher(abc.ABC):
     #: Short identifier used in experiment reports (e.g. "NSTD-P").
     name: str = "base"
 
-    #: Optional per-frame distance memo, installed by the simulation
-    #: engine (which also invalidates it every frame).  Dispatchers read
-    #: it opportunistically; ``None`` means "compute from the oracle",
-    #: and both paths are bit-identical by the exactness contract.
+    #: The run's per-frame distance memo, installed by the simulation
+    #: engine (which also invalidates it every frame) and detached after
+    #: the run.  Dispatchers never read it directly: :meth:`distance_cache`
+    #: is the one place a frame's distances come from, inside an engine
+    #: or not.
     frame_cache: "FrameDistanceCache | None" = None
 
     #: Optional frame deadline, installed by the simulation engine when a
@@ -77,6 +81,22 @@ class Dispatcher(abc.ABC):
         self.config = config if config is not None else DispatchConfig()
         self.frame_cache = None
         self.frame_budget = None
+
+    def distance_cache(self) -> "FrameDistanceCache":
+        """The frame's distance source: the installed ``frame_cache``.
+
+        Outside an engine (no cache installed) this is a fresh
+        :class:`~repro.simulation.frame_cache.FrameDistanceCache` over
+        the dispatcher's oracle, alive for the one call that asked, so
+        a standalone ``dispatch`` computes exactly what the engine's
+        cache would.
+        """
+        if self.frame_cache is not None:
+            return self.frame_cache
+        # Imported here: repro.simulation imports this module.
+        from repro.simulation.frame_cache import FrameDistanceCache
+
+        return FrameDistanceCache(self.oracle)
 
     def checkpoint(self, label: str | None = None) -> None:
         """Cooperative frame-deadline check (see ``frame_budget``)."""
@@ -199,36 +219,6 @@ def single_assignment(taxi: Taxi, request: PassengerRequest) -> Assignment:
     )
 
 
-def trusted_single_assignment(taxi: Taxi, request: PassengerRequest) -> Assignment:
-    """:func:`single_assignment` minus the dataclass validation pass.
-
-    The two-stop non-sharing plan is structurally valid by construction
-    — one request, its pickup before its dropoff, no duplicates — so
-    every branch of ``Assignment.__post_init__`` is statically known to
-    pass and the frozen-dataclass ``__init__``/``__post_init__`` pair is
-    bypassed with direct slot writes (for the stops too: a frozen
-    dataclass ``__init__`` is itself a sequence of ``object.__setattr__``
-    calls, so the bypass writes the same slots minus the call layers).
-    Meant for solver egress loops that emit tens of thousands of
-    assignments per simulated day; the engine still validates every
-    schedule it executes.
-    """
-    request_id = request.request_id
-    pickup = object.__new__(RouteStop)
-    object.__setattr__(pickup, "request_id", request_id)
-    object.__setattr__(pickup, "is_pickup", True)
-    object.__setattr__(pickup, "point", request.pickup)
-    dropoff = object.__new__(RouteStop)
-    object.__setattr__(dropoff, "request_id", request_id)
-    object.__setattr__(dropoff, "is_pickup", False)
-    object.__setattr__(dropoff, "point", request.dropoff)
-    assignment = object.__new__(Assignment)
-    object.__setattr__(assignment, "taxi_id", taxi.taxi_id)
-    object.__setattr__(assignment, "request_ids", (request_id,))
-    object.__setattr__(assignment, "stops", (pickup, dropoff))
-    return assignment
-
-
 class PackedSingleSchedule(DispatchSchedule):
     """A frame's single-request assignments held as matched row arrays.
 
@@ -277,7 +267,7 @@ class PackedSingleSchedule(DispatchSchedule):
         # the never-assigned ``assignments`` slot.
         if name == "assignments":
             materialized = [
-                trusted_single_assignment(self.taxis[t_row], self.requests[r_row])
+                single_assignment(self.taxis[t_row], self.requests[r_row])
                 for t_row, r_row in zip(self.taxi_rows.tolist(), self.request_rows.tolist())
             ]
             self.assignments = materialized

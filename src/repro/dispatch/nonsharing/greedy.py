@@ -1,16 +1,15 @@
 """Greedy baseline: nearest idle taxi first (Hanna et al. [3], method i).
 
-Requests are served in arrival (id) order; each takes the geometrically
-nearest idle taxi with enough seats.  A grid spatial index keeps the
-per-request query sublinear, which is what makes this the fastest — and
-least driver-friendly — baseline.
+Requests are served in arrival (id) order; each takes the nearest idle
+taxi with enough seats within the passenger threshold, nearest by the
+paper's ``D(t_i, r_j^s)``.  This is the fastest — and least
+driver-friendly — baseline.
 
-When the simulation engine installs a frame cache, the per-request index
-queries are replaced by masked argmins over the frame's shared pickup
-matrix.  The selection rule is unchanged: among available in-threshold
-taxis with enough seats, nearest wins and distance ties break toward
-the smaller taxi id — the same (distance, key) order the index uses —
-so both paths produce identical schedules.
+Distances come from the frame's taxi × pickup matrix (see
+:meth:`~repro.dispatch.base.Dispatcher.distance_cache`), so each request
+is one masked argmin: taxis are id-sorted, and ``argmin``'s
+first-minimum convention breaks distance ties toward the smaller taxi
+id.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 
 from repro.core.types import DispatchSchedule, PassengerRequest, Taxi
 from repro.dispatch.base import Dispatcher, single_assignment
-from repro.geometry.spatial_index import GridSpatialIndex, suggest_cell_size
 
 __all__ = ["GreedyNearestDispatcher"]
 
@@ -37,37 +35,9 @@ class GreedyNearestDispatcher(Dispatcher):
         schedule = DispatchSchedule()
         if not taxis or not requests:
             return schedule
-        if self.frame_cache is not None:
-            return self._dispatch_matrix(taxis, requests)
-        index = GridSpatialIndex(
-            cell_size=suggest_cell_size(t.location for t in taxis), oracle=self.oracle
-        )
-        index.bulk_load((taxi.taxi_id, taxi.location) for taxi in taxis)
-        taxis_by_id = {t.taxi_id: t for t in taxis}
-        threshold = self.config.passenger_threshold_km
-        for request in sorted(requests, key=lambda r: r.request_id):
-            if not index:
-                break
-            self.checkpoint("greedy:request")
-            chosen = self._nearest_feasible(index, taxis_by_id, request, threshold)
-            if chosen is None:
-                continue
-            index.remove(chosen.taxi_id)
-            schedule.add(single_assignment(chosen, request))
-        return self._validated(schedule, taxis, requests)
-
-    def _dispatch_matrix(
-        self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
-    ) -> DispatchSchedule:
-        """The frame-cache fast path: one matrix, one argmin per request.
-
-        Taxis are id-sorted, so ``argmin``'s first-minimum convention is
-        exactly the index path's smallest-id tie-break.
-        """
-        schedule = DispatchSchedule()
         ordered_taxis = sorted(taxis, key=lambda t: t.taxi_id)
         ordered_requests = sorted(requests, key=lambda r: r.request_id)
-        pick = self.frame_cache.pickup_matrix(ordered_taxis, ordered_requests)
+        pick = self.distance_cache().pickup_matrix(ordered_taxis, ordered_requests)
         seats = np.array([t.seats for t in ordered_taxis], dtype=np.int64)
         available = np.ones(len(ordered_taxis), dtype=bool)
         threshold = self.config.passenger_threshold_km
@@ -83,33 +53,3 @@ class GreedyNearestDispatcher(Dispatcher):
             available[i] = False
             schedule.add(single_assignment(ordered_taxis[i], request))
         return self._validated(schedule, taxis, requests)
-
-    @staticmethod
-    def _nearest_feasible(
-        index: GridSpatialIndex,
-        taxis_by_id: dict[int, Taxi],
-        request: PassengerRequest,
-        threshold: float,
-    ) -> Taxi | None:
-        """The closest in-threshold taxi with enough seats.
-
-        The nearest taxi may lack seats; the query widens by doubling
-        ``k`` (O(log k) index queries instead of one per candidate) and
-        scans only the not-yet-examined tail of each result, which is
-        consistent across widenings because ``nearest`` orders
-        deterministically by (distance, key).
-        """
-        k = 1
-        examined = 0
-        n = len(index)
-        while examined < n:
-            candidates = index.nearest(request.pickup, k=min(k, n))
-            for taxi_id, distance in candidates[examined:]:
-                if distance > threshold:
-                    return None
-                taxi = taxis_by_id[int(taxi_id)]
-                if taxi.can_carry(request):
-                    return taxi
-            examined = len(candidates)
-            k *= 2
-        return None

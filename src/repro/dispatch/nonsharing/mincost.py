@@ -79,11 +79,7 @@ class MinCostDispatcher(Dispatcher):
             return schedule
         ordered_requests = sorted(requests, key=lambda r: r.request_id)
         ordered_taxis = sorted(taxis, key=lambda t: t.taxi_id)
-        pickup = (
-            self.frame_cache.pickup_matrix(ordered_taxis, ordered_requests)
-            if self.frame_cache is not None
-            else None
-        )
+        pickup = self.distance_cache().pickup_matrix(ordered_taxis, ordered_requests)
         self.checkpoint("mcbm:start")
         matrix = build_cost_matrix(
             ordered_taxis,

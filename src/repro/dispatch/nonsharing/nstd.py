@@ -17,10 +17,11 @@ kernel (:func:`~repro.matching.deferred_acceptance.gale_shapley_rounds`):
 * the **dict path** (NSTD-M and exact NSTD-T), since lattice
   enumeration walks dict tables.
 
-When the simulation engine installs a
-:class:`~repro.simulation.frame_cache.FrameDistanceCache`, the pickup
-matrix and trip distances are read from it instead of recomputed, on
-both cold paths and in the auditor's rebuild.
+Both cold paths and the auditor's rebuild read the pickup matrix and
+trip distances from the dispatcher's
+:meth:`~repro.dispatch.base.Dispatcher.distance_cache` (the engine's
+frame cache, or a per-call one outside an engine); warm frames prime
+its trip memo with the new requests' trips.
 
 ``warm_start=True`` (NSTD-P and NSTD-T only) additionally carries solver
 state across frames through the warm frame solver
@@ -60,7 +61,6 @@ from repro.matching.result import Matching
 from repro.matching.warm_frame import (
     FrameSolveState,
     frame_state_from_cold,
-    request_trips,
     warm_frame_solve,
 )
 
@@ -181,9 +181,9 @@ class NSTDDispatcher(Dispatcher):
     ) -> PreferenceArrays:
         """The frame's preference arrays, rebuilt by the cold path.
 
-        Reads the frame distance cache when installed (exact by
-        contract) but never touches the carried warm state, so
-        the result is a state-independent oracle for the auditor.
+        Reads the distance cache (exact by contract) but never touches
+        the carried warm state, so the result is a state-independent
+        oracle for the auditor.
         """
         return self._cold_prefs(taxis, requests, build_nonsharing_arrays)[0]
 
@@ -192,17 +192,16 @@ class NSTDDispatcher(Dispatcher):
         taxis: Sequence[Taxi],
         requests: Sequence[PassengerRequest],
         build: Callable[..., _Prefs],
-    ) -> tuple[_Prefs, np.ndarray | None]:
+    ) -> tuple[_Prefs, np.ndarray]:
         """The frame's cold preference structure, built by ``build``
         (:func:`build_nonsharing_arrays` or :func:`build_nonsharing_table`)
-        from the frame cache's kernels when one is installed.
+        from the distance cache's pickup matrix and trip vector.
 
-        Also returns the cached trip vector (``None`` without a cache).
+        Also returns the trip vector.
         """
-        pickup_matrix = trip_km = None
-        if self.frame_cache is not None:
-            pickup_matrix = self.frame_cache.pickup_matrix(taxis, requests)
-            trip_km = self.frame_cache.trip_km(requests)
+        cache = self.distance_cache()
+        pickup_matrix = cache.pickup_matrix(taxis, requests)
+        trip_km = cache.trip_km(requests)
         prefs = build(
             taxis,
             requests,
@@ -289,16 +288,11 @@ class NSTDDispatcher(Dispatcher):
             # Cold frame of a warm-started run (first frame, or a warm
             # precondition failed): seed the next frame's warm state
             # from the frame's own facts.
-            trips = (
-                np.asarray(trip_km, dtype=np.float64)
-                if trip_km is not None
-                else request_trips(requests, self.oracle)
-            )
             self._warm_state = frame_state_from_cold(
                 taxis,
                 requests,
                 matching,
-                trip=trips,
+                trip=trip_km,
                 config=self.config,
                 alpha_by_taxi=self.alpha_by_taxi,
             )
@@ -322,7 +316,6 @@ class NSTDDispatcher(Dispatcher):
         """
         state = self._warm_state
         if state is not None:
-            cache = self.frame_cache
             try:
                 _, matched_rows, matched_legs, build_stats, new_state = warm_frame_solve(
                     state,
@@ -334,7 +327,7 @@ class NSTDDispatcher(Dispatcher):
                     alpha_by_taxi=self.alpha_by_taxi,
                     # Keep the engine's request-keyed trip memo primed so
                     # per-assignment scoring hits it on warm frames too.
-                    on_new_trips=None if cache is None else cache.prime_trip_km,
+                    on_new_trips=self.distance_cache().prime_trip_km,
                 )
             except WarmStartError as exc:
                 # The frame failed a warm precondition; redo it cold.

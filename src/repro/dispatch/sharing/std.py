@@ -167,10 +167,10 @@ class STDDispatcher(Dispatcher):
         if len(self._group_cache) > 500_000:
             self._group_cache.clear()
         pickup_gap = None
-        if self.frame_cache is not None and self.pairing_radius_km is not None:
+        if self.pairing_radius_km is not None:
             # clip_batch returns the batch id-sorted, the order the
             # enumeration's radius prefilter expects.
-            pickup_gap = self.frame_cache.pickup_gap_matrix(batch)
+            pickup_gap = self.distance_cache().pickup_gap_matrix(batch)
         # Under a frame deadline the exponential pack stage runs anytime:
         # it stops growing the candidate pool when time is up and packs
         # what it has, leaving the rest as singleton units.

@@ -9,7 +9,7 @@ from __future__ import annotations
 import logging
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.config import DispatchConfig, SimulationConfig
@@ -215,6 +215,69 @@ def _run_cell_with_recovery(
     ) from last
 
 
+def _run_cells_in_pool(
+    cells: Sequence[tuple[CityProfile, str]],
+    scale: ExperimentScale,
+    oracle: DistanceOracle | None,
+    sim_config: SimulationConfig | None,
+    faults: FaultPlan | None,
+    resilience: ResiliencePolicy | None,
+    workers: int,
+) -> list[tuple[str, SimulationResult]]:
+    """Run ``(profile, algorithm)`` cells over a process pool, in cell order.
+
+    Each cell is deterministic in its arguments, so the results equal a
+    serial run's.  A cell whose worker raised
+    :class:`TransientFaultError` is retried in this process from attempt
+    1; a worker crash that breaks the pool — whether it surfaces while
+    cells are still being submitted or while results are collected —
+    re-runs every unfinished cell serially in this process.
+    """
+    results: list[tuple[str, SimulationResult]] = []
+    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
+        futures: list[Future[tuple[str, SimulationResult]] | None] = []
+        for profile, name in cells:
+            try:
+                futures.append(
+                    pool.submit(
+                        _run_experiment_cell,
+                        profile,
+                        name,
+                        scale,
+                        oracle,
+                        sim_config,
+                        faults,
+                        resilience,
+                        0,
+                    )
+                )
+            except BrokenProcessPool:
+                futures.append(None)  # a worker already crashed: run it below
+        for (profile, name), future in zip(cells, futures):
+            key = _cell_key(profile, name)
+            try:
+                if future is not None:
+                    results.append(future.result())
+                    continue
+                logger.warning("process pool broke before cell %s ran; running it serially", key)
+                first_attempt = 0
+            except TransientFaultError as exc:
+                logger.warning(
+                    "parallel cell %s hit a transient fault (%s); retrying serially", key, exc
+                )
+                first_attempt = 1
+            except BrokenProcessPool:
+                logger.warning("process pool broke on cell %s; recovering serially", key)
+                first_attempt = 0
+            results.append(
+                _run_cell_with_recovery(
+                    profile, name, scale, oracle, sim_config, faults, resilience,
+                    first_attempt=first_attempt,
+                )
+            )
+    return results
+
+
 def run_city_experiment(
     profile: CityProfile,
     algorithms: Sequence[str],
@@ -244,47 +307,10 @@ def run_city_experiment(
     process.
     """
     if workers > 1 and len(algorithms) > 1:
-        completed: dict[str, tuple[str, SimulationResult]] = {}
-        with ProcessPoolExecutor(max_workers=min(workers, len(algorithms))) as pool:
-            futures = [
-                (
-                    name,
-                    pool.submit(
-                        _run_experiment_cell,
-                        profile,
-                        name,
-                        scale,
-                        oracle,
-                        sim_config,
-                        faults,
-                        resilience,
-                        0,
-                    ),
-                )
-                for name in algorithms
-            ]
-            for name, future in futures:
-                try:
-                    completed[name] = future.result()
-                except TransientFaultError as exc:
-                    logger.warning(
-                        "parallel cell %s hit a transient fault (%s); retrying serially",
-                        _cell_key(profile, name),
-                        exc,
-                    )
-                    completed[name] = _run_cell_with_recovery(
-                        profile, name, scale, oracle, sim_config, faults, resilience,
-                        first_attempt=1,
-                    )
-                except BrokenProcessPool:
-                    logger.warning(
-                        "process pool broke on cell %s; recovering serially",
-                        _cell_key(profile, name),
-                    )
-                    completed[name] = _run_cell_with_recovery(
-                        profile, name, scale, oracle, sim_config, faults, resilience
-                    )
-        return {completed[name][0]: completed[name][1] for name in algorithms}
+        cells = [(profile, name) for name in algorithms]
+        return dict(
+            _run_cells_in_pool(cells, scale, oracle, sim_config, faults, resilience, workers)
+        )
 
     oracle = oracle if oracle is not None else EuclideanDistance()
     if sim_config is None:
@@ -333,55 +359,13 @@ def run_taxi_sweep(
     attempt-derived schedules either way and a broken pool falls back to
     serial re-runs of whatever hadn't finished.
     """
-    if workers > 1:
-        cells = [(count, name) for count in taxi_counts for name in algorithms]
-        if len(cells) > 1:
-            results: dict[int, dict[str, SimulationResult]] = {
-                count: {} for count in taxi_counts
-            }
-            with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-                futures = [
-                    (
-                        count,
-                        name,
-                        pool.submit(
-                            _run_experiment_cell,
-                            profile.with_taxis(count),
-                            name,
-                            scale,
-                            oracle,
-                            sim_config,
-                            faults,
-                            resilience,
-                            0,
-                        ),
-                    )
-                    for count, name in cells
-                ]
-                for count, name, future in futures:
-                    swept = profile.with_taxis(count)
-                    try:
-                        dispatcher_name, result = future.result()
-                    except TransientFaultError as exc:
-                        logger.warning(
-                            "sweep cell %s hit a transient fault (%s); retrying serially",
-                            _cell_key(swept, name),
-                            exc,
-                        )
-                        dispatcher_name, result = _run_cell_with_recovery(
-                            swept, name, scale, oracle, sim_config, faults, resilience,
-                            first_attempt=1,
-                        )
-                    except BrokenProcessPool:
-                        logger.warning(
-                            "process pool broke on sweep cell %s; recovering serially",
-                            _cell_key(swept, name),
-                        )
-                        dispatcher_name, result = _run_cell_with_recovery(
-                            swept, name, scale, oracle, sim_config, faults, resilience
-                        )
-                    results[count][dispatcher_name] = result
-            return results
+    if workers > 1 and len(taxi_counts) * len(algorithms) > 1:
+        swept = [profile.with_taxis(count) for count in taxi_counts]
+        cells = [(fleet, name) for fleet in swept for name in algorithms]
+        ran = iter(
+            _run_cells_in_pool(cells, scale, oracle, sim_config, faults, resilience, workers)
+        )
+        return {count: dict(next(ran) for _ in algorithms) for count in taxi_counts}
 
     oracle = oracle if oracle is not None else EuclideanDistance()
     results = {}

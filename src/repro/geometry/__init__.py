@@ -24,7 +24,6 @@ from repro.geometry.spatial_index import (
     cell_reach,
     grid_cells,
     pack_cell_keys,
-    suggest_cell_size,
 )
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "HaversineDistance",
     "ScaledDistance",
     "GridSpatialIndex",
-    "suggest_cell_size",
     "grid_cells",
     "pack_cell_keys",
     "cell_reach",

@@ -1,7 +1,8 @@
 """A uniform-grid spatial index.
 
-The Greedy baseline needs "the nearest idle taxi" and RAII retrieves
-candidate taxis near a pickup through a spatial index [7].  A uniform
+RAII retrieves candidate taxis near a pickup through a spatial index
+[7], and the road network snaps query points to their nearest node
+through one.  A uniform
 grid with ring-expansion queries is simple, has O(1) expected insert and
 remove, and is fast at city scale, which is exactly what a per-frame
 dispatcher needs (the index is rebuilt or mutated every frame).
@@ -23,7 +24,6 @@ from repro.geometry.point import Point
 
 __all__ = [
     "GridSpatialIndex",
-    "suggest_cell_size",
     "grid_cells",
     "pack_cell_keys",
     "cell_reach",
@@ -84,22 +84,6 @@ def cell_reach(radius_km: np.ndarray, cell_km: float) -> np.ndarray:
     """
     radii = np.asarray(radius_km, dtype=np.float64)
     return np.floor_divide(radii, cell_km).astype(np.int64) + 2
-
-
-def suggest_cell_size(points: Iterable[Point], *, floor_km: float = 0.25) -> float:
-    """A workable grid cell size for an indexed population.
-
-    Targets roughly one item per cell (``span / sqrt(n)``), floored so a
-    near-degenerate population (one point, or all points coincident)
-    does not shatter the index into microscopic cells.
-    """
-    pts = list(points)
-    if not pts:
-        return max(floor_km, 1e-6)
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-6)
-    return max(span / max(len(pts) ** 0.5, 1.0), floor_km)
 
 
 class GridSpatialIndex:

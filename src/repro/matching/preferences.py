@@ -22,9 +22,10 @@ side's list iff it appears on the other's, which keeps the stability
 definition symmetric.
 
 **Construction.**  :func:`build_nonsharing_table` and
-:func:`build_nonsharing_arrays` share one dense pair builder on the
-batched distance kernels of :mod:`repro.geometry.batch`: one vectorized
-taxi × request score matrix (or the frame cache's), threshold masks,
+:func:`build_nonsharing_arrays` share one dense pair builder: one
+taxi × request score matrix (the frame cache's, or one ``exact=True``
+call into :mod:`repro.geometry.batch`, the one module that chooses
+between an oracle's exact kernel and the scalar loop), threshold masks,
 and a single global lexsort per side.  The dense matrix suits the
 engines' frame sizes: the largest NSTD frame of the full-scale NYC day
 holds about 10^5 candidate pairs.
@@ -50,12 +51,7 @@ from repro.core.config import DispatchConfig
 from repro.core.errors import PreferenceError
 from repro.core.types import PassengerRequest, Taxi
 from repro.geometry.distance import DistanceOracle
-from repro.geometry.batch import (
-    as_point_array,
-    batch_kernels_exact,
-    oracle_paired,
-    oracle_pairwise,
-)
+from repro.geometry.batch import oracle_paired, oracle_pairwise
 
 if TYPE_CHECKING:  # annotation-only: repro.matching.arrays imports this module
     from repro.matching.arrays import PreferenceArrays
@@ -473,23 +469,13 @@ def _dense_pairs(
     party = np.array([r.passengers for r in requests], dtype=np.int64)
     alpha_arr = np.array([alphas[t.taxi_id] for t in taxis], dtype=np.float64)
     pickups = [r.pickup for r in requests]
-    # Only kernels honouring the bit-exactness contract may replace
-    # scalar ``distance`` calls, so the scores match the reference bit
-    # for bit; otherwise the Point lists go through the scalar-loop
-    # fallbacks.
-    exact_kernels = batch_kernels_exact(oracle)
+    # ``exact=True``: only kernels honouring the bit-exactness contract
+    # may replace scalar ``distance`` calls, so the scores match the
+    # reference bit for bit (see :mod:`repro.geometry.batch`).
     if trip_km is not None:
         trip = np.asarray(trip_km, dtype=np.float64)
         if trip.shape != (n_requests,):
             raise PreferenceError(f"trip_km has shape {trip.shape}, expected ({n_requests},)")
-    elif exact_kernels:
-        trip = np.asarray(
-            oracle.paired(
-                sources=as_point_array(pickups),
-                targets=as_point_array([r.dropoff for r in requests]),
-            ),
-            dtype=np.float64,
-        )
     else:
         trip = oracle_paired(
             oracle, sources=pickups, targets=[r.dropoff for r in requests], exact=True
@@ -505,14 +491,6 @@ def _dense_pairs(
                 f"pickup_matrix has shape {pick_matrix.shape}, "
                 f"expected ({n_taxis}, {n_requests})"
             )
-    elif exact_kernels:
-        pick_matrix = np.asarray(
-            oracle.pairwise(
-                sources=as_point_array([t.location for t in taxis]),
-                targets=as_point_array(pickups),
-            ),
-            dtype=np.float64,
-        )
     else:
         pick_matrix = oracle_pairwise(
             oracle, sources=[t.location for t in taxis], targets=pickups, exact=True

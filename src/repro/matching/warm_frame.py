@@ -202,14 +202,6 @@ def request_trips(
     oracle (the same exactness contract the frame cache relies on)."""
     if not requests:
         return np.empty(0, dtype=np.float64)
-    if batch_kernels_exact(oracle):
-        return np.asarray(
-            oracle.paired(
-                sources=as_point_array([r.pickup for r in requests]),
-                targets=as_point_array([r.dropoff for r in requests]),
-            ),
-            dtype=np.float64,
-        )
     return oracle_paired(
         oracle,
         sources=[r.pickup for r in requests],

@@ -3,9 +3,11 @@
 Every dispatcher in the evaluation opens its frame the same way: a
 taxi-to-pickup distance matrix (preference tables, Hungarian cost
 matrices, nearest-taxi queries) plus per-request trip distances (taxi
-scores, revenue accounting).  Without a cache each consumer recomputes
-those matrices from the oracle; with one, the engine computes each
-matrix once per frame and every consumer reads the same array.
+scores, revenue accounting).  The cache is the one place a dispatcher
+gets those from (:meth:`~repro.dispatch.base.Dispatcher.distance_cache`):
+the engine computes each matrix once per frame and every consumer reads
+the same array.  A dispatcher called outside an engine opens a cache of
+its own for that one call, so it computes exactly what it would inside.
 
 Ownership and invalidation
 --------------------------
@@ -243,9 +245,7 @@ class FrameDistanceCache:
             )
             self._trip_km[request.request_id] = km
             self.misses += 1
-            if len(self._trip_km) > self.trip_capacity:
-                del self._trip_km[next(iter(self._trip_km))]
-                self.evictions += 1
+            self._enforce_trip_cap()
         else:
             self.hits += 1
         return km

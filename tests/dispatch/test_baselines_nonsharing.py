@@ -68,6 +68,13 @@ class TestGreedy:
         schedule = GreedyNearestDispatcher(oracle, DispatchConfig()).dispatch(taxis, requests)
         assert schedule.taxi_of == {0: 1}
 
+    def test_distance_tie_breaks_toward_smaller_taxi_id(self, oracle):
+        # Ids compare as numbers: 9 < 10 (their reprs sort the other way).
+        taxis = [Taxi(10, Point(1, 0)), Taxi(9, Point(-1, 0))]
+        requests = [PassengerRequest(0, Point(0, 0), Point(0, 5))]
+        schedule = GreedyNearestDispatcher(oracle, DispatchConfig()).dispatch(taxis, requests)
+        assert schedule.taxi_of == {0: 9}
+
     def test_matches_bruteforce_nearest(self, oracle):
         for seed in range(5):
             taxis, requests = random_frame(seed)

@@ -1,5 +1,7 @@
 """Unit tests for experiment runners."""
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.core import DispatchConfig, ExperimentError
@@ -10,6 +12,7 @@ from repro.experiments import (
     run_city_experiment,
     run_taxi_sweep,
 )
+from repro.experiments import runners as runners_module
 from repro.experiments.settings import NONSHARING_ALGORITHMS, SHARING_ALGORITHMS
 from repro.geometry import EuclideanDistance
 from repro.trace import boston_profile
@@ -71,6 +74,37 @@ class TestRunTaxiSweep:
         small = sweep[100]["Greedy"].summary()
         large = sweep[200]["Greedy"].summary()
         assert large["service_rate"] >= small["service_rate"] - 1e-9
+
+
+class _PoolBrokenAtSubmit:
+    """A process pool whose worker died before any cell was submitted."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+
+class TestPoolBrokenAtSubmission:
+    def test_unsubmitted_cells_run_serially(self, monkeypatch):
+        clean = run_taxi_sweep(boston_profile(), ("Greedy", "MCBM"), (100, 200), TINY)
+        monkeypatch.setattr(runners_module, "ProcessPoolExecutor", _PoolBrokenAtSubmit)
+        recovered = run_taxi_sweep(
+            boston_profile(), ("Greedy", "MCBM"), (100, 200), TINY, workers=2
+        )
+        assert {count: list(cell) for count, cell in recovered.items()} == {
+            count: list(cell) for count, cell in clean.items()
+        }
+        for count, cell in clean.items():
+            for name, result in cell.items():
+                assert recovered[count][name].summary() == result.summary(), (count, name)
 
 
 class TestMedianInRegistry:

@@ -14,6 +14,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DispatchConfig, PassengerRequest, Taxi
+from repro.dispatch import GreedyNearestDispatcher
 from repro.dispatch.nonsharing.mincost import build_cost_matrix
 from repro.dispatch.sharing.preferences import (
     build_sharing_table,
@@ -29,8 +30,8 @@ from repro.geometry import (
 )
 from repro.matching import build_nonsharing_table
 from repro.matching.preferences import build_nonsharing_table_reference
-from repro.network import RoadNetwork
 from repro.routing.shared_route import build_ride_group
+from tests.support import oneway_ring
 
 TAXI_ID_BASE = 100
 
@@ -171,17 +172,6 @@ class TestThresholdBoundary:
         assert_tables_identical(reference, dense, "dense-boundary")
 
 
-def oneway_ring() -> RoadNetwork:
-    """A 4-node one-way ring: D(u, v) and D(v, u) always differ."""
-    network = RoadNetwork()
-    corners = [Point(0.0, 0.0), Point(10.0, 0.0), Point(10.0, 10.0), Point(0.0, 10.0)]
-    for node_id, point in enumerate(corners):
-        network.add_node(node_id, point)
-    for u in range(4):
-        network.add_edge(u, (u + 1) % 4, 10.0, oneway=True)
-    return network
-
-
 class TestAsymmetricRoadNetwork:
     """RoadNetwork is the only asymmetric batch-exact oracle, so the
     (taxi, pickup) argument order of every batched consumer — and the
@@ -228,6 +218,15 @@ class TestAsymmetricRoadNetwork:
                     assert matrix[j, i] == expected
                 else:
                     assert matrix[j, i] == math.inf
+
+    def test_greedy_ranks_by_taxi_to_pickup_direction(self):
+        # Taxi 1 is 10.78 km from the pickup against the ring but
+        # 30.78 km along it; taxi 2 is 10.70 km along it.  Called
+        # outside an engine, Greedy must rank by D(taxi, pickup).
+        taxis = [Taxi(1, Point(9.5, 0.25)), Taxi(2, Point(0.25, 9.6))]
+        requests = [PassengerRequest(0, Point(0.2, 0.1), Point(10.0, 9.5))]
+        schedule = GreedyNearestDispatcher(self.network, self.config).dispatch(taxis, requests)
+        assert schedule.taxi_of == {0: 2}
 
     def test_sharing_table_matches_scalar_score_functions(self):
         groups = [

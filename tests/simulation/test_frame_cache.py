@@ -20,6 +20,7 @@ from repro.dispatch.nonsharing import (
 from repro.dispatch.sharing import STDDispatcher
 from repro.geometry import EuclideanDistance, ManhattanDistance, Point
 from repro.simulation import FrameDistanceCache
+from tests.support import oneway_ring
 
 ORACLE = EuclideanDistance()
 
@@ -144,35 +145,62 @@ class TestInvalidationAndReuse:
             gap[0, 0] = 1.0
 
 
+def ring_frame():
+    """Taxi 1 is nearer the pickup against the one-way ring, taxi 2
+    along it: ranking by D(pickup, taxi) instead of D(taxi, pickup)
+    flips Greedy's pick."""
+    taxis = [Taxi(1, Point(9.5, 0.25)), Taxi(2, Point(0.25, 9.6))]
+    requests = [PassengerRequest(0, Point(0.2, 0.1), Point(10.0, 9.5))]
+    return taxis, requests
+
+
+def tie_frame():
+    """Taxis 9 and 10 equidistant from the pickup (their reprs sort
+    10 before 9, their ids 9 before 10)."""
+    taxis = [Taxi(10, Point(1.0, 0.0)), Taxi(9, Point(-1.0, 0.0))]
+    requests = [PassengerRequest(0, Point(0.0, 0.0), Point(0.0, 5.0))]
+    return taxis, requests
+
+
 class TestDispatcherTransparency:
-    """Installing the cache must never change a dispatcher's schedule."""
+    """A dispatcher outside an engine computes exactly what it does with
+    the engine's cache installed: the cache never changes a schedule."""
 
     CONFIG = DispatchConfig(passenger_threshold_km=4.0, taxi_threshold_km=6.0)
+    RING_CONFIG = DispatchConfig(passenger_threshold_km=40.0, taxi_threshold_km=40.0)
 
-    def dispatchers(self):
-        yield GreedyNearestDispatcher(ORACLE, self.CONFIG)
-        yield MinCostDispatcher(ORACLE, self.CONFIG)
-        yield MinimaxDispatcher(ORACLE, self.CONFIG)
-        yield NSTDDispatcher(ORACLE, self.CONFIG, optimize_for="passenger")
-        yield NSTDDispatcher(ORACLE, self.CONFIG, optimize_for="taxi")
-        yield NSTDDispatcher(ORACLE, self.CONFIG, optimize_for="median")
-        yield STDDispatcher(
-            ORACLE, self.CONFIG, optimize_for="passenger", pairing_radius_km=3.0
-        )
+    FRAMES = {
+        "random": (ORACLE, CONFIG, lambda: small_frame(seed=9, n_taxis=10, n_requests=14)),
+        "oneway-ring": (oneway_ring(), RING_CONFIG, ring_frame),
+        "tie": (ORACLE, CONFIG, tie_frame),
+    }
+
+    @staticmethod
+    def dispatchers(oracle, config):
+        yield GreedyNearestDispatcher(oracle, config)
+        yield MinCostDispatcher(oracle, config)
+        yield MinimaxDispatcher(oracle, config)
+        yield NSTDDispatcher(oracle, config, optimize_for="passenger")
+        yield NSTDDispatcher(oracle, config, optimize_for="taxi")
+        yield NSTDDispatcher(oracle, config, optimize_for="median")
+        yield STDDispatcher(oracle, config, optimize_for="passenger", pairing_radius_km=3.0)
 
     def test_schedules_identical_with_and_without_cache(self):
-        taxis, requests = small_frame(seed=9, n_taxis=10, n_requests=14)
-        for dispatcher in self.dispatchers():
-            dispatcher.frame_cache = None
-            bare = dispatcher.dispatch(taxis, requests)
-            cache = FrameDistanceCache(ORACLE)
-            cache.begin_frame()
-            dispatcher.frame_cache = cache
-            cached = dispatcher.dispatch(taxis, requests)
-            bare_pairs = sorted((a.taxi_id, a.request_ids) for a in bare.assignments)
-            cached_pairs = sorted((a.taxi_id, a.request_ids) for a in cached.assignments)
-            assert bare_pairs == cached_pairs, dispatcher.name
-            assert cache.misses > 0, dispatcher.name  # the cache was actually consulted
+        for frame, (oracle, config, build) in self.FRAMES.items():
+            taxis, requests = build()
+            for dispatcher in self.dispatchers(oracle, config):
+                label = (frame, dispatcher.name)
+                dispatcher.frame_cache = None
+                bare = dispatcher.dispatch(taxis, requests)
+                cache = FrameDistanceCache(oracle)
+                cache.begin_frame()
+                dispatcher.frame_cache = cache
+                cached = dispatcher.dispatch(taxis, requests)
+                bare_pairs = sorted((a.taxi_id, a.request_ids) for a in bare.assignments)
+                cached_pairs = sorted((a.taxi_id, a.request_ids) for a in cached.assignments)
+                assert bare_pairs == cached_pairs, label
+                assert cache.misses > 0, label  # the cache was actually consulted
+                assert bare_pairs, label  # every frame serves someone
 
 
 class TestTripCapacity:

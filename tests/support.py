@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+from repro.geometry import Point
 from repro.matching import PreferenceTable
+from repro.network import RoadNetwork
 
-__all__ = ["random_table", "TAXI_ID_BASE"]
+__all__ = ["random_table", "oneway_ring", "TAXI_ID_BASE"]
 
 TAXI_ID_BASE = 100
 
@@ -36,3 +38,14 @@ def random_table(
         rng.shuffle(acceptable)
         reviewer_prefs[r] = tuple(acceptable)
     return PreferenceTable(proposer_prefs=proposer_prefs, reviewer_prefs=reviewer_prefs)
+
+
+def oneway_ring() -> RoadNetwork:
+    """A 4-node one-way ring: D(u, v) and D(v, u) always differ."""
+    network = RoadNetwork()
+    corners = [Point(0.0, 0.0), Point(10.0, 0.0), Point(10.0, 10.0), Point(0.0, 10.0)]
+    for node_id, point in enumerate(corners):
+        network.add_node(node_id, point)
+    for u in range(4):
+        network.add_edge(u, (u + 1) % 4, 10.0, oneway=True)
+    return network
