@@ -14,12 +14,16 @@ resilience layer's core invariants:
 
 ``--crash-recovery`` runs the durability matrix instead: for each of
 the cold / warm dispatch modes, a child process running a
-journaled+checkpointed simulation is SIGKILLed at several frame offsets
-(at the frame boundary, after the journal append, and mid-frame, before
-it), then the run is resumed from the surviving artifacts and asserted
-bit-identical (outcomes, assignments, frame count) to an uninterrupted
-reference.  ``--artifacts-dir`` keeps the journals and snapshots on
-disk for post-mortem (CI uploads them on failure).
+journaled+checkpointed simulation behind the degradation ladder is
+SIGKILLed at several frame offsets (at the frame boundary, after the
+journal append, and mid-frame, before it), then the run is resumed from
+the surviving artifacts and asserted bit-identical — every outcome,
+assignment and taxi-total field, and the frame and resilience series
+less their wall-clock fields — to an uninterrupted reference.  Each
+case also records its largest snapshot and its journal size, and fails
+if its newest snapshot carries run history (which lives only in the
+journal).  ``--artifacts-dir`` keeps the journals and snapshots on disk
+for post-mortem (CI uploads them on failure).
 
 Exit code 0 on success, 1 with a failure listing otherwise.  Both fault
 and crash schedules are deterministic, so failures reproduce exactly.
@@ -34,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import astuple, replace
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -73,19 +78,26 @@ CRASH_CASES = ((5, "boundary"), (12, "mid-frame"), (23, "boundary"))
 
 CHECKPOINT_EVERY = 8
 
+#: Snapshot state keys of run history, which only the journal may carry.
+HISTORY_KEYS = frozenset({"outcomes", "assignments", "frame_stats", "resilience", "audit"})
+
 
 def comparable(result):
-    """Everything observable about a run except wall-clock telemetry."""
+    """Everything observable about a run except wall-clock telemetry:
+    every outcome, assignment and taxi-total field, and the frame,
+    resilience and audit series less their timing field."""
     return {
-        "outcomes": [
-            (o.request_id, o.taxi_id, o.dispatch_time_s, o.pickup_time_s, o.dropoff_time_s)
-            for o in result.outcomes
-        ],
-        "assignments": [
-            (a.frame_time_s, a.taxi_id, a.request_ids, a.revenue_km)
-            for a in result.assignments
-        ],
         "frames_run": result.frames_run,
+        "outcomes": [astuple(o) for o in result.outcomes],
+        "assignments": [astuple(a) for a in result.assignments],
+        "taxi_stats": result.taxi_stats,
+        "frame_stats": [replace(f, dispatch_ms=0.0) for f in result.frame_stats],
+        "resilience": None if result.resilience is None else [
+            replace(r, elapsed_s=0.0) for r in result.resilience.frames
+        ],
+        "audit": None if result.stability_audit is None else [
+            replace(r, audit_ms=0.0) for r in result.stability_audit.frames
+        ],
     }
 
 
@@ -137,7 +149,8 @@ def run_chaos(seed: int = 13, workers: int = 2) -> tuple[dict, list[str]]:
         failures.append("no degradations or faults observed: the chaos schedule is inert")
 
     for name in baseline:
-        if comparable(calm[name]) != comparable(baseline[name]):
+        # Only the protected run has a resilience report to compare.
+        if comparable(calm[name]) | {"resilience": None} != comparable(baseline[name]):
             failures.append(f"{name}: faults-off resilient run differs from baseline")
 
     summary["total_degraded_frames"] = total_degraded
@@ -150,12 +163,20 @@ def crash_workload():
 
     Parent and SIGKILLed children construct it independently from the
     same seeds; the trace generators are deterministic, so both see the
-    identical fleet and request stream.
+    identical fleet and request stream.  The morning hour is moved to
+    start at t = 0 and simulated to its length, so every crash offset
+    falls in frames that dispatch and carry history.
     """
-    scale = ExperimentScale(factor=0.004, seed=11, hours=(8.0, 9.0))
+    hours = (8.0, 9.0)
+    scale = ExperimentScale(factor=0.02, seed=11, hours=hours)
     profile = boston_profile()
-    sim_config = city_simulation_config(profile.scaled(scale.factor))
+    start_s = hours[0] * 3600.0
+    sim_config = replace(
+        city_simulation_config(profile.scaled(scale.factor)),
+        horizon_s=(hours[1] - hours[0]) * 3600.0,
+    )
     fleet, requests = build_workload(profile, scale)
+    requests = [replace(r, request_time_s=r.request_time_s - start_s) for r in requests]
     return sim_config, fleet, requests
 
 
@@ -168,7 +189,9 @@ def make_crash_simulator(
         sim_config.dispatch,
         warm_start=mode == "warm",
     )
-    return Simulator(dispatcher, oracle, sim_config, durability=durability)
+    return Simulator(
+        dispatcher, oracle, sim_config, resilience=ResiliencePolicy(), durability=durability
+    )
 
 
 def crash_child(directory: str, mode: str, frame: int, phase: str) -> int:
@@ -233,11 +256,21 @@ def run_crash_recovery(artifacts_dir: Path) -> tuple[dict, list[str]]:
             if comparable(resumed) != references[mode]:
                 failures.append(f"{case}: resumed run differs from uninterrupted reference")
                 continue
+            newest = manager.store.latest_valid()
+            leaked = sorted(HISTORY_KEYS & set(newest["state"])) if newest else []
+            if leaked:
+                failures.append(f"{case}: newest snapshot carries run history {leaked}")
+                continue
             summary[case] = {
                 "frames": resumed.frames_run,
                 "replayed_verified": int(
                     resumed.perf_stats().get("replay_frames_verified", 0)
                 ),
+                "snapshot_bytes_max": max(
+                    (path.stat().st_size for path in manager.store.snapshot_paths()),
+                    default=0,
+                ),
+                "journal_bytes": manager.journal_path.stat().st_size,
             }
     summary["cases"] = len(CRASH_MODES) * len(CRASH_CASES)
     return summary, failures

@@ -1,29 +1,36 @@
 """Durable checkpoint/resume: periodic snapshots + journal replay.
 
 The other half of the crash-recovery story (the write-ahead journal is
-:mod:`repro.resilience.journal`): every ``checkpoint_every_frames``
-frames the engine serializes its *complete* mutable run state — taxi
-agents, outcome accumulators, the pending queue, frame statistics,
-resilience records, and the fault injector's captured seeded-RNG state
-— into an atomically written, checksummed snapshot.  Warm-start
-solver state (``FrameSolveState``) is deliberately **not** persisted:
-the warm path is proven bit-identical to the cold solve (DESIGN.md
-§10), so a resumed run simply restarts it cold and converges on the
-same matchings, which keeps snapshots small and the resume path
-independent of solver internals.
+:mod:`repro.resilience.journal`).  The run's history — assignment
+records, resolved request outcomes, frame statistics, resilience and
+audit records — is append-only and lives in the journal, one frame's
+rows per record.  A snapshot therefore carries only the run's *mutable*
+state: taxi agents, the pending queue, the clock and trace cursor, the
+dispatcher, fault-injector and repositioning payloads, and a *history
+cursor* (frames, assignment rows and resolved outcomes so far, plus
+``cum_crc``) naming the journal prefix it presumes.  Its size is
+O(fleet + queue), not O(run).  Every ``checkpoint_every_frames`` frames
+the engine writes one, atomically and checksummed.  Warm-start solver
+state (``FrameSolveState``) is deliberately **not** persisted: the warm
+path is proven bit-identical to the cold solve (DESIGN.md §10), so a
+resumed run simply restarts it cold and converges on the same
+matchings, which keeps the resume path independent of solver internals.
 
-Recovery (:func:`resume_simulation`) loads the newest snapshot that
-passes validation, replays the journal's surviving frames, and verifies
-every replayed frame digest against the journaled one — the resumed run
-is *asserted* bit-identical to the uninterrupted run (summary, outcomes,
-assignments), not assumed.  Torn snapshots (a crash mid-write) are
-skipped with a warning; schema skew is a hard refusal.
+Recovery (:func:`resume_simulation`) is snapshot + journal prefix +
+verified replay: it loads the newest snapshot that passes validation,
+checks the journal prefix up to the snapshot's frame against the
+snapshot's history cursor, rebuilds the history from that prefix,
+restores the mutable state, and replays the journal's remaining frames,
+verifying every replayed frame digest against the journaled one — the
+resumed run is *asserted* bit-identical to the uninterrupted run
+(summary, outcomes, assignments), not assumed.  Torn snapshots (a crash
+mid-write) are skipped with a warning; schema skew is a hard refusal.
 
-All state crosses the snapshot boundary as JSON.  Python's ``json``
-serializes floats via ``repr`` (shortest round-trip), so every float —
-coordinates, availability clocks, dissatisfaction scores — is restored
-bit-identically, which is what makes the resume equality *bit* equality
-rather than approximate.
+All state crosses the snapshot and journal boundary as JSON.  Python's
+``json`` serializes floats via ``repr`` (shortest round-trip), so every
+float — coordinates, availability clocks, dissatisfaction scores — is
+restored bit-identically, which is what makes the resume equality *bit*
+equality rather than approximate.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -45,7 +51,10 @@ from repro.resilience.journal import (
     FrameDigest,
     JournalContents,
     JournalWriter,
+    checksummed_json,
+    history_cursor,
     read_journal,
+    record_crc,
 )
 
 if TYPE_CHECKING:  # avoids a resilience <-> simulation import cycle
@@ -60,21 +69,20 @@ __all__ = [
     "CheckpointStore",
     "DurabilityConfig",
     "DurabilityManager",
+    "ResumePoint",
     "resume_simulation",
 ]
 
-#: Schema version stamped into every snapshot envelope.  /2 replaced
-#: the flat ``telemetry`` dict with the dispatcher-owned ``dispatch``
-#: payload (``Dispatcher.state_payload``); /1 snapshots are refused
-#: rather than guessed at, per the version-skew policy below.
-CHECKPOINT_SCHEMA = "repro-checkpoint/2"
+#: Schema version stamped into every snapshot envelope.  /3 moved the
+#: run history (outcomes, assignments, frame stats, resilience and audit
+#: records) out of the snapshot into the journal, leaving a history
+#: cursor, and appends the ``crc`` member instead of sorting it in.
+#: Older snapshots are refused rather than guessed at, per the
+#: version-skew policy below.
+CHECKPOINT_SCHEMA = "repro-checkpoint/3"
 
 _SNAPSHOT_PREFIX = "snap-"
 _JOURNAL_NAME = "journal.jsonl"
-
-
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,17 +137,22 @@ class CheckpointStore:
             return []
         return sorted(self.directory.glob(f"{_SNAPSHOT_PREFIX}*.json"))
 
+    def _temporaries(self) -> list[Path]:
+        """Snapshot temporaries a crash mid-write left behind."""
+        if not self.directory.exists():
+            return []
+        return list(self.directory.glob(f"{_SNAPSHOT_PREFIX}*.json.tmp"))
+
     def write(self, frame: int, envelope: dict) -> Path:
         """Atomically persist one snapshot envelope and prune old ones."""
         self.directory.mkdir(parents=True, exist_ok=True)
         body = dict(envelope)
         body["schema"] = CHECKPOINT_SCHEMA
         body["frame"] = frame
-        body["crc"] = zlib.crc32(_canonical(body).encode("utf-8"))
         path = self._snapshot_path(frame)
         tmp = path.with_suffix(".json.tmp")
         with tmp.open("w", encoding="utf-8") as handle:
-            handle.write(_canonical(body))
+            handle.write(checksummed_json(body))
             handle.flush()
             os.fsync(handle.fileno())
         tmp.replace(path)
@@ -148,7 +161,7 @@ class CheckpointStore:
 
     def _prune(self) -> None:
         paths = self.snapshot_paths()
-        for stale in paths[: max(0, len(paths) - self.keep)]:
+        for stale in paths[: max(0, len(paths) - self.keep)] + self._temporaries():
             stale.unlink(missing_ok=True)
 
     def _load(self, path: Path) -> dict:
@@ -159,7 +172,7 @@ class CheckpointStore:
         if not isinstance(body, dict) or "crc" not in body:
             raise CheckpointError(f"{path}: snapshot has no checksum")
         claimed = body.pop("crc")
-        actual = zlib.crc32(_canonical(body).encode("utf-8"))
+        actual = record_crc(body)
         if claimed != actual:
             raise CheckpointError(
                 f"{path}: snapshot checksum mismatch (stored {claimed}, computed {actual})"
@@ -193,9 +206,20 @@ class CheckpointStore:
         return None
 
     def clear(self) -> None:
-        """Delete every snapshot file (fresh-run initialization)."""
-        for path in self.snapshot_paths():
+        """Delete every snapshot file and torn temporary (fresh-run
+        initialization)."""
+        for path in self.snapshot_paths() + self._temporaries():
             path.unlink(missing_ok=True)
+
+
+@dataclass(frozen=True, slots=True)
+class ResumePoint:
+    """Where a resumed run restarts: the newest snapshot's ``state``
+    payload and the journal ``history`` rows of frames ``0..frame`` it
+    presumes, one dict per frame (see :mod:`repro.resilience.journal`)."""
+
+    state: dict
+    history: list[dict]
 
 
 @dataclass(slots=True)
@@ -306,9 +330,10 @@ class DurabilityManager:
             self.crash_plan.execute(frame, phase)
 
     def commit_frame(
-        self, digest: FrameDigest, state_payload: Callable[[], dict]
+        self, digest: FrameDigest, rows: dict, state_payload: Callable[[], dict]
     ) -> None:
-        """Journal one completed frame; checkpoint and crash-check after.
+        """Journal one completed frame's digest and history ``rows``;
+        checkpoint and crash-check after.
 
         On a resumed run, frames the journal already holds are *verified*
         against their journaled digests instead of re-appended; a
@@ -336,7 +361,7 @@ class DurabilityManager:
                 )
             replay.verified += 1
         else:
-            writer.write_frame(digest)
+            writer.write_frame(digest, rows)
         if (digest.frame + 1) % self.config.checkpoint_every_frames == 0:
             self._write_snapshot(digest.frame, state_payload(), finished=False)
         self.crash_point(digest.frame, "boundary")
@@ -392,9 +417,11 @@ def resume_simulation(
 ) -> "SimulationResult":
     """Recover an interrupted run from its durability directory.
 
-    Loads the newest valid snapshot, restores the engine state it
-    carries, replays the remaining frames while verifying each against
-    the journaled digests, and returns the completed
+    Loads the newest valid snapshot, checks the journal prefix through
+    its frame against the snapshot's history cursor, rebuilds the
+    history from that prefix and restores the mutable state the
+    snapshot carries, replays the remaining frames while verifying each
+    against the journaled digests, and returns the completed
     :class:`~repro.simulation.engine.SimulationResult` — bit-identical
     (summary, outcomes, assignments) to the run that was interrupted.
 
@@ -409,7 +436,8 @@ def resume_simulation(
     :class:`~repro.core.errors.ResumeError` when no manager is
     installed, there is nothing to resume (without ``fresh_ok``),
     snapshots exist without a journal, the journal already records a
-    completed run, the snapshot is ahead of the journal frontier, or a
+    completed run, the snapshot is ahead of the journal frontier, the
+    journal prefix disagrees with the snapshot's history cursor, or a
     replayed frame's digest diverges;
     :class:`~repro.core.errors.JournalCorruptionError` /
     :class:`~repro.core.errors.JournalSchemaError` propagate unchanged
@@ -435,7 +463,7 @@ def resume_simulation(
             "nothing to resume (start a fresh run to recompute it)"
         )
     snapshot = manager.store.latest_valid()
-    state: dict | None = None
+    point: ResumePoint | None = None
     snapshot_frame = -1
     if snapshot is not None:
         snapshot_frame = int(snapshot["frame"])
@@ -446,6 +474,15 @@ def resume_simulation(
                 "torn tail — refusing to resume"
             )
         state = snapshot["state"]
+        digests, history = journal.prefix(snapshot_frame)
+        cursor = history_cursor(digests, history)
+        if cursor != state.get("history") or cursor["frames"] != snapshot_frame + 1:
+            raise ResumeError(
+                f"journal prefix through frame {snapshot_frame} ends at history "
+                f"cursor {cursor}, but the snapshot presumes {state.get('history')}; "
+                "refusing to rebuild a history the snapshot does not describe"
+            )
+        point = ResumePoint(state=state, history=history)
 
     policy = simulator.resilience
     if (
@@ -463,4 +500,4 @@ def resume_simulation(
         )
 
     manager.prepare_resume(journal, snapshot_frame)
-    return simulator.run(taxis, requests, _resume=state)
+    return simulator.run(taxis, requests, _resume=point)

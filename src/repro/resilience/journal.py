@@ -2,15 +2,27 @@
 
 A month-scale simulation (1,445,285 requests, ~44k frames) must survive
 a crash at frame 40,000 without losing everything.  The journal is the
-write-ahead half of that story: one JSONL record per completed frame,
-carrying a compact *outcome digest* — the frame's matched pairs folded
-into a CRC, a running cumulative CRC over every assignment so far, the
-queue/idle/dispatch counters, the resilience rung that served the
-frame, and (when a fault injector is installed) a fingerprint of its
-seeded RNG state.  On recovery the engine replays the frames after the
-latest snapshot and verifies each replayed frame against its journaled
-digest, so a resumed run is *proven* bit-identical to the uninterrupted
-one rather than assumed.
+write-ahead half of that story and the run's durable history: one JSONL
+record per completed frame, carrying
+
+* a compact *outcome digest* (:class:`FrameDigest`) — the frame's
+  matched pairs folded into a CRC, a running cumulative CRC over every
+  assignment so far, the queue/idle/dispatch counters, the resilience
+  rung that served the frame, and (when a fault injector is installed)
+  a fingerprint of its seeded RNG state;
+* the frame's ``rows`` — every history row the frame appended, as
+  JSON values: its assignment records, the request outcomes it
+  resolved (dispatched or abandoned; each outcome is written by
+  exactly one frame), its frame statistics, and its resilience and
+  stability-audit records when it has them.  The simulation core
+  defines the row layout (:meth:`~repro.simulation.core.RunCore.frame_rows`);
+  the journal carries it opaquely.
+
+Snapshots therefore never repeat history: on recovery the engine
+rebuilds it from the journal prefix up to the newest snapshot, then
+replays the frames after it and verifies each replayed frame against
+its journaled digest, so a resumed run is *proven* bit-identical to the
+uninterrupted one rather than assumed.
 
 Failure semantics are deliberately asymmetric:
 
@@ -24,12 +36,13 @@ Failure semantics are deliberately asymmetric:
   whose semantics this build does not know would verify the wrong
   thing, so version skew is a hard refusal.
 
-Records are canonical JSON (sorted keys, no whitespace) with a ``crc``
-field holding the CRC-32 of the record serialized *without* it; a
-flipped byte anywhere in a line therefore fails validation.  Appends
-are flushed to the OS on every record, which survives SIGKILL; callers
-that must survive power loss enable per-append fsync via
-:class:`JournalWriter`'s ``fsync_every_append``.
+Each line is the record's canonical JSON (sorted keys, no whitespace)
+with a ``crc`` member appended last, holding the CRC-32 of that
+canonical text; the text is serialized once and the checksum spliced
+onto it.  A flipped byte anywhere in a line — rows included — therefore
+fails validation.  Appends are flushed to the OS on every record, which
+survives SIGKILL; callers that must survive power loss enable
+per-append fsync via :class:`JournalWriter`'s ``fsync_every_append``.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ from __future__ import annotations
 import json
 import warnings
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from os import fsync
 from pathlib import Path
 from types import TracebackType
@@ -50,13 +63,18 @@ __all__ = [
     "FrameDigest",
     "JournalContents",
     "JournalWriter",
+    "checksummed_json",
     "frame_pairs_crc",
+    "history_cursor",
     "read_journal",
+    "record_crc",
 ]
 
 #: Schema version stamped into every journal header; readers hard-refuse
 #: anything else (see :class:`~repro.core.errors.JournalSchemaError`).
-JOURNAL_SCHEMA = "repro-journal/1"
+#: /2 added each frame's history ``rows`` to its record and appends the
+#: ``crc`` member last instead of sorting it in.
+JOURNAL_SCHEMA = "repro-journal/2"
 
 _RECORD_KINDS = ("header", "frame", "resume", "end")
 
@@ -66,10 +84,41 @@ def _canonical(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+def record_crc(record: dict) -> int:
+    """CRC-32 of ``record``'s canonical JSON (``record`` without ``crc``)."""
+    return zlib.crc32(_canonical(record).encode("utf-8"))
+
+
+def checksummed_json(record: dict) -> str:
+    """``record``'s canonical JSON with a trailing ``crc`` member: the
+    CRC-32 of the canonical text, which is serialized only once.
+
+    The reader verifies layout-independently (it re-canonicalizes the
+    record without ``crc``), so the member's position is free.
+    ``record`` must be non-empty.
+    """
+    text = _canonical(record)
+    return f'{text[:-1]},"crc":{zlib.crc32(text.encode("utf-8"))}}}'
+
+
 def _checksummed_line(record: dict) -> str:
-    body = dict(record)
-    body["crc"] = zlib.crc32(_canonical(record).encode("utf-8"))
-    return _canonical(body) + "\n"
+    return checksummed_json(record) + "\n"
+
+
+def history_cursor(frames: list[FrameDigest], rows: list[dict]) -> dict[str, int]:
+    """Where a journal prefix leaves the run history: its frame count,
+    assignment and resolved-outcome row counts, and final ``cum_crc``.
+
+    A snapshot records the same cursor for the history it presumes
+    (:meth:`~repro.simulation.core.RunCore.state_payload`), so a resume
+    can prove the journal prefix is exactly that history.
+    """
+    return {
+        "frames": len(frames),
+        "assignments": sum(len(r.get("assignments", ())) for r in rows),
+        "outcomes": sum(len(r.get("outcomes", ())) for r in rows),
+        "cum_crc": frames[-1].cum_crc if frames else 0,
+    }
 
 
 def frame_pairs_crc(pairs: list[tuple[int, int]], *, seed: int = 0) -> int:
@@ -123,7 +172,9 @@ class FrameDigest:
     def to_record(self) -> dict:
         """This digest as a journal record (``kind="frame"``, no crc —
         the writer adds the checksum at append time)."""
-        record = asdict(self)
+        # A flat field copy: ``asdict``'s recursive deep copy costs more
+        # than serializing the record.
+        record = {f.name: getattr(self, f.name) for f in fields(self)}
         record["kind"] = "frame"
         return record
 
@@ -147,7 +198,8 @@ class JournalContents:
     before appending across a resume, the writer truncates the journal
     to this offset so a torn tail can never merge with a new record.
     ``needs_newline`` marks a final record that parsed but lost its
-    terminating newline.
+    terminating newline.  ``rows[i]`` holds the history rows journaled
+    with ``frames[i]`` (an empty dict for a record written without any).
     """
 
     header: dict
@@ -157,11 +209,20 @@ class JournalContents:
     truncated_tail: bool
     valid_bytes: int = 0
     needs_newline: bool = False
+    rows: list[dict] = field(default_factory=list)
 
     @property
     def last_frame(self) -> int:
         """Index of the newest journaled frame; -1 for an empty journal."""
         return self.frames[-1].frame if self.frames else -1
+
+    def prefix(self, frame: int) -> tuple[list[FrameDigest], list[dict]]:
+        """The digests and rows of every record for frames up to ``frame``
+        (records are in frame order: replays verify, never re-append)."""
+        count = 0
+        while count < len(self.frames) and self.frames[count].frame <= frame:
+            count += 1
+        return self.frames[:count], self.rows[:count]
 
     def frames_by_index(self) -> dict[int, FrameDigest]:
         """Frame records keyed by frame index (replays verify against
@@ -202,9 +263,13 @@ class JournalWriter:
         record.update(run_meta)
         self._append(record)
 
-    def write_frame(self, digest: FrameDigest) -> None:
-        """Append one committed frame's outcome digest."""
-        self._append(digest.to_record())
+    def write_frame(self, digest: FrameDigest, rows: dict | None = None) -> None:
+        """Append one committed frame's outcome digest and the history
+        ``rows`` it appended (JSON values; see the module docstring)."""
+        record = digest.to_record()
+        if rows is not None:
+            record["rows"] = rows
+        self._append(record)
 
     def write_resume(self, *, from_frame: int, snapshot_frame: int) -> None:
         """Append a resume marker: replay restarted at ``from_frame``
@@ -265,7 +330,7 @@ def _parse_line(line: str, line_no: int, path: Path) -> dict:
     if not isinstance(record, dict) or "crc" not in record:
         raise JournalCorruptionError(f"{path}: line {line_no} has no checksum field")
     claimed = record.pop("crc")
-    actual = zlib.crc32(_canonical(record).encode("utf-8"))
+    actual = record_crc(record)
     if claimed != actual:
         raise JournalCorruptionError(
             f"{path}: line {line_no} checksum mismatch "
@@ -336,11 +401,16 @@ def read_journal(path: Path | str) -> JournalContents:
         )
 
     frames: list[FrameDigest] = []
+    rows: list[dict] = []
     resumes: list[dict] = []
     end: dict | None = None
     for record in records[1:]:
         kind = record["kind"]
         if kind == "frame":
+            frame_rows = record.pop("rows", {})
+            if not isinstance(frame_rows, dict):
+                raise JournalCorruptionError(f"{path}: frame record rows are not an object")
+            rows.append(frame_rows)
             try:
                 frames.append(FrameDigest.from_record(record))
             except TypeError as exc:
@@ -361,4 +431,5 @@ def read_journal(path: Path | str) -> JournalContents:
         truncated_tail=truncated_tail,
         valid_bytes=valid_bytes,
         needs_newline=needs_newline,
+        rows=rows,
     )

@@ -9,6 +9,12 @@ queue, outcomes, assignments, per-frame statistics and the run's
 steps over it: admit, expire, idle, execute, record, snapshot/restore
 and result assembly.
 
+The history (assignments, resolved outcomes, frame statistics) only
+ever grows.  :meth:`RunCore.frame_rows` hands each frame's new rows to
+the journal, and :meth:`RunCore.state_payload` carries only the mutable
+state plus a cursor into that history, so a snapshot stays
+O(fleet + queue) however long the run.
+
 The engines differ only in the clock that drives those steps: the batch
 :class:`~repro.simulation.engine.Simulator` walks fixed frames, the
 :class:`~repro.streaming.engine.StreamingEngine` pops arrivals and
@@ -242,14 +248,21 @@ class RunCore:
         # request times are non-decreasing along the queue.
         self.queue: dict[int, PassengerRequest] = {}
         self.assignments: list[AssignmentRecord] = []
+        #: Outcomes in the order they resolved (abandoned or dispatched);
+        #: each frame's resolutions are a suffix, which frame_rows reads.
+        self.resolved: list[RequestOutcome] = []
         self.frame_stats: list[FrameStats] = []
         # The run's distance memo: idle() opens each frame, solvers read it.
         self.cache = FrameDistanceCache(oracle)
         self.time_s = 0.0
-        self.frames_run = 0
         #: Running CRC chained over every frame's assignment pairs; the
         #: journal's cross-frame integrity digest.
         self.cum_crc = 0
+
+    @property
+    def frames_run(self) -> int:
+        """Frames (or epochs) recorded so far."""
+        return len(self.frame_stats)
 
     def advance(self, step_s: float) -> None:
         """Move the run clock forward by one frame (or epoch) length."""
@@ -298,7 +311,9 @@ class RunCore:
             expired.append(rid)
         for rid in expired:
             del self.queue[rid]
-            self.outcomes_by_id[rid].abandoned = True
+            outcome = self.outcomes_by_id[rid]
+            outcome.abandoned = True
+            self.resolved.append(outcome)
         self.cache.retire_requests(expired)
         return len(expired)
 
@@ -453,6 +468,7 @@ class RunCore:
         outcome.taxi_id = agent.taxi_id
         outcome.group_size = 1
         outcome.passenger_dissatisfaction = pickup_km + dcfg.beta * detour
+        self.resolved.append(outcome)
         del self.queue[rid]
         self._commit(
             agent,
@@ -491,6 +507,7 @@ class RunCore:
             outcome.taxi_id = agent.taxi_id
             outcome.group_size = len(rids)
             outcome.passenger_dissatisfaction = metrics.passenger_dissatisfaction[rid]
+            self.resolved.append(outcome)
             del self.queue[rid]
         self._commit(
             agent,
@@ -535,7 +552,6 @@ class RunCore:
             dispatch_ms=dispatch_ms,
         )
         self.frame_stats.append(stats)
-        self.frames_run += 1
         return stats
 
     def chain_crc(self, stats: FrameStats) -> int:
@@ -549,55 +565,74 @@ class RunCore:
         self.cum_crc = frame_pairs_crc(frame_pairs, seed=self.cum_crc)
         return frame_pairs_crc(frame_pairs)
 
-    def state_payload(self) -> dict[str, Any]:
-        """The run state a resumed run needs, as pure JSON values.
+    def frame_rows(self, stats: FrameStats) -> dict[str, Any]:
+        """The history rows the frame ``stats`` recorded appended, as pure
+        JSON values: the journal record that makes them durable.
 
-        Only touched outcomes travel; the rest reconstruct from the
-        trace.  The engine adds its own collaborators' state.
+        The frame's assignments and resolved outcomes are the suffixes
+        its dispatch and abandonment counts name.
+        """
+        assigned = self.assignments[len(self.assignments) - stats.dispatched_taxis:]
+        resolved = self.resolved[
+            len(self.resolved) - stats.dispatched_requests - stats.abandoned:
+        ]
+        return {
+            "assignments": [
+                [r.frame_time_s, r.taxi_id, list(r.request_ids),
+                 r.taxi_dissatisfaction, r.total_drive_km, r.revenue_km]
+                for r in assigned
+            ],
+            "outcomes": [
+                [o.request_id, o.dispatch_time_s, o.pickup_time_s,
+                 o.dropoff_time_s, o.passenger_dissatisfaction,
+                 o.group_size, o.taxi_id, o.abandoned]
+                for o in resolved
+            ],
+            "stats": [stats.time_s, stats.queue_length, stats.idle_taxis,
+                      stats.dispatched_requests, stats.dispatched_taxis,
+                      stats.abandoned, stats.dispatch_ms],
+        }
+
+    def state_payload(self) -> dict[str, Any]:
+        """The mutable run state a resumed run needs, as pure JSON values.
+
+        The history is not repeated: the journal holds it, frame by
+        frame (:meth:`frame_rows`), and ``history`` is the cursor of the
+        journal prefix this state presumes.  The engine adds its own
+        collaborators' state.
         """
         return {
             "time_s": self.time_s,
-            "frames_run": self.frames_run,
             "arrival_cursor": self.arrival_cursor,
-            "cum_crc": self.cum_crc,
             "queue": list(self.queue.keys()),
             "agents": [
                 [a.taxi_id, a.location.x, a.location.y, a.available_at_s,
                  a.total_driven_km, a.completed_trips, a.served_requests]
                 for a in self.agent_list
             ],
-            "outcomes": [
-                [o.request_id, o.dispatch_time_s, o.pickup_time_s,
-                 o.dropoff_time_s, o.passenger_dissatisfaction,
-                 o.group_size, o.taxi_id, o.abandoned]
-                for o in self.outcomes
-                if o.dispatch_time_s is not None or o.abandoned
-            ],
-            "assignments": [
-                [r.frame_time_s, r.taxi_id, list(r.request_ids),
-                 r.taxi_dissatisfaction, r.total_drive_km, r.revenue_km]
-                for r in self.assignments
-            ],
-            "frame_stats": [
-                [f.time_s, f.queue_length, f.idle_taxis,
-                 f.dispatched_requests, f.dispatched_taxis, f.abandoned,
-                 f.dispatch_ms]
-                for f in self.frame_stats
-            ],
+            "history": {
+                "frames": len(self.frame_stats),
+                "assignments": len(self.assignments),
+                "outcomes": len(self.resolved),
+                "cum_crc": self.cum_crc,
+            },
         }
 
-    def restore_state(self, payload: Mapping[str, Any]) -> None:
-        """Adopt a :meth:`state_payload` snapshot wholesale.
+    def restore_state(
+        self, payload: Mapping[str, Any], history: Sequence[Mapping[str, Any]]
+    ) -> None:
+        """Adopt a :meth:`state_payload` snapshot and rebuild the history
+        from ``history``, the journal's :meth:`frame_rows` of every frame
+        the snapshot presumes.
 
-        All floats crossed the snapshot as JSON (shortest-repr round
-        trip, exact), so the restored run is *bit*-identical to the
-        interrupted one, not approximately so.  The clock is left at the
-        snapshot's frame; the engine advances it.
+        All floats crossed the snapshot and the journal as JSON
+        (shortest-repr round trip, exact), so the restored run is
+        *bit*-identical to the interrupted one, not approximately so.
+        The clock is left at the snapshot's frame; the engine advances
+        it.
         """
         self.time_s = float(payload["time_s"])
-        self.frames_run = int(payload["frames_run"])
         self.arrival_cursor = int(payload["arrival_cursor"])
-        self.cum_crc = int(payload["cum_crc"])
         requests_by_id = {r.request_id: r for r in self.ordered}
         for rid in payload["queue"]:
             self.queue[rid] = requests_by_id[rid]
@@ -611,20 +646,23 @@ class RunCore:
             agent.served_requests = served
         self.snapshots[:] = [agent.snapshot() for agent in self.agent_list]
         self.available_at[:] = [agent.available_at_s for agent in self.agent_list]
-        for row in payload["outcomes"]:
-            outcome = self.outcomes_by_id[row[0]]
-            outcome.dispatch_time_s = row[1]
-            outcome.pickup_time_s = row[2]
-            outcome.dropoff_time_s = row[3]
-            outcome.passenger_dissatisfaction = row[4]
-            outcome.group_size = row[5]
-            outcome.taxi_id = row[6]
-            outcome.abandoned = row[7]
-        self.assignments.extend(
-            AssignmentRecord(row[0], row[1], tuple(row[2]), row[3], row[4], row[5])
-            for row in payload["assignments"]
-        )
-        self.frame_stats.extend(FrameStats(*row) for row in payload["frame_stats"])
+        for rows in history:
+            self.assignments.extend(
+                AssignmentRecord(row[0], row[1], tuple(row[2]), row[3], row[4], row[5])
+                for row in rows["assignments"]
+            )
+            for row in rows["outcomes"]:
+                outcome = self.outcomes_by_id[row[0]]
+                outcome.dispatch_time_s = row[1]
+                outcome.pickup_time_s = row[2]
+                outcome.dropoff_time_s = row[3]
+                outcome.passenger_dissatisfaction = row[4]
+                outcome.group_size = row[5]
+                outcome.taxi_id = row[6]
+                outcome.abandoned = row[7]
+                self.resolved.append(outcome)
+            self.frame_stats.append(FrameStats(*rows["stats"]))
+        self.cum_crc = int(payload["history"]["cum_crc"])
 
     def result(
         self,

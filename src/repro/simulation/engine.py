@@ -14,7 +14,8 @@ the trace generators.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
+from dataclasses import fields
 from functools import partial
 from typing import Any
 
@@ -31,7 +32,7 @@ from repro.core.types import DispatchSchedule, PassengerRequest, Taxi
 from repro.dispatch.base import Dispatcher
 from repro.geometry.distance import DistanceOracle
 from repro.resilience.auditor import StabilityAuditor
-from repro.resilience.checkpoint import DurabilityManager
+from repro.resilience.checkpoint import DurabilityManager, ResumePoint
 from repro.resilience.journal import FrameDigest
 from repro.resilience.ladder import ResiliencePolicy, Rung
 from repro.resilience.report import (
@@ -44,6 +45,11 @@ from repro.simulation.core import RunCore, SimulationResult
 from repro.simulation.repositioning import RepositioningPolicy
 
 __all__ = ["Simulator", "SimulationResult"]
+
+
+def _row(record: FrameResilienceRecord | StabilityAuditRecord) -> list[Any]:
+    """A flat record as a journal row: its fields in constructor order."""
+    return [getattr(record, f.name) for f in fields(record)]
 
 
 class Simulator:
@@ -75,16 +81,16 @@ class Simulator:
         taxis: Sequence[Taxi],
         requests: Sequence[PassengerRequest],
         *,
-        _resume: dict | None = None,
+        _resume: ResumePoint | None = None,
     ) -> SimulationResult:
         """Simulate until every request resolves or the horizon+overrun ends.
 
         ``_resume`` is the crash-recovery entry point (use
         :func:`~repro.resilience.checkpoint.resume_simulation`, not this
-        parameter directly): the snapshot's state payload to restore
-        before the frame loop starts.  Replayed frames are verified
-        against the journal by the installed
-        :class:`~repro.resilience.checkpoint.DurabilityManager`.
+        parameter directly): the snapshot's state payload and the
+        journaled history it presumes, restored before the frame loop
+        starts.  Replayed frames are verified against the journal by the
+        installed :class:`~repro.resilience.checkpoint.DurabilityManager`.
         """
         config = self.sim_config
         core = RunCore(taxis, requests, self.oracle, config, self.dispatcher.config)
@@ -134,7 +140,7 @@ class Simulator:
             raise SimulationError("_resume state requires a DurabilityManager")
         if _resume is not None:
             self._restore_state(core, report, _resume)
-        state_payload = partial(self._state_payload, core, report)
+        state_payload = partial(self._state_payload, core)
 
         core.advance(frame)
         while core.time_s <= deadline:
@@ -218,12 +224,17 @@ class Simulator:
                     audited=audit_record is not None,
                     divergence=audit_record.diverged if audit_record is not None else False,
                 )
+                rows = core.frame_rows(stats)
+                if frame_record is not None:
+                    rows["resilience"] = _row(frame_record)
+                if audit_record is not None:
+                    rows["audit"] = _row(audit_record)
                 # A mid-frame crash loses this frame's journal record:
                 # resume replays it from the previous checkpoint.  The
                 # boundary crash point (after append + checkpoint) lives
                 # inside commit_frame.
                 durability.crash_point(frame_index, "mid-frame")
-                durability.commit_frame(digest, state_payload)
+                durability.commit_frame(digest, rows, state_payload)
             # Past the horizon no new requests arrive; stop as soon as the
             # queue drains (or patience will clear it).
             if time_s >= config.horizon_s and core.drained:
@@ -269,29 +280,17 @@ class Simulator:
             stability_audit=auditor.report if auditor is not None else None,
         )
 
-    def _state_payload(
-        self, core: RunCore, report: ResilienceReport | None
-    ) -> dict[str, Any]:
-        """Everything a resumed run needs, as pure JSON values.
+    def _state_payload(self, core: RunCore) -> dict[str, Any]:
+        """The mutable state a resumed run needs, as pure JSON values.
 
-        Warm solver state is deliberately absent: resume restarts that
-        path cold, which is proven bit-identical (DESIGN.md §10) and
-        keeps snapshots solver-agnostic.
+        History — the resilience and audit records included — is the
+        journal's (:meth:`run` hands each frame's rows to
+        ``commit_frame``).  Warm solver state is deliberately absent:
+        resume restarts that path cold, which is proven bit-identical
+        (DESIGN.md §10) and keeps snapshots solver-agnostic.
         """
         payload = core.state_payload()
         payload["dispatch"] = self.dispatcher.state_payload()
-        if report is not None:
-            payload["resilience"] = [
-                [r.time_s, r.rung, r.rung_index, r.trigger, r.attempts,
-                 r.faults, r.budget_s, r.elapsed_s]
-                for r in report.frames
-            ]
-        if self.auditor is not None:
-            payload["audit"] = [
-                [r.time_s, r.frame, r.mode, r.requests, r.taxis,
-                 r.blocking_pairs, r.diverged, r.healed, r.audit_ms]
-                for r in self.auditor.report.frames
-            ]
         policy = self.resilience
         if policy is not None and policy.fault_injector is not None:
             payload["fault_injector"] = policy.fault_injector.state_payload()
@@ -300,16 +299,17 @@ class Simulator:
         return payload
 
     def _restore_state(
-        self, core: RunCore, report: ResilienceReport | None, payload: Mapping[str, Any]
+        self, core: RunCore, report: ResilienceReport | None, point: ResumePoint
     ) -> None:
-        """Adopt a :meth:`_state_payload` snapshot (crash recovery)."""
-        core.restore_state(payload)
-        if report is not None:
-            for row in payload.get("resilience") or []:
-                report.record(FrameResilienceRecord(*row))
-        if self.auditor is not None:
-            for row in payload.get("audit") or []:
-                self.auditor.report.record(StabilityAuditRecord(*row))
+        """Adopt a :meth:`_state_payload` snapshot and rebuild the history
+        from its journal prefix (crash recovery)."""
+        payload = point.state
+        core.restore_state(payload, point.history)
+        for rows in point.history:
+            if report is not None and "resilience" in rows:
+                report.record(FrameResilienceRecord(*rows["resilience"]))
+            if self.auditor is not None and "audit" in rows:
+                self.auditor.report.record(StabilityAuditRecord(*rows["audit"]))
         self.dispatcher.restore_state(payload.get("dispatch") or {})
         policy = self.resilience
         if policy is not None and policy.fault_injector is not None:

@@ -50,6 +50,22 @@ class TestStore:
         kept = [p.name for p in store.snapshot_paths()]
         assert kept == ["snap-00000003.json", "snap-00000004.json", "snap-00000005.json"]
 
+    def test_prune_sweeps_torn_temporaries(self, store, tmp_path):
+        torn = tmp_path / "snap-00000002.json.tmp"
+        torn.write_text('{"frame":2,"fin')
+        store.write(3, {"state": state(3)})
+        assert not torn.exists()
+        assert [p.name for p in store.snapshot_paths()] == ["snap-00000003.json"]
+
+    def test_snapshot_is_canonical_json_with_trailing_checksum(self, store):
+        path = store.write(6, {"state": state(6)})
+        text = path.read_text()
+        body = json.loads(text)
+        claimed = body.pop("crc")
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        assert text == f'{canonical[:-1]},"crc":{claimed}}}'
+        assert CHECKPOINT_SCHEMA == "repro-checkpoint/3"
+
     def test_damaged_snapshot_is_skipped_with_warning(self, store):
         store.write(1, {"state": state(1)})
         newest = store.write(2, {"state": state(2)})
@@ -105,9 +121,13 @@ class TestManagerGuards:
     def test_fresh_run_replaces_stale_artifacts(self, tmp_path):
         manager = DurabilityManager(DurabilityConfig(tmp_path))
         manager.store.write(9, {"state": state(9)})
+        # A snapshot temporary torn by a crash mid-write.
+        torn = tmp_path / "snap-00000010.json.tmp"
+        torn.write_text('{"frame":10,"fin')
         manager.journal_path.write_text("stale\n")
         manager.begin_run({"dispatcher": "NSTD-P"}, resuming=False)
         assert manager.store.snapshot_paths() == []
+        assert not torn.exists()
         from repro.resilience import read_journal
 
         assert read_journal(manager.journal_path).header["dispatcher"] == "NSTD-P"

@@ -19,6 +19,7 @@ from repro.resilience import (
     frame_pairs_crc,
     read_journal,
 )
+from repro.resilience.journal import history_cursor
 
 
 def digest(frame, pairs, *, cum=0):
@@ -49,6 +50,29 @@ def journal_path(tmp_path):
     return path
 
 
+def rows(frame, pairs):
+    """History rows in the engine's layout (values are arbitrary here)."""
+    return {
+        "assignments": [[frame * 30.0, tid, [rid], -1.25, 3.5, 2.25] for rid, tid in pairs],
+        "outcomes": [[rid, frame * 30.0, 100.0, 400.0, 0.75, 1, tid, False]
+                     for rid, tid in pairs],
+        "stats": [frame * 30.0, 3, 5, len(pairs), len(pairs), 0, 0.125],
+    }
+
+
+@pytest.fixture()
+def rows_journal_path(tmp_path):
+    path = tmp_path / "journal.jsonl"
+    with JournalWriter(path) as writer:
+        writer.write_header({"dispatcher": "NSTD-P", "n_taxis": 4, "n_requests": 9})
+        cum = 0
+        for frame in range(3):
+            pairs = [(frame * 10 + 1, 2), (frame * 10 + 3, 4)]
+            writer.write_frame(digest(frame, pairs, cum=cum), rows(frame, pairs))
+            cum = frame_pairs_crc(pairs, seed=cum)
+    return path
+
+
 class TestRoundTrip:
     def test_written_journal_reads_back_exactly(self, journal_path):
         contents = read_journal(journal_path)
@@ -69,6 +93,22 @@ class TestRoundTrip:
         contents = read_journal(journal_path)
         assert contents.end is not None
         assert contents.end["frames"] == 3
+
+    def test_frame_rows_read_back_with_their_digest(self, rows_journal_path):
+        contents = read_journal(rows_journal_path)
+        assert [d.frame for d in contents.frames] == [0, 1, 2]
+        assert contents.rows[1] == rows(1, [(11, 2), (13, 4)])
+        digests, prefix_rows = contents.prefix(1)
+        assert [d.frame for d in digests] == [0, 1]
+        assert history_cursor(digests, prefix_rows) == {
+            "frames": 2,
+            "assignments": 4,
+            "outcomes": 4,
+            "cum_crc": contents.frames[1].cum_crc,
+        }
+
+    def test_records_without_rows_read_back_empty(self, journal_path):
+        assert read_journal(journal_path).rows == [{}, {}, {}]
 
     def test_pairs_crc_is_order_invariant(self):
         forward = frame_pairs_crc([(1, 2), (3, 4), (5, 6)])
@@ -119,6 +159,17 @@ class TestCorruption:
         with pytest.raises(JournalCorruptionError, match="checksum mismatch"):
             read_journal(journal_path)
 
+    def test_flipped_byte_inside_frame_rows_raises(self, rows_journal_path):
+        raw = bytearray(rows_journal_path.read_bytes())
+        # Change one outcome's pickup time in the first frame's rows; the
+        # line stays valid JSON, so only the checksum can catch it.
+        second_line_start = raw.index(b"\n") + 1
+        target = raw.index(b"100.0", raw.index(b'"outcomes"', second_line_start))
+        raw[target] = ord("7")
+        rows_journal_path.write_bytes(bytes(raw))
+        with pytest.raises(JournalCorruptionError, match="checksum mismatch"):
+            read_journal(rows_journal_path)
+
     def test_unparseable_middle_line_raises(self, journal_path):
         lines = journal_path.read_text().splitlines(keepends=True)
         lines[2] = "not json at all\n"
@@ -159,4 +210,4 @@ class TestSchemaSkew:
         skewed.write_text("".join(lines))
         with pytest.raises(JournalSchemaError, match="repro-journal/99"):
             read_journal(skewed)
-        assert JOURNAL_SCHEMA == "repro-journal/1"
+        assert JOURNAL_SCHEMA == "repro-journal/2"
