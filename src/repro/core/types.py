@@ -129,6 +129,9 @@ class RideGroup:
         Distance along the route from the route start to each member's
         pickup, keyed by request id.  ``D_ck(t_i, r_j^s)`` is then
         ``D(t_i, route[0]) + pickup_offset_km[j]``.
+    total_passengers:
+        The members' combined party size, derived once at construction
+        (``dataclasses.replace`` recomputes it).
     """
 
     group_id: int
@@ -137,6 +140,7 @@ class RideGroup:
     route_length_km: float
     onboard_distance_km: dict[int, float] = field(hash=False)
     pickup_offset_km: dict[int, float] = field(hash=False)
+    total_passengers: int = field(init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -145,10 +149,6 @@ class RideGroup:
     @property
     def request_ids(self) -> tuple[int, ...]:
         return tuple(r.request_id for r in self.requests)
-
-    @property
-    def total_passengers(self) -> int:
-        return sum(r.passengers for r in self.requests)
 
     @property
     def route_start(self) -> Point:
@@ -164,12 +164,29 @@ class RideGroup:
         request = next(r for r in self.requests if r.request_id == request_id)
         return self.onboard_distance_km[request_id] - request.trip_distance(oracle)
 
+    def relabeled(self, group_id: int) -> "RideGroup":
+        """This group under another id, sharing every other field.
+
+        The dispatchers' group memo hands out one cached group per
+        frame; relabeling skips the re-validation and re-derivation of
+        ``dataclasses.replace``, which the cached group already passed.
+        """
+        clone = object.__new__(RideGroup)
+        for name in _RIDE_GROUP_FIELDS:
+            object.__setattr__(clone, name, getattr(self, name))
+        object.__setattr__(clone, "group_id", group_id)
+        return clone
+
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("a ride group must contain at least one request")
         ids = [r.request_id for r in self.requests]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate request ids in group {self.group_id}: {ids}")
+        object.__setattr__(self, "total_passengers", sum(r.passengers for r in self.requests))
+
+
+_RIDE_GROUP_FIELDS = tuple(RideGroup.__dataclass_fields__)
 
 
 @dataclass(frozen=True, slots=True)

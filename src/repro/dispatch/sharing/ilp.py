@@ -62,7 +62,14 @@ class ILPDispatcher(Dispatcher):
         self.node_limit = node_limit
         self.pairing_radius_km = pairing_radius_km
         self.max_batch = max_batch
+        # Cross-frame group memo, as in STDDispatcher.
         self._group_cache: dict = {}
+
+    def reset_warm_state(self, *, counters: bool = False) -> None:
+        """At run start (``counters=True``) drop the group memo: request
+        ids only identify requests within one run."""
+        if counters:
+            self._group_cache.clear()
 
     def dispatch(
         self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]

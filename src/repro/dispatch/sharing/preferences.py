@@ -13,18 +13,36 @@ non-sharing ones — a point the paper makes explicitly):
 
 Acceptability mirrors the non-sharing table: seat feasibility plus the
 two dummy thresholds.
+
+:func:`build_sharing_table` builds the whole units × taxis market on
+arrays and returns :class:`~repro.matching.arrays.PreferenceArrays`
+through the same CSR packer as the non-sharing fast path
+(:func:`~repro.matching.preferences.arrays_from_pairs`).  The approach
+matrix ``D(t_i, route start)`` is one ``exact=True`` kernel call; each
+unit's member terms (pickup offset, ``β·detour``), total trip, route
+length and party size become vectors; the seat rule is one broadcast
+mask.  The passenger score is accumulated member by member as
+``(A + offset_k) + β·detour_k`` and then divided by the member count —
+the scalar double loop's operations in its order — so every score, and
+hence every preference order, is IEEE-identical to that loop (kept in
+the test suite as the oracle).  Ties break by partner id.  The scalar
+:func:`group_passenger_score` / :func:`group_taxi_score` remain the
+per-pair definitions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.config import DispatchConfig
 from repro.core.errors import PreferenceError
 from repro.core.types import RideGroup, Taxi
 from repro.geometry.batch import oracle_pairwise
 from repro.geometry.distance import DistanceOracle
-from repro.matching.preferences import PreferenceTable
+from repro.matching.arrays import PreferenceArrays
+from repro.matching.preferences import arrays_from_pairs
 
 __all__ = ["build_sharing_table", "group_passenger_score", "group_taxi_score"]
 
@@ -55,85 +73,75 @@ def build_sharing_table(
     config: DispatchConfig | None = None,
     *,
     alpha_by_taxi: Mapping[int, float] | None = None,
-) -> PreferenceTable:
-    """Preference table with ride groups as proposers and taxis as reviewers.
+) -> PreferenceArrays:
+    """The sharing market with ride groups as proposers and taxis as
+    reviewers, as :class:`~repro.matching.arrays.PreferenceArrays`.
 
-    Unit ids are the groups' ``group_id`` values and must be unique.
-    ``alpha_by_taxi`` mirrors the non-sharing extension: a per-driver
-    fare coefficient (missing ids use ``config.alpha``).
+    Unit ids are the groups' ``group_id`` values and must be unique;
+    proposer index ``g`` is position ``g`` in ``units``, reviewer index
+    ``i`` position ``i`` in ``taxis``.  ``alpha_by_taxi`` mirrors the
+    non-sharing extension: a per-driver fare coefficient (missing ids
+    use ``config.alpha``).  Ties in score break by partner id.
     """
     config = config if config is not None else DispatchConfig()
-    alphas = {
-        taxi.taxi_id: (alpha_by_taxi or {}).get(taxi.taxi_id, config.alpha) for taxi in taxis
-    }
-    for taxi_id, alpha in alphas.items():
-        if alpha < 0.0:
-            raise PreferenceError(f"taxi {taxi_id} has negative alpha {alpha}")
-    unit_ids = [g.group_id for g in units]
-    if len(set(unit_ids)) != len(unit_ids):
+    alpha = np.array(
+        [(alpha_by_taxi or {}).get(t.taxi_id, config.alpha) for t in taxis], dtype=np.float64
+    )
+    for taxi, value in zip(taxis, alpha.tolist()):
+        if value < 0.0:
+            raise PreferenceError(f"taxi {taxi.taxi_id} has negative alpha {value}")
+    unit_ids = np.array([g.group_id for g in units], dtype=np.int64)
+    if len(np.unique(unit_ids)) != len(unit_ids):
         raise PreferenceError("duplicate group ids")
-    taxi_ids = [t.taxi_id for t in taxis]
-    if len(set(taxi_ids)) != len(taxi_ids):
+    taxi_ids = np.array([t.taxi_id for t in taxis], dtype=np.int64)
+    if len(np.unique(taxi_ids)) != len(taxi_ids):
         raise PreferenceError("duplicate taxi ids")
-
-    proposer_scores: dict[tuple[int, int], float] = {}
-    reviewer_scores: dict[tuple[int, int], float] = {}
-    by_unit: dict[int, list[tuple[float, int]]] = {g.group_id: [] for g in units}
-    by_taxi: dict[int, list[tuple[float, int]]] = {t.taxi_id: [] for t in taxis}
-
     if not units or not taxis:
-        approach = None
-    else:
-        # One batched kernel call replaces the two scalar approach-distance
-        # queries per (group, taxi) pair; exact=True keeps every score bit-
-        # identical to group_passenger_score / group_taxi_score, whose
-        # sources are taxi locations (D(taxi, route_start) — asymmetric
-        # oracles distinguish the direction).
-        approach = oracle_pairwise(
-            oracle,
-            sources=[t.location for t in taxis],
-            targets=[g.route_start for g in units],
-            exact=True,
+        no_pairs, no_scores = np.empty(0, dtype=np.intp), np.empty(0)
+        return arrays_from_pairs(
+            unit_ids, taxi_ids, rj=no_pairs, ti=no_pairs, pick=no_scores, driver=no_scores
         )
 
+    # A[i, g] = D(taxi i, route start of g): taxis are the sources, as in
+    # the scalar scores (asymmetric oracles distinguish the direction).
+    approach = oracle_pairwise(
+        oracle,
+        sources=[t.location for t in taxis],
+        targets=[g.route_start for g in units],
+        exact=True,
+    )
+    # Member terms: (unit position, pickup offset, β·detour) of each
+    # unit's k-th member, grouped by k.  Trip distances do not depend on
+    # the taxi; total_trip sums them in member order.
+    by_rank: list[list[tuple[int, float, float]]] = [[] for _ in range(max(g.size for g in units))]
+    total_trip = np.empty(len(units))
     for gi, group in enumerate(units):
-        # Trip distances (and hence detours) do not depend on the taxi;
-        # computing them once per group removes O(pairs·members) oracle
-        # calls.  Summation order matches group.total_trip_distance.
         trips = [request.trip_distance(oracle) for request in group.requests]
-        total_trip = sum(trips)
-        member_terms = [
-            (
-                group.pickup_offset_km[request.request_id],
-                config.beta * (group.onboard_distance_km[request.request_id] - trip),
-            )
-            for request, trip in zip(group.requests, trips)
-        ]
-        for ti, taxi in enumerate(taxis):
-            if group.total_passengers > taxi.seats:
-                continue
-            assert approach is not None
-            approach_km = float(approach[ti, gi])
-            total = 0.0
-            for offset, beta_detour in member_terms:
-                total += approach_km + offset + beta_detour
-            p_score = total / len(group.requests)
-            if p_score > config.passenger_threshold_km:
-                continue
-            t_score = (approach_km + group.route_length_km) - (
-                alphas[taxi.taxi_id] + 1.0
-            ) * total_trip
-            if t_score > config.taxi_threshold_km:
-                continue
-            proposer_scores[(group.group_id, taxi.taxi_id)] = p_score
-            reviewer_scores[(group.group_id, taxi.taxi_id)] = t_score
-            by_unit[group.group_id].append((p_score, taxi.taxi_id))
-            by_taxi[taxi.taxi_id].append((t_score, group.group_id))
+        total_trip[gi] = sum(trips)
+        offsets, onboard = group.pickup_offset_km, group.onboard_distance_km
+        for k, (request, trip) in enumerate(zip(group.requests, trips)):
+            rid = request.request_id
+            by_rank[k].append((gi, offsets[rid], config.beta * (onboard[rid] - trip)))
+    size = np.array([g.size for g in units], dtype=np.int64)
+    route_length = np.array([g.route_length_km for g in units], dtype=np.float64)
+    party = np.array([g.total_passengers for g in units], dtype=np.int64)
+    seats = np.array([t.seats for t in taxis], dtype=np.int64)
 
-    return PreferenceTable(
-        proposer_prefs={u: tuple(t for _, t in sorted(pairs)) for u, pairs in by_unit.items()},
-        reviewer_prefs={t: tuple(u for _, u in sorted(pairs)) for t, pairs in by_taxi.items()},
-        proposer_scores=proposer_scores,
-        reviewer_scores=reviewer_scores,
-        validate=False,
+    # Passenger score: the sum over members of (A + offset_k) + β·detour_k,
+    # accumulated member by member (the scalar order), over the size.
+    total = np.zeros_like(approach)
+    for terms in by_rank:
+        column, offset, beta_detour = np.array(terms).T
+        has = column.astype(np.intp)
+        total[:, has] += (approach[:, has] + offset) + beta_detour
+    passenger = total / size
+    driver = (approach + route_length) - (alpha[:, None] + 1.0) * total_trip
+    ok = (
+        (party <= seats[:, None])
+        & ~(passenger > config.passenger_threshold_km)
+        & ~(driver > config.taxi_threshold_km)
+    )
+    ti, gi = np.nonzero(ok)
+    return arrays_from_pairs(
+        unit_ids, taxi_ids, rj=gi, ti=ti, pick=passenger[ti, gi], driver=driver[ti, gi]
     )

@@ -89,6 +89,11 @@ def pack_requests(
     Returns packed multi-request groups plus singleton groups for every
     unpacked request, with consecutive group ids in deterministic order.
 
+    ``cache`` is the caller's cross-frame group memo, keyed by member
+    request ids: it holds every evaluated candidate group (``None`` when
+    infeasible) and every singleton unit.  Request ids must identify
+    requests for the memo's lifetime.
+
     ``budget`` makes the stage *anytime*: group enumeration and the
     packer stop expanding when the budget exhausts, so the result may
     pack fewer requests but is always a valid set of dispatch units
@@ -113,20 +118,20 @@ def pack_requests(
     packed_ids: set[int] = set()
     for index in chosen_indices:
         group = candidates[index]
-        units.append(
-            RideGroup(
-                group_id=len(units),
-                requests=group.requests,
-                route=group.route,
-                route_length_km=group.route_length_km,
-                onboard_distance_km=group.onboard_distance_km,
-                pickup_offset_km=group.pickup_offset_km,
-            )
-        )
+        units.append(group.relabeled(len(units)))
         packed_ids.update(group.request_ids)
     for request in sorted(requests, key=lambda r: r.request_id):
-        if request.request_id not in packed_ids:
-            units.append(build_ride_group(len(units), (request,), oracle))
+        if request.request_id in packed_ids:
+            continue
+        # A queued request's singleton unit never changes, so the memo
+        # routes it once per run rather than once per frame.
+        key = (request.request_id,)
+        single = cache.get(key) if cache is not None else None
+        if single is None:
+            single = build_ride_group(-1, (request,), oracle)
+            if cache is not None:
+                cache[key] = single
+        units.append(single.relabeled(len(units)))
     return units
 
 
@@ -151,9 +156,15 @@ class STDDispatcher(Dispatcher):
         self.pairing_radius_km = pairing_radius_km
         self.max_batch = max_batch
         self.name = "STD-P" if optimize_for == "passenger" else "STD-T"
-        # Cross-frame feasibility memo: queued requests keep their ids,
-        # so group routes computed in earlier frames stay valid.
+        # Cross-frame group memo: queued requests keep their ids, so
+        # group routes computed in earlier frames stay valid within a run.
         self._group_cache: dict = {}
+
+    def reset_warm_state(self, *, counters: bool = False) -> None:
+        """At run start (``counters=True``) drop the group memo: request
+        ids only identify requests within one run."""
+        if counters:
+            self._group_cache.clear()
 
     def dispatch(
         self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
@@ -189,12 +200,12 @@ class STDDispatcher(Dispatcher):
             budget=pack_budget,
         )
         self.checkpoint("std:packed")
-        table = build_sharing_table(taxis, units, self.oracle, self.config)
+        prefs = build_sharing_table(taxis, units, self.oracle, self.config)
         self.checkpoint("std:table-built")
         if self.optimize_for == "passenger":
-            matching = passenger_optimal(table)
+            matching = passenger_optimal(prefs)
         else:
-            matching = taxi_optimal(table)
+            matching = taxi_optimal(prefs)
         taxis_by_id = {t.taxi_id: t for t in taxis}
         units_by_id = {g.group_id: g for g in units}
         for unit_id, taxi_id in sorted(matching.pairs):

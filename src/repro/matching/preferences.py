@@ -293,12 +293,19 @@ def build_nonsharing_arrays(
     rj, ti, pick, driver = _dense_pairs(
         taxis, requests, oracle, config, alphas, pickup_matrix, trip_km
     )
-    return arrays_from_pairs(taxis, requests, rj=rj, ti=ti, pick=pick, driver=driver)
+    return arrays_from_pairs(
+        np.array([r.request_id for r in requests], dtype=np.int64),
+        np.array([t.taxi_id for t in taxis], dtype=np.int64),
+        rj=rj,
+        ti=ti,
+        pick=pick,
+        driver=driver,
+    )
 
 
 def arrays_from_pairs(
-    taxis: Sequence[Taxi],
-    requests: Sequence[PassengerRequest],
+    request_ids: np.ndarray,
+    taxi_ids: np.ndarray,
     *,
     rj: np.ndarray,
     ti: np.ndarray,
@@ -307,18 +314,19 @@ def arrays_from_pairs(
 ) -> "PreferenceArrays":
     """Pack flat acceptable-pair arrays into :class:`PreferenceArrays`.
 
-    ``rj`` / ``ti`` are request/taxi *positions* into the given
-    sequences, ``pick`` / ``driver`` the two scores, in any order.  This
-    is the CSR tail of :func:`build_nonsharing_arrays`; any builder that
-    produces its edge list differently but ranks and packs it through
-    this one function is bit-identical to the cold one (same lexsort
-    keys, same tie-breaks, same dense-matrix scatters).
+    ``request_ids`` / ``taxi_ids`` are the ``int64`` proposer / reviewer
+    ids (requests and taxis here, ride groups and taxis in the sharing
+    market); ``rj`` / ``ti`` are *positions* into them and ``pick`` /
+    ``driver`` the proposer's and the reviewer's score of each pair, in
+    any order.  This is the CSR tail of :func:`build_nonsharing_arrays`
+    and of the sharing table; any builder that produces its edge list
+    differently but ranks and packs it through this one function is
+    bit-identical to the cold one (same lexsort keys, same tie-breaks,
+    same dense-matrix scatters).
     """
     from repro.matching.arrays import PreferenceArrays, UNRANKED  # deferred: avoids cycle
 
-    n_requests, n_taxis = len(requests), len(taxis)
-    request_ids = np.array([r.request_id for r in requests], dtype=np.int64)
-    taxi_ids = np.array([t.taxi_id for t in taxis], dtype=np.int64)
+    n_requests, n_taxis = len(request_ids), len(taxi_ids)
     n_pairs = len(rj)
 
     # Proposer-side CSR: one global lexsort groups edges by request (in

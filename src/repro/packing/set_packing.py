@@ -14,6 +14,11 @@ member-id sets and returns chosen indices):
   ground truth for tests and the core of the ILP baseline.
 
 All solvers are deterministic: ties break by set index.
+
+The local search runs on ``int`` bitmasks and finds each swap probe's
+candidates through buckets: chosen sets are disjoint, so a set fits
+beside ``chosen − removal`` exactly when every chosen set it meets lies
+in ``removal``.  It chooses what a scan of every set per probe chooses.
 """
 
 from __future__ import annotations
@@ -87,15 +92,13 @@ def greedy_set_packing(sets: Sequence[Iterable[int]]) -> PackingResult:
     for index, s in enumerate(normalized):
         for element in s:
             by_element.setdefault(element, []).append(index)
-    conflict = [
-        len({other for element in s for other in by_element[element]} - {index})
-        for index, s in enumerate(normalized)
-    ]
+    # Every set lists itself under each of its elements: minus one.
+    conflict = [len(set().union(*[by_element[element] for element in s])) - 1 for s in normalized]
     order = sorted(range(len(normalized)), key=lambda i: (conflict[i], len(normalized[i]), i))
     covered: set[int] = set()
     chosen: list[int] = []
     for index in order:
-        if covered & normalized[index]:
+        if not covered.isdisjoint(normalized[index]):
             continue
         covered |= normalized[index]
         chosen.append(index)
@@ -127,34 +130,41 @@ def local_search_packing(
     if swap_out < 0:
         raise PackingError(f"swap_out must be non-negative, got {swap_out}")
     normalized = _normalize(sets)
+    masks = _bitmasks(normalized)
     chosen = set(initial) if initial is not None else set(greedy_set_packing(sets).chosen)
     if not verify_packing(sets, sorted(chosen)):
         raise PackingError("initial selection is not a valid packing")
     truncated = False
-
-    def covered_by(indices: Iterable[int]) -> set[int]:
-        covered: set[int] = set()
-        for index in indices:
-            covered |= normalized[index]
-        return covered
 
     for _ in range(max_rounds):
         if budget is not None and not budget.spend():
             truncated = True
             break
         improved = False
-        covered = covered_by(chosen)
+        covered = 0
+        for index in chosen:
+            covered |= masks[index]
 
         # (0, 1)-swaps: free additions.
-        for index in range(len(normalized)):
-            if index not in chosen and not (normalized[index] & covered):
+        for index, mask in enumerate(masks):
+            if index not in chosen and not (mask & covered):
                 chosen.add(index)
-                covered |= normalized[index]
+                covered |= mask
                 improved = True
         if improved:
             continue
 
-        # (p, p+1)-swaps.
+        # (p, p+1)-swaps.  The chosen sets are disjoint, so a set fits
+        # beside ``chosen − removal`` exactly when every chosen set it
+        # meets is in ``removal``: bucket the sets by the chosen sets
+        # they meet, and a removal's candidates are the buckets of its
+        # non-empty subsets, in index order.
+        owner = {element: j for j in chosen for element in normalized[j]}
+        fits: dict[frozenset[int], list[int]] = {}
+        for index, members in enumerate(normalized):
+            met = frozenset([owner[e] for e in members if e in owner])
+            if len(met) <= swap_out:
+                fits.setdefault(met, []).append(index)
         done = False
         for p in range(1, swap_out + 1):
             for removal in itertools.combinations(sorted(chosen), p):
@@ -162,18 +172,17 @@ def local_search_packing(
                     truncated = True
                     done = True
                     break
-                remaining = chosen - set(removal)
-                base_cover = covered_by(remaining)
-                candidates = [
-                    i
-                    for i in range(len(normalized))
-                    if i not in remaining and not (normalized[i] & base_cover)
-                ]
+                candidates = sorted(
+                    index
+                    for k in range(1, p + 1)
+                    for part in itertools.combinations(removal, k)
+                    for index in fits.get(frozenset(part), ())
+                )
                 if len(candidates) <= p:
                     continue
-                addition = _find_disjoint(normalized, candidates, p + 1)
+                addition = _find_disjoint(masks, candidates, p + 1)
                 if addition is not None:
-                    chosen = remaining | set(addition)
+                    chosen = (chosen - set(removal)) | set(addition)
                     improved = True
                     done = True
                     break
@@ -183,29 +192,45 @@ def local_search_packing(
             break
 
     result = tuple(sorted(chosen))
-    return PackingResult(
-        chosen=result, covered=frozenset(covered_by(result)), truncated=truncated
-    )
+    covered_elements: set[int] = set()
+    for index in result:
+        covered_elements |= normalized[index]
+    return PackingResult(chosen=result, covered=frozenset(covered_elements), truncated=truncated)
+
+
+def _bitmasks(normalized: list[frozenset[int]]) -> list[int]:
+    """Each set as an ``int`` bitmask, one bit per distinct element."""
+    bit: dict[int, int] = {}
+    masks: list[int] = []
+    for members in normalized:
+        mask = 0
+        for element in members:
+            mask |= bit.setdefault(element, 1 << len(bit))
+        masks.append(mask)
+    return masks
 
 
 def _find_disjoint(
-    normalized: list[frozenset[int]], candidates: list[int], count: int
+    masks: list[int], candidates: list[int], count: int
 ) -> tuple[int, ...] | None:
     """First (by index order) ``count`` pairwise-disjoint candidate sets."""
+    last = len(candidates)
 
-    def extend(start: int, taken: list[int], covered: frozenset[int]) -> tuple[int, ...] | None:
-        if len(taken) == count:
+    def extend(start: int, taken: list[int], covered: int) -> tuple[int, ...] | None:
+        need = count - len(taken)
+        if need == 0:
             return tuple(taken)
-        for pos in range(start, len(candidates)):
+        # Positions past last − need cannot supply ``need`` more sets.
+        for pos in range(start, last - need + 1):
             index = candidates[pos]
-            if normalized[index] & covered:
+            if masks[index] & covered:
                 continue
-            found = extend(pos + 1, taken + [index], covered | normalized[index])
+            found = extend(pos + 1, taken + [index], covered | masks[index])
             if found is not None:
                 return found
         return None
 
-    return extend(0, [], frozenset())
+    return extend(0, [], 0)
 
 
 def exact_set_packing(

@@ -6,15 +6,26 @@ general.  The paper then observes that real shared rides carry at most
 three requests, so the route can be searched exhaustively: for
 ``|c_k| = 3`` there are ``6!/(2·2·2) = 90`` feasible stop sequences.
 
-:func:`optimal_shared_route` enumerates exactly the precedence-feasible
-interleavings (not all permutations) with a recursive generator, scores
-each by total length, and returns a :class:`SharedRoute` carrying the
-per-member quantities the sharing preference model needs:
+:func:`optimal_shared_route` scores exactly the precedence-feasible
+interleavings (not all permutations) by total length, and returns a
+:class:`SharedRoute` carrying the per-member quantities the sharing
+preference model needs:
 
 * ``pickup_offset_km[j]`` — distance from the route start to ``r_j``'s
   pickup, so ``D_ck(t_i, r_j^s) = D(t_i, route[0]) + offset``;
 * ``onboard_km[j]`` — ``D_ck(r_j^s, r_j^d)``, the member's distance along
   the route, whose excess over the direct trip is the sharing detour.
+
+**Table-driven search.**  The stop orders of an ``n``-member group are
+generated once (a recursive generator) and memoized as an ``(m, 2n)``
+stop-index table.  One search is then one ``exact=True`` leg-matrix
+kernel call over the group's ``2n`` stops, one gather of every
+sequence's legs, and a row-wise ``cumsum`` behind a zero column; the
+detour filter runs on the same cumulative array.  ``cumsum`` adds
+sequentially, so every length and offset is the scalar
+``cumulative += leg`` result bit for bit, and the ``(length ± 1e-12,
+key)`` tie-break chain then runs over the lengths in sequence order
+exactly as a scalar loop would, building key tuples only on ties.
 """
 
 from __future__ import annotations
@@ -23,8 +34,11 @@ import math
 from dataclasses import dataclass
 from collections.abc import Iterator, Sequence
 
+import numpy as np
+
 from repro.core.errors import RoutingError
 from repro.core.types import PassengerRequest, RideGroup, RouteStop
+from repro.geometry.batch import oracle_pairwise
 from repro.geometry.distance import DistanceOracle
 from repro.geometry.point import Point
 
@@ -62,15 +76,55 @@ class SharedRoute:
         return self.onboard_km[request.request_id] - request.trip_distance(oracle)
 
 
-_SEQUENCE_CACHE: dict[int, tuple[tuple[tuple[int, bool], ...], ...]] = {}
+@dataclass(frozen=True, slots=True)
+class _SequenceTable:
+    """The stop orders of an ``n``-member group as index arrays.
+
+    Stop ``2m`` is member ``m``'s pickup and ``2m + 1`` its dropoff.
+    """
+
+    sequences: tuple[tuple[tuple[int, bool], ...], ...]
+    #: ``(m, 2n)`` stop index of each position of each sequence.
+    stops: np.ndarray
+    #: ``(m, 2n)`` flat index into the ``(2n)²`` leg matrix with a zero
+    #: appended: column 0 points at the zero, column ``k`` at the leg
+    #: into stop ``k``.
+    leg_index: np.ndarray
+    #: ``(m, n)`` positions of each member's pickup / dropoff.
+    pickup_pos: np.ndarray
+    dropoff_pos: np.ndarray
+    #: Leg-matrix (row, column) indices of each member's direct
+    #: pickup → dropoff leg.
+    direct_legs: tuple[np.ndarray, np.ndarray]
 
 
-def _sequences_for(n: int) -> tuple[tuple[tuple[int, bool], ...], ...]:
-    """Memoized precedence-feasible stop orders for an ``n``-member group."""
-    cached = _SEQUENCE_CACHE.get(n)
+_TABLE_CACHE: dict[int, _SequenceTable] = {}
+
+
+def _sequence_table(n: int) -> _SequenceTable:
+    """The memoized :class:`_SequenceTable` of an ``n``-member group."""
+    cached = _TABLE_CACHE.get(n)
     if cached is None:
-        cached = tuple(_feasible_sequences(n))
-        _SEQUENCE_CACHE[n] = cached
+        sequences = tuple(_feasible_sequences(n))
+        stops = np.array(
+            [[2 * m + (0 if p else 1) for m, p in sequence] for sequence in sequences],
+            dtype=np.intp,
+        )
+        width = 2 * n
+        leg_index = np.empty_like(stops)
+        leg_index[:, 0] = width * width
+        leg_index[:, 1:] = stops[:, :-1] * width + stops[:, 1:]
+        position = np.argsort(stops, axis=1)
+        members = np.arange(n)
+        cached = _SequenceTable(
+            sequences=sequences,
+            stops=stops,
+            leg_index=leg_index,
+            pickup_pos=position[:, 0::2],
+            dropoff_pos=position[:, 1::2],
+            direct_legs=(2 * members, 2 * members + 1),
+        )
+        _TABLE_CACHE[n] = cached
     return cached
 
 
@@ -158,86 +212,72 @@ def feasible_shared_route(
     if len(set(ids)) != n:
         raise RoutingError(f"duplicate request ids in group: {ids}")
 
-    points: list[tuple[Point, Point]] = [(r.pickup, r.dropoff) for r in requests]
+    # Stop 2m is member m's pickup, 2m + 1 its dropoff.  One exact
+    # kernel call yields every leg (bit-identical to scalar distance).
+    stop_points = [p for r in requests for p in (r.pickup, r.dropoff)]
+    leg = oracle_pairwise(oracle, sources=stop_points, targets=stop_points, exact=True)
+    table = _sequence_table(n)
+    # offsets[s, k]: distance along sequence s from its first stop to
+    # its k-th stop.  The zero column plus a sequential row cumsum is
+    # the scalar ``cumulative = 0.0; cumulative += leg`` operation for
+    # operation.
+    offsets = np.cumsum(np.append(leg.ravel(), 0.0)[table.leg_index], axis=1)
+    if start is None:
+        lengths = offsets[:, -1]
+    else:
+        start_leg = oracle_pairwise(oracle, sources=[start], targets=stop_points, exact=True)
+        lengths = start_leg[0, table.stops[:, 0]] + offsets[:, -1]
+    candidates: Sequence[int] = range(len(table.sequences))
+    if max_detour_km is not None:
+        direct = leg[table.direct_legs]
+        onboard = (
+            np.take_along_axis(offsets, table.dropoff_pos, axis=1)
+            - np.take_along_axis(offsets, table.pickup_pos, axis=1)
+        )
+        too_long = (onboard - direct > max_detour_km + 1e-9).any(axis=1)
+        candidates = np.flatnonzero(~too_long).tolist()
 
-    # With at most 8 stops, memoizing the leg distances once beats
-    # re-querying the oracle across the up-to-2520 candidate sequences.
-    stop_points: list[Point] = [p for pair in points for p in pair]
-    leg: dict[tuple[int, int], float] = {}
-    for a in range(len(stop_points)):
-        for b in range(len(stop_points)):
-            if a != b:
-                leg[(a, b)] = oracle.distance(stop_points[a], stop_points[b])
-    start_leg: list[float] | None = None
-    if start is not None:
-        start_leg = [oracle.distance(start, p) for p in stop_points]
-    direct = [leg[(2 * m, 2 * m + 1)] for m in range(n)]
+    def key(s: int) -> tuple[tuple[int, bool], ...]:
+        return tuple((ids[m], not p) for m, p in table.sequences[s])
 
-    def stop_index(member: int, is_pickup: bool) -> int:
-        return 2 * member + (0 if is_pickup else 1)
-
+    length_of = lengths.tolist()
     best_length = math.inf
-    best_sequence: tuple[tuple[int, bool], ...] | None = None
+    best = -1
     best_key: tuple | None = None
-    pickup_cum = [0.0] * n
-    for sequence in _sequences_for(n):
-        first = stop_index(*sequence[0])
-        approach = 0.0 if start_leg is None else start_leg[first]
-        cumulative = 0.0
-        previous = first
-        pickup_cum[sequence[0][0]] = 0.0
-        detour_ok = True
-        for member, is_pickup in sequence[1:]:
-            index = stop_index(member, is_pickup)
-            cumulative += leg[(previous, index)]
-            previous = index
-            if is_pickup:
-                pickup_cum[member] = cumulative
-            elif max_detour_km is not None:
-                onboard = cumulative - pickup_cum[member]
-                if onboard - direct[member] > max_detour_km + 1e-9:
-                    detour_ok = False
-                    break
-        if not detour_ok:
-            continue
-        length = approach + cumulative
-        key = tuple((ids[m], not p) for m, p in sequence)
-        if length < best_length - 1e-12 or (
-            abs(length - best_length) <= 1e-12 and (best_key is None or key < best_key)
-        ):
-            best_length = length
-            best_sequence = sequence
-            best_key = key
+    for s in candidates:
+        length = length_of[s]
+        if length < best_length - 1e-12:
+            best_length, best, best_key = length, s, None
+        elif abs(length - best_length) <= 1e-12:
+            # Keys only matter on a tie; build them then.
+            if best_key is None:
+                best_key = key(best)
+            candidate_key = key(s)
+            if candidate_key < best_key:
+                best_length, best, best_key = length, s, candidate_key
 
-    if best_sequence is None:
+    if best < 0:
         return None
 
-    stops: list[RouteStop] = []
-    cumulative = 0.0
-    offsets_at: list[float] = []
-    previous = None
-    for member, is_pickup in best_sequence:
-        point = points[member][0] if is_pickup else points[member][1]
-        if previous is not None:
-            cumulative += oracle.distance(previous, point)
-        offsets_at.append(cumulative)
-        stops.append(RouteStop(request_id=ids[member], is_pickup=is_pickup, point=point))
-        previous = point
-
+    offsets_at = offsets[best].tolist()
+    stops = tuple(
+        RouteStop(request_id=ids[m], is_pickup=p, point=stop_points[2 * m + (0 if p else 1)])
+        for m, p in table.sequences[best]
+    )
     pickup_offset: dict[int, float] = {}
-    onboard: dict[int, float] = {}
+    onboard_km: dict[int, float] = {}
     for stop, offset in zip(stops, offsets_at):
         if stop.is_pickup:
             pickup_offset[stop.request_id] = offset
         else:
-            onboard[stop.request_id] = offset - pickup_offset[stop.request_id]
+            onboard_km[stop.request_id] = offset - pickup_offset[stop.request_id]
 
     route_length = offsets_at[-1] if start is None else best_length
     return SharedRoute(
-        stops=tuple(stops),
+        stops=stops,
         length_km=route_length,
         pickup_offset_km=pickup_offset,
-        onboard_km=onboard,
+        onboard_km=onboard_km,
     )
 
 
@@ -265,10 +305,18 @@ def build_ride_group(
     oracle: DistanceOracle,
     *,
     max_detour_km: float | None = None,
+    route: SharedRoute | None = None,
 ) -> RideGroup:
-    """A :class:`RideGroup` carrying its optimal taxi-independent route."""
+    """A :class:`RideGroup` carrying its optimal taxi-independent route.
+
+    ``route`` skips the search when the caller already holds the
+    group's route: it must be the result of routing the members in
+    request-id order with the same ``max_detour_km`` (the feasibility
+    enumeration routes each candidate once and passes it here).
+    """
     ordered = tuple(sorted(requests, key=lambda r: r.request_id))
-    route = optimal_shared_route(ordered, oracle, max_detour_km=max_detour_km)
+    if route is None:
+        route = optimal_shared_route(ordered, oracle, max_detour_km=max_detour_km)
     return RideGroup(
         group_id=group_id,
         requests=ordered,

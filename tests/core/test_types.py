@@ -1,5 +1,7 @@
 """Unit tests for the core domain entities."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -84,6 +86,21 @@ class TestRideGroup:
         group = self._group(oracle)
         assert group.detour_km(1, oracle) == pytest.approx(0.0)
         assert group.detour_km(2, oracle) == pytest.approx(0.0)
+
+    def test_replace_recomputes_total_passengers(self, oracle):
+        group = self._group(oracle)
+        party = PassengerRequest(3, Point(0, 1), Point(4, 1), passengers=3)
+        grown = replace(group, requests=(*group.requests, party))
+        assert group.total_passengers == 2
+        assert grown.total_passengers == 5
+
+    def test_relabeled_keeps_every_other_field(self, oracle):
+        group = self._group(oracle)
+        moved = group.relabeled(7)
+        assert moved.group_id == 7
+        assert replace(moved, group_id=0) == group
+        assert moved.total_passengers == group.total_passengers
+        assert group.group_id == 0
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError):

@@ -91,14 +91,23 @@ class TestHeterogeneousDispatch:
 
 class TestSharingHeterogeneity:
     def test_alpha_changes_taxi_scores(self, oracle):
+        # Driver score D + trip − (α+1)·trip: a short hop (1 km away, 1 km
+        # trip) beats a long fare (3 km away, 4 km trip) at α = 0.1, and
+        # loses to it at α = 1.
         taxis = [Taxi(0, Point(0, 0))]
-        requests = [PassengerRequest(1, Point(1, 0), Point(5, 0))]
-        units = pack_requests(requests, oracle, DispatchConfig())
-        base = build_sharing_table(taxis, units, oracle, DispatchConfig(alpha=1.0))
-        doubled = build_sharing_table(
-            taxis, units, oracle, DispatchConfig(alpha=1.0), alpha_by_taxi={0: 2.0}
-        )
-        assert doubled.reviewer_scores[(0, 0)] < base.reviewer_scores[(0, 0)]
+        requests = [
+            PassengerRequest(1, Point(1, 0), Point(2, 0)),
+            PassengerRequest(2, Point(0, 3), Point(0, 7)),
+        ]
+        config = DispatchConfig(alpha=0.1, max_group_size=1)
+        units = pack_requests(requests, oracle, config)
+        assert [u.request_ids for u in units] == [(1,), (2,)]
+        base = build_sharing_table(taxis, units, oracle, config).to_table()
+        richer = build_sharing_table(
+            taxis, units, oracle, config, alpha_by_taxi={0: 1.0}
+        ).to_table()
+        assert base.reviewer_prefs[0] == (0, 1)
+        assert richer.reviewer_prefs[0] == (1, 0)
 
     def test_negative_alpha_rejected(self, oracle):
         from repro.core import PreferenceError

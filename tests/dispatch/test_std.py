@@ -1,5 +1,7 @@
 """Unit tests for Algorithm 3 (STD-P / STD-T sharing dispatch)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,17 @@ from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.dispatch import std_p, std_t
 from repro.dispatch.sharing import STDDispatcher, build_sharing_table, pack_requests
 from repro.dispatch.sharing.std import clip_batch
+from repro.experiments import (
+    ExperimentScale,
+    build_workload,
+    city_simulation_config,
+    make_dispatcher,
+)
 from repro.geometry import EuclideanDistance, Point
 from repro.matching import Matching, is_stable
+from repro.simulation import Simulator
+from repro.trace.profiles import nyc_profile
+from tests.support import sharing_table_reference
 
 
 @pytest.fixture()
@@ -87,9 +98,12 @@ class TestSharingTable:
         taxis = [Taxi(0, Point(0, 0))]
         r = request(1, 3, 4, 3, 10)  # pickup 5 km, trip 6 km
         units = pack_requests([r], oracle, DispatchConfig())
-        table = build_sharing_table(taxis, units, oracle, DispatchConfig())
-        assert table.proposer_scores[(0, 0)] == pytest.approx(5.0)
-        assert table.reviewer_scores[(0, 0)] == pytest.approx(5.0 - 6.0)
+        reference = sharing_table_reference(taxis, units, oracle, DispatchConfig())
+        assert reference.proposer_scores[(0, 0)] == pytest.approx(5.0)
+        assert reference.reviewer_scores[(0, 0)] == pytest.approx(5.0 - 6.0)
+        table = build_sharing_table(taxis, units, oracle, DispatchConfig()).to_table()
+        assert table.proposer_prefs == {0: (0,)}
+        assert table.reviewer_prefs == {0: (0,)}
 
     def test_seat_capacity_excludes_groups(self, oracle):
         taxis = [Taxi(0, Point(0, 0), seats=2)]
@@ -98,7 +112,7 @@ class TestSharingTable:
             request(2, 1, 0, 3, 0, passengers=2),
         ]
         units = pack_requests(requests, oracle, DispatchConfig(), max_passengers=4)
-        table = build_sharing_table(taxis, units, oracle, DispatchConfig())
+        table = build_sharing_table(taxis, units, oracle, DispatchConfig()).to_table()
         for unit in units:
             if unit.total_passengers > 2:
                 assert table.proposer_prefs[unit.group_id] == ()
@@ -121,7 +135,7 @@ class TestSTDDispatcher:
         # of the produced unit-taxi matching.
         max_seats = max(t.seats for t in taxis)
         units = pack_requests(requests, oracle, config, max_passengers=max_seats)
-        table = build_sharing_table(taxis, units, oracle, config)
+        table = build_sharing_table(taxis, units, oracle, config).to_table()
         unit_by_members = {g.request_ids: g.group_id for g in units}
         pairs = {}
         for assignment in schedule.assignments:
@@ -191,3 +205,34 @@ class TestPaperExactPath:
         exact_groups = sum(1 for g in exact_units if g.size > 1)
         local_groups = sum(1 for g in local_units if g.size > 1)
         assert exact_groups >= local_groups
+
+
+class TestGroupMemoLifetime:
+    """The cross-frame group memo is keyed by request ids, which only
+    identify requests within one run: it must not outlive the run."""
+
+    @staticmethod
+    def trace(seed, hours):
+        profile = nyc_profile()
+        profile = replace(profile, n_taxis=round(profile.n_taxis * 2.0))
+        sim_config = city_simulation_config(profile.scaled(0.05))
+        fleet, requests = build_workload(
+            profile, ExperimentScale(factor=0.05, seed=seed, hours=hours)
+        )
+        return sim_config, fleet, requests
+
+    @pytest.mark.parametrize(
+        "algorithm,hours", [("STD-P", (17.0, 18.0)), ("ILP", (17.0, 17.25))]
+    )
+    def test_reused_dispatcher_equals_fresh_on_second_trace(self, oracle, algorithm, hours):
+        sim_config, first_fleet, first = self.trace(1, hours)
+        _, fleet, second = self.trace(2, hours)
+        assert {r.request_id for r in first} & {r.request_id for r in second}
+        reused = make_dispatcher(algorithm, oracle, sim_config.dispatch)
+        Simulator(reused, oracle, sim_config).run(first_fleet, first)
+        again = Simulator(reused, oracle, sim_config).run(fleet, second)
+        fresh = Simulator(
+            make_dispatcher(algorithm, oracle, sim_config.dispatch), oracle, sim_config
+        ).run(fleet, second)
+        assert again.assignments == fresh.assignments
+        assert again.summary() == fresh.summary()

@@ -233,18 +233,22 @@ class TestAsymmetricRoadNetwork:
             build_ride_group(gid, (request,), self.network)
             for gid, request in enumerate(self.requests)
         ]
-        table = build_sharing_table(self.taxis, groups, self.network, self.config)
-        scored = 0
+        table = build_sharing_table(self.taxis, groups, self.network, self.config).to_table()
+        # The orders the scalar score functions induce (ties by id).
+        by_group: dict[int, list] = {g.group_id: [] for g in groups}
+        by_taxi: dict[int, list] = {t.taxi_id: [] for t in self.taxis}
         for group in groups:
             for taxi in self.taxis:
                 if group.total_passengers > taxi.seats:
                     continue
-                pair = (group.group_id, taxi.taxi_id)
-                assert table.proposer_scores[pair] == group_passenger_score(
-                    taxi, group, self.network, self.config.beta
-                )
-                assert table.reviewer_scores[pair] == group_taxi_score(
-                    taxi, group, self.network, self.config.alpha
-                )
-                scored += 1
-        assert scored == 3  # every seat-feasible pair was checked
+                p = group_passenger_score(taxi, group, self.network, self.config.beta)
+                t = group_taxi_score(taxi, group, self.network, self.config.alpha)
+                by_group[group.group_id].append((p, taxi.taxi_id))
+                by_taxi[taxi.taxi_id].append((t, group.group_id))
+        assert sum(map(len, by_group.values())) == 3  # every seat-feasible pair
+        assert table.proposer_prefs == {
+            g: tuple(t for _, t in sorted(pairs)) for g, pairs in by_group.items()
+        }
+        assert table.reviewer_prefs == {
+            t: tuple(g for _, g in sorted(pairs)) for t, pairs in by_taxi.items()
+        }
