@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Chaos smoke run: a seeded fault schedule against a tiny city-day.
+"""Chaos smoke run: a seeded fault schedule against a small city-day.
 
-Injects all three fault species at once — latency spikes (virtual
-clock), transient oracle errors, and one worker crash — and asserts the
-resilience layer's core invariants:
+Injects both fault species at once — latency spikes (virtual clock)
+and transient oracle errors — and asserts the resilience layer's core
+invariants:
 
 * every frame is answered: zero dropped frames on every algorithm;
+* every algorithm serves some requests, so the run is not vacuous;
 * the resilience report is non-empty and every degraded frame is
   attributed to a rung and a trigger;
 * injected faults were actually absorbed (the run exercised the layer);
@@ -101,9 +102,9 @@ def comparable(result):
     }
 
 
-def run_chaos(seed: int = 13, workers: int = 2) -> tuple[dict, list[str]]:
+def run_chaos(seed: int = 13) -> tuple[dict, list[str]]:
     """One chaos smoke run; returns (summary, failures)."""
-    scale = ExperimentScale(factor=0.004, seed=11, hours=(8.0, 9.0))
+    scale = ExperimentScale(factor=0.02, seed=11, hours=(8.0, 9.0))
     profile = boston_profile()
     plan = FaultPlan(
         seed=seed,
@@ -111,13 +112,10 @@ def run_chaos(seed: int = 13, workers: int = 2) -> tuple[dict, list[str]]:
         latency_s=45.0,
         error_rate=0.01,
         per_call_cost_s=0.05,
-        crash_algorithms=("Greedy",),
     )
     policy = ResiliencePolicy(budget_fraction=0.5, transient_retries=2)
 
-    chaotic = run_city_experiment(
-        profile, ALGORITHMS, scale, workers=workers, faults=plan, resilience=policy
-    )
+    chaotic = run_city_experiment(profile, ALGORITHMS, scale, faults=plan, resilience=policy)
     baseline = run_city_experiment(profile, ALGORITHMS, scale)
     calm = run_city_experiment(profile, ALGORITHMS, scale, resilience=policy)
 
@@ -132,6 +130,8 @@ def run_chaos(seed: int = 13, workers: int = 2) -> tuple[dict, list[str]]:
             continue
         if report.dropped_frames != 0:
             failures.append(f"{name}: {report.dropped_frames} dropped frames")
+        if result.service_rate <= 0.0:
+            failures.append(f"{name}: served no requests")
         for frame in report.degraded_frames:
             if frame.trigger is None:
                 failures.append(f"{name}: degraded frame at t={frame.time_s} has no trigger")
@@ -279,7 +279,6 @@ def run_crash_recovery(artifacts_dir: Path) -> tuple[dict, list[str]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=13, help="fault schedule seed")
-    parser.add_argument("--workers", type=int, default=2, help="process-pool width")
     parser.add_argument(
         "--crash-recovery",
         action="store_true",
@@ -314,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         artifacts_dir.mkdir(parents=True, exist_ok=True)
         summary, failures = run_crash_recovery(artifacts_dir)
     else:
-        summary, failures = run_chaos(seed=args.seed, workers=args.workers)
+        summary, failures = run_chaos(seed=args.seed)
 
     for name, stats in summary.items():
         print(f"{name}: {stats}")

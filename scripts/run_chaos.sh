@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Chaos smoke run: seeded fault schedule (latency spikes, transient
-# oracle errors, one worker crash) against a tiny city-day.  Asserts
-# zero dropped frames, a non-empty resilience report with every degraded
-# frame attributed to rung + trigger, and faults-off bit-identity.
+# Chaos smoke run: seeded fault schedule (latency spikes and transient
+# oracle errors) against a small city-day.  Asserts zero dropped frames,
+# requests served by every algorithm, a non-empty resilience report with
+# every degraded frame attributed to rung + trigger, and faults-off
+# bit-identity.
 #
-#   scripts/run_chaos.sh              # default seed 13, 2 workers
+#   scripts/run_chaos.sh              # default seed 13
 #   scripts/run_chaos.sh --seed 99    # extra args go to run_chaos.py
 set -euo pipefail
 cd "$(dirname "$0")/.."

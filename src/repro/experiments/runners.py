@@ -6,14 +6,10 @@ These functions are the shared engine behind the per-figure harnesses in
 
 from __future__ import annotations
 
-import logging
-import time
-from collections.abc import Callable, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections.abc import Sequence
 
 from repro.core.config import DispatchConfig, SimulationConfig
-from repro.core.errors import ExperimentError, TransientFaultError
+from repro.core.errors import ExperimentError
 from repro.core.types import PassengerRequest, Taxi
 from repro.dispatch.base import Dispatcher
 from repro.dispatch.nonsharing import (
@@ -29,7 +25,7 @@ from repro.dispatch.sharing import (
     STDDispatcher,
 )
 from repro.geometry.distance import DistanceOracle, EuclideanDistance
-from repro.resilience.faults import FaultPlan, maybe_crash_worker
+from repro.resilience.faults import FaultPlan
 from repro.resilience.ladder import ResiliencePolicy
 from repro.simulation.engine import SimulationResult, Simulator
 from repro.trace.profiles import CityProfile
@@ -43,18 +39,7 @@ __all__ = [
     "run_taxi_sweep",
 ]
 
-logger = logging.getLogger(__name__)
-
 _SECONDS_PER_HOUR = 3600.0
-
-#: First retry delay for transient-fault cell retries; doubles per attempt.
-#: Module-level so tests can monkeypatch the sleep away.
-_BACKOFF_BASE_S = 0.05
-_sleep: Callable[[float], None] = time.sleep  # repro-lint: disable=REP001 backoff pacing between cell retries; tests and chaos runs monkeypatch it away
-
-#: Cell-level retries on :class:`TransientFaultError` when no resilience
-#: policy supplies ``transient_retries``.
-_DEFAULT_CELL_RETRIES = 2
 
 
 def make_dispatcher(
@@ -125,159 +110,6 @@ def _cell_key(profile: CityProfile, name: str) -> str:
     return f"{profile.name}:{profile.n_taxis}:{name}"
 
 
-def _run_experiment_cell(
-    profile: CityProfile,
-    name: str,
-    scale: ExperimentScale,
-    oracle: DistanceOracle | None,
-    sim_config: SimulationConfig | None,
-    faults: FaultPlan | None = None,
-    resilience: ResiliencePolicy | None = None,
-    attempt: int = 0,
-) -> tuple[str, SimulationResult]:
-    """One (profile, algorithm) cell, self-contained and picklable.
-
-    Everything is rederived deterministically from the arguments —
-    workload from the profile and scale's seed, configuration from the
-    scaled profile — so a cell produces the identical
-    :class:`SimulationResult` whether it runs in this process or in a
-    worker (wall-clock telemetry aside).
-
-    ``faults`` injects a deterministic fault schedule derived from
-    (plan, cell, attempt): the distance oracle is wrapped, crash-listed
-    algorithms kill their *worker process* (never the parent), and any
-    supplied ``resilience`` policy is bound to the cell's injector so
-    its virtual clock drives the frame budgets.  Without a policy,
-    transient faults escape the cell and are retried by
-    :func:`_run_cell_with_recovery` at the next attempt number.
-    """
-    if faults is not None:
-        maybe_crash_worker(faults, name)
-    oracle = oracle if oracle is not None else EuclideanDistance()
-    policy = resilience
-    if faults is not None:
-        injector = faults.build_injector(_cell_key(profile, name), attempt)
-        oracle = injector.wrap(oracle)
-        if policy is not None:
-            policy = policy.with_injector(injector)
-    if sim_config is None:
-        sim_config = city_simulation_config(profile.scaled(scale.factor))
-    fleet, requests = build_workload(profile, scale)
-    dispatcher = make_dispatcher(name, oracle, sim_config.dispatch)
-    simulator = Simulator(dispatcher, oracle, sim_config, resilience=policy)
-    return dispatcher.name, simulator.run(fleet, requests)
-
-
-def _run_cell_with_recovery(
-    profile: CityProfile,
-    name: str,
-    scale: ExperimentScale,
-    oracle: DistanceOracle | None,
-    sim_config: SimulationConfig | None,
-    faults: FaultPlan | None,
-    resilience: ResiliencePolicy | None,
-    *,
-    first_attempt: int = 0,
-) -> tuple[str, SimulationResult]:
-    """Run one cell with retry + exponential backoff on transient faults.
-
-    Attempt numbers vary the injector's fault schedule, so a cell whose
-    plan fails its first N attempts deterministically succeeds on attempt
-    N — the serial twin of the parallel path's retry-after-future-failure,
-    which starts at ``first_attempt=1``.
-    """
-    retries = (
-        resilience.transient_retries if resilience is not None else _DEFAULT_CELL_RETRIES
-    )
-    last: TransientFaultError | None = None
-    for offset in range(retries + 1):
-        attempt = first_attempt + offset
-        try:
-            return _run_experiment_cell(
-                profile, name, scale, oracle, sim_config, faults, resilience, attempt
-            )
-        except TransientFaultError as exc:
-            last = exc
-            if offset == retries:
-                break
-            delay = _BACKOFF_BASE_S * (2**offset)
-            logger.warning(
-                "cell %s attempt %d hit a transient fault (%s); retrying in %.2fs",
-                _cell_key(profile, name),
-                attempt,
-                exc,
-                delay,
-            )
-            _sleep(delay)
-    raise ExperimentError(
-        f"cell {_cell_key(profile, name)} failed {retries + 1} attempts "
-        f"(last fault: {last})"
-    ) from last
-
-
-def _run_cells_in_pool(
-    cells: Sequence[tuple[CityProfile, str]],
-    scale: ExperimentScale,
-    oracle: DistanceOracle | None,
-    sim_config: SimulationConfig | None,
-    faults: FaultPlan | None,
-    resilience: ResiliencePolicy | None,
-    workers: int,
-) -> list[tuple[str, SimulationResult]]:
-    """Run ``(profile, algorithm)`` cells over a process pool, in cell order.
-
-    Each cell is deterministic in its arguments, so the results equal a
-    serial run's.  A cell whose worker raised
-    :class:`TransientFaultError` is retried in this process from attempt
-    1; a worker crash that breaks the pool — whether it surfaces while
-    cells are still being submitted or while results are collected —
-    re-runs every unfinished cell serially in this process.
-    """
-    results: list[tuple[str, SimulationResult]] = []
-    with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-        futures: list[Future[tuple[str, SimulationResult]] | None] = []
-        for profile, name in cells:
-            try:
-                futures.append(
-                    pool.submit(
-                        _run_experiment_cell,
-                        profile,
-                        name,
-                        scale,
-                        oracle,
-                        sim_config,
-                        faults,
-                        resilience,
-                        0,
-                    )
-                )
-            except BrokenProcessPool:
-                futures.append(None)  # a worker already crashed: run it below
-        for (profile, name), future in zip(cells, futures):
-            key = _cell_key(profile, name)
-            try:
-                if future is not None:
-                    results.append(future.result())
-                    continue
-                logger.warning("process pool broke before cell %s ran; running it serially", key)
-                first_attempt = 0
-            except TransientFaultError as exc:
-                logger.warning(
-                    "parallel cell %s hit a transient fault (%s); retrying serially", key, exc
-                )
-                first_attempt = 1
-            except BrokenProcessPool:
-                logger.warning("process pool broke on cell %s; recovering serially", key)
-                first_attempt = 0
-            results.append(
-                _run_cell_with_recovery(
-                    profile, name, scale, oracle, sim_config, faults, resilience,
-                    first_attempt=first_attempt,
-                )
-            )
-    return results
-
-
 def run_city_experiment(
     profile: CityProfile,
     algorithms: Sequence[str],
@@ -285,7 +117,6 @@ def run_city_experiment(
     *,
     oracle: DistanceOracle | None = None,
     sim_config: SimulationConfig | None = None,
-    workers: int = 1,
     faults: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
 ) -> dict[str, SimulationResult]:
@@ -294,44 +125,31 @@ def run_city_experiment(
     All algorithms see the identical fleet and trace, so differences in
     the output metrics are attributable to the dispatch policy alone.
 
-    ``workers`` > 1 runs the algorithms in a process pool.  Each worker
-    rebuilds its cell deterministically from the same seeds, so the
-    returned results are identical to a serial run (the parallel-sweep
-    test asserts this); result order follows ``algorithms`` either way.
-
-    ``faults``/``resilience`` thread the chaos-testing layer through
-    every cell.  Failures recover rather than abort: a cell that raises
-    :class:`TransientFaultError` is retried (with exponential backoff
-    and a fresh attempt-derived fault schedule), and a worker crash that
-    breaks the pool re-runs every unfinished cell serially in the parent
-    process.
+    ``faults`` wraps each algorithm's oracle in an injector derived from
+    the plan and the cell key, and binds it to the ``resilience``
+    policy, whose virtual clock then drives the frame budgets.  The
+    policy's degradation ladder is the only thing that absorbs the
+    injected faults, so a plan without a policy is rejected up front.
     """
-    if workers > 1 and len(algorithms) > 1:
-        cells = [(profile, name) for name in algorithms]
-        return dict(
-            _run_cells_in_pool(cells, scale, oracle, sim_config, faults, resilience, workers)
-        )
-
+    if faults is not None and resilience is None:
+        raise ExperimentError("a FaultPlan needs a ResiliencePolicy to absorb its faults")
     oracle = oracle if oracle is not None else EuclideanDistance()
     if sim_config is None:
         # Configure against the *scaled* profile so θ, the thresholds and
         # the taxi speed pick up the dynamic-similarity space factor.
         sim_config = city_simulation_config(profile.scaled(scale.factor))
+    fleet, requests = build_workload(profile, scale)
     results: dict[str, SimulationResult] = {}
-    if faults is None and resilience is None:
-        # The fault-free fast path shares one workload build across all
-        # algorithms, exactly as before the resilience layer existed.
-        fleet, requests = build_workload(profile, scale)
-        for name in algorithms:
-            dispatcher = make_dispatcher(name, oracle, sim_config.dispatch)
-            simulator = Simulator(dispatcher, oracle, sim_config)
-            results[dispatcher.name] = simulator.run(fleet, requests)
-        return results
     for name in algorithms:
-        dispatcher_name, result = _run_cell_with_recovery(
-            profile, name, scale, oracle, sim_config, faults, resilience
-        )
-        results[dispatcher_name] = result
+        cell_oracle, policy = oracle, resilience
+        if faults is not None:
+            assert resilience is not None  # a plan without a policy is rejected above
+            injector = faults.build_injector(_cell_key(profile, name))
+            cell_oracle = injector.wrap(oracle)
+            policy = resilience.with_injector(injector)
+        dispatcher = make_dispatcher(name, cell_oracle, sim_config.dispatch)
+        simulator = Simulator(dispatcher, cell_oracle, sim_config, resilience=policy)
+        results[dispatcher.name] = simulator.run(fleet, requests)
     return results
 
 
@@ -343,38 +161,18 @@ def run_taxi_sweep(
     *,
     oracle: DistanceOracle | None = None,
     sim_config: SimulationConfig | None = None,
-    workers: int = 1,
     faults: FaultPlan | None = None,
     resilience: ResiliencePolicy | None = None,
 ) -> dict[int, dict[str, SimulationResult]]:
     """Fig. 6's sweep: same trace, varying fleet size.
 
     ``taxi_counts`` are paper-scale fleet sizes; they are scaled by the
-    experiment factor alongside the demand.
-
-    ``workers`` > 1 fans the full (fleet size × algorithm) grid out over
-    a process pool; each cell is deterministic in its arguments, so the
-    sweep's results are identical to the serial run — including under
-    fault injection, where transient failures retry with the same
-    attempt-derived schedules either way and a broken pool falls back to
-    serial re-runs of whatever hadn't finished.
+    experiment factor alongside the demand.  ``sim_config=None`` lets
+    each fleet size derive its configuration from its scaled profile.
     """
-    if workers > 1 and len(taxi_counts) * len(algorithms) > 1:
-        swept = [profile.with_taxis(count) for count in taxi_counts]
-        cells = [(fleet, name) for fleet in swept for name in algorithms]
-        ran = iter(
-            _run_cells_in_pool(cells, scale, oracle, sim_config, faults, resilience, workers)
-        )
-        return {count: dict(next(ran) for _ in algorithms) for count in taxi_counts}
-
-    oracle = oracle if oracle is not None else EuclideanDistance()
-    results = {}
-    for count in taxi_counts:
-        swept = profile.with_taxis(count)
-        # sim_config=None lets each run derive its configuration from the
-        # scaled profile (dynamic-similarity speed and thresholds).
-        results[count] = run_city_experiment(
-            swept,
+    return {
+        count: run_city_experiment(
+            profile.with_taxis(count),
             algorithms,
             scale,
             oracle=oracle,
@@ -382,4 +180,5 @@ def run_taxi_sweep(
             faults=faults,
             resilience=resilience,
         )
-    return results
+        for count in taxi_counts
+    }

@@ -39,8 +39,6 @@ from repro.resilience.faults import (
     FaultInjector,
     FaultPlan,
     FaultyOracle,
-    in_worker_process,
-    maybe_crash_worker,
 )
 from repro.resilience.journal import (
     JOURNAL_SCHEMA,
@@ -75,8 +73,6 @@ __all__ = [
     "FaultyOracle",
     "FaultPlan",
     "CrashPlan",
-    "in_worker_process",
-    "maybe_crash_worker",
     "ResiliencePolicy",
     "Rung",
     "default_ladder",

@@ -1,6 +1,6 @@
 """Deterministic fault injection for chaos testing the dispatch loop.
 
-A :class:`FaultInjector` is a seeded source of three fault species a
+A :class:`FaultInjector` is a seeded source of two fault species a
 production O2O broker actually sees:
 
 * **latency spikes** — a distance-oracle call stalls (a slow map
@@ -11,26 +11,19 @@ production O2O broker actually sees:
 * **transient oracle errors** — a call fails but a retry may succeed.
   Raised as :class:`~repro.core.errors.TransientFaultError` from the
   wrapped oracle.
-* **worker crashes** — a process-pool worker dies mid-cell (OOM killer,
-  segfault).  Expressed through :class:`FaultPlan.crash_algorithms` and
-  executed by :func:`maybe_crash_worker` inside pool workers only, so
-  the experiment runners' ``BrokenProcessPool`` recovery path is
-  exercised for real.
 
 The injector is **armed** by default; the simulation engine disarms it
 outside dispatch attempts so post-dispatch accounting (assignment
 metrics, revenue) is never poisoned — real platforms put the retry
 boundary around the decision stage, not the bookkeeping.
 
-:class:`FaultPlan` is the picklable description shipped to pool
-workers; each experiment cell derives its own injector from the plan,
-the cell key, and the attempt number, so retries see a fresh fault
-schedule and serial re-runs reproduce parallel runs exactly.
+:class:`FaultPlan` describes a schedule for a whole experiment; each
+experiment cell derives its own injector from the plan and the cell
+key, so every cell sees its own, reproducible fault schedule.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import signal
@@ -49,8 +42,6 @@ __all__ = [
     "FaultInjector",
     "FaultyOracle",
     "FaultPlan",
-    "in_worker_process",
-    "maybe_crash_worker",
 ]
 
 
@@ -58,8 +49,8 @@ class FaultInjector:
     """Seeded, deterministic fault source shared by one run's oracle calls.
 
     ``fail_first_calls`` deterministically fails the first N armed calls
-    regardless of rates — the hook cell-level retry tests use to make
-    attempt 0 fail and attempt 1 succeed.
+    regardless of rates — the hook tests use to make a dispatch attempt
+    fail and its same-rung retry succeed.
     """
 
     def __init__(
@@ -243,14 +234,12 @@ class FaultyOracle:
 
 @dataclass(frozen=True, slots=True)
 class FaultPlan:
-    """Picklable fault schedule shipped into experiment cells and workers.
+    """Fault rates for a whole experiment, one injector per cell.
 
-    ``crash_algorithms`` names cells whose *worker-process* execution
-    dies via ``os._exit`` (only when actually inside a pool worker, so
-    the serial recovery re-run in the parent completes cleanly).
-    ``fail_attempts`` makes the first N attempts of every cell raise a
-    deterministic :class:`~repro.core.errors.TransientFaultError` on
-    their first armed oracle call, exercising per-cell retry/backoff.
+    The experiment runners wrap each cell's oracle in
+    :meth:`build_injector` and bind the injector to the cell's
+    :class:`~repro.resilience.ladder.ResiliencePolicy`, whose ladder
+    absorbs the faults; a plan without a policy is rejected.
     """
 
     seed: int = 0
@@ -258,26 +247,19 @@ class FaultPlan:
     latency_s: float = 5.0
     error_rate: float = 0.0
     per_call_cost_s: float = 0.0
-    fail_attempts: int = 0
-    crash_algorithms: tuple[str, ...] = ()
 
-    def build_injector(self, cell_key: str, attempt: int = 0) -> FaultInjector:
-        """A fresh injector whose stream is stable in (plan, cell, attempt)."""
-        derived = zlib.crc32(f"{self.seed}:{cell_key}:{attempt}".encode())
+    def build_injector(self, cell_key: str) -> FaultInjector:
+        """A fresh injector whose stream is stable in (plan, cell)."""
+        # The trailing ":0" is part of the derivation: dropping it would
+        # reseed every cell and change every recorded fault schedule.
+        derived = zlib.crc32(f"{self.seed}:{cell_key}:0".encode())
         return FaultInjector(
             seed=derived,
             latency_rate=self.latency_rate,
             latency_s=self.latency_s,
             error_rate=self.error_rate,
             per_call_cost_s=self.per_call_cost_s,
-            fail_first_calls=1 if attempt < self.fail_attempts else 0,
         )
-
-    def wrap_oracle(
-        self, oracle: DistanceOracle, cell_key: str, attempt: int = 0
-    ) -> tuple[DistanceOracle, FaultInjector]:
-        injector = self.build_injector(cell_key, attempt)
-        return injector.wrap(oracle), injector
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,19 +290,3 @@ class CrashPlan:
         """Die here if this is the planned (frame, phase); otherwise no-op."""
         if frame == self.frame and phase == self.phase:
             os.kill(os.getpid(), signal.SIGKILL)
-
-
-def in_worker_process() -> bool:
-    """Whether this process is a multiprocessing worker (has a parent)."""
-    return multiprocessing.parent_process() is not None
-
-
-def maybe_crash_worker(plan: FaultPlan | None, cell_key: str) -> None:
-    """Die abruptly (as the OOM killer would) if the plan targets this cell.
-
-    Only fires inside pool workers: the serial fallback re-run of the
-    same cell in the parent process proceeds normally, which is exactly
-    the recovery contract the runners promise.
-    """
-    if plan is not None and cell_key in plan.crash_algorithms and in_worker_process():
-        os._exit(3)

@@ -44,8 +44,8 @@ class Rung:
     """One fallback level: a name plus a dispatcher factory.
 
     ``factory`` is ``None`` for the primary rung (the engine substitutes
-    its configured dispatcher); factories must be module-level callables
-    so policies stay picklable for the process-pool runners.
+    its configured dispatcher); the default ladder's factories are
+    module-level callables, so its policies pickle like plain values.
     ``budgeted`` rungs observe the frame deadline; the terminal rung
     should be unbudgeted so something always answers the frame.
     """

@@ -2,8 +2,8 @@
 
 ``scripts/run_chaos.py`` is the operational entry point; this test runs
 the same harness in-process so CI exercises the full stack — fault
-injection, the degradation ladder, broken-pool recovery, and the
-faults-off bit-identity check — without shelling out.
+injection, the degradation ladder absorbing it, and the faults-off
+bit-identity check — without shelling out.
 """
 
 import importlib.util
@@ -23,7 +23,7 @@ def load_chaos_module():
 
 def test_chaos_smoke_run_holds_all_invariants():
     chaos = load_chaos_module()
-    summary, failures = chaos.run_chaos(seed=13, workers=2)
+    summary, failures = chaos.run_chaos(seed=13)
     assert failures == []
     # The schedule is deterministic, so the run must actually have
     # exercised the resilience layer, not passed vacuously.

@@ -93,8 +93,8 @@ class TestResiliencePolicy:
         assert all(d.config is not None for _, d in rungs)
 
     def test_policy_is_picklable(self):
-        # Pool workers receive the policy; module-level rung factories
-        # keep it picklable.
+        # Module-level rung factories keep a policy a plain value that
+        # pickles and copies like one.
         policy = ResiliencePolicy(budget_fraction=0.4, transient_retries=1)
         clone = pickle.loads(pickle.dumps(policy))
         assert clone.budget_fraction == 0.4
