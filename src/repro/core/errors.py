@@ -111,6 +111,12 @@ WARM_FALLBACK_REASONS: frozenset[str] = frozenset(
         "id-overflow",
         "audit-divergence",
         "external",
+        # Why a sharing frame ran cold (DESIGN §10, "Warm STD").
+        "run-start",
+        "ladder",
+        "budget",
+        "max-passengers",
+        "memo-cleared",
     }
 )
 

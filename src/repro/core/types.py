@@ -13,6 +13,7 @@ dispatchers and the simulator index entities by id throughout.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Container
 from dataclasses import dataclass, field
 
@@ -132,6 +133,9 @@ class RideGroup:
     total_passengers:
         The members' combined party size, derived once at construction
         (``dataclasses.replace`` recomputes it).
+    request_ids:
+        The members' ids in member order, derived the same way; the
+        group memo's key.
     """
 
     group_id: int
@@ -141,14 +145,11 @@ class RideGroup:
     onboard_distance_km: dict[int, float] = field(hash=False)
     pickup_offset_km: dict[int, float] = field(hash=False)
     total_passengers: int = field(init=False, repr=False, compare=False)
+    request_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.requests)
-
-    @property
-    def request_ids(self) -> tuple[int, ...]:
-        return tuple(r.request_id for r in self.requests)
 
     @property
     def route_start(self) -> Point:
@@ -172,9 +173,9 @@ class RideGroup:
         ``dataclasses.replace``, which the cached group already passed.
         """
         clone = object.__new__(RideGroup)
-        for name in _RIDE_GROUP_FIELDS:
-            object.__setattr__(clone, name, getattr(self, name))
-        object.__setattr__(clone, "group_id", group_id)
+        for set_slot, value in zip(_RIDE_GROUP_SLOTS, _ride_group_values(self)):
+            set_slot(clone, value)
+        _set_group_id(clone, group_id)
         return clone
 
     def __post_init__(self) -> None:
@@ -184,9 +185,15 @@ class RideGroup:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate request ids in group {self.group_id}: {ids}")
         object.__setattr__(self, "total_passengers", sum(r.passengers for r in self.requests))
+        object.__setattr__(self, "request_ids", tuple(ids))
 
 
 _RIDE_GROUP_FIELDS = tuple(RideGroup.__dataclass_fields__)
+# The slot descriptors' setters bypass the frozen __setattr__, as
+# object.__setattr__ does, without its per-call attribute lookup.
+_RIDE_GROUP_SLOTS = tuple(RideGroup.__dict__[name].__set__ for name in _RIDE_GROUP_FIELDS)
+_ride_group_values = operator.attrgetter(*_RIDE_GROUP_FIELDS)
+_set_group_id = RideGroup.__dict__["group_id"].__set__
 
 
 @dataclass(frozen=True, slots=True)

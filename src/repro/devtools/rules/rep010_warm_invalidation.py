@@ -1,8 +1,9 @@
 """REP010 — warm solver state must be invalidated when its inputs change.
 
 The warm-start fast paths carry solver state between consecutive
-frames — :class:`FrameSolveState` and the per-frame
-:class:`FrameDistanceCache` memo.  Each is a *derived* structure: it is
+frames — :class:`FrameSolveState`, the per-frame
+:class:`FrameDistanceCache` memo, and the sharing dispatchers'
+``GroupMemo`` and settled market.  Each is a *derived* structure: it is
 only valid while the inputs it was computed from stay untouched.  The
 stability guarantee (Definition 1) is exactly what breaks when a
 mutation slips past invalidation: the fast path happily produces a
@@ -41,8 +42,10 @@ from repro.devtools.registry import register_rule
 
 __all__ = ["WarmInvalidationRule"]
 
-#: Types whose instances are frame-derived solver state.
-WARM_STATE_TYPES = ("FrameSolveState", "FrameDistanceCache")
+#: Types whose instances are frame-derived solver state: the warm NSTD
+#: solver's, the frame distance cache, and the sharing dispatchers'
+#: group memo (with its carried family) and settled market.
+WARM_STATE_TYPES = ("FrameSolveState", "FrameDistanceCache", "GroupMemo", "_SettledMarket")
 
 #: Module-level factories that build warm state from a cold solve.
 WARM_STATE_FACTORIES = ("frame_state_from_cold",)

@@ -27,6 +27,7 @@ from repro.core.types import DispatchSchedule, PassengerRequest, RideGroup, Taxi
 from repro.dispatch.base import Dispatcher, group_assignment
 from repro.dispatch.sharing.std import clip_batch, pack_requests
 from repro.geometry.distance import DistanceOracle
+from repro.packing.feasibility import GroupMemo
 
 __all__ = ["ILPDispatcher"]
 
@@ -47,6 +48,10 @@ class ILPDispatcher(Dispatcher):
 
     name = "ILP"
 
+    #: The group memo and carried family make frames warm, as in
+    #: STDDispatcher.
+    warm_start = True
+
     def __init__(
         self,
         oracle: DistanceOracle,
@@ -63,13 +68,15 @@ class ILPDispatcher(Dispatcher):
         self.pairing_radius_km = pairing_radius_km
         self.max_batch = max_batch
         # Cross-frame group memo, as in STDDispatcher.
-        self._group_cache: dict = {}
+        self._group_cache: GroupMemo = GroupMemo()
 
     def reset_warm_state(self, *, counters: bool = False) -> None:
-        """At run start (``counters=True``) drop the group memo: request
-        ids only identify requests within one run."""
+        """Drop the carried group family; at run start (``counters=True``)
+        also the group memo, since request ids only identify requests
+        within one run."""
         if counters:
             self._group_cache.clear()
+        self._group_cache.drop_family("run-start" if counters else "ladder")
 
     def dispatch(
         self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
@@ -79,9 +86,8 @@ class ILPDispatcher(Dispatcher):
             return schedule
         self.checkpoint("ilp:start")
         max_seats = max(t.seats for t in taxis)
+        self._group_cache.retain({r.request_id for r in requests})
         batch = clip_batch(requests, taxis, self.config, self.max_batch)
-        if len(self._group_cache) > 500_000:
-            self._group_cache.clear()
         units = pack_requests(
             batch,
             self.oracle,

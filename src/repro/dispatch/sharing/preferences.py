@@ -14,20 +14,21 @@ non-sharing ones — a point the paper makes explicitly):
 Acceptability mirrors the non-sharing table: seat feasibility plus the
 two dummy thresholds.
 
-:func:`build_sharing_table` builds the whole units × taxis market on
-arrays and returns :class:`~repro.matching.arrays.PreferenceArrays`
-through the same CSR packer as the non-sharing fast path
-(:func:`~repro.matching.preferences.arrays_from_pairs`).  The approach
-matrix ``D(t_i, route start)`` is one ``exact=True`` kernel call; each
-unit's member terms (pickup offset, ``β·detour``), total trip, route
-length and party size become vectors; the seat rule is one broadcast
-mask.  The passenger score is accumulated member by member as
-``(A + offset_k) + β·detour_k`` and then divided by the member count —
-the scalar double loop's operations in its order — so every score, and
-hence every preference order, is IEEE-identical to that loop (kept in
-the test suite as the oracle).  Ties break by partner id.  The scalar
-:func:`group_passenger_score` / :func:`group_taxi_score` remain the
-per-pair definitions.
+:func:`build_sharing_table` scores the units × taxis market on arrays
+and returns :class:`~repro.matching.arrays.PreferenceArrays` through
+the same CSR packer as the non-sharing fast path
+(:func:`~repro.matching.preferences.arrays_from_pairs`).  The cells to
+score are index vectors (every cell, or only the unsettled strips of a
+warm frame); each unit's facts and member terms (pickup offset,
+``β·detour``) form one row and each taxi's one row, gathered once per
+cell, and the approach distances ``D(t_i, route start)`` are one
+``exact=True`` kernel call.  The passenger score is accumulated member
+by member as ``(A + offset_k) + β·detour_k`` and then divided by the
+member count — the scalar double loop's operations in its order — so
+every score, and hence every preference order, is IEEE-identical to
+that loop (kept in the test suite as the oracle).  Ties break by
+partner id.  The scalar :func:`group_passenger_score` /
+:func:`group_taxi_score` remain the per-pair definitions.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from repro.core.config import DispatchConfig
 from repro.core.errors import PreferenceError
 from repro.core.types import RideGroup, Taxi
-from repro.geometry.batch import oracle_pairwise
+from repro.geometry.batch import batch_kernels_exact, oracle_paired
 from repro.geometry.distance import DistanceOracle
 from repro.matching.arrays import PreferenceArrays
 from repro.matching.preferences import arrays_from_pairs
@@ -73,6 +74,8 @@ def build_sharing_table(
     config: DispatchConfig | None = None,
     *,
     alpha_by_taxi: Mapping[int, float] | None = None,
+    terms: dict[tuple[int, ...], tuple[float, ...]] | None = None,
+    settled: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PreferenceArrays:
     """The sharing market with ride groups as proposers and taxis as
     reviewers, as :class:`~repro.matching.arrays.PreferenceArrays`.
@@ -82,66 +85,123 @@ def build_sharing_table(
     ``i`` position ``i`` in ``taxis``.  ``alpha_by_taxi`` mirrors the
     non-sharing extension: a per-driver fare coefficient (missing ids
     use ``config.alpha``).  Ties in score break by partner id.
+
+    ``terms`` memoizes each unit's member vectors (total trip, pickup
+    offsets, β·detours) by member-id key, for one oracle and β.
+    ``settled`` is a pair of boolean masks over ``units`` and ``taxis``
+    whose flagged units and flagged taxis are known to be mutually
+    unacceptable; that block is not scored, only the strips of unflagged
+    units and unflagged taxis.  Every scored cell is computed as the
+    full build computes it, so the arrays are identical whenever the
+    claim holds.
     """
     config = config if config is not None else DispatchConfig()
-    alpha = np.array(
-        [(alpha_by_taxi or {}).get(t.taxi_id, config.alpha) for t in taxis], dtype=np.float64
-    )
-    for taxi, value in zip(taxis, alpha.tolist()):
+    alphas = [(alpha_by_taxi or {}).get(t.taxi_id, config.alpha) for t in taxis]
+    for taxi, value in zip(taxis, alphas):
         if value < 0.0:
             raise PreferenceError(f"taxi {taxi.taxi_id} has negative alpha {value}")
-    unit_ids = np.array([g.group_id for g in units], dtype=np.int64)
-    if len(np.unique(unit_ids)) != len(unit_ids):
+    unit_id_list = [g.group_id for g in units]
+    if len(set(unit_id_list)) != len(unit_id_list):
         raise PreferenceError("duplicate group ids")
-    taxi_ids = np.array([t.taxi_id for t in taxis], dtype=np.int64)
-    if len(np.unique(taxi_ids)) != len(taxi_ids):
+    taxi_id_list = [t.taxi_id for t in taxis]
+    if len(set(taxi_id_list)) != len(taxi_id_list):
         raise PreferenceError("duplicate taxi ids")
+    unit_ids = np.array(unit_id_list, dtype=np.int64)
+    taxi_ids = np.array(taxi_id_list, dtype=np.int64)
     if not units or not taxis:
         no_pairs, no_scores = np.empty(0, dtype=np.intp), np.empty(0)
         return arrays_from_pairs(
             unit_ids, taxi_ids, rj=no_pairs, ti=no_pairs, pick=no_scores, driver=no_scores
         )
 
-    # A[i, g] = D(taxi i, route start of g): taxis are the sources, as in
-    # the scalar scores (asymmetric oracles distinguish the direction).
-    approach = oracle_pairwise(
-        oracle,
-        sources=[t.location for t in taxis],
-        targets=[g.route_start for g in units],
-        exact=True,
-    )
-    # Member terms: (unit position, pickup offset, β·detour) of each
-    # unit's k-th member, grouped by k.  Trip distances do not depend on
-    # the taxi; total_trip sums them in member order.
-    by_rank: list[list[tuple[int, float, float]]] = [[] for _ in range(max(g.size for g in units))]
-    total_trip = np.empty(len(units))
-    for gi, group in enumerate(units):
-        trips = [request.trip_distance(oracle) for request in group.requests]
-        total_trip[gi] = sum(trips)
-        offsets, onboard = group.pickup_offset_km, group.onboard_distance_km
-        for k, (request, trip) in enumerate(zip(group.requests, trips)):
-            rid = request.request_id
-            by_rank[k].append((gi, offsets[rid], config.beta * (onboard[rid] - trip)))
-    size = np.array([g.size for g in units], dtype=np.int64)
-    route_length = np.array([g.route_length_km for g in units], dtype=np.float64)
-    party = np.array([g.total_passengers for g in units], dtype=np.int64)
-    seats = np.array([t.seats for t in taxis], dtype=np.int64)
+    if settled is None:
+        ti, gi = np.divmod(np.arange(len(taxis) * len(units)), len(units))
+    else:
+        # Only the strips of unsettled units (every taxi) and unsettled
+        # taxis (every unit) can hold an acceptable pair.
+        unit_settled, taxi_settled = settled
+        ti, gi = np.nonzero(~(taxi_settled[:, None] & unit_settled[None, :]))
+    ti, gi, pick, driver = _acceptable_cells(taxis, units, oracle, config, alphas, terms, ti, gi)
+    return arrays_from_pairs(unit_ids, taxi_ids, rj=gi, ti=ti, pick=pick, driver=driver)
 
-    # Passenger score: the sum over members of (A + offset_k) + β·detour_k,
-    # accumulated member by member (the scalar order), over the size.
+
+def _acceptable_cells(
+    taxis: Sequence[Taxi],
+    units: Sequence[RideGroup],
+    oracle: DistanceOracle,
+    config: DispatchConfig,
+    alphas: list[float],
+    terms: dict[tuple[int, ...], tuple[float, ...]] | None,
+    ti: np.ndarray,
+    gi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The acceptable cells among the ``(taxi ti[c], unit gi[c])``
+    cells, with their passenger and driver scores."""
+    entries: list[tuple[float, ...]] = []
+    for group in units:
+        key = group.request_ids
+        entry = terms.get(key) if terms is not None else None
+        if entry is None:
+            entry = _unit_terms(group, oracle, config.beta)
+            if terms is not None:
+                terms[key] = entry
+        entries.append(entry)
+    # One row per unit (see _unit_terms), zero-padded to the widest, and
+    # one per taxi: x, y, seats, α + 1.
+    width = max(len(entry) for entry in entries)
+    unit = np.array([entry + (0.0,) * (width - len(entry)) for entry in entries])[gi]
+    taxi = np.array(
+        [(t.location.x, t.location.y, t.seats, alpha + 1.0) for t, alpha in zip(taxis, alphas)]
+    )[ti]
+    # A = D(taxi, route start): taxis are the sources, as in the scalar
+    # scores (asymmetric oracles distinguish the direction).  The packed
+    # kernel entry point skips the public batch API's point conversion;
+    # same kernel, same bits.
+    paired_packed = getattr(oracle, "paired_packed", None) if batch_kernels_exact(oracle) else None
+    if paired_packed is not None:
+        approach = paired_packed(taxi[:, :2], unit[:, :2])
+    else:
+        approach = oracle_paired(
+            oracle,
+            sources=[taxis[i].location for i in ti.tolist()],
+            targets=[units[g].route_start for g in gi.tolist()],
+            exact=True,
+        )
+    size = unit[:, 2]
+    # Passenger score: the sum over members of (A + offset_k) +
+    # β·detour_k, accumulated member by member (the scalar order), over
+    # the size.
     total = np.zeros_like(approach)
-    for terms in by_rank:
-        column, offset, beta_detour = np.array(terms).T
-        has = column.astype(np.intp)
-        total[:, has] += (approach[:, has] + offset) + beta_detour
+    for k in range((width - _UNIT_FACTS) // 2):
+        offset, beta_detour = unit[:, _UNIT_FACTS + 2 * k], unit[:, _UNIT_FACTS + 2 * k + 1]
+        has = size > k
+        if has.all():
+            total += (approach + offset) + beta_detour
+        else:
+            total[has] += (approach[has] + offset[has]) + beta_detour[has]
     passenger = total / size
-    driver = (approach + route_length) - (alpha[:, None] + 1.0) * total_trip
-    ok = (
-        (party <= seats[:, None])
+    driver = (approach + unit[:, 3]) - taxi[:, 3] * unit[:, 5]
+    ok = np.flatnonzero(
+        (unit[:, 4] <= taxi[:, 2])
         & ~(passenger > config.passenger_threshold_km)
         & ~(driver > config.taxi_threshold_km)
     )
-    ti, gi = np.nonzero(ok)
-    return arrays_from_pairs(
-        unit_ids, taxi_ids, rj=gi, ti=ti, pick=passenger[ti, gi], driver=driver[ti, gi]
-    )
+    return ti[ok], gi[ok], passenger[ok], driver[ok]
+
+
+#: Leading fields of a unit's row: route start x, y, size, route
+#: length, party size, Σ trip.
+_UNIT_FACTS = 6
+
+
+def _unit_terms(group: RideGroup, oracle: DistanceOracle, beta: float) -> tuple[float, ...]:
+    """A unit's row for the sharing table: its :data:`_UNIT_FACTS`, then
+    each member's pickup offset and β·detour, in member order."""
+    trips = [request.trip_distance(oracle) for request in group.requests]
+    offsets, onboard = group.pickup_offset_km, group.onboard_distance_km
+    start = group.route_start
+    row = [start.x, start.y, group.size, group.route_length_km, group.total_passengers, sum(trips)]
+    for request, trip in zip(group.requests, trips):
+        rid = request.request_id
+        row += (offsets[rid], beta * (onboard[rid] - trip))
+    return tuple(row)

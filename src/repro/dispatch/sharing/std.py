@@ -17,8 +17,9 @@ Two stages, exactly as in the paper:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import Any
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, ClassVar
 
 import numpy as np
 
@@ -28,8 +29,10 @@ from repro.core.types import DispatchSchedule, PassengerRequest, RideGroup, Taxi
 from repro.dispatch.base import Dispatcher, group_assignment
 from repro.dispatch.sharing.preferences import build_sharing_table
 from repro.geometry.distance import DistanceOracle
+from repro.matching.arrays import PreferenceArrays
 from repro.matching.optimality import passenger_optimal, taxi_optimal
-from repro.packing.feasibility import enumerate_feasible_groups
+from repro.matching.result import Matching
+from repro.packing.feasibility import GroupFamily, GroupMemo, enumerate_feasible_groups
 from repro.packing.set_packing import (
     exact_set_packing,
     greedy_set_packing,
@@ -72,6 +75,23 @@ _PACKERS = {
 }
 
 
+@dataclass(frozen=True, slots=True)
+class _Packing:
+    """A packer's verdict on one group family, kept for the next frame.
+
+    ``nodes`` is what the packer charged its work budget (``None`` when
+    it ran without one); ``units`` are the dispatch units built from it
+    for the family's batch.
+    """
+
+    packer: str
+    family: GroupFamily
+    keys: list[tuple[int, ...]]
+    chosen: tuple[int, ...]
+    nodes: int | None
+    units: tuple[RideGroup, ...]
+
+
 def pack_requests(
     requests: Sequence[PassengerRequest],
     oracle: DistanceOracle,
@@ -92,7 +112,12 @@ def pack_requests(
     ``cache`` is the caller's cross-frame group memo, keyed by member
     request ids: it holds every evaluated candidate group (``None`` when
     infeasible) and every singleton unit.  Request ids must identify
-    requests for the memo's lifetime.
+    requests for the memo's lifetime.  A
+    :class:`~repro.packing.feasibility.GroupMemo` also carries the last
+    frame's group family and its packing: the enumeration then evaluates
+    only the candidates that touch new requests, and an unchanged family
+    reuses the packer's choice, since packing is a deterministic
+    function of the family.
 
     ``budget`` makes the stage *anytime*: group enumeration and the
     packer stop expanding when the budget exhausts, so the result may
@@ -111,8 +136,38 @@ def pack_requests(
         cache=cache,
         budget=budget,
     )
-    member_sets = [frozenset(g.request_ids) for g in candidates]
-    chosen_indices = _PACKERS[packer](member_sets, budget).chosen if member_sets else ()
+    memo = cache if isinstance(cache, GroupMemo) else None
+    family = memo.family if memo is not None else None
+    keys = family.keys if family is not None else None
+    record = memo.packing if memo is not None else None
+    reuse = (
+        record
+        if isinstance(record, _Packing)
+        and record.packer == packer
+        and record.keys == keys
+        and _replays(record.nodes, budget)
+        else None
+    )
+    if reuse is not None and reuse.family is family:
+        # The same batch and family as the recorded packing's.
+        return list(reuse.units)
+    nodes: int | None = None
+    chosen_indices: Sequence[int]
+    if reuse is not None:
+        chosen_indices = reuse.chosen
+        nodes = reuse.nodes
+    elif candidates:
+        member_sets = [frozenset(g.request_ids) for g in candidates]
+        base = budget.nodes if budget is not None else 0
+        result = _PACKERS[packer](member_sets, budget)
+        chosen_indices = result.chosen
+        if budget is not None:
+            nodes = budget.nodes - base
+        if result.truncated:
+            keys = None  # a truncated packing is no verdict on the family
+    else:
+        chosen_indices = ()
+        nodes = 0 if budget is not None else None
 
     units: list[RideGroup] = []
     packed_ids: set[int] = set()
@@ -132,11 +187,88 @@ def pack_requests(
             if cache is not None:
                 cache[key] = single
         units.append(single.relabeled(len(units)))
+    if memo is not None and family is not None:
+        memo.packing = (
+            None
+            if keys is None
+            else _Packing(packer, family, keys, tuple(chosen_indices), nodes, tuple(units))
+        )
     return units
 
 
+def _replays(nodes: int | None, budget: WorkBudget | None) -> bool:
+    """Whether a recorded packing that charged ``nodes`` stands under
+    ``budget``: it fits, and is charged.  One that would trip part-way
+    reruns the packer, which stops where it always did."""
+    if budget is None:
+        return True
+    if nodes is None:
+        return False
+    if budget.max_nodes is not None and budget.nodes + nodes > budget.max_nodes:
+        return False
+    return budget.spend(nodes)
+
+
+class _SettledMarket:
+    """The units and taxis the last stable matching left unmatched.
+
+    Two of them cannot be mutually acceptable, or they would have
+    blocked that matching; a unit with the same members and a taxi
+    re-presented as the same object score exactly as they did, so they
+    still cannot.  Units are held by member-id key, taxis by object
+    (the reference keeps the object's identity from being recycled).
+    """
+
+    __slots__ = ("unit_keys", "taxis")
+
+    def __init__(
+        self, units: Sequence[RideGroup], taxis: Sequence[Taxi], matching: Matching
+    ):
+        matched_units = {unit_id for unit_id, _ in matching.pairs}
+        matched_taxis = {taxi_id for _, taxi_id in matching.pairs}
+        self.unit_keys = frozenset(
+            g.request_ids for g in units if g.group_id not in matched_units
+        )
+        self.taxis = {t.taxi_id: t for t in taxis if t.taxi_id not in matched_taxis}
+
+    def masks(
+        self, units: Sequence[RideGroup], taxis: Sequence[Taxi]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Which of this frame's units and taxis are still settled."""
+        unit_keys, held = self.unit_keys, self.taxis
+        return (
+            np.fromiter((g.request_ids in unit_keys for g in units), dtype=bool, count=len(units)),
+            np.fromiter(
+                (held.get(t.taxi_id) is t for t in taxis), dtype=bool, count=len(taxis)
+            ),
+        )
+
+
 class STDDispatcher(Dispatcher):
-    """Sharing Taxi Dispatch via set packing + stable matching."""
+    """Sharing Taxi Dispatch via set packing + stable matching.
+
+    Frames run warm (DESIGN §10, "Warm STD"): the group memo carries the
+    last frame's group family and packing, so only candidates touching
+    new requests are evaluated, and the market scores only the strips of
+    units and taxis the last matching did not leave unmatched.  Both are
+    bit-identical to a cold frame.
+    """
+
+    #: Frames always run warm: they make fewer oracle calls than cold
+    #: ones, which a resume under an armed fault injector must refuse.
+    warm_start = True
+
+    #: Cross-frame attributes deliberately left out of :meth:`state_payload`.
+    DURABILITY_EXCLUSIONS: ClassVar[dict[str, str]] = {
+        "_group_cache": (
+            "memo of routed groups and the last group family, a function of "
+            "the queued requests; a resumed run rebuilds it cold, bit-identically"
+        ),
+        "_market": (
+            "derived from the last frame's matching; a resumed run's first "
+            "frame scores the full market and reseeds it"
+        ),
+    }
 
     def __init__(
         self,
@@ -158,13 +290,45 @@ class STDDispatcher(Dispatcher):
         self.name = "STD-P" if optimize_for == "passenger" else "STD-T"
         # Cross-frame group memo: queued requests keep their ids, so
         # group routes computed in earlier frames stay valid within a run.
-        self._group_cache: dict = {}
+        self._group_cache: GroupMemo = GroupMemo()
+        self._market: _SettledMarket | None = None
+        self._telemetry: dict[str, float | int] = {}
 
     def reset_warm_state(self, *, counters: bool = False) -> None:
-        """At run start (``counters=True``) drop the group memo: request
-        ids only identify requests within one run."""
+        """Drop the carried family and market (the next frame runs cold).
+
+        At run start (``counters=True``) also drop the group memo, since
+        request ids only identify requests within one run, and the run
+        counters.
+        """
         if counters:
             self._group_cache.clear()
+            self._telemetry = {}
+        self._group_cache.drop_family("run-start" if counters else "ladder")
+        self._market = None
+
+    def run_telemetry(self) -> dict[str, float | int]:
+        """``warm_frames`` / ``cold_frames`` partition the dispatched
+        frames; each cold frame also counts ``warm_fallback_<reason>``.
+        ``pairs_scored_warm`` / ``full_pairs_warm`` are the market cells
+        scored on frames with a carried market, and the cells a full
+        build would have scored."""
+        return dict(self._telemetry)
+
+    def restore_telemetry(self, counters: Mapping[str, float | int]) -> None:
+        """Adopt checkpointed run counters (crash-recovery resume path)."""
+        self._telemetry = dict(counters)
+
+    def state_payload(self) -> dict[str, Any]:
+        """The durable cross-frame state: run telemetry only."""
+        return {"telemetry": dict(self._telemetry)}
+
+    def restore_state(self, payload: Mapping[str, Any]) -> None:
+        """Adopt a :meth:`state_payload` snapshot; the memo stays cold."""
+        self.restore_telemetry(payload.get("telemetry") or {})
+
+    def _bump(self, key: str, amount: int = 1) -> None:
+        self._telemetry[key] = self._telemetry.get(key, 0) + amount
 
     def dispatch(
         self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
@@ -173,10 +337,10 @@ class STDDispatcher(Dispatcher):
         if not taxis or not requests:
             return schedule
         self.checkpoint("std:start")
+        memo = self._group_cache
+        memo.retain({r.request_id for r in requests})
         max_seats = max(t.seats for t in taxis)
         batch = clip_batch(requests, taxis, self.config, self.max_batch)
-        if len(self._group_cache) > 500_000:
-            self._group_cache.clear()
         pickup_gap = None
         if self.pairing_radius_km is not None:
             # clip_batch returns the batch id-sorted, the order the
@@ -196,16 +360,38 @@ class STDDispatcher(Dispatcher):
             max_passengers=max_seats,
             pairing_radius_km=self.pairing_radius_km,
             pickup_gap=pickup_gap,
-            cache=self._group_cache,
+            cache=memo,
             budget=pack_budget,
         )
+        if memo.last_fallback is None:
+            self._bump("warm_frames")
+        else:
+            self._bump("cold_frames")
+            self._bump(f"warm_fallback_{memo.last_fallback}")
         self.checkpoint("std:packed")
-        prefs = build_sharing_table(taxis, units, self.oracle, self.config)
+        settled: tuple[np.ndarray, np.ndarray] | None = None
+        if self._market is not None:
+            settled = self._market.masks(units, taxis)
+            full = len(units) * len(taxis)
+            self._bump("full_pairs_warm", full)
+            self._bump(
+                "pairs_scored_warm", full - int(settled[0].sum()) * int(settled[1].sum())
+            )
+        # With every unit and taxi settled no pair can be acceptable.
+        prefs: PreferenceArrays | None = None
+        if settled is None or not (settled[0].all() and settled[1].all()):
+            prefs = build_sharing_table(
+                taxis, units, self.oracle, self.config, terms=memo.unit_terms, settled=settled
+            )
         self.checkpoint("std:table-built")
-        if self.optimize_for == "passenger":
+        if prefs is None or not prefs.proposer_list.size:
+            # No acceptable pair: the matching is empty, no rounds needed.
+            matching = Matching({})
+        elif self.optimize_for == "passenger":
             matching = passenger_optimal(prefs)
         else:
             matching = taxi_optimal(prefs)
+        self._market = _SettledMarket(units, taxis, matching)
         taxis_by_id = {t.taxi_id: t for t in taxis}
         units_by_id = {g.group_id: g for g in units}
         for unit_id, taxi_id in sorted(matching.pairs):

@@ -28,25 +28,40 @@ evaluated candidate, so truncation stops at the same subset and
 ``FeasibilityStats`` (``triples_pruned`` included) keeps its counts.
 Each evaluated candidate is routed once; the route serves both the θ
 check and the group.
+
+**Warm enumeration.**  A :class:`GroupMemo` carries the last complete
+enumeration over it (:class:`GroupFamily`).  The next call on the memo
+evaluates only the pairs and triples that touch a request new to the
+batch, takes every other verdict from the carried family and
+feasible-pair mask (a memo hit would return the same verdict), and
+merges the two into the full scan's order; the groups, their order and
+the stats are the full scan's (DESIGN §10, "Warm STD").
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Container, Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from repro.core.config import DispatchConfig
-from repro.core.errors import PackingError
+from repro.core.errors import WARM_FALLBACK_OTHER, PackingError
 from repro.core.types import PassengerRequest, RideGroup
 from repro.geometry.batch import oracle_pairwise
 from repro.geometry.distance import DistanceOracle
 from repro.resilience.budget import WorkBudget
 from repro.routing.shared_route import SharedRoute, build_ride_group, feasible_shared_route
 
-__all__ = ["FeasibilityStats", "group_is_feasible", "enumerate_feasible_groups"]
+__all__ = [
+    "FeasibilityStats",
+    "GroupFamily",
+    "GroupMemo",
+    "group_is_feasible",
+    "enumerate_feasible_groups",
+]
 
 
 @dataclass(slots=True)
@@ -128,7 +143,11 @@ def enumerate_feasible_groups(
 
     ``cache`` memoizes each evaluated member-id tuple's group (or
     ``None`` when infeasible) across calls; a cached group is
-    relabelled, not re-routed, and does not count as tested.
+    relabelled, not re-routed, and does not count as tested.  A
+    :class:`GroupMemo` also carries this call's enumeration to the next
+    one, which then evaluates only the candidates that touch a request
+    new to the batch (see :class:`GroupMemo`); the groups, their order
+    and the stats are those of the full scan.
 
     ``budget`` charges one node per candidate subset considered, in
     lexicographic order, skipped ones included; an exhausted budget
@@ -140,20 +159,17 @@ def enumerate_feasible_groups(
     stats = FeasibilityStats()
     ordered = sorted(requests, key=lambda r: r.request_id)
     n = len(ordered)
-    groups: list[RideGroup] = []
-    # feasible[a, b] (a < b): the pair of id-sorted positions a, b is a
-    # feasible group, freshly evaluated or cached.
-    feasible = np.zeros((n, n), dtype=bool)
+    memo = cache if isinstance(cache, GroupMemo) else None
+    signature = (max_passengers, assume_metric, pairing_radius_km, config.theta_km,
+                 config.max_group_size)
 
-    def evaluate(positions: tuple[int, ...]) -> bool:
+    def evaluate(positions: tuple[int, ...]) -> tuple[tuple[int, ...], RideGroup | None]:
+        """The candidate's memo key and its group (``None`` when
+        infeasible), from the memo or freshly routed."""
         members = tuple(ordered[i] for i in positions)
         key = tuple(r.request_id for r in members)
         if cache is not None and key in cache:
-            cached = cache[key]
-            if cached is None:
-                return False
-            groups.append(cached.relabeled(len(groups)))
-            return True
+            return key, cache[key]
         is_pair = len(members) == 2
         if is_pair:
             stats.pairs_tested += 1
@@ -166,78 +182,365 @@ def enumerate_feasible_groups(
         if group_is_feasible(
             members, oracle, config.theta_km, max_passengers=max_passengers, route=route
         ):
-            group = build_ride_group(len(groups), members, oracle, route=route)
-            groups.append(group)
+            group = build_ride_group(-1, members, oracle, route=route)
             if is_pair:
                 stats.pairs_feasible += 1
             else:
                 stats.triples_feasible += 1
         if cache is not None:
-            cache[key] = None if group is None else group.relabeled(-1)
-        return group is not None
+            cache[key] = group
+        return key, group
+
+    carried = memo.family if memo is not None else None
+    fallback = None
+    if memo is not None:
+        fallback = (
+            memo.cold_reason
+            if carried is None
+            else carried.mismatch(signature, budget, _scan_nodes(n, config.max_group_size))
+        )
+    if carried is not None and fallback is None:
+        pairs, triples, feasible = _enumerate_warm(
+            carried, ordered, oracle, config, pairing_radius_km, pickup_gap, evaluate, stats,
+            with_stats,
+        )
+    else:
+        pairs, triples, feasible = _enumerate_cold(
+            ordered, oracle, config, assume_metric, pairing_radius_km, pickup_gap, evaluate,
+            stats, budget,
+        )
+
+    if stats.truncated:
+        stats.notes.append("group enumeration stopped by work budget")
+    if carried is not None and feasible is carried.feasible:
+        # The same batch again: its family carries over whole.
+        groups = list(carried.groups)
+    else:
+        groups = [group.relabeled(index) for index, (_, group) in enumerate(pairs + triples)]
+        if memo is not None and not stats.truncated and assume_metric:
+            memo.family = GroupFamily(
+                ids=np.fromiter((r.request_id for r in ordered), dtype=np.int64, count=n),
+                feasible=feasible,
+                pairs=pairs,
+                triples=triples,
+                groups=tuple(groups),
+                signature=signature,
+            )
+    stats.groups = len(groups)
+    if memo is not None:
+        memo.last_fallback = fallback
+        if stats.truncated or not assume_metric:
+            # A truncated scan is not the batch's family; an unpruned
+            # one has no feasible-pair rule to extend it by.
+            memo.drop_family("budget" if stats.truncated else WARM_FALLBACK_OTHER)
+    if with_stats:
+        return groups, stats
+    return groups
+
+
+_Family = list[tuple[tuple[int, ...], RideGroup]]
+_Evaluate = Callable[[tuple[int, ...]], tuple[tuple[int, ...], "RideGroup | None"]]
+
+
+def _pair_mask(
+    ordered: Sequence[PassengerRequest],
+    oracle: DistanceOracle,
+    pairing_radius_km: float | None,
+    pickup_gap: np.ndarray | None,
+) -> np.ndarray:
+    """``keep[a, b]``: the radius prefilter admits the pair of id-sorted
+    positions ``a``, ``b``.  The prefilter inspects every pair, so one
+    batched pickup-to-pickup matrix replaces O(|R|²) scalar oracle calls
+    (exact=True keeps the decisions identical)."""
+    n = len(ordered)
+    if pairing_radius_km is None:
+        return np.ones((n, n), dtype=bool)
+    if pickup_gap is not None:
+        gap = np.asarray(pickup_gap, dtype=np.float64)
+        if gap.shape != (n, n):
+            raise PackingError(f"pickup_gap has shape {gap.shape}, expected ({n}, {n})")
+    else:
+        pickups = [r.pickup for r in ordered]
+        gap = oracle_pairwise(oracle, sources=pickups, targets=pickups, exact=True)
+    return ~(gap > pairing_radius_km)
+
+
+def _triple_candidates(feasible: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triples whose three pairs are all feasible, in lexicographic
+    order: for each feasible pair ``(a, b)`` in order, the common
+    feasible successors ``c > b``."""
+    pa, pb = np.nonzero(feasible)
+    rows, tc = np.nonzero(feasible[pa] & feasible[pb])
+    return pa[rows], pb[rows], tc
+
+
+def _enumerate_cold(
+    ordered: Sequence[PassengerRequest],
+    oracle: DistanceOracle,
+    config: DispatchConfig,
+    assume_metric: bool,
+    pairing_radius_km: float | None,
+    pickup_gap: np.ndarray | None,
+    evaluate: _Evaluate,
+    stats: FeasibilityStats,
+    budget: WorkBudget | None,
+) -> tuple[_Family, _Family, np.ndarray]:
+    """The full lexicographic scan: the feasible pairs, the feasible
+    triples and the feasible-pair mask of the id-sorted batch."""
+    n = len(ordered)
+    pairs: _Family = []
+    triples: _Family = []
+    # feasible[a, b] (a < b): the pair of id-sorted positions a, b is a
+    # feasible group, freshly evaluated or cached.
+    feasible = np.zeros((n, n), dtype=bool)
 
     if config.max_group_size >= 2 and n >= 2:
         # Pair candidates in lexicographic order: the row-major nonzeros
-        # of the upper triangle.  The radius prefilter inspects every
-        # pair, so one batched pickup-to-pickup matrix replaces O(|R|²)
-        # scalar oracle calls (exact=True keeps the decisions identical).
-        keep = np.ones((n, n), dtype=bool)
-        if pairing_radius_km is not None:
-            if pickup_gap is not None:
-                gap = np.asarray(pickup_gap, dtype=np.float64)
-                if gap.shape != (n, n):
-                    raise PackingError(
-                        f"pickup_gap has shape {gap.shape}, expected ({n}, {n})"
-                    )
-            else:
-                pickups = [r.pickup for r in ordered]
-                gap = oracle_pairwise(oracle, sources=pickups, targets=pickups, exact=True)
-            keep = ~(gap > pairing_radius_km)
+        # of the upper triangle.
+        keep = _pair_mask(ordered, oracle, pairing_radius_km, pickup_gap)
         pa, pb = np.nonzero(np.triu(keep, k=1))
         charge = _Charge(budget, n * (n - 1) // 2)
         for a, b, index in zip(pa.tolist(), pb.tolist(), _pair_index(pa, pb, n).tolist()):
             if not charge.upto(index):
                 break
-            feasible[a, b] = evaluate((a, b))
+            key, group = evaluate((a, b))
+            if group is not None:
+                feasible[a, b] = True
+                pairs.append((key, group))
         else:
             charge.rest()
         stats.truncated = charge.truncated
 
     if config.max_group_size >= 3 and not stats.truncated and n >= 3:
         if assume_metric:
-            # Triples whose three pairs are all feasible, in
-            # lexicographic order: for each feasible pair (a, b) in
-            # order, the common feasible successors c > b.
-            pa, pb = np.nonzero(feasible)
-            rows, tc = np.nonzero(feasible[pa] & feasible[pb])
-            ta, tb = pa[rows], pb[rows]
-            triples: Iterator[tuple[int, int, int, int]] = zip(
+            ta, tb, tc = _triple_candidates(feasible)
+            candidates: Iterator[tuple[int, int, int, int]] = zip(
                 ta.tolist(), tb.tolist(), tc.tolist(), _triple_index(ta, tb, tc, n).tolist()
             )
         else:
-            triples = (
+            candidates = (
                 (a, b, c, index)
                 for index, (a, b, c) in enumerate(itertools.combinations(range(n), 3))
             )
         charge = _Charge(budget, n * (n - 1) * (n - 2) // 6)
         evaluated = 0
-        for a, b, c, index in triples:
+        for a, b, c, index in candidates:
             if not charge.upto(index):
                 break
-            evaluate((a, b, c))
+            key, group = evaluate((a, b, c))
+            if group is not None:
+                triples.append((key, group))
             evaluated += 1
         else:
             charge.rest()
         stats.truncated = charge.truncated
         if assume_metric:
             stats.triples_pruned = charge.scanned - evaluated
+    return pairs, triples, feasible
 
-    if stats.truncated:
-        stats.notes.append("group enumeration stopped by work budget")
-    stats.groups = len(groups)
-    if with_stats:
-        return groups, stats
-    return groups
+
+def _enumerate_warm(
+    carried: "GroupFamily",
+    ordered: Sequence[PassengerRequest],
+    oracle: DistanceOracle,
+    config: DispatchConfig,
+    pairing_radius_km: float | None,
+    pickup_gap: np.ndarray | None,
+    evaluate: _Evaluate,
+    stats: FeasibilityStats,
+    with_stats: bool,
+) -> tuple[_Family, _Family, np.ndarray]:
+    """:func:`_enumerate_cold`'s result from the previous batch's family.
+
+    A candidate whose members were all in the previous batch is a memo
+    hit with the verdict it had then, so the carried family and
+    feasible-pair mask answer it.  Only the pairs and triples that touch
+    an entrant are evaluated; each kind is merged into the lexicographic
+    order of the full scan.  Without entrants the triple scan only
+    counts ``stats.triples_pruned``, so it runs only ``with_stats``.
+    """
+    n = len(ordered)
+    ids = np.fromiter((r.request_id for r in ordered), dtype=np.int64, count=n)
+    prev_ids = carried.ids
+    if n == prev_ids.size and np.array_equal(ids, prev_ids):
+        if with_stats and config.max_group_size >= 3 and n >= 3:
+            triples = n * (n - 1) * (n - 2) // 6
+            stats.triples_pruned = triples - int(_triple_candidates(carried.feasible)[0].size)
+        return carried.pairs, carried.triples, carried.feasible
+    pos = np.searchsorted(prev_ids, ids)
+    retained = np.zeros(n, dtype=bool)
+    if prev_ids.size:
+        retained = prev_ids[np.minimum(pos, prev_ids.size - 1)] == ids
+    entrant = ~retained
+    rows = np.flatnonzero(retained)
+    feasible = np.zeros((n, n), dtype=bool)
+    before = pos[rows]
+    feasible[rows[:, None], rows] = carried.feasible[before[:, None], before]
+    departed = (
+        set(prev_ids.tolist()).difference(ids[rows].tolist())
+        if rows.size < prev_ids.size
+        else set()
+    )
+
+    def kept(family: _Family) -> _Family:
+        return [entry for entry in family if departed.isdisjoint(entry[0])] if departed else family
+
+    pairs: _Family = kept(carried.pairs)
+    triples: _Family = kept(carried.triples)
+    fresh_any = bool(entrant.any())
+    if config.max_group_size >= 2 and n >= 2 and fresh_any:
+        keep = _pair_mask(ordered, oracle, pairing_radius_km, pickup_gap)
+        keep &= entrant[:, None] | entrant[None, :]
+        pa, pb = np.nonzero(keep)
+        upper = pa < pb
+        pa, pb = pa[upper], pb[upper]
+        fresh: _Family = []
+        for a, b in zip(pa.tolist(), pb.tolist()):
+            key, group = evaluate((a, b))
+            if group is not None:
+                feasible[a, b] = True
+                fresh.append((key, group))
+        pairs = _merged(pairs, fresh)
+    if config.max_group_size >= 3 and n >= 3 and (fresh_any or with_stats):
+        ta, tb, tc = _triple_candidates(feasible)
+        touch = entrant[ta] | entrant[tb] | entrant[tc]
+        fresh = []
+        for a, b, c in zip(ta[touch].tolist(), tb[touch].tolist(), tc[touch].tolist()):
+            key, group = evaluate((a, b, c))
+            if group is not None:
+                fresh.append((key, group))
+        triples = _merged(triples, fresh)
+        stats.triples_pruned = n * (n - 1) * (n - 2) // 6 - int(ta.size)
+    return pairs, triples, feasible
+
+
+def _merged(retained: _Family, fresh: _Family) -> _Family:
+    """Two lexicographically ordered runs of disjoint keys as one."""
+    if not fresh:
+        return retained
+    return sorted(retained + fresh, key=itemgetter(0))
+
+
+def _scan_nodes(n: int, max_group_size: int) -> int:
+    """The nodes a full scan of ``n`` requests charges a budget: one per
+    candidate pair and, for groups of three, one per candidate triple."""
+    nodes = n * (n - 1) // 2 if max_group_size >= 2 and n >= 2 else 0
+    if max_group_size >= 3 and n >= 3:
+        nodes += n * (n - 1) * (n - 2) // 6
+    return nodes
+
+
+@dataclass(frozen=True, slots=True)
+class GroupFamily:
+    """One complete enumeration: what the next batch carries over.
+
+    ``ids`` is the id-sorted batch, ``feasible`` its feasible-pair mask
+    over those positions, and ``pairs`` / ``triples`` its feasible
+    groups (memo key, group under id −1) in lexicographic order;
+    ``groups`` is what the enumeration returned for them.
+    ``signature`` is the call's
+    ``(max_passengers, assume_metric, pairing_radius_km, θ,
+    max_group_size)``.
+    """
+
+    ids: np.ndarray
+    feasible: np.ndarray
+    pairs: _Family
+    triples: _Family
+    groups: tuple[RideGroup, ...]
+    signature: tuple[object, ...]
+
+    @property
+    def keys(self) -> list[tuple[int, ...]]:
+        """The member-id keys of the family, in enumeration order."""
+        return [key for key, _ in self.pairs] + [key for key, _ in self.triples]
+
+    def mismatch(
+        self, signature: tuple[object, ...], budget: WorkBudget | None, nodes: int
+    ) -> str | None:
+        """Why a call with ``signature`` under ``budget`` cannot extend this
+        family (a fallback reason), or ``None`` when it can.
+
+        A budget that admits the full scan's ``nodes`` is charged them
+        here, at once; one that would trip part-way sends the call down
+        the full scan, which truncates where it always did.
+        """
+        if signature[1:] != self.signature[1:]:
+            return WARM_FALLBACK_OTHER
+        if signature[0] != self.signature[0]:
+            return "max-passengers"
+        if budget is not None:
+            if budget.max_nodes is not None and budget.nodes + nodes > budget.max_nodes:
+                return "budget"
+            if not budget.spend(nodes):
+                return "budget"
+        return None
+
+
+class GroupMemo(dict[tuple[int, ...], "RideGroup | None"]):
+    """A dispatcher's cross-frame group memo, keyed by member-id tuple.
+
+    As a plain ``dict`` memo it holds every evaluated candidate (``None``
+    when infeasible) and every singleton unit.  On top of that it keeps:
+
+    * an id → keys index, so :meth:`retain` evicts the entries of
+      requests that left the queue in time proportional to the queue
+      and the evicted entries, never to the memo;
+    * :attr:`unit_terms`, each unit's member vectors for the sharing
+      table (:func:`~repro.dispatch.sharing.preferences.build_sharing_table`),
+      evicted with their key;
+    * :attr:`family`, the last complete enumeration over it, which the
+      next :func:`enumerate_feasible_groups` call extends by the batch's
+      entrants instead of rescanning; and :attr:`packing`, the packer's
+      verdict on that family (set by
+      :func:`~repro.dispatch.sharing.std.pack_requests`).
+
+    :attr:`last_fallback` is ``None`` when the last enumeration extended
+    a carried family, else the reason it scanned in full;
+    :attr:`cold_reason` is the reason the next one will give while no
+    family is carried.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._keys_by_id: dict[int, list[tuple[int, ...]]] = {}
+        self.unit_terms: dict[tuple[int, ...], tuple[float, ...]] = {}
+        self.family: GroupFamily | None = None
+        self.packing: object | None = None
+        self.cold_reason = "run-start"
+        self.last_fallback: str | None = None
+
+    def __setitem__(self, key: tuple[int, ...], value: RideGroup | None) -> None:
+        if key not in self:
+            index = self._keys_by_id
+            for rid in key:
+                index.setdefault(rid, []).append(key)
+        super().__setitem__(key, value)
+
+    def retain(self, live_ids: Container[int]) -> None:
+        """Evict every entry naming a request outside ``live_ids``.
+
+        Requests never return once they leave the queue, so those
+        entries are dead.
+        """
+        index = self._keys_by_id
+        for rid in [rid for rid in index if rid not in live_ids]:
+            for key in index.pop(rid):
+                self.pop(key, None)
+                self.unit_terms.pop(key, None)
+
+    def drop_family(self, reason: str) -> None:
+        """Forget the carried enumeration; the next one scans in full and
+        reports ``reason``."""
+        self.family = None
+        self.packing = None
+        self.cold_reason = reason
+
+    def clear(self) -> None:
+        super().clear()
+        self._keys_by_id.clear()
+        self.unit_terms.clear()
+        self.drop_family("memo-cleared")
 
 
 class _Charge:

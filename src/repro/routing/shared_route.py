@@ -208,6 +208,21 @@ def feasible_shared_route(
         raise RoutingError(
             f"exhaustive routing supports groups of at most {MAX_EXHAUSTIVE_GROUP}, got {n}"
         )
+    if n == 1 and start is None and max_detour_km is None:
+        # A lone request has one order, pickup then dropoff; its offsets
+        # are the search's own sums (0.0, then 0.0 + the trip leg).
+        request = requests[0]
+        rid = request.request_id
+        trip = 0.0 + oracle.distance(request.pickup, request.dropoff)
+        return SharedRoute(
+            stops=(
+                RouteStop(request_id=rid, is_pickup=True, point=request.pickup),
+                RouteStop(request_id=rid, is_pickup=False, point=request.dropoff),
+            ),
+            length_km=trip,
+            pickup_offset_km={rid: 0.0},
+            onboard_km={rid: trip - 0.0},
+        )
     ids = [r.request_id for r in requests]
     if len(set(ids)) != n:
         raise RoutingError(f"duplicate request ids in group: {ids}")

@@ -299,7 +299,7 @@ class RunCore:
     def expire(self) -> int:
         """Drop queued requests whose patience ran out; returns how many."""
         patience_s = self.sim_config.passenger_patience_s
-        if patience_s == float("inf"):
+        if not self.queue or patience_s == float("inf"):
             return 0
         # Request times are non-decreasing along the queue, so the
         # expired entries form a prefix: stop at the first survivor
@@ -327,6 +327,17 @@ class RunCore:
         idle = [self.snapshots[row] for row in rows]
         self.cache.begin_frame()
         return idle
+
+    def idle_count(self) -> int:
+        """How many taxis are idle at :attr:`time_s`: all a frame with an
+        empty queue needs, since it dispatches nothing.
+
+        Opens the frame's distance cache as :meth:`idle` does, so the
+        cache's frame count does not depend on which of the two a frame
+        called.
+        """
+        self.cache.begin_frame()
+        return int(np.count_nonzero(self.available_at <= self.time_s))
 
     def relocate(self, row: int, target: Point, max_km: float) -> None:
         """Drive the idle taxi at fleet ``row`` up to ``max_km`` toward ``target``."""

@@ -161,13 +161,19 @@ class Simulator:
 
             abandoned = core.expire()
             queue_length = len(core.queue)
-            idle = core.idle()
+            # A frame with nothing queued dispatches nothing: it needs
+            # only the idle count, not the idle snapshots.
+            if queue_length:
+                idle = core.idle()
+                idle_taxis = len(idle)
+            else:
+                idle, idle_taxis = [], core.idle_count()
             dispatched = (0, 0)
             dispatch_ms = 0.0
             frame_record: FrameResilienceRecord | None = None
             audit_record: StabilityAuditRecord | None = None
             frame_mode: str | None = None
-            if core.queue and idle:
+            if idle:
                 batch = list(core.queue.values())
                 dispatch_start = telemetry_clock()
                 if policy is None:
@@ -205,7 +211,7 @@ class Simulator:
                         )
                 dispatched = core.execute(schedule, idle, batch)
 
-            stats = core.record_frame(queue_length, len(idle), dispatched, abandoned, dispatch_ms)
+            stats = core.record_frame(queue_length, idle_taxis, dispatched, abandoned, dispatch_ms)
             if durability is not None:
                 pairs_crc = core.chain_crc(stats)
                 injector = policy.fault_injector if policy is not None else None
@@ -213,7 +219,7 @@ class Simulator:
                     frame=frame_index,
                     time_s=time_s,
                     queue=queue_length,
-                    idle=len(idle),
+                    idle=idle_taxis,
                     dispatched=stats.dispatched_requests,
                     abandoned=abandoned,
                     pairs_crc=pairs_crc,

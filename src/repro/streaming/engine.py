@@ -119,10 +119,14 @@ class StreamingEngine:
             # -- matching epoch at core.time_s ----------------------------
             abandoned = core.expire()
             queue_length = len(core.queue)
-            idle = core.idle()
+            if queue_length:
+                idle = core.idle()
+                idle_taxis = len(idle)
+            else:
+                idle, idle_taxis = [], core.idle_count()
             dispatched = (0, 0)
             dispatch_ms = 0.0
-            if core.queue and idle:
+            if idle:
                 batch = list(core.queue.values())
                 dispatch_start = telemetry_clock()
                 trip = cache.trip_km(batch)
@@ -152,7 +156,7 @@ class StreamingEngine:
                 # emits (sorted matching pairs) and executes.
                 dispatched = core.execute_pairs(sorted(report.pairs.items()))
 
-            core.record_frame(queue_length, len(idle), dispatched, abandoned, dispatch_ms)
+            core.record_frame(queue_length, idle_taxis, dispatched, abandoned, dispatch_ms)
             # Past the horizon no new requests arrive; stop as soon as
             # the queue drains (the batch engine's exit condition).
             if core.time_s >= config.horizon_s and core.drained:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import DispatchConfig, PassengerRequest, Taxi
+from repro.core.errors import WARM_FALLBACK_REASONS
 from repro.dispatch import std_p, std_t
 from repro.dispatch.sharing import STDDispatcher, build_sharing_table, pack_requests
 from repro.dispatch.sharing.std import clip_batch
@@ -17,6 +18,8 @@ from repro.experiments import (
 )
 from repro.geometry import EuclideanDistance, Point
 from repro.matching import Matching, is_stable
+from repro.packing.feasibility import GroupMemo
+from repro.resilience import WorkBudget
 from repro.simulation import Simulator
 from repro.trace.profiles import nyc_profile
 from tests.support import sharing_table_reference
@@ -236,3 +239,78 @@ class TestGroupMemoLifetime:
         ).run(fleet, second)
         assert again.assignments == fresh.assignments
         assert again.summary() == fresh.summary()
+
+    @pytest.mark.parametrize("algorithm", ["STD-P", "ILP"])
+    def test_memo_holds_only_the_live_queue(self, oracle, algorithm):
+        # Entries naming a request that left the queue are evicted each
+        # frame, so the memo tracks the queue, not the run.
+        sim_config, fleet, requests = self.trace(1, (17.0, 18.0))
+        dispatcher = make_dispatcher(algorithm, oracle, sim_config.dispatch)
+        honest = dispatcher.dispatch
+        dead_keys = []
+
+        def dispatch(taxis, batch):
+            schedule = honest(taxis, batch)
+            live = {r.request_id for r in batch}
+            dead_keys.extend(
+                key for key in dispatcher._group_cache if not live.issuperset(key)
+            )
+            return schedule
+
+        dispatcher.dispatch = dispatch
+        result = Simulator(dispatcher, oracle, sim_config).run(fleet, requests)
+        assert result.assignments
+        assert dead_keys == []
+        assert len(dispatcher._group_cache) < len(requests)
+
+
+class TestWarmFrames:
+    """Every cold sharing frame names its reason; warm frames reuse the
+    carried family and market."""
+
+    def test_cold_frames_count_their_reason(self, oracle):
+        taxis, requests = random_frame(3)
+        dispatcher = STDDispatcher(oracle, DispatchConfig())
+        dispatcher.reset_warm_state(counters=True)
+        dispatcher.dispatch(taxis, requests)  # run-start
+        dispatcher.dispatch(taxis, requests)  # warm
+        dispatcher.reset_warm_state()
+        dispatcher.dispatch(taxis, requests)  # ladder
+        dispatcher.dispatch(taxis + [Taxi(99, Point(0.0, 0.0), seats=6)], requests)
+        dispatcher._group_cache.clear()
+        dispatcher.dispatch(taxis, requests)  # memo-cleared
+        counts = dispatcher.run_telemetry()
+        assert counts["warm_frames"] == 1
+        assert counts["cold_frames"] == 4
+        for reason in ("run-start", "ladder", "max-passengers", "memo-cleared"):
+            assert counts[f"warm_fallback_{reason}"] == 1
+            assert reason in WARM_FALLBACK_REASONS
+
+    def test_a_budget_that_would_trip_scans_in_full(self, oracle):
+        _, requests = random_frame(4, n_requests=8)
+        memo = GroupMemo()
+        pack_requests(requests, oracle, DispatchConfig(), cache=memo)
+        assert memo.last_fallback == "run-start"
+        pack_requests(requests, oracle, DispatchConfig(), cache=memo, budget=WorkBudget(10_000))
+        assert memo.last_fallback is None
+        tight = WorkBudget(max_nodes=5)
+        pack_requests(requests, oracle, DispatchConfig(), cache=memo, budget=tight)
+        assert memo.last_fallback == "budget" and tight.exhausted
+        assert memo.family is None and memo.cold_reason == "budget"
+        assert "budget" in WARM_FALLBACK_REASONS
+
+    def test_settled_market_skips_the_scored_block(self, oracle):
+        # The same frame twice: every unit and taxi the first matching
+        # left unmatched is settled, so the second frame scores only the
+        # rows and columns of what it matched.
+        taxis, requests = random_frame(0, n_taxis=8, n_requests=8)
+        dispatcher = STDDispatcher(oracle, DispatchConfig(passenger_threshold_km=3.0))
+        first = dispatcher.dispatch(taxis, requests)
+        again = dispatcher.dispatch(taxis, requests)
+        assert first.assignments
+        assert [a.request_ids for a in again.assignments] == [
+            a.request_ids for a in first.assignments
+        ]
+        counts = dispatcher.run_telemetry()
+        assert counts["warm_frames"] == 1
+        assert 0 < counts["pairs_scored_warm"] < counts["full_pairs_warm"]

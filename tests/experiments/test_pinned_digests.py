@@ -4,6 +4,11 @@ The runners' results are deterministic in their arguments, fault
 schedules included: an injector derives from the plan's seed and the
 cell key alone, and the degradation ladder absorbs every injected fault.
 So these CRCs of every observable result field must never move.
+
+A faulted run's digest also depends on how many oracle calls each frame
+makes, since the fault schedule is drawn per call: STD-P's plan+policy
+pins are those of its warm frames, which make fewer calls than the cold
+frames it once ran (its policy-only and plain pins did not move).
 """
 
 import zlib
@@ -16,7 +21,7 @@ from repro.resilience import FaultPlan, ResiliencePolicy
 from repro.trace import boston_profile
 
 SCALE = ExperimentScale(factor=0.02, seed=11, hours=(8.0, 9.0))
-ALGORITHMS = ("Greedy", "NSTD-P")
+ALGORITHMS = ("Greedy", "NSTD-P", "STD-P")
 #: The chaos smoke run's fault schedule and policy (``scripts/run_chaos.py``).
 PLAN = FaultPlan(
     seed=13, latency_rate=0.08, latency_s=45.0, error_rate=0.01, per_call_cost_s=0.05
@@ -56,9 +61,9 @@ def digests(results):
 @pytest.mark.parametrize(
     ("faults", "resilience", "expected"),
     [
-        (PLAN, POLICY, {"Greedy": "791473a1", "NSTD-P": "52674051"}),
-        (None, POLICY, {"Greedy": "791473a1", "NSTD-P": "49ee7c85"}),
-        (None, None, {"Greedy": "39411d63", "NSTD-P": "bd0748ef"}),
+        (PLAN, POLICY, {"Greedy": "791473a1", "NSTD-P": "52674051", "STD-P": "4457372d"}),
+        (None, POLICY, {"Greedy": "791473a1", "NSTD-P": "49ee7c85", "STD-P": "87edce55"}),
+        (None, None, {"Greedy": "39411d63", "NSTD-P": "bd0748ef", "STD-P": "0cb89300"}),
     ],
     ids=["plan+policy", "policy", "plain"],
 )
@@ -76,6 +81,6 @@ def test_faulted_taxi_sweep_digests():
     )
     assert list(sweep) == [100, 200]
     assert {count: digests(cell) for count, cell in sweep.items()} == {
-        100: {"Greedy": "c1a06eaa", "NSTD-P": "388f3aaf"},
-        200: {"Greedy": "791473a1", "NSTD-P": "52674051"},
+        100: {"Greedy": "c1a06eaa", "NSTD-P": "388f3aaf", "STD-P": "5877093c"},
+        200: {"Greedy": "791473a1", "NSTD-P": "52674051", "STD-P": "4457372d"},
     }

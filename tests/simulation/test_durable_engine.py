@@ -25,7 +25,12 @@ import pytest
 from repro.core.errors import ResumeError
 from repro.dispatch.base import single_assignment
 from repro.dispatch.nonsharing import NSTDDispatcher
-from repro.experiments import ExperimentScale, build_workload, city_simulation_config
+from repro.experiments import (
+    ExperimentScale,
+    build_workload,
+    city_simulation_config,
+    make_dispatcher,
+)
 from repro.geometry import EuclideanDistance
 from repro.resilience import (
     DurabilityConfig,
@@ -238,6 +243,32 @@ class TestDurableRun:
         resumed = resume(make, fleet, requests, tmp_path)
         assert observable(resumed) == observable(reference)
         assert resumed.perf_stats()["replay_frames_verified"] == 0
+
+    @pytest.mark.parametrize(("die_at", "phase"), [(41, "mid-frame"), (33, "boundary")])
+    def test_std_p_crash_at_a_dispatching_frame_resumes_bit_identical(
+        self, active_workload, tmp_path, die_at, phase
+    ):
+        # STD-P carries its group memo, family and settled market across
+        # frames; the resume restarts them cold and must land on the
+        # same schedule.  Both crash frames dispatch.
+        sim_config, fleet, requests = active_workload
+
+        def make(durability=None):
+            dispatcher = make_dispatcher("STD-P", ORACLE, sim_config.dispatch)
+            return make_simulator(
+                sim_config,
+                dispatcher=dispatcher,
+                durability=durability,
+                resilience=ResiliencePolicy(),
+            )
+
+        reference = make().run(fleet, requests)
+        assert reference.frame_stats[die_at].dispatched_requests > 0
+        assert reference.dispatch_telemetry["warm_frames"] > 0
+        interrupt(make, fleet, requests, tmp_path, die_at=die_at, phase=phase)
+        resumed = resume(make, fleet, requests, tmp_path)
+        assert observable(resumed) == observable(reference)
+        assert resumed.dispatch_telemetry["warm_fallback_run-start"] == 2
 
     def test_ladder_auditor_and_fault_injector_resume_bit_identical(
         self, active_workload, tmp_path

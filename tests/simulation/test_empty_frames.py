@@ -1,0 +1,113 @@
+"""Frames with nothing queued cost only an idle count.
+
+A frame whose queue is empty dispatches nothing, so both engines read
+only how many taxis are idle (``RunCore.idle_count``) instead of
+gathering the idle snapshots, and skip the expiry scan.  What such a
+frame records must not change: the trace below leaves the engines idle
+for hours between three bursts of requests, and its frame series,
+journal digests and frame-cache counters are pinned to the values the
+engines produced when every frame gathered its idle list.
+"""
+
+from __future__ import annotations
+
+import zlib
+from dataclasses import astuple, replace
+
+import pytest
+
+from repro.dispatch.nonsharing import NSTDDispatcher
+from repro.experiments import (
+    ExperimentScale,
+    build_workload,
+    city_simulation_config,
+    make_dispatcher,
+)
+from repro.geometry import EuclideanDistance
+from repro.resilience import DurabilityConfig, DurabilityManager, read_journal
+from repro.simulation import Simulator
+from repro.streaming import StreamingEngine
+from repro.trace.profiles import nyc_profile
+
+#: Frame-cache counters of every pinned run (none of them depends on
+#: the dispatcher's warm state).
+CACHE_NSTD = {
+    "cache_frames": 476,
+    "cache_hits": 2,
+    "cache_misses": 2,
+    "cache_evictions": 30,
+    "cache_trip_capacity": 200000,
+    "cache_trip_entries": 0,
+    "cache_gap_entries": 0,
+}
+CACHE_STD = CACHE_NSTD | {
+    "cache_hits": 156,
+    "cache_misses": 55,
+    "cache_evictions": 45,
+    "cache_gap_entries": 10,
+}
+CACHE_STREAM = CACHE_NSTD | {"cache_hits": 181, "cache_misses": 22}
+
+
+@pytest.fixture(scope="module")
+def gap_workload():
+    """One NYC evening hour at t = 0, its second and third 20-minute
+    thirds pushed 3 and 6 hours later: 30 requests, three bursts, and
+    hours of frames with an empty queue between them."""
+    profile = nyc_profile()
+    scale = ExperimentScale(factor=0.01, seed=5, hours=(17.0, 18.0))
+    fleet, requests = build_workload(profile, scale)
+    start_s = 17.0 * 3600.0
+    shifted = []
+    for request in requests:
+        t = request.request_time_s - start_s
+        shifted.append(replace(request, request_time_s=t + (t // 1200.0) * 3.0 * 3600.0))
+    sim_config = replace(
+        city_simulation_config(profile.scaled(scale.factor)), horizon_s=7.0 * 3600.0
+    )
+    return sim_config, fleet, shifted
+
+
+def crc(value) -> str:
+    return f"{zlib.crc32(repr(value).encode()):08x}"
+
+
+def frame_series(result):
+    return [replace(f, dispatch_ms=0.0) for f in result.frame_stats]
+
+
+def cache_counters(result):
+    return {k: v for k, v in result.dispatch_telemetry.items() if k.startswith("cache_")}
+
+
+@pytest.mark.parametrize(
+    ("algorithm", "frames_crc", "journal_crc", "cache"),
+    [
+        ("NSTD-P", "1527c826", "ce8a6bde", CACHE_NSTD),
+        ("STD-P", "a7c64cc6", "491270f1", CACHE_STD),
+    ],
+)
+def test_batch_engine_records_empty_frames_as_before(
+    gap_workload, tmp_path, algorithm, frames_crc, journal_crc, cache
+):
+    sim_config, fleet, requests = gap_workload
+    oracle = EuclideanDistance()
+    if algorithm == "NSTD-P":
+        dispatcher = NSTDDispatcher(oracle, sim_config.dispatch, warm_start=True)
+    else:
+        dispatcher = make_dispatcher(algorithm, oracle, sim_config.dispatch)
+    manager = DurabilityManager(DurabilityConfig(tmp_path, checkpoint_every_frames=16))
+    result = Simulator(dispatcher, oracle, sim_config, durability=manager).run(fleet, requests)
+    assert sorted({int(r.request_time_s // 3600.0) for r in requests}) == [0, 3, 6]
+    assert result.frames_run == 476
+    assert sum(1 for f in result.frame_stats if f.queue_length == 0) > 250
+    assert crc(frame_series(result)) == frames_crc
+    assert crc([astuple(d) for d in read_journal(manager.journal_path).frames]) == journal_crc
+    assert cache_counters(result) == cache
+
+
+def test_streaming_engine_records_empty_frames_as_before(gap_workload):
+    sim_config, fleet, requests = gap_workload
+    result = StreamingEngine(EuclideanDistance(), sim_config).run(fleet, requests)
+    assert crc(frame_series(result)) == "1527c826"
+    assert cache_counters(result) == CACHE_STREAM
