@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
 
-from scipy import stats as scipy_stats
-
 __all__ = ["MetricSummary", "summarize_samples", "replicate", "ordering_consistency"]
 
 
@@ -50,6 +48,10 @@ def summarize_samples(samples: Sequence[float], confidence: float = 0.95) -> Met
         return MetricSummary(
             mean=mean, std=0.0, ci_low=mean, ci_high=mean, n=1, confidence=confidence
         )
+    # scipy.stats costs most of a second to import and only this quantile
+    # needs it, so it loads here rather than with the package.
+    from scipy import stats as scipy_stats
+
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     std = math.sqrt(variance)
     t_value = float(scipy_stats.t.ppf((1.0 + confidence) / 2.0, df=n - 1))

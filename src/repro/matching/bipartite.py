@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.core.errors import MatchingError
 from repro.matching.hopcroft_karp import hopcroft_karp
@@ -40,6 +39,10 @@ def min_cost_matching(cost: np.ndarray | list[list[float]]) -> list[tuple[int, i
     match ``min(rows, cols)`` pairs because of forbidden entries, the
     achievable maximum is matched instead (finite-cost pairs only).
     """
+    # Imported on first use: scipy.optimize adds a third of a second to
+    # every ``import repro``, and only MCBM calls it.
+    from scipy.optimize import linear_sum_assignment
+
     matrix = _as_matrix(cost)
     if matrix.size == 0:
         return []

@@ -143,7 +143,12 @@ def enumerate_feasible_groups(
 
     ``cache`` memoizes each evaluated member-id tuple's group (or
     ``None`` when infeasible) across calls; a cached group is
-    relabelled, not re-routed, and does not count as tested.  A
+    relabelled, not re-routed, and does not count as tested.  A cached
+    group the call's ``max_passengers`` cannot seat is rejected.  A
+    plain ``dict`` cannot tell a seat rejection from a θ rejection, so
+    it must serve one ``max_passengers``; a :class:`GroupMemo` records
+    its seat rejections and re-evaluates one once a call's bound seats
+    it.  A
     :class:`GroupMemo` also carries this call's enumeration to the next
     one, which then evaluates only the candidates that touch a request
     new to the batch (see :class:`GroupMemo`); the groups, their order
@@ -168,15 +173,19 @@ def enumerate_feasible_groups(
         infeasible), from the memo or freshly routed."""
         members = tuple(ordered[i] for i in positions)
         key = tuple(r.request_id for r in members)
+        # A group no taxi can seat is rejected before any routing.
+        fits = max_passengers is None or sum(r.passengers for r in members) <= max_passengers
         if cache is not None and key in cache:
-            return key, cache[key]
+            if not fits:
+                return key, None
+            if memo is None or key not in memo.seat_rejected:
+                return key, cache[key]
+            memo.seat_rejected.discard(key)
         is_pair = len(members) == 2
         if is_pair:
             stats.pairs_tested += 1
         else:
             stats.triples_tested += 1
-        # A group no taxi can seat is rejected before any routing.
-        fits = max_passengers is None or sum(r.passengers for r in members) <= max_passengers
         route = feasible_shared_route(members, oracle) if fits else None
         group = None
         if group_is_feasible(
@@ -189,6 +198,8 @@ def enumerate_feasible_groups(
                 stats.triples_feasible += 1
         if cache is not None:
             cache[key] = group
+            if memo is not None and not fits:
+                memo.seat_rejected.add(key)
         return key, group
 
     carried = memo.family if memo is not None else None
@@ -489,6 +500,10 @@ class GroupMemo(dict[tuple[int, ...], "RideGroup | None"]):
     * :attr:`unit_terms`, each unit's member vectors for the sharing
       table (:func:`~repro.dispatch.sharing.preferences.build_sharing_table`),
       evicted with their key;
+    * :attr:`seat_rejected`, the keys whose ``None`` is a seat
+      rejection rather than a θ rejection: that verdict holds only
+      while the frame's ``max_passengers`` cannot seat the group, so a
+      frame that can re-evaluates it, as a fresh memo would;
     * :attr:`family`, the last complete enumeration over it, which the
       next :func:`enumerate_feasible_groups` call extends by the batch's
       entrants instead of rescanning; and :attr:`packing`, the packer's
@@ -505,6 +520,7 @@ class GroupMemo(dict[tuple[int, ...], "RideGroup | None"]):
         super().__init__()
         self._keys_by_id: dict[int, list[tuple[int, ...]]] = {}
         self.unit_terms: dict[tuple[int, ...], tuple[float, ...]] = {}
+        self.seat_rejected: set[tuple[int, ...]] = set()
         self.family: GroupFamily | None = None
         self.packing: object | None = None
         self.cold_reason = "run-start"
@@ -528,6 +544,7 @@ class GroupMemo(dict[tuple[int, ...], "RideGroup | None"]):
             for key in index.pop(rid):
                 self.pop(key, None)
                 self.unit_terms.pop(key, None)
+                self.seat_rejected.discard(key)
 
     def drop_family(self, reason: str) -> None:
         """Forget the carried enumeration; the next one scans in full and
@@ -540,6 +557,7 @@ class GroupMemo(dict[tuple[int, ...], "RideGroup | None"]):
         super().clear()
         self._keys_by_id.clear()
         self.unit_terms.clear()
+        self.seat_rejected.clear()
         self.drop_family("memo-cleared")
 
 

@@ -31,6 +31,10 @@ __all__ = ["SyntheticTraceGenerator", "generate_day", "generate_fleet"]
 _SECONDS_PER_HOUR = 3600.0
 _SECONDS_PER_DAY = 24.0 * _SECONDS_PER_HOUR
 
+#: Party sizes drawn uniformly, roughly TLC passenger_count frequencies:
+#: mostly singles.
+_PARTY_SIZES = (1, 1, 1, 1, 1, 1, 1, 2, 2, 3)
+
 
 class SyntheticTraceGenerator:
     """Generates requests and fleets for one city profile.
@@ -175,8 +179,9 @@ class SyntheticTraceGenerator:
         return 0.0
 
     def _party_size(self) -> int:
-        # Roughly matches TLC passenger_count frequencies: mostly singles.
-        return int(self._rng.choice([1, 1, 1, 1, 1, 1, 1, 2, 2, 3]))
+        # The draw Generator.choice makes over a 1-D population without
+        # ``p``, minus its per-call array conversion.
+        return _PARTY_SIZES[int(self._rng.integers(len(_PARTY_SIZES)))]
 
     # -- taxis -----------------------------------------------------------
 

@@ -263,6 +263,27 @@ class TestGroupMemoLifetime:
         assert dead_keys == []
         assert len(dispatcher._group_cache) < len(requests)
 
+    @pytest.mark.parametrize("first_seats", [2, 6])
+    def test_a_memoized_verdict_holds_at_every_seat_bound(self, oracle, first_seats):
+        # Two 2-rider parties that share well.  A frame seated at two
+        # rejects their group, one seated at six accepts it; neither
+        # verdict may carry over to a frame seated at four, which ships
+        # the group exactly when a fresh dispatcher does.
+        requests = [
+            request(0, 0.0, 0.0, 6.0, 0.0, passengers=2),
+            request(1, 0.2, 0.0, 6.0, 0.2, passengers=2),
+        ]
+        seated = [Taxi(8, Point(0.5, 0.0), seats=4)]
+        reused = STDDispatcher(oracle, DispatchConfig())
+        reused.dispatch([Taxi(7, Point(0.5, 0.0), seats=first_seats)], requests)
+        shipped = [a.request_ids for a in reused.dispatch(seated, requests).assignments]
+        fresh = STDDispatcher(oracle, DispatchConfig()).dispatch(seated, requests)
+        assert shipped == [a.request_ids for a in fresh.assignments] == [(0, 1)]
+        narrow = [Taxi(9, Point(0.5, 0.0), seats=2)]
+        shipped = [a.request_ids for a in reused.dispatch(narrow, requests).assignments]
+        fresh = STDDispatcher(oracle, DispatchConfig()).dispatch(narrow, requests)
+        assert shipped == [a.request_ids for a in fresh.assignments] == [(1,)]
+
 
 class TestWarmFrames:
     """Every cold sharing frame names its reason; warm frames reuse the

@@ -107,6 +107,16 @@ def make_simulator(
     )
 
 
+def std_p_simulator(sim_config, durability=None):
+    """STD-P under the default ladder, as the experiment runners build it."""
+    return make_simulator(
+        sim_config,
+        dispatcher=make_dispatcher("STD-P", ORACLE, sim_config.dispatch),
+        durability=durability,
+        resilience=ResiliencePolicy(),
+    )
+
+
 def observable(result):
     """Everything a run produced except wall-clock time: every outcome,
     assignment and taxi-total field, and the frame, resilience and audit
@@ -252,16 +262,7 @@ class TestDurableRun:
         # frames; the resume restarts them cold and must land on the
         # same schedule.  Both crash frames dispatch.
         sim_config, fleet, requests = active_workload
-
-        def make(durability=None):
-            dispatcher = make_dispatcher("STD-P", ORACLE, sim_config.dispatch)
-            return make_simulator(
-                sim_config,
-                dispatcher=dispatcher,
-                durability=durability,
-                resilience=ResiliencePolicy(),
-            )
-
+        make = partial(std_p_simulator, sim_config)
         reference = make().run(fleet, requests)
         assert reference.frame_stats[die_at].dispatched_requests > 0
         assert reference.dispatch_telemetry["warm_frames"] > 0
@@ -269,6 +270,23 @@ class TestDurableRun:
         resumed = resume(make, fleet, requests, tmp_path)
         assert observable(resumed) == observable(reference)
         assert resumed.dispatch_telemetry["warm_fallback_run-start"] == 2
+
+    @pytest.mark.parametrize(("die_at", "phase"), [(57, "mid-frame"), (63, "boundary")])
+    def test_std_p_mixed_seat_fleet_resumes_bit_identical(
+        self, active_workload, tmp_path, die_at, phase
+    ):
+        # Two taxis in three seat two, so the frame's seat bound moves
+        # between 2 and 4.  The uninterrupted run's memo has seen groups
+        # rejected at one bound; the resumed one starts empty.  A seat
+        # verdict that outlived its bound would pack differently.
+        sim_config, fleet, requests = active_workload
+        fleet = [replace(t, seats=2 if t.taxi_id % 3 else 4) for t in fleet]
+        make = partial(std_p_simulator, sim_config)
+        reference = make().run(fleet, requests)
+        assert reference.dispatch_telemetry["warm_fallback_max-passengers"] > 0
+        interrupt(make, fleet, requests, tmp_path, die_at=die_at, phase=phase)
+        resumed = resume(make, fleet, requests, tmp_path)
+        assert observable(resumed) == observable(reference)
 
     def test_ladder_auditor_and_fault_injector_resume_bit_identical(
         self, active_workload, tmp_path
