@@ -27,14 +27,16 @@ the contract structural:
 The mutation summary is project-wide and includes helper methods, so
 ``self._bump("warm_frames")`` deep inside a solve path still counts as
 mutating ``_telemetry``.  The contract is checked on each class that
-defines the method pair; subclasses that override the pair are checked
-against their own mutations and declarations.
+defines or inherits the method pair (bases resolved by name among the
+linted classes): each is checked against its own mutations, the payload
+and restore paths it resolves (inherited methods included) and its
+declarations, inherited ones included.
 """
 
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from repro.devtools.context import FileContext
 from repro.devtools.findings import Finding
@@ -108,6 +110,43 @@ def _parse_exclusions(
     return exclusions, findings
 
 
+def _lineage(cinfo: ClassInfo, by_name: dict[str, list[ClassInfo]]) -> list[ClassInfo]:
+    """``cinfo`` and its linted base classes, depth-first in base order:
+    the first class in the list that defines a method is its owner."""
+    lineage: list[ClassInfo] = []
+    stack = [cinfo]
+    while stack:
+        current = stack.pop()
+        if current in lineage:
+            continue
+        lineage.append(current)
+        bases: list[ClassInfo] = []
+        for name in current.bases:
+            candidates = by_name.get(name, [])
+            local = [c for c in candidates if c.module == current.module]
+            if len(local or candidates) == 1:
+                bases.append((local or candidates)[0])
+        stack.extend(reversed(bases))
+    return lineage
+
+
+def _closure(owners: dict[str, ClassInfo], roots: Iterable[str]) -> set[str]:
+    """Methods reachable from ``roots`` via ``self.x()`` calls, each
+    resolved to the class that owns it (incl. roots)."""
+    seen: set[str] = set()
+    frontier = [root for root in roots if root in owners]
+    while frontier:
+        method = frontier.pop()
+        if method in seen:
+            continue
+        seen.add(method)
+        frontier.extend(
+            callee for callee in owners[method].self_calls_of(method)
+            if callee in owners and callee not in seen
+        )
+    return seen
+
+
 @register_rule
 class DurabilityDriftRule:
     rule_id = "REP008"
@@ -118,23 +157,41 @@ class DurabilityDriftRule:
     )
 
     def project_check(self, project: ProjectContext) -> Iterator[Finding]:
+        by_name: dict[str, list[ClassInfo]] = {}
         for cinfo in project.iter_classes():
-            if "state_payload" not in cinfo.methods or "restore_state" not in cinfo.methods:
+            by_name.setdefault(cinfo.name, []).append(cinfo)
+        for cinfo in project.iter_classes():
+            lineage = _lineage(cinfo, by_name)
+            owners: dict[str, ClassInfo] = {}
+            for klass in lineage:
+                for method in klass.methods:
+                    owners.setdefault(method, klass)
+            if "state_payload" not in owners or "restore_state" not in owners:
                 continue
             ctx = project.context_for(cinfo.path)
             exclusions, shape_findings = _parse_exclusions(cinfo, ctx, self.rule_id)
             yield from shape_findings
+            declared: dict[str, str] = {}
+            for base in reversed(lineage[1:]):
+                declared.update(
+                    _parse_exclusions(base, project.context_for(base.path), self.rule_id)[0]
+                )
+            declared.update(exclusions)
 
-            payload_methods = cinfo.self_call_closure(["state_payload"])
-            restore_methods = cinfo.self_call_closure(["restore_state"])
-            persisted = cinfo.attr_loads(payload_methods)
-            restored = cinfo.attrs_mutated_in(restore_methods)
+            payload_methods = _closure(owners, ["state_payload"])
+            restore_methods = _closure(owners, ["restore_state"])
+            persisted: set[str] = set()
+            for method in payload_methods:
+                persisted |= owners[method].attr_loads([method])
+            restored: set[str] = set()
+            for method in restore_methods:
+                restored |= owners[method].attrs_mutated_in([method])
             mutated = cinfo.mutated_attrs(
                 exclude_methods=set(_LIFECYCLE_METHODS) | restore_methods
             )
 
             for attr in sorted(mutated):
-                if attr in persisted or attr in exclusions:
+                if attr in persisted or attr in declared:
                     continue
                 site = mutated[attr][0]
                 yield ctx.finding(
@@ -146,7 +203,8 @@ class DurabilityDriftRule:
                     site.node,
                 )
 
-            payload_node = cinfo.methods["state_payload"].node
+            payload = cinfo.methods.get("state_payload")
+            payload_node = payload.node if payload is not None else cinfo.node
             for attr in sorted(persisted & set(mutated)):
                 if attr not in restored:
                     yield ctx.finding(

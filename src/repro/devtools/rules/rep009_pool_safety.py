@@ -1,9 +1,10 @@
 """REP009 — process-pool callables must be module-level and capture-free.
 
-The experiment runner fans work out through
-:class:`concurrent.futures.ProcessPoolExecutor`.  Everything submitted
-crosses a pickle boundary, which makes two whole bug classes possible
-that never compile on the single-process path:
+No module in ``src/`` starts a process pool today: the experiment
+runners are one serial loop.  The rule guards the next one.  Work
+submitted to a :class:`concurrent.futures.ProcessPoolExecutor` crosses
+a pickle boundary, which makes two whole bug classes possible that
+never compile on the single-process path:
 
 * **unpicklable callables** — lambdas, functions defined inside another
   function, and bound methods either fail to pickle outright or (worse,

@@ -70,10 +70,9 @@ class Dispatcher(abc.ABC):
     frame_budget: "FrameBudget | None" = None
 
     #: Which solve path answered the most recent :meth:`dispatch` call
-    #: (``"cold"`` or ``"warm"``);
-    #: ``None`` until a frame runs.  The stability auditor keys its
-    #: sampling eligibility off this — only fast-path frames carry state
-    #: worth re-verifying.
+    #: (``"cold"`` or ``"warm"``); ``None`` for dispatchers that do not
+    #: report one.  The stability auditor samples only frames with a
+    #: mode: they are the ones with a preference model to re-verify.
     last_frame_mode: str | None = None
 
     def __init__(self, oracle: DistanceOracle, config: DispatchConfig | None = None):
@@ -81,6 +80,7 @@ class Dispatcher(abc.ABC):
         self.config = config if config is not None else DispatchConfig()
         self.frame_cache = None
         self.frame_budget = None
+        self._telemetry: dict[str, float | int] = {}
 
     def distance_cache(self) -> "FrameDistanceCache":
         """The frame's distance source: the installed ``frame_cache``.
@@ -105,7 +105,7 @@ class Dispatcher(abc.ABC):
             budget.checkpoint(label)
 
     def reset_warm_state(self, *, counters: bool = False) -> None:
-        """Discard any frame-to-frame solver state (no-op by default).
+        """Discard any frame-to-frame solver state (none by default).
 
         The engine calls this at the start of every run (with
         ``counters=True``, which also zeroes :meth:`run_telemetry`) and
@@ -113,6 +113,8 @@ class Dispatcher(abc.ABC):
         state is only valid between *consecutive* frames solved by this
         dispatcher.
         """
+        if counters:
+            self._telemetry = {}
 
     def invalidate_warm_state(self, *, reason: str = "external") -> None:
         """Explicitly drop carried solver state as *suspect*, with a reason.
@@ -142,18 +144,14 @@ class Dispatcher(abc.ABC):
         """Counters accumulated over a run, for ``perf_stats()`` reporting.
 
         Stateless dispatchers have none; warm-start dispatchers report
-        warm/cold frame counts and rebuild fractions.  Keys should be
-        flat and JSON-friendly.
+        warm/cold frame counts and rebuild fractions.  Keys are flat
+        and JSON-friendly.
         """
-        return {}
+        return dict(self._telemetry)
 
-    def restore_telemetry(self, counters: Mapping[str, float | int]) -> None:
-        """Adopt checkpointed :meth:`run_telemetry` counters on resume.
-
-        No-op by default (stateless dispatchers have no counters);
-        stateful dispatchers replace their counter dict so a recovered
-        run's telemetry continues from the snapshot instead of zero.
-        """
+    def _bump(self, key: str, amount: float | int = 1) -> None:
+        """Add ``amount`` to the run counter ``key``."""
+        self._telemetry[key] = self._telemetry.get(key, 0) + amount
 
     def state_payload(self) -> dict[str, Any]:
         """Everything of this dispatcher a checkpoint must round-trip.
@@ -164,10 +162,10 @@ class Dispatcher(abc.ABC):
         ``repro-lint`` REP008 enforces — every attribute a dispatcher
         mutates across frames is either reachable from here or declared
         (with a reason) in a class-level ``DURABILITY_EXCLUSIONS`` dict.
-        The base payload carries the run telemetry; stateful
-        dispatchers extend the dict (keep keys JSON-friendly).
+        The payload is the run telemetry: carried solver state rebuilds
+        cold after a resume, bit-identically.
         """
-        return {"telemetry": dict(self.run_telemetry())}
+        return {"telemetry": dict(self._telemetry)}
 
     def restore_state(self, payload: Mapping[str, Any]) -> None:
         """Adopt a :meth:`state_payload` snapshot on crash-recovery resume.
@@ -176,8 +174,10 @@ class Dispatcher(abc.ABC):
         tolerate missing keys (payloads written by older schema
         versions are rejected upstream by the checkpoint loader, so a
         missing key here only means "state that did not exist yet").
+        A recovered run's telemetry continues from the snapshot instead
+        of zero.
         """
-        self.restore_telemetry(payload.get("telemetry") or {})
+        self._telemetry = dict(payload.get("telemetry") or {})
 
     @abc.abstractmethod
     def dispatch(

@@ -40,7 +40,7 @@ fallbacks, and rebuild fractions.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from typing import Any, ClassVar, TypeVar
+from typing import ClassVar, TypeVar
 
 import numpy as np
 
@@ -80,7 +80,15 @@ def _reason_key(reason: str) -> str:
 
 
 class NSTDDispatcher(Dispatcher):
-    """Non-Sharing Taxi Dispatch via stable matching (Algorithms 1 and 2)."""
+    """Non-Sharing Taxi Dispatch via stable matching (Algorithms 1 and 2).
+
+    Run telemetry: ``warm_frames`` / ``cold_frames`` partition the
+    dispatched frames; ``warm_fallbacks`` counts warm frames that redid
+    a cold solve after a failed precondition (``warm_fallback_<reason>``
+    says why).  The pair/strip totals give the aggregate rebuild
+    fraction — the share of the full taxi × request work the warm
+    builder actually performed.
+    """
 
     _NAMES = {"passenger": "NSTD-P", "taxi": "NSTD-T", "median": "NSTD-M"}
 
@@ -98,8 +106,8 @@ class NSTDDispatcher(Dispatcher):
             "equivalence contract)"
         ),
         "last_frame_mode": (
-            "diagnostic label of the previous frame; the auditor only "
-            "samples fast-path frames and the first resumed frame is cold"
+            "label of the previous frame's solve path, rewritten by every "
+            "dispatched frame before the auditor reads it"
         ),
     }
 
@@ -132,7 +140,6 @@ class NSTDDispatcher(Dispatcher):
         self.warm_start = warm_start
         self.name = self._NAMES[optimize_for]
         self._warm_state: FrameSolveState | None = None
-        self._telemetry: dict[str, float | int] = {}
 
     # -- warm-start lifecycle ---------------------------------------------
 
@@ -143,9 +150,8 @@ class NSTDDispatcher(Dispatcher):
         and after any frame answered by a degradation-ladder fallback,
         which breaks the consecutive-frame invariant the state encodes.
         """
+        super().reset_warm_state(counters=counters)
         self._warm_state = None
-        if counters:
-            self._telemetry = {}
 
     def invalidate_warm_state(self, *, reason: str = "external") -> None:
         """Drop the carried frame state as *suspect* and count why.
@@ -158,23 +164,6 @@ class NSTDDispatcher(Dispatcher):
         """
         self._bump(f"warm_invalidation_{_reason_key(reason)}")
         self.reset_warm_state()
-
-    def restore_telemetry(self, counters: Mapping[str, float | int]) -> None:
-        """Adopt checkpointed run counters (crash-recovery resume path)."""
-        self._telemetry = dict(counters)
-
-    def state_payload(self) -> dict[str, Any]:
-        """The durable cross-frame state: run telemetry only.
-
-        Everything else this dispatcher carries between frames is
-        derived solver state, declared (with reasons) in
-        :data:`DURABILITY_EXCLUSIONS` and rebuilt after resume.
-        """
-        return {"telemetry": dict(self._telemetry)}
-
-    def restore_state(self, payload: Mapping[str, Any]) -> None:
-        """Adopt a :meth:`state_payload` snapshot; solver state stays cold."""
-        self.restore_telemetry(payload.get("telemetry") or {})
 
     def audit_preferences(
         self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
@@ -212,20 +201,6 @@ class NSTDDispatcher(Dispatcher):
             trip_km=trip_km,
         )
         return prefs, trip_km
-
-    def run_telemetry(self) -> dict[str, float | int]:
-        """Warm-start counters since the last full reset.
-
-        ``warm_frames`` / ``cold_frames`` partition the dispatched
-        frames; ``warm_fallbacks`` counts warm frames that had to redo a
-        cold solve after a failed resume precondition.  The pair/strip
-        totals give the aggregate rebuild fraction — the share of the
-        full taxi × request work the warm builder actually performed.
-        """
-        return dict(self._telemetry)
-
-    def _bump(self, key: str, amount: float | int = 1) -> None:
-        self._telemetry[key] = self._telemetry.get(key, 0) + amount
 
     def dispatch(
         self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]

@@ -19,8 +19,9 @@ company-side cost optimization vs. stability).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.core.config import DispatchConfig
 from repro.core.types import DispatchSchedule, PassengerRequest, RideGroup, Taxi
@@ -51,6 +52,14 @@ class ILPDispatcher(Dispatcher):
     #: The group memo and carried family make frames warm, as in
     #: STDDispatcher.
     warm_start = True
+
+    #: Cross-frame attributes deliberately left out of :meth:`state_payload`.
+    DURABILITY_EXCLUSIONS: ClassVar[dict[str, str]] = {
+        "_group_cache": (
+            "memo of routed groups and the last group family, a function of "
+            "the queued requests; a resumed run rebuilds it cold, bit-identically"
+        ),
+    }
 
     def __init__(
         self,

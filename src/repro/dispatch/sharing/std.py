@@ -17,7 +17,7 @@ Two stages, exactly as in the paper:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
@@ -100,7 +100,6 @@ def pack_requests(
     packer: str = "local",
     max_passengers: int | None = 4,
     pairing_radius_km: float | None = None,
-    pickup_gap: np.ndarray | None = None,
     cache: dict | None = None,
     budget: WorkBudget | None = None,
 ) -> list[RideGroup]:
@@ -132,7 +131,6 @@ def pack_requests(
         config,
         max_passengers=max_passengers,
         pairing_radius_km=pairing_radius_km,
-        pickup_gap=pickup_gap,
         cache=cache,
         budget=budget,
     )
@@ -252,6 +250,12 @@ class STDDispatcher(Dispatcher):
     new requests are evaluated, and the market scores only the strips of
     units and taxis the last matching did not leave unmatched.  Both are
     bit-identical to a cold frame.
+
+    Run telemetry: ``warm_frames`` / ``cold_frames`` partition the
+    dispatched frames; each cold frame also counts
+    ``warm_fallback_<reason>``.  ``pairs_scored_warm`` /
+    ``full_pairs_warm`` are the market cells scored on frames with a
+    carried market, and the cells a full build would have scored.
     """
 
     #: Frames always run warm: they make fewer oracle calls than cold
@@ -292,7 +296,6 @@ class STDDispatcher(Dispatcher):
         # group routes computed in earlier frames stay valid within a run.
         self._group_cache: GroupMemo = GroupMemo()
         self._market: _SettledMarket | None = None
-        self._telemetry: dict[str, float | int] = {}
 
     def reset_warm_state(self, *, counters: bool = False) -> None:
         """Drop the carried family and market (the next frame runs cold).
@@ -301,34 +304,11 @@ class STDDispatcher(Dispatcher):
         request ids only identify requests within one run, and the run
         counters.
         """
+        super().reset_warm_state(counters=counters)
         if counters:
             self._group_cache.clear()
-            self._telemetry = {}
         self._group_cache.drop_family("run-start" if counters else "ladder")
         self._market = None
-
-    def run_telemetry(self) -> dict[str, float | int]:
-        """``warm_frames`` / ``cold_frames`` partition the dispatched
-        frames; each cold frame also counts ``warm_fallback_<reason>``.
-        ``pairs_scored_warm`` / ``full_pairs_warm`` are the market cells
-        scored on frames with a carried market, and the cells a full
-        build would have scored."""
-        return dict(self._telemetry)
-
-    def restore_telemetry(self, counters: Mapping[str, float | int]) -> None:
-        """Adopt checkpointed run counters (crash-recovery resume path)."""
-        self._telemetry = dict(counters)
-
-    def state_payload(self) -> dict[str, Any]:
-        """The durable cross-frame state: run telemetry only."""
-        return {"telemetry": dict(self._telemetry)}
-
-    def restore_state(self, payload: Mapping[str, Any]) -> None:
-        """Adopt a :meth:`state_payload` snapshot; the memo stays cold."""
-        self.restore_telemetry(payload.get("telemetry") or {})
-
-    def _bump(self, key: str, amount: int = 1) -> None:
-        self._telemetry[key] = self._telemetry.get(key, 0) + amount
 
     def dispatch(
         self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
@@ -341,11 +321,6 @@ class STDDispatcher(Dispatcher):
         memo.retain({r.request_id for r in requests})
         max_seats = max(t.seats for t in taxis)
         batch = clip_batch(requests, taxis, self.config, self.max_batch)
-        pickup_gap = None
-        if self.pairing_radius_km is not None:
-            # clip_batch returns the batch id-sorted, the order the
-            # enumeration's radius prefilter expects.
-            pickup_gap = self.distance_cache().pickup_gap_matrix(batch)
         # Under a frame deadline the exponential pack stage runs anytime:
         # it stops growing the candidate pool when time is up and packs
         # what it has, leaving the rest as singleton units.
@@ -359,7 +334,6 @@ class STDDispatcher(Dispatcher):
             packer=self.packer,
             max_passengers=max_seats,
             pairing_radius_km=self.pairing_radius_km,
-            pickup_gap=pickup_gap,
             cache=memo,
             budget=pack_budget,
         )

@@ -18,10 +18,10 @@ O(|R|³) enumeration.
 
 **Mask-driven enumeration.**  Candidates are read off boolean masks
 instead of scanned: pairs are the row-major nonzeros of the upper
-triangle of ``pickup_gap ≤ radius`` (lexicographic order), and triples
-are, for each feasible pair ``(a, b)`` in order, the common feasible
-successors ``c > b`` (again lexicographic).  Groups come out in the
-order the ``itertools.combinations`` scans produced.  A
+triangle of ``D(pickup_a, pickup_b) ≤ radius`` (lexicographic order),
+and triples are, for each feasible pair ``(a, b)`` in order, the common
+feasible successors ``c > b`` (again lexicographic).  Groups come out
+in the order the ``itertools.combinations`` scans produced.  A
 :class:`~repro.resilience.budget.WorkBudget` is still charged one node
 per subset of that scan, skipped subsets included, in bulk before each
 evaluated candidate, so truncation stops at the same subset and
@@ -35,7 +35,8 @@ evaluates only the pairs and triples that touch a request new to the
 batch, takes every other verdict from the carried family and
 feasible-pair mask (a memo hit would return the same verdict), and
 merges the two into the full scan's order; the groups, their order and
-the stats are the full scan's (DESIGN §10, "Warm STD").
+the stats are the full scan's (DESIGN §10, "Warm STD").  Its radius
+prefilter measures only the gap strip those pairs read.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ def enumerate_feasible_groups(
     max_passengers: int | None = 4,
     assume_metric: bool = True,
     pairing_radius_km: float | None = None,
-    pickup_gap: np.ndarray | None = None,
     cache: dict[tuple[int, ...], RideGroup | None] | None = None,
     with_stats: bool = False,
     budget: WorkBudget | None = None,
@@ -135,11 +135,6 @@ def enumerate_feasible_groups(
     O(|R|³) enumeration; a radius of a few θ keeps every plausibly
     attractive group while restoring city-scale tractability.  ``None``
     reproduces the paper's unpruned enumeration.
-
-    ``pickup_gap`` optionally supplies the pickup-to-pickup distance
-    matrix for the **id-sorted** requests (e.g. from the simulation
-    frame cache) so the radius prefilter skips recomputing it; ignored
-    when no ``pairing_radius_km`` is set.
 
     ``cache`` memoizes each evaluated member-id tuple's group (or
     ``None`` when infeasible) across calls; a cached group is
@@ -212,13 +207,11 @@ def enumerate_feasible_groups(
         )
     if carried is not None and fallback is None:
         pairs, triples, feasible = _enumerate_warm(
-            carried, ordered, oracle, config, pairing_radius_km, pickup_gap, evaluate, stats,
-            with_stats,
+            carried, ordered, oracle, config, pairing_radius_km, evaluate, stats, with_stats,
         )
     else:
         pairs, triples, feasible = _enumerate_cold(
-            ordered, oracle, config, assume_metric, pairing_radius_km, pickup_gap, evaluate,
-            stats, budget,
+            ordered, oracle, config, assume_metric, pairing_radius_km, evaluate, stats, budget,
         )
 
     if stats.truncated:
@@ -253,27 +246,40 @@ _Family = list[tuple[tuple[int, ...], RideGroup]]
 _Evaluate = Callable[[tuple[int, ...]], tuple[tuple[int, ...], "RideGroup | None"]]
 
 
-def _pair_mask(
+def _pair_candidates(
     ordered: Sequence[PassengerRequest],
     oracle: DistanceOracle,
     pairing_radius_km: float | None,
-    pickup_gap: np.ndarray | None,
-) -> np.ndarray:
-    """``keep[a, b]``: the radius prefilter admits the pair of id-sorted
-    positions ``a``, ``b``.  The prefilter inspects every pair, so one
-    batched pickup-to-pickup matrix replaces O(|R|²) scalar oracle calls
-    (exact=True keeps the decisions identical)."""
+    entrant: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``a < b`` of id-sorted positions the radius prefilter
+    admits, in lexicographic order.  The prefilter inspects every pair,
+    so one batched pickup-to-pickup matrix replaces O(|R|²) scalar
+    oracle calls (exact=True keeps the decisions identical).
+
+    With an ``entrant`` mask only pairs with an entrant among them are
+    candidates.  Each ends at or after the first entrant, so their gaps
+    are the columns from the first entrant on: one exact strip
+    ``D(pickup_a, pickup_b)``, read in pickup order as the full matrix
+    reads it (the one-way ring is asymmetric).  The entrants of a
+    clipped batch are its id-sorted tail, so the strip holds little
+    else.
+    """
     n = len(ordered)
-    if pairing_radius_km is None:
-        return np.ones((n, n), dtype=bool)
-    if pickup_gap is not None:
-        gap = np.asarray(pickup_gap, dtype=np.float64)
-        if gap.shape != (n, n):
-            raise PackingError(f"pickup_gap has shape {gap.shape}, expected ({n}, {n})")
+    if entrant is None:
+        first = 0
+        keep = np.ones((n, n), dtype=bool)
     else:
+        first = int(np.argmax(entrant))
+        keep = entrant[:, None] | entrant[None, first:]
+    if pairing_radius_km is not None:
         pickups = [r.pickup for r in ordered]
-        gap = oracle_pairwise(oracle, sources=pickups, targets=pickups, exact=True)
-    return ~(gap > pairing_radius_km)
+        gap = oracle_pairwise(oracle, sources=pickups, targets=pickups[first:], exact=True)
+        keep &= ~(gap > pairing_radius_km)
+    pa, pb = np.nonzero(keep)
+    pb += first
+    upper = pa < pb
+    return pa[upper], pb[upper]
 
 
 def _triple_candidates(feasible: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -291,7 +297,6 @@ def _enumerate_cold(
     config: DispatchConfig,
     assume_metric: bool,
     pairing_radius_km: float | None,
-    pickup_gap: np.ndarray | None,
     evaluate: _Evaluate,
     stats: FeasibilityStats,
     budget: WorkBudget | None,
@@ -308,8 +313,7 @@ def _enumerate_cold(
     if config.max_group_size >= 2 and n >= 2:
         # Pair candidates in lexicographic order: the row-major nonzeros
         # of the upper triangle.
-        keep = _pair_mask(ordered, oracle, pairing_radius_km, pickup_gap)
-        pa, pb = np.nonzero(np.triu(keep, k=1))
+        pa, pb = _pair_candidates(ordered, oracle, pairing_radius_km)
         charge = _Charge(budget, n * (n - 1) // 2)
         for a, b, index in zip(pa.tolist(), pb.tolist(), _pair_index(pa, pb, n).tolist()):
             if not charge.upto(index):
@@ -356,7 +360,6 @@ def _enumerate_warm(
     oracle: DistanceOracle,
     config: DispatchConfig,
     pairing_radius_km: float | None,
-    pickup_gap: np.ndarray | None,
     evaluate: _Evaluate,
     stats: FeasibilityStats,
     with_stats: bool,
@@ -400,11 +403,7 @@ def _enumerate_warm(
     triples: _Family = kept(carried.triples)
     fresh_any = bool(entrant.any())
     if config.max_group_size >= 2 and n >= 2 and fresh_any:
-        keep = _pair_mask(ordered, oracle, pairing_radius_km, pickup_gap)
-        keep &= entrant[:, None] | entrant[None, :]
-        pa, pb = np.nonzero(keep)
-        upper = pa < pb
-        pa, pb = pa[upper], pb[upper]
+        pa, pb = _pair_candidates(ordered, oracle, pairing_radius_km, entrant)
         fresh: _Family = []
         for a, b in zip(pa.tolist(), pb.tolist()):
             key, group = evaluate((a, b))

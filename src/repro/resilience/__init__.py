@@ -6,7 +6,7 @@ expensive stage, the ladder guarantees some dispatcher answers every
 frame, the fault injector makes the failure paths deterministic and
 testable — and makes long runs durable and self-checking: the journal
 and checkpoint store let a crashed run resume bit-identically, and the
-stability auditor re-verifies sampled fast-path frames at runtime.
+stability auditor re-verifies sampled frames at runtime.
 """
 
 from repro.core.errors import (
@@ -21,7 +21,6 @@ from repro.core.errors import (
     TransientFaultError,
 )
 from repro.resilience.auditor import (
-    AUDITED_MODES,
     DEFAULT_AUDIT_RATE,
     StabilityAuditor,
     schedule_pairs,
@@ -82,7 +81,6 @@ __all__ = [
     "StabilityAuditRecord",
     "StabilityAuditReport",
     "StabilityAuditor",
-    "AUDITED_MODES",
     "DEFAULT_AUDIT_RATE",
     "schedule_pairs",
     "JOURNAL_SCHEMA",

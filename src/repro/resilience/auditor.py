@@ -5,7 +5,8 @@ state whose silent corruption nothing at runtime would otherwise catch
 — the bit-identity guarantees are proven in tests and benchmarks, not
 re-checked in production.  The
 :class:`StabilityAuditor` closes that gap: on a deterministic sample of
-fast-path frames it rebuilds the frame's preference structure *cold*
+the frames whose dispatcher reports a solve mode (warm or cold) it
+rebuilds the frame's preference structure *cold*
 (through :meth:`~repro.dispatch.base.Dispatcher.audit_preferences`, a
 code path independent of the warm solvers) and re-runs the Definition-1
 blocking-pair test of :mod:`repro.matching.verification` against the
@@ -25,8 +26,9 @@ propagating a corrupt matching into taxi motion.
 Sampling is stateless and hash-based — ``crc32(f"{seed}:{frame}")``
 against a rate threshold — so the audited frame set depends only on
 ``(seed, frame index)``: it is reproducible across runs, stable across
-a checkpoint/resume boundary (no RNG state to persist), and consumes no
-random stream any other component shares.
+a checkpoint/resume boundary (no RNG state to persist, and a frame a
+resume re-solves cold is as eligible as the warm frame it replaces),
+and consumes no random stream any other component shares.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from repro.matching.verification import find_blocking_pairs, is_valid_matching
 from repro.resilience.report import StabilityAuditRecord, StabilityAuditReport
 
 __all__ = [
-    "AUDITED_MODES",
     "DEFAULT_AUDIT_RATE",
     "StabilityAuditor",
     "schedule_pairs",
@@ -53,11 +54,6 @@ __all__ = [
 #: audit costs roughly one cold preference build, so 1/64 keeps the
 #: added wall-clock well under the 5% budget on warm city-day runs.
 DEFAULT_AUDIT_RATE = 1.0 / 64.0
-
-#: Frame modes carrying cross-frame state worth re-verifying.  Plain
-#: cold frames run the very code path the auditor would rebuild, so
-#: auditing them checks nothing new.
-AUDITED_MODES = frozenset({"warm"})
 
 #: ``blocking_pairs`` sentinel for a structurally invalid matching
 #: (unknown ids or an unacceptable pair) — worse than any blocking-pair
@@ -91,12 +87,15 @@ def schedule_pairs(
 
 
 class StabilityAuditor:
-    """Re-verifies sampled fast-path frames; heals and records divergence.
+    """Re-verifies sampled frames; heals and records divergence.
 
     One auditor serves one run: the engine constructs (or resets) it at
     run start and harvests :attr:`report` into the result.  ``rate`` is
-    the sampled fraction of eligible frames; ``modes`` restricts
-    eligibility (default: the warm fast path).
+    the sampled fraction of eligible frames: those whose dispatcher
+    reported the path that solved them (``last_frame_mode``, warm or
+    cold).  Cold frames are eligible too, so a resumed run, whose first
+    frame after the snapshot solves cold, audits the frames the
+    uninterrupted run audits.
     """
 
     def __init__(
@@ -104,13 +103,11 @@ class StabilityAuditor:
         *,
         seed: int = 0,
         rate: float = DEFAULT_AUDIT_RATE,
-        modes: frozenset[str] | Sequence[str] = AUDITED_MODES,
     ):
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"rate must be in [0, 1], got {rate}")
         self.seed = seed
         self.rate = rate
-        self.modes = frozenset(modes)
         self.report = StabilityAuditReport()
 
     def reset(self) -> None:
@@ -119,7 +116,7 @@ class StabilityAuditor:
 
     def should_audit(self, frame_index: int, mode: str | None) -> bool:
         """Deterministic, resume-stable sampling decision for one frame."""
-        if mode not in self.modes or self.rate <= 0.0:
+        if mode is None or self.rate <= 0.0:
             return False
         if self.rate >= 1.0:
             return True

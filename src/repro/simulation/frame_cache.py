@@ -16,10 +16,12 @@ and hands it to the dispatcher through the ``frame_cache`` attribute on
 :class:`~repro.dispatch.base.Dispatcher`.  At every frame boundary the
 engine calls :meth:`FrameDistanceCache.begin_frame`, which drops all
 **taxi-dependent** matrices — taxis move between frames, so anything
-keyed on taxi positions is stale the moment the frame ends.  Purely
-**request-keyed** values (trip distances, pickup-to-pickup gaps) are
-immutable facts about frozen requests and persist for the life of the
-run; queued requests carry them across frames for free.
+keyed on taxi positions is stale the moment the frame ends.  Trip
+distances are **request-keyed**: immutable facts about frozen requests
+that persist while their request is queued, so a request waiting across
+frames is measured once.  The engines retire each request's trip as it
+resolves (:meth:`FrameDistanceCache.retire_requests`), which bounds the
+memo by the live queue.
 
 Exactness
 ---------
@@ -34,7 +36,6 @@ only how fast it is produced.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import islice
 
 import numpy as np
 
@@ -45,49 +46,20 @@ from repro.geometry.distance import DistanceOracle
 __all__ = ["FrameDistanceCache"]
 
 
-#: Default ceiling on memoized trip distances.  Generous for any city-day
-#: queue (tens of thousands of live requests) while bounding month-scale
-#: soak runs whose drivers never retire requests promptly.
-DEFAULT_TRIP_CAPACITY = 200_000
-
-
 class FrameDistanceCache:
     """One frame's batched distance matrices, computed once, read many."""
 
-    def __init__(self, oracle: DistanceOracle, *, trip_capacity: int = DEFAULT_TRIP_CAPACITY):
-        if trip_capacity < 1:
-            raise ValueError(f"trip_capacity must be positive, got {trip_capacity}")
+    def __init__(self, oracle: DistanceOracle):
         self.oracle = oracle
-        self.trip_capacity = int(trip_capacity)
         # taxi-dependent: cleared every begin_frame()
         self._pickup: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-        # request-keyed: persist while their request is live (see
-        # retire_requests); the engine retires served/expired ids so the
-        # memos stay proportional to the queue, not the whole trace
-        self._gap: dict[tuple[int, ...], np.ndarray] = {}
+        # request-keyed: persists while its request is live (see
+        # retire_requests)
         self._trip_km: dict[int, float] = {}
         self.frames = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    def _enforce_trip_cap(self) -> None:
-        """Evict oldest-inserted trip memos beyond ``trip_capacity``.
-
-        Insertion order approximates request arrival order, so FIFO
-        eviction drops the longest-queued entries — the ones most likely
-        to expire next.  Evicting a *live* request's trip is safe: the
-        next read recomputes the same exact-kernel value and re-memoizes
-        it.  This is the backstop for drivers that never call
-        :meth:`retire_requests` (long soaks); with a well-behaved engine
-        the memo stays queue-sized and the cap never engages.
-        """
-        trips = self._trip_km
-        overflow = len(trips) - self.trip_capacity
-        if overflow > 0:
-            for rid in list(islice(iter(trips), overflow)):
-                del trips[rid]
-            self.evictions += overflow
 
     def begin_frame(self) -> None:
         """Start a new frame: drop everything keyed on taxi positions."""
@@ -95,13 +67,12 @@ class FrameDistanceCache:
         self._pickup.clear()
 
     def retire_requests(self, request_ids: Iterable[int]) -> None:
-        """Evict request-keyed memos for requests that left the system.
+        """Evict the trip memos of requests that left the system.
 
         Served and expired requests can never reappear in a frame, so
-        their trip distances and any gap matrix mentioning them are dead
-        weight; the engine calls this as requests resolve, which bounds
-        the request-keyed memos by the live queue instead of letting
-        them grow with the whole trace.
+        their trip distances are dead weight; the engine calls this as
+        requests resolve, which bounds the memo by the live queue
+        instead of letting it grow with the whole trace.
         """
         trips = self._trip_km
         # Membership tests run against the retired ids (a frame's worth),
@@ -110,12 +81,6 @@ class FrameDistanceCache:
         for rid in dead_trips:
             del trips[rid]
         self.evictions += len(dead_trips)
-        if self._gap and dead_trips:
-            retired = set(dead_trips)
-            dead_keys = [key for key in self._gap if retired.intersection(key)]
-            for key in dead_keys:
-                del self._gap[key]
-            self.evictions += len(dead_keys)
 
     def stats(self) -> dict[str, float | int]:
         """Occupancy and traffic counters, for run telemetry."""
@@ -124,9 +89,7 @@ class FrameDistanceCache:
             "cache_hits": self.hits,
             "cache_misses": self.misses,
             "cache_evictions": self.evictions,
-            "cache_trip_capacity": self.trip_capacity,
             "cache_trip_entries": len(self._trip_km),
-            "cache_gap_entries": len(self._gap),
         }
 
     # -- taxi-dependent ----------------------------------------------------
@@ -162,27 +125,6 @@ class FrameDistanceCache:
 
     # -- request-keyed (persist across frames) -----------------------------
 
-    def pickup_gap_matrix(self, requests: Sequence[PassengerRequest]) -> np.ndarray:
-        """``D(r_a^s, r_b^s)`` for all request pairs, read-only, in the
-        given request order; reused verbatim when the same id sequence
-        recurs (queued requests waiting across frames)."""
-        key = tuple(r.request_id for r in requests)
-        cached = self._gap.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        pickups = [r.pickup for r in requests]
-        matrix = oracle_pairwise(self.oracle, sources=pickups, targets=pickups, exact=True)
-        matrix.setflags(write=False)
-        # Gap matrices for *different* queue snapshots mostly overlap but
-        # are not views of each other; keep only the latest per length to
-        # bound memory on long runs.
-        if len(self._gap) > 64:
-            self._gap.clear()
-        self._gap[key] = matrix
-        return matrix
-
     def trip_km(self, requests: Sequence[PassengerRequest]) -> np.ndarray:
         """``D(r_j^s, r_j^d)`` per request, in the given order.
 
@@ -204,13 +146,7 @@ class FrameDistanceCache:
                 trips[request.request_id] = km
         else:
             self.hits += 1
-        # Build the result before enforcing the cap: a single batch
-        # larger than the capacity still reads back every value it just
-        # measured, and only then sheds the overflow.
-        result = np.array([trips[r.request_id] for r in requests], dtype=np.float64)
-        if missing:
-            self._enforce_trip_cap()
-        return result
+        return np.array([trips[r.request_id] for r in requests], dtype=np.float64)
 
     def prime_trip_km(
         self, request_ids: Sequence[int] | np.ndarray, km: Sequence[float] | np.ndarray
@@ -229,7 +165,6 @@ class FrameDistanceCache:
         trips = self._trip_km
         for rid, value in zip(rid_list, km_list):
             trips[rid] = value
-        self._enforce_trip_cap()
 
     def trip_distance(self, request: PassengerRequest) -> float:
         """Single-request trip distance through the same memo."""
@@ -245,7 +180,6 @@ class FrameDistanceCache:
             )
             self._trip_km[request.request_id] = km
             self.misses += 1
-            self._enforce_trip_cap()
         else:
             self.hits += 1
         return km

@@ -70,3 +70,10 @@ class EmptyReason:
 
     def restore_state(self, payload: dict[str, Any]) -> None:
         return None
+
+
+class InheritsThePair(OneWay):
+    """Inherits ``OneWay``'s payload pair, so its own state must fit it."""
+
+    def note(self) -> None:
+        self.noted = True

@@ -27,3 +27,20 @@ class DurableCounter:
         self.ticks = payload["ticks"]
         self._rng.setstate((3, tuple(payload["rng"]), None))
         self._scratch = None
+
+
+class DurableChild(DurableCounter):
+    """Inherits the pair: its own state fits it, and the parent's
+    declaration covers the scratch buffer it resets."""
+
+    DURABILITY_EXCLUSIONS = {
+        "_trace": "diagnostic copy of the last tick; the next observe rewrites it",
+    }
+
+    def observe(self) -> None:
+        super().observe()
+        self._trace = self.ticks
+
+    def rewind(self) -> None:
+        self.ticks = 0
+        self._scratch = None

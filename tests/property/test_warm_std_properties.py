@@ -33,7 +33,7 @@ from repro.geometry import EuclideanDistance, Point
 from repro.packing import enumerate_feasible_groups
 from repro.packing.feasibility import GroupMemo
 from repro.resilience import WorkBudget
-from tests.support import oneway_ring
+from tests.support import enumerate_groups_reference, oneway_ring
 
 half_km = st.integers(min_value=0, max_value=8).map(lambda k: 0.5 * k)
 points = st.builds(Point, half_km, half_km)
@@ -208,6 +208,53 @@ def test_warm_enumeration_reports_the_full_scans_stats(data, oracle, config, fra
         churn.queue = [r for r in churn.queue if r.request_id not in gone]
         warm_memo.retain({r.request_id for r in churn.queue})
         cold_memo.retain({r.request_id for r in churn.queue})
+
+
+#: Points anywhere on the one-way ring's square: pickups snap to
+#: different corners, so ``D(a, b)`` and ``D(b, a)`` differ.
+ring_km = st.integers(min_value=0, max_value=20).map(lambda k: 0.5 * k)
+ring_points = st.builds(Point, ring_km, ring_km)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), config=configs, frames=st.integers(2, 5))
+def test_radius_prefilter_reads_one_way_gaps_in_pickup_order(data, config, frames):
+    # A 20 km radius admits many ring pairs one way only: a prefilter
+    # that read a gap against the pickup order would test a different
+    # set of pairs than the combinations scan, warm or cold.
+    oracle = oneway_ring()
+    warm_memo, cold_memo = GroupMemo(), GroupMemo()
+    queue: list[PassengerRequest] = []
+    next_id = 0
+    for _ in range(frames):
+        for _ in range(data.draw(st.integers(0, 4))):
+            queue.append(
+                PassengerRequest(next_id, data.draw(ring_points), data.draw(ring_points))
+            )
+            next_id += 1
+        cold_memo.drop_family("ladder")
+        results = [
+            enumerate_feasible_groups(
+                queue, oracle, config, pairing_radius_km=20.0, cache=memo, with_stats=True
+            )
+            for memo in (cold_memo, warm_memo)
+        ]
+        (cold_groups, cold_stats), (warm_groups, warm_stats) = results
+        assert warm_stats == cold_stats
+        assert warm_memo.keys() == cold_memo.keys()
+        assert warm_groups == cold_groups
+        fresh, fresh_stats = enumerate_feasible_groups(
+            queue, oracle, config, pairing_radius_km=20.0, with_stats=True
+        )
+        expected, expected_stats = enumerate_groups_reference(
+            queue, oracle, config, pairing_radius_km=20.0, with_stats=True
+        )
+        assert fresh_stats == expected_stats
+        assert [g.request_ids for g in fresh] == [g.request_ids for g in expected]
+        gone = data.draw(st.sets(st.sampled_from(queue), max_size=3)) if queue else set()
+        queue = [r for r in queue if r not in gone]
+        for memo in (warm_memo, cold_memo):
+            memo.retain({r.request_id for r in queue})
 
 
 def test_a_retained_taxi_presented_as_a_new_object_is_rescored():

@@ -15,6 +15,7 @@ while the final result stays bit-identical to an honest run.
 """
 
 import json
+import os
 import warnings
 import zlib
 from dataclasses import astuple, replace
@@ -206,6 +207,50 @@ class TestDurableRun:
         assert contents.end["frames"] == durable.frames_run
         assert manager.store.latest_valid()["finished"] is True
 
+    def test_fsynced_journal_appends_change_nothing_but_durability(
+        self, active_workload, tmp_path, monkeypatch
+    ):
+        # dispatch_ms is the one wall-clock value a journal row carries;
+        # a frozen telemetry clock makes the journal bytes comparable.
+        monkeypatch.setattr("repro.simulation.engine.telemetry_clock", lambda: 0.0)
+        fsyncs = []
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            os.fsync(fd)
+
+        monkeypatch.setattr("repro.resilience.journal.fsync", counting_fsync)
+        sim_config, fleet, requests = active_workload
+        make = partial(make_simulator, sim_config)
+
+        def config(directory, fsync):
+            return DurabilityConfig(
+                directory, checkpoint_every_frames=CHECKPOINT_EVERY, fsync_journal_appends=fsync
+            )
+
+        results, journals, synced = [], [], []
+        for fsync in (False, True):
+            manager = DurabilityManager(config(tmp_path / f"fsync-{fsync}", fsync))
+            fsyncs.clear()
+            results.append(make(durability=manager).run(fleet, requests))
+            journals.append(manager.journal_path.read_bytes())
+            synced.append(len(fsyncs))
+        assert observable(results[1]) == observable(results[0])
+        assert journals[1] == journals[0]
+        # Every append is fsynced: the header, each frame and the end.
+        assert synced[1] >= results[1].frames_run + 2 > synced[0]
+        # A run killed with fsynced appends resumes from its artifacts.
+        crashed = config(tmp_path / "crashed", True)
+        with pytest.raises(_Interrupt):
+            make(durability=InterruptingManager(crashed, die_at_frame=40)).run(fleet, requests)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            resumed = resume_simulation(
+                make(durability=DurabilityManager(crashed)), fleet, requests
+            )
+        assert observable(resumed) == observable(results[0])
+        assert resumed.perf_stats()["replay_frames_verified"] == 8
+
     def test_interrupted_run_resumes_bit_identical(self, active_workload, tmp_path):
         sim_config, fleet, requests = active_workload
         reference = make_simulator(sim_config).run(fleet, requests)
@@ -306,7 +351,7 @@ class TestDurableRun:
                 warm=False,
                 oracle=oracle,
                 durability=durability,
-                auditor=StabilityAuditor(rate=0.5, modes=("cold",)),
+                auditor=StabilityAuditor(rate=0.5),
                 resilience=ResiliencePolicy(budget_fraction=0.5).with_injector(injector),
             )
 
@@ -539,3 +584,31 @@ class TestEngineAudit:
             resumed = resume_simulation(simulator, fleet, requests)
         assert [r.frame for r in resumed.stability_audit.frames] == audited_frames
         assert observable(resumed) == observable(uninterrupted)
+
+    def test_resumed_warm_run_audits_the_frames_the_uninterrupted_run_audits(
+        self, active_workload, tmp_path
+    ):
+        # The crash at 70 resumes from the snapshot after frame 63, so
+        # frame 64 dispatches in both runs: warm in the uninterrupted
+        # one, cold in the resumed one, whose warm state restarts cold.
+        # The sampler (seed 0, rate 1/2) picks it; both runs audit it.
+        sim_config, fleet, requests = active_workload
+
+        def make(durability=None):
+            auditor = StabilityAuditor(rate=0.5)
+            return make_simulator(sim_config, durability=durability, auditor=auditor)
+
+        reference = make().run(fleet, requests)
+        assert reference.frame_stats[64].dispatched_requests > 0
+        interrupt(make, fleet, requests, tmp_path, die_at=70)
+        resumed = resume(make, fleet, requests, tmp_path)
+        modes = {r.frame: r.mode for r in reference.stability_audit.frames}
+        resumed_modes = {r.frame: r.mode for r in resumed.stability_audit.frames}
+        assert modes[64] == "warm" and resumed_modes[64] == "cold"
+        assert resumed_modes.keys() == modes.keys()
+
+        def without_modes(result):
+            seen = observable(result)
+            return seen | {"audit": [replace(r, mode="") for r in seen["audit"]]}
+
+        assert without_modes(resumed) == without_modes(reference)

@@ -8,8 +8,6 @@ import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import replace
 
-import numpy as np
-
 from repro.core.config import DispatchConfig
 from repro.core.errors import PackingError, PreferenceError, RoutingError
 from repro.core.types import PassengerRequest, RideGroup, RouteStop, Taxi
@@ -282,7 +280,6 @@ def enumerate_groups_reference(
     max_passengers: int | None = 4,
     assume_metric: bool = True,
     pairing_radius_km: float | None = None,
-    pickup_gap: np.ndarray | None = None,
     cache: dict[tuple[int, ...], RideGroup | None] | None = None,
     with_stats: bool = False,
     budget: WorkBudget | None = None,
@@ -327,16 +324,8 @@ def enumerate_groups_reference(
     # (exact=True keeps the kept/skipped decisions identical).
     gap = None
     if pairing_radius_km is not None and len(ordered) >= 2 and config.max_group_size >= 2:
-        if pickup_gap is not None:
-            gap = np.asarray(pickup_gap, dtype=np.float64)
-            if gap.shape != (len(ordered), len(ordered)):
-                raise PackingError(
-                    f"pickup_gap has shape {gap.shape}, "
-                    f"expected ({len(ordered)}, {len(ordered)})"
-                )
-        else:
-            pickups = [r.pickup for r in ordered]
-            gap = oracle_pairwise(oracle, sources=pickups, targets=pickups, exact=True)
+        pickups = [r.pickup for r in ordered]
+        gap = oracle_pairwise(oracle, sources=pickups, targets=pickups, exact=True)
 
     if config.max_group_size >= 2:
         for (ia, a), (ib, b) in itertools.combinations(enumerate(ordered), 2):
