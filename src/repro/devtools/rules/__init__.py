@@ -17,7 +17,7 @@ from repro.devtools.rules import (  # noqa: F401  (imported for registration)
     rep006_float_equality,
     rep007_annotations,
     rep008_durability,
-    rep009_pool_safety,
+    rep009_no_process_pool,
     rep010_warm_invalidation,
 )
 
@@ -30,6 +30,6 @@ __all__ = [
     "rep006_float_equality",
     "rep007_annotations",
     "rep008_durability",
-    "rep009_pool_safety",
+    "rep009_no_process_pool",
     "rep010_warm_invalidation",
 ]

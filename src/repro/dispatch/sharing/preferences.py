@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.config import DispatchConfig
 from repro.core.errors import PreferenceError
 from repro.core.types import RideGroup, Taxi
-from repro.geometry.batch import batch_kernels_exact, oracle_paired
+from repro.geometry.batch import oracle_paired
 from repro.geometry.distance import DistanceOracle
 from repro.matching.arrays import PreferenceArrays
 from repro.matching.preferences import arrays_from_pairs
@@ -154,19 +154,8 @@ def _acceptable_cells(
         [(t.location.x, t.location.y, t.seats, alpha + 1.0) for t, alpha in zip(taxis, alphas)]
     )[ti]
     # A = D(taxi, route start): taxis are the sources, as in the scalar
-    # scores (asymmetric oracles distinguish the direction).  The packed
-    # kernel entry point skips the public batch API's point conversion;
-    # same kernel, same bits.
-    paired_packed = getattr(oracle, "paired_packed", None) if batch_kernels_exact(oracle) else None
-    if paired_packed is not None:
-        approach = paired_packed(taxi[:, :2], unit[:, :2])
-    else:
-        approach = oracle_paired(
-            oracle,
-            sources=[taxis[i].location for i in ti.tolist()],
-            targets=[units[g].route_start for g in gi.tolist()],
-            exact=True,
-        )
+    # scores (asymmetric oracles distinguish the direction).
+    approach = oracle_paired(oracle, sources=taxi[:, :2], targets=unit[:, :2], exact=True)
     size = unit[:, 2]
     # Passenger score: the sum over members of (A + offset_k) +
     # β·detour_k, accumulated member by member (the scalar order), over

@@ -26,20 +26,30 @@ at every ``pairwise``/``paired`` call site.
 **Exactness contract.**  A batch kernel may be declared *exact* by
 setting ``batch_exact = True`` on the oracle: every entry of a batch
 result is then guaranteed bit-identical to the corresponding scalar
-``distance`` call.  The built-in Euclidean/Manhattan kernels (and the
-road network, which reuses the scalar snap + cached Dijkstra maps) are
-exact; the Haversine kernel agrees only to a few ulp (NumPy's SIMD trig
-is not CPython's libm) and is therefore *not* flagged exact.  Consumers
-that must produce bit-identical results to their scalar reference (the
+``distance`` call, and its batch methods accept float64 ``(n, 2)``
+coordinate arrays wherever they accept :class:`Point` sequences
+(validating them, NaN/inf included, as :func:`as_point_array` does).
+The built-in Euclidean/Manhattan kernels (and the road network, which
+reuses the scalar snap + cached Dijkstra maps) are exact; the Haversine
+kernel agrees only to a few ulp (NumPy's SIMD trig is not CPython's
+libm) and is therefore *not* flagged exact.  Consumers that must
+produce bit-identical results to their scalar reference (the
 preference-table builder) only trust kernels flagged exact; everything
 else still benefits from the vectorized masking/sorting around the
 scalar fallback.
+
+So :func:`oracle_pairwise` and :func:`oracle_paired` are the one
+batch-distance API: they take a :class:`Point` sequence or an
+``(n, 2)`` array for each operand, hand arrays straight to exact
+kernels, and build :class:`Point` objects from the rows only for the
+other oracles, whose batch methods (third-party) or scalar
+``distance`` need them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, TypeAlias, runtime_checkable
 
 import numpy as np
 
@@ -50,6 +60,7 @@ if TYPE_CHECKING:  # batch is imported by distance; annotation-only cycle
 
 __all__ = [
     "BatchDistanceOracle",
+    "Points",
     "as_point_array",
     "supports_batch",
     "batch_kernels_exact",
@@ -57,6 +68,11 @@ __all__ = [
     "oracle_distances",
     "oracle_paired",
 ]
+
+
+#: A batch operand: :class:`Point` objects or their float64 ``(n, 2)``
+#: coordinate rows.
+Points: TypeAlias = Sequence[Point] | np.ndarray
 
 
 @runtime_checkable
@@ -110,6 +126,14 @@ def batch_kernels_exact(oracle: object) -> bool:
     return bool(getattr(oracle, "batch_exact", False)) and supports_batch(oracle)
 
 
+def _as_points(points: Points) -> Sequence[Point]:
+    """``points`` as :class:`Point` objects: a coordinate array's rows,
+    or the sequence itself (the operand form every oracle takes)."""
+    if not isinstance(points, np.ndarray):
+        return points
+    return [Point(x, y) for x, y in as_point_array(points, check_finite=False).tolist()]
+
+
 def _scalar_pairwise(
     oracle: "DistanceOracle", sources: Sequence[Point], targets: Sequence[Point]
 ) -> np.ndarray:
@@ -125,8 +149,8 @@ def _scalar_pairwise(
 def oracle_pairwise(
     oracle: "DistanceOracle",
     *,
-    sources: Sequence[Point],
-    targets: Sequence[Point],
+    sources: Points,
+    targets: Points,
     exact: bool = False,
 ) -> np.ndarray:
     """``(len(sources), len(targets))`` matrix through the best available path.
@@ -137,10 +161,12 @@ def oracle_pairwise(
     exactness contract; others fall back to the scalar loop (whose
     entries are scalar ``distance`` calls by construction).
     """
-    if supports_batch(oracle) and (not exact or batch_kernels_exact(oracle)):
-        # repro-lint: disable=REP005 generic delegation: third-party oracles may name their parameters differently
-        return np.asarray(oracle.pairwise(sources, targets), dtype=np.float64)
-    return _scalar_pairwise(oracle, sources, targets)
+    if not batch_kernels_exact(oracle):
+        sources, targets = _as_points(sources), _as_points(targets)
+        if exact or not supports_batch(oracle):
+            return _scalar_pairwise(oracle, sources, targets)
+    # repro-lint: disable=REP005 generic delegation: third-party oracles may name their parameters differently
+    return np.asarray(oracle.pairwise(sources, targets), dtype=np.float64)
 
 
 def oracle_distances(
@@ -163,16 +189,18 @@ def oracle_distances(
 def oracle_paired(
     oracle: "DistanceOracle",
     *,
-    sources: Sequence[Point],
-    targets: Sequence[Point],
+    sources: Points,
+    targets: Points,
     exact: bool = False,
 ) -> np.ndarray:
     """Elementwise distances with the same dispatch rule as
     :func:`oracle_pairwise`; ``len(sources)`` must equal ``len(targets)``."""
     if len(sources) != len(targets):
         raise ValueError(f"paired inputs differ in length: {len(sources)} vs {len(targets)}")
-    if callable(getattr(oracle, "paired", None)) and (not exact or batch_kernels_exact(oracle)):
-        # repro-lint: disable=REP005 generic delegation: third-party oracles may name their parameters differently
-        return np.asarray(oracle.paired(sources, targets), dtype=np.float64)
-    distance = oracle.distance
-    return np.array([distance(a, b) for a, b in zip(sources, targets)], dtype=np.float64)
+    if not batch_kernels_exact(oracle):
+        sources, targets = _as_points(sources), _as_points(targets)
+        if exact or not callable(getattr(oracle, "paired", None)):
+            distance = oracle.distance
+            return np.array([distance(a, b) for a, b in zip(sources, targets)], dtype=np.float64)
+    # repro-lint: disable=REP005 generic delegation: third-party oracles may name their parameters differently
+    return np.asarray(oracle.paired(sources, targets), dtype=np.float64)

@@ -32,7 +32,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.geometry.batch import as_point_array, batch_kernels_exact, supports_batch
+from repro.geometry.batch import Points, as_point_array, batch_kernels_exact, supports_batch
 from repro.geometry.point import Point
 
 __all__ = [
@@ -67,7 +67,7 @@ class _BroadcastKernelMixin:
 
     _kernel: Callable[..., np.ndarray]
 
-    def pairwise(self, sources: Sequence[Point], targets: Sequence[Point]) -> np.ndarray:
+    def pairwise(self, sources: Points, targets: Points) -> np.ndarray:
         a = as_point_array(sources)
         b = as_point_array(targets)
         return self._kernel(a[:, 0:1], a[:, 1:2], b[None, :, 0], b[None, :, 1])
@@ -77,31 +77,12 @@ class _BroadcastKernelMixin:
         origin_arr = as_point_array([origin])
         return self._kernel(origin_arr[0, 0], origin_arr[0, 1], b[:, 0], b[:, 1])
 
-    def paired(self, sources: Sequence[Point], targets: Sequence[Point]) -> np.ndarray:
+    def paired(self, sources: Points, targets: Points) -> np.ndarray:
         a = as_point_array(sources)
         b = as_point_array(targets)
         if a.shape[0] != b.shape[0]:
             raise ValueError(f"paired inputs differ in length: {a.shape[0]} vs {b.shape[0]}")
         return self._kernel(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
-
-    # -- packed entry points ----------------------------------------------
-    # Trusted variants of pairwise/paired for per-frame hot loops: the
-    # caller hands float64 ``(n, 2)`` arrays it already owns, so the
-    # sequence conversion and finiteness validation of as_point_array are
-    # skipped.  The kernel is the same object, so exactness guarantees
-    # (``batch_exact``) carry over unchanged.
-
-    def pairwise_packed(self, sources_xy: np.ndarray, targets_xy: np.ndarray) -> np.ndarray:
-        """``pairwise`` over pre-packed ``(n, 2)`` float64 coordinates."""
-        return self._kernel(
-            sources_xy[:, 0:1], sources_xy[:, 1:2], targets_xy[None, :, 0], targets_xy[None, :, 1]
-        )
-
-    def paired_packed(self, sources_xy: np.ndarray, targets_xy: np.ndarray) -> np.ndarray:
-        """``paired`` over pre-packed, equal-length coordinate arrays."""
-        return self._kernel(
-            sources_xy[:, 0], sources_xy[:, 1], targets_xy[:, 0], targets_xy[:, 1]
-        )
 
 
 class EuclideanDistance(_BroadcastKernelMixin):
@@ -230,7 +211,7 @@ class ScaledDistance:
     def distance(self, a: Point, b: Point) -> float:
         return self._factor * self._base.distance(a, b)
 
-    def pairwise(self, sources: Sequence[Point], targets: Sequence[Point]) -> np.ndarray:
+    def pairwise(self, sources: Points, targets: Points) -> np.ndarray:
         from repro.geometry.batch import oracle_pairwise
 
         return self._factor * oracle_pairwise(self._base, sources=sources, targets=targets)
@@ -240,7 +221,7 @@ class ScaledDistance:
 
         return self._factor * oracle_distances(self._base, origin, targets=targets)
 
-    def paired(self, sources: Sequence[Point], targets: Sequence[Point]) -> np.ndarray:
+    def paired(self, sources: Points, targets: Points) -> np.ndarray:
         from repro.geometry.batch import oracle_paired
 
         return self._factor * oracle_paired(self._base, sources=sources, targets=targets)

@@ -77,28 +77,33 @@ retained entries the theorem proves empty.
 Any violated precondition raises
 :class:`~repro.core.errors.WarmStartError`; the dispatcher redoes the
 frame cold (and re-seeds), so a warm run can never produce a frame the
-cold path would not.
+cold path would not.  Input the cold frame rejects (a non-finite
+coordinate) raises the same ``ValueError`` here, because every distance
+goes through the one batch API of :mod:`repro.geometry.batch`, which
+validates coordinate arrays on the exact kernels.
+
+:func:`warm_frame_solve` runs five module-level phases, in order:
+:func:`_classify_churn` (retained or new, per entity),
+:func:`_entity_facts` (the fused fact matrices, ids and their bounds),
+:func:`_churn_strips` (the frame's edge set, one :func:`_score_strip`
+per churn strip), :func:`_pack_and_solve` (the canonical proposer pack
+plus the shared Gale–Shapley rounds) and :func:`_egress` (matching,
+matched rows and legs, stats and the next state).
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.config import DispatchConfig
 from repro.core.errors import WarmStartError
 from repro.core.types import PassengerRequest, Taxi
-from repro.geometry.batch import (
-    as_point_array,
-    batch_kernels_exact,
-    oracle_paired,
-    oracle_pairwise,
-)
+from repro.geometry.batch import as_point_array, oracle_paired, oracle_pairwise
 from repro.geometry.distance import DistanceOracle
-from repro.geometry.point import Point
 from repro.matching.arrays import NO_PARTNER
 from repro.matching.deferred_acceptance import gale_shapley_rounds
 from repro.matching.result import Matching
@@ -107,7 +112,6 @@ __all__ = [
     "FrameSolveState",
     "IncrementalBuildStats",
     "frame_state_from_cold",
-    "request_trips",
     "warm_frame_solve",
 ]
 
@@ -190,42 +194,54 @@ class FrameSolveState:
     """
     counts_bound: float
     """Same bound for party sizes and seat counts."""
-    facts_finite: bool
-    """Every trip and α the state has seen was finite (conservative —
-    enables the lean strip masks; never affects correctness)."""
 
 
-def request_trips(
-    requests: Sequence[PassengerRequest], oracle: DistanceOracle
-) -> np.ndarray:
-    """Per-request pickup→dropoff distances, bit-identical to the scalar
-    oracle (the same exactness contract the frame cache relies on)."""
-    if not requests:
-        return np.empty(0, dtype=np.float64)
-    return oracle_paired(
-        oracle,
-        sources=[r.pickup for r in requests],
-        targets=[r.dropoff for r in requests],
-        exact=True,
-    )
+class _Churn(NamedTuple):
+    """Phase 1's verdict: which of the frame's entities are retained."""
+
+    req_addrs: np.ndarray
+    taxi_addrs: np.ndarray
+    prev_r_rows: np.ndarray
+    """Previous-frame row of each request (meaningful where retained)."""
+    prev_t_rows: np.ndarray
+    """Previous-frame row of each taxi (meaningful where retained)."""
+    new_r_rows: np.ndarray
+    ret_r_rows: np.ndarray
+    new_t_rows: np.ndarray
+    ret_t_rows: np.ndarray
 
 
-def _pickup_strip(
-    oracle: DistanceOracle,
-    taxi_xy: np.ndarray,
-    taxi_points: Callable[[], list[Point]],
-    pick_xy: np.ndarray,
-    pick_points: Callable[[], list[Point]],
-) -> np.ndarray:
-    """``D(taxi, pickup)`` over one churn strip, exact-kernel fast path.
+class _Facts(NamedTuple):
+    """Phase 2's fused facts, in this frame's order, with id bounds."""
 
-    The point lists are thunks: on the exact-kernel path (every built-in
-    oracle the engine runs) the packed coordinate arrays feed the kernel
-    directly and no per-entity Python loop runs at all.
-    """
-    if batch_kernels_exact(oracle):
-        return np.asarray(oracle.pairwise(sources=taxi_xy, targets=pick_xy), dtype=np.float64)
-    return oracle_pairwise(oracle, sources=taxi_points(), targets=pick_points(), exact=True)
+    taxi_ids: np.ndarray
+    tfacts: np.ndarray
+    taxi_ids_ascending: bool
+    req_ids: np.ndarray
+    rfacts: np.ndarray
+    req_ids_ascending: bool
+    ids_bound: float
+    counts_bound: float
+
+
+class _Edges(NamedTuple):
+    """Phase 3's acceptable edges: taxi row, request row, both scores."""
+
+    ti: np.ndarray
+    rj: np.ndarray
+    pick: np.ndarray
+    driver: np.ndarray
+
+
+class _Solved(NamedTuple):
+    """Phase 4's result: the pack permutation and the rounds' outcome."""
+
+    order: np.ndarray
+    """Edge index of each CSR slot (the canonical pack permutation)."""
+    partner: np.ndarray
+    """Proposer position each reviewer holds (or :data:`NO_PARTNER`)."""
+    final_choice: np.ndarray
+    """Per proposer, one past the CSR slot of its last proposal."""
 
 
 def _sorted_member_rows(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,13 +258,30 @@ def _addrs_of(objs: Sequence[object]) -> np.ndarray:
     return np.fromiter(map(id, objs), dtype=np.uint64, count=len(objs))
 
 
-def _taxi_fact_row(
-    taxi: Taxi, config: DispatchConfig, alpha_by_taxi: Mapping[int, float] | None
-) -> tuple[float, float, float, float]:
-    alpha = float(
-        config.alpha if alpha_by_taxi is None else alpha_by_taxi.get(taxi.taxi_id, config.alpha)
-    )
-    return (taxi.location.x, taxi.location.y, float(taxi.seats), alpha)
+def _taxi_facts(
+    taxis: Sequence[Taxi], config: DispatchConfig, alpha_by_taxi: Mapping[int, float] | None
+) -> np.ndarray:
+    """The ``(k, 4)`` fact rows x, y, seats, α of ``taxis``.
+
+    One C-level loop reads x, y and seats; α is ``config.alpha``, or the
+    map's value where it names the taxi.
+    """
+    k = len(taxis)
+    facts = np.empty((k, 4), dtype=np.float64)
+    facts[:, :_TALPHA] = np.fromiter(
+        (v for t in taxis for v in (t.location.x, t.location.y, t.seats)),
+        dtype=np.float64,
+        count=3 * k,
+    ).reshape(k, 3)
+    if alpha_by_taxi is None:
+        facts[:, _TALPHA] = config.alpha
+    else:
+        facts[:, _TALPHA] = np.fromiter(
+            (alpha_by_taxi.get(t.taxi_id, config.alpha) for t in taxis),
+            dtype=np.float64,
+            count=k,
+        )
+    return facts
 
 
 def _abs_max(values: np.ndarray) -> float:
@@ -319,12 +352,7 @@ def frame_state_from_cold(
         (r.passengers for r in requests), dtype=np.int64, count=n_requests
     )
     rfacts[:, _RTRIP] = np.asarray(trip, dtype=np.float64)
-    tfacts = np.array(
-        [_taxi_fact_row(t, config, alpha_by_taxi) for t in taxis], dtype=np.float64
-    ).reshape(n_taxis, 4)
-    facts_finite = bool(np.isfinite(rfacts[:, _RTRIP]).all()) and bool(
-        np.isfinite(tfacts[:, _TALPHA]).all()
-    )
+    tfacts = _taxi_facts(taxis, config, alpha_by_taxi)
     return FrameSolveState(
         req_ids=req_ids,
         req_addr_sorted=req_addr_sorted,
@@ -338,7 +366,6 @@ def frame_state_from_cold(
         tfacts=tfacts,
         ids_bound=max(_abs_max(req_ids), _abs_max(taxi_ids)),
         counts_bound=max(_abs_max(rfacts[:, _RPARTY]), _abs_max(tfacts[:, _TSEATS])),
-        facts_finite=facts_finite,
     )
 
 
@@ -398,262 +425,300 @@ def warm_frame_solve(
     kernels are not an error: strip scoring falls back to the scalar
     helpers.  The caller must redo the frame cold and re-seed via
     :func:`frame_state_from_cold`; warm dispatchers count this as a
-    ``warm_fallbacks`` telemetry event.
+    ``warm_fallbacks`` telemetry event.  A non-finite coordinate raises
+    the cold frame's ``ValueError``.
     """
-    n_requests = len(requests)
-    n_taxis = len(taxis)
-    theta = config.passenger_threshold_km
-    tau = config.taxi_threshold_km
+    churn = _classify_churn(state, taxis, requests)
+    facts = _entity_facts(
+        state, churn, taxis, requests, oracle, config, alpha_by_taxi, on_new_trips
+    )
+    edges = _churn_strips(churn, facts, oracle, config)
+    solved = _pack_and_solve(edges, facts, optimize_for)
+    return _egress(churn, facts, edges, solved, taxis, requests, optimize_for)
 
-    # -- classify churn: retained == member of the unmatched index ---------
-    addrs = _addrs_of(requests)
-    ret_r, addr_pos = _sorted_member_rows(state.req_addr_sorted, addrs)
-    prev_rows = state.req_addr_rows[addr_pos] if state.req_addr_rows.size else addr_pos
+
+def _classify_churn(
+    state: FrameSolveState, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
+) -> _Churn:
+    """Phase 1: an entity is retained iff its address is in the state's
+    unmatched index (the same live object the previous frame left
+    unmatched); every other entity is new."""
+    req_addrs = _addrs_of(requests)
+    ret_r, req_pos = _sorted_member_rows(state.req_addr_sorted, req_addrs)
+    prev_r_rows = state.req_addr_rows[req_pos] if state.req_addr_rows.size else req_pos
     taxi_addrs = _addrs_of(taxis)
     ret_t, taxi_pos = _sorted_member_rows(state.taxi_addr_sorted, taxi_addrs)
     prev_t_rows = state.taxi_addr_rows[taxi_pos] if state.taxi_addr_rows.size else taxi_pos
+    return _Churn(
+        req_addrs=req_addrs,
+        taxi_addrs=taxi_addrs,
+        prev_r_rows=prev_r_rows,
+        prev_t_rows=prev_t_rows,
+        new_r_rows=np.flatnonzero(~ret_r),
+        ret_r_rows=np.flatnonzero(ret_r),
+        new_t_rows=np.flatnonzero(~ret_t),
+        ret_t_rows=np.flatnonzero(ret_t),
+    )
 
-    new_r_rows = np.flatnonzero(~ret_r)
-    ret_r_rows = np.flatnonzero(ret_r)
-    new_t_rows = np.flatnonzero(~ret_t)
-    ret_t_rows = np.flatnonzero(ret_t)
 
-    # -- fused entity facts: one gather per side, extract only the new -----
-    # Retained rows were bounded and finiteness-checked when they first
-    # entered a state, so only the new entities update the carried
-    # bounds; one scalar comparison per frame replaces the full scans.
-    ids_bound = state.ids_bound
-    counts_bound = state.counts_bound
-    facts_finite = state.facts_finite
-    # Packed kernel entry points skip the per-call sequence conversion
-    # and validation of the public batch API; same kernel, same bits.
-    # Exact oracles without them (user-supplied) take the public path.
-    exact_kernels = batch_kernels_exact(oracle)
-    paired_packed = getattr(oracle, "paired_packed", None) if exact_kernels else None
-    pairwise_packed = getattr(oracle, "pairwise_packed", None) if exact_kernels else None
-    taxi_ids = np.empty(n_taxis, dtype=np.int64)
-    tfacts = np.empty((n_taxis, 4), dtype=np.float64)
-    if ret_t_rows.size:
-        src_t = prev_t_rows[ret_t_rows]
-        taxi_ids[ret_t_rows] = state.taxi_ids[src_t]
-        tfacts[ret_t_rows] = state.tfacts[src_t]
-    new_taxis = [taxis[i] for i in new_t_rows.tolist()]
-    if new_taxis:
-        k = len(new_taxis)
-        new_tids = np.fromiter((t.taxi_id for t in new_taxis), dtype=np.int64, count=k)
-        taxi_ids[new_t_rows] = new_tids
-        if alpha_by_taxi is None:
-            # Flat extraction: one C-level loop for x, y, seats; α is a
-            # frame constant.
-            blk = np.fromiter(
-                (v for t in new_taxis for v in (t.location.x, t.location.y, t.seats)),
-                dtype=np.float64,
-                count=3 * k,
-            ).reshape(k, 3)
-            tfacts[new_t_rows, :_TALPHA] = blk
-            alpha_const = float(config.alpha)
-            tfacts[new_t_rows, _TALPHA] = alpha_const
-            seats_new = blk[:, _TSEATS]
-            if alpha_const < 0.0:
-                raise WarmStartError("negative alpha in frame", reason="bad-alpha")
-            facts_finite = facts_finite and math.isfinite(alpha_const)
-        else:
-            new_trows = np.array(
-                [_taxi_fact_row(t, config, alpha_by_taxi) for t in new_taxis], dtype=np.float64
-            )
-            tfacts[new_t_rows] = new_trows
-            seats_new = new_trows[:, _TSEATS]
-            if bool(np.any(new_trows[:, _TALPHA] < 0.0)):
-                raise WarmStartError("negative alpha in frame", reason="bad-alpha")
-            facts_finite = facts_finite and bool(np.isfinite(new_trows[:, _TALPHA]).all())
-        ids_bound = max(ids_bound, _abs_max(new_tids))
-        counts_bound = max(counts_bound, _abs_max(seats_new))
-    # The engines present both sides in ascending id order, making the
-    # uniqueness checks one vectorized comparison each; the general path
-    # (unsorted but unique is fine) only runs on hand-built frames.
-    taxi_ids_ascending = n_taxis < 2 or bool(np.all(taxi_ids[1:] > taxi_ids[:-1]))
-    if not taxi_ids_ascending and np.unique(taxi_ids).size != n_taxis:
-        raise WarmStartError("duplicate taxi ids in frame", reason="duplicate-ids")
+def _fused(
+    prev_ids: np.ndarray,
+    prev_facts: np.ndarray,
+    prev_rows: np.ndarray,
+    ret_rows: np.ndarray,
+    new_rows: np.ndarray,
+    new_ids: np.ndarray,
+    new_facts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One side's ``(ids, facts)`` in frame order: the retained rows
+    gathered from the previous frame's arrays, the new rows filled in."""
+    n = ret_rows.size + new_rows.size
+    ids = np.empty(n, dtype=np.int64)
+    facts = np.empty((n, 4), dtype=np.float64)
+    if ret_rows.size:
+        src = prev_rows[ret_rows]
+        ids[ret_rows] = prev_ids[src]
+        facts[ret_rows] = prev_facts[src]
+    ids[new_rows] = new_ids
+    facts[new_rows] = new_facts
+    return ids, facts
 
-    req_ids = np.empty(n_requests, dtype=np.int64)
-    rfacts = np.empty((n_requests, 4), dtype=np.float64)
-    if ret_r_rows.size:
-        src = prev_rows[ret_r_rows]
-        req_ids[ret_r_rows] = state.req_ids[src]
-        rfacts[ret_r_rows] = state.rfacts[src]
-    new_requests = [requests[j] for j in new_r_rows.tolist()]
-    if new_requests:
-        k = len(new_requests)
-        new_rids = np.fromiter((r.request_id for r in new_requests), dtype=np.int64, count=k)
-        req_ids[new_r_rows] = new_rids
-        new_pick = as_point_array([r.pickup for r in new_requests], check_finite=False)
-        rfacts[new_r_rows, :_RPARTY] = new_pick
-        party_new = np.fromiter(
+
+def _ids_ascending(ids: np.ndarray, what: str) -> bool:
+    """Whether ``ids`` ascend strictly; raises on a repeated id.
+
+    The engines present both sides in ascending id order, making the
+    uniqueness check one vectorized comparison; the general path
+    (unsorted but unique is fine) only runs on hand-built frames.
+    """
+    if ids.size < 2 or bool(np.all(ids[1:] > ids[:-1])):
+        return True
+    if np.unique(ids).size != ids.size:
+        raise WarmStartError(f"duplicate {what} ids in frame", reason="duplicate-ids")
+    return False
+
+
+def _entity_facts(
+    state: FrameSolveState,
+    churn: _Churn,
+    taxis: Sequence[Taxi],
+    requests: Sequence[PassengerRequest],
+    oracle: DistanceOracle,
+    config: DispatchConfig,
+    alpha_by_taxi: Mapping[int, float] | None,
+    on_new_trips: Callable[[np.ndarray, np.ndarray], None] | None,
+) -> _Facts:
+    """Phase 2: the fused fact matrices, extracting only the new entities.
+
+    Retained rows were bounded when they first entered a state, so only
+    the new entities update the carried bounds; one scalar comparison
+    per frame replaces the full scans.  The new requests' trips are the
+    frame's only trip computation, one exact ``paired`` call.
+    """
+    new_taxis = [taxis[i] for i in churn.new_t_rows.tolist()]
+    k = len(new_taxis)
+    new_tids = np.fromiter((t.taxi_id for t in new_taxis), dtype=np.int64, count=k)
+    new_tfacts = _taxi_facts(new_taxis, config, alpha_by_taxi)
+    if bool(np.any(new_tfacts[:, _TALPHA] < 0.0)):
+        raise WarmStartError("negative alpha in frame", reason="bad-alpha")
+    taxi_ids, tfacts = _fused(
+        state.taxi_ids,
+        state.tfacts,
+        churn.prev_t_rows,
+        churn.ret_t_rows,
+        churn.new_t_rows,
+        new_tids,
+        new_tfacts,
+    )
+    taxi_ids_ascending = _ids_ascending(taxi_ids, "taxi")
+
+    new_requests = [requests[j] for j in churn.new_r_rows.tolist()]
+    k = len(new_requests)
+    new_rids = np.fromiter((r.request_id for r in new_requests), dtype=np.int64, count=k)
+    new_rfacts = np.empty((k, 4), dtype=np.float64)
+    if k:
+        new_rfacts[:, : _RY + 1] = as_point_array(
+            [r.pickup for r in new_requests], check_finite=False
+        )
+        new_rfacts[:, _RPARTY] = np.fromiter(
             (r.passengers for r in new_requests), dtype=np.float64, count=k
         )
-        rfacts[new_r_rows, _RPARTY] = party_new
-        if paired_packed is not None:
-            new_drop = as_point_array([r.dropoff for r in new_requests], check_finite=False)
-            new_trips = np.asarray(paired_packed(new_pick, new_drop), dtype=np.float64)
-            # request_trips validates coordinates on the exact path; a
-            # non-finite coordinate always surfaces as a non-finite trip
-            # (±inf/NaN survive subtraction, squaring and sqrt), so the
-            # packed kernel reproduces its error behaviour from the trip
-            # values alone.
-            if not bool(np.isfinite(new_trips).all()):
-                raise ValueError("non-finite coordinate in batch distance input")
-        else:
-            new_trips = request_trips(new_requests, oracle)
-            facts_finite = facts_finite and bool(np.isfinite(new_trips).all())
-        rfacts[new_r_rows, _RTRIP] = new_trips
-        ids_bound = max(ids_bound, _abs_max(new_rids))
-        counts_bound = max(counts_bound, _abs_max(party_new))
+        new_rfacts[:, _RTRIP] = oracle_paired(
+            oracle,
+            sources=new_rfacts[:, : _RY + 1],
+            targets=as_point_array([r.dropoff for r in new_requests], check_finite=False),
+            exact=True,
+        )
         if on_new_trips is not None:
-            on_new_trips(new_rids, new_trips)
-    req_ids_ascending = n_requests < 2 or bool(np.all(req_ids[1:] > req_ids[:-1]))
-    if not req_ids_ascending and np.unique(req_ids).size != n_requests:
-        raise WarmStartError("duplicate request ids in frame", reason="duplicate-ids")
+            on_new_trips(new_rids, new_rfacts[:, _RTRIP])
+    req_ids, rfacts = _fused(
+        state.req_ids,
+        state.rfacts,
+        churn.prev_r_rows,
+        churn.ret_r_rows,
+        churn.new_r_rows,
+        new_rids,
+        new_rfacts,
+    )
+    req_ids_ascending = _ids_ascending(req_ids, "request")
+
     # Ids ride in the complex keys' imaginary float64 lane and counts in
     # fact-matrix lanes; both must stay integer-exact.  The carried
     # bounds cover every entity this state chain has seen (cold seeds
     # scan their full arrays), so two scalar comparisons suffice.
+    ids_bound = max(state.ids_bound, _abs_max(new_tids), _abs_max(new_rids))
+    counts_bound = max(
+        state.counts_bound,
+        _abs_max(new_tfacts[:, _TSEATS]),
+        _abs_max(new_rfacts[:, _RPARTY]),
+    )
     if ids_bound >= _FLOAT_EXACT:
         raise WarmStartError("frame id exceeds float-exact range", reason="id-overflow")
     if counts_bound >= _FLOAT_EXACT:
         raise WarmStartError("frame count exceeds float-exact range", reason="id-overflow")
+    return _Facts(
+        taxi_ids=taxi_ids,
+        tfacts=tfacts,
+        taxi_ids_ascending=taxi_ids_ascending,
+        req_ids=req_ids,
+        rfacts=rfacts,
+        req_ids_ascending=req_ids_ascending,
+        ids_bound=ids_bound,
+        counts_bound=counts_bound,
+    )
 
-    txy = tfacts[:, : _TY + 1]
-    rxy = rfacts[:, : _RY + 1]
-    seats = tfacts[:, _TSEATS]
-    alpha = tfacts[:, _TALPHA]
-    party = rfacts[:, _RPARTY]
-    trip = rfacts[:, _RTRIP]
 
-    # -- churn strips: the frame's entire edge set --------------------------
-    # Strip A: new taxis × all requests.  Strip B: retained taxis × new
-    # requests.  Retained × retained is empty by the stability theorem.
-    # Every acceptability condition is applied while the scores are
-    # still dense matrices, so the edge lists below are only ever
-    # materialized at their final size; the driver scores are computed
-    # by the same elementwise IEEE operations as the cold pipeline.
-    strip_ti: list[np.ndarray] = []
-    strip_rj: list[np.ndarray] = []
-    strip_pick: list[np.ndarray] = []
-    strip_driver: list[np.ndarray] = []
-    # Lean-mask regime: with θ finite and every trip/α finite, a pair can
-    # only survive ``pick ≤ θ`` with finite pick, and then its driver cost
-    # is finite by construction (finite − finite·finite); NaN coordinates
-    # fail the ≤ comparisons on their own.  Both ``isfinite`` masks are
-    # therefore redundant — the surviving edge set is provably identical.
-    lean_masks = math.isfinite(theta) and facts_finite
+def _churn_strips(
+    churn: _Churn, facts: _Facts, oracle: DistanceOracle, config: DispatchConfig
+) -> _Edges:
+    """Phase 3: the frame's entire edge set, from the two churn strips.
 
-    def score_block(t_block: np.ndarray, r_block: np.ndarray | None) -> None:
-        """Score one taxi-rows × request-rows strip and keep survivors.
+    Strip A: new taxis × all requests.  Strip B: retained taxis × new
+    requests.  Retained × retained is empty by the stability theorem.
+    """
+    strips: list[_Edges] = []
+    if churn.new_t_rows.size and facts.req_ids.size:
+        strips.append(_score_strip(facts, oracle, config, churn.new_t_rows, None))
+    if churn.ret_t_rows.size and churn.new_r_rows.size:
+        strips.append(_score_strip(facts, oracle, config, churn.ret_t_rows, churn.new_r_rows))
+    if not strips:
+        no_rows, no_scores = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
+        return _Edges(no_rows, no_rows, no_scores, no_scores)
+    ti, rj, pick, driver = (np.concatenate(column) for column in zip(*strips))
+    return _Edges(ti, rj, pick, driver)
 
-        ``r_block=None`` means *all requests* (the new-taxi strip) and
-        skips the request-side gathers entirely.
-        """
-        if r_block is None:
-            r_xy, r_party, r_trip = rxy, party, trip
 
-            def pick_points() -> list[Point]:
-                return [r.pickup for r in requests]
+def _score_strip(
+    facts: _Facts,
+    oracle: DistanceOracle,
+    config: DispatchConfig,
+    t_block: np.ndarray,
+    r_block: np.ndarray | None,
+) -> _Edges:
+    """Score one taxi-rows × request-rows strip and keep the survivors.
 
-        else:
-            rb = r_block
-            r_xy = rxy[rb]
-            r_party = party[rb]
-            r_trip = trip[rb]
+    ``r_block=None`` means *all requests* (the new-taxi strip) and skips
+    the request-side gathers.  Every acceptability condition is applied
+    while the scores are still dense matrices, so the edge arrays are
+    only ever materialized at their final size; the driver scores come
+    from the same elementwise IEEE operations as the cold pipeline.
+    """
+    rfacts = facts.rfacts if r_block is None else facts.rfacts[r_block]
+    tfacts = facts.tfacts[t_block]
+    pick_m = oracle_pairwise(
+        oracle, sources=tfacts[:, : _TY + 1], targets=rfacts[:, : _RY + 1], exact=True
+    )
+    # Same *, − operations as ``pick − α·trip``, recycling the α·trip
+    # buffer (bit-identical, one fewer strip-sized allocation).
+    driver_m = tfacts[:, _TALPHA, None] * rfacts[None, :, _RTRIP]
+    np.subtract(pick_m, driver_m, out=driver_m)
+    ok = pick_m <= config.passenger_threshold_km
+    ok &= rfacts[None, :, _RPARTY] <= tfacts[:, _TSEATS, None]
+    ok &= np.isfinite(pick_m)
+    ok &= np.isfinite(driver_m)
+    ok &= driver_m <= config.taxi_threshold_km
+    # One nonzero scan feeds every gather: integer fancy indexing walks
+    # the same row-major survivor order a boolean mask would, without
+    # re-scanning the mask per gathered array.
+    t_loc, r_loc = np.nonzero(ok)
+    return _Edges(
+        ti=t_block[t_loc],
+        rj=r_loc if r_block is None else r_block[r_loc],
+        pick=pick_m[t_loc, r_loc],
+        driver=driver_m[t_loc, r_loc],
+    )
 
-            def pick_points() -> list[Point]:
-                return [requests[j].pickup for j in rb.tolist()]
 
-        if pairwise_packed is not None:
-            pick_m = pairwise_packed(txy[t_block], r_xy)
-        else:
-            pick_m = _pickup_strip(
-                oracle,
-                txy[t_block],
-                lambda: [taxis[i].location for i in t_block.tolist()],
-                r_xy,
-                pick_points,
-            )
-        # Same *, − operations as ``pick − α·trip``, recycling the α·trip
-        # buffer (bit-identical, one fewer strip-sized allocation).
-        driver_m = alpha[t_block, None] * r_trip[None, :]
-        np.subtract(pick_m, driver_m, out=driver_m)
-        ok = pick_m <= theta
-        ok &= r_party[None, :] <= seats[t_block, None]
-        if not lean_masks:
-            ok &= np.isfinite(pick_m)
-            ok &= np.isfinite(driver_m)
-        ok &= driver_m <= tau
-        # One nonzero scan feeds every gather: integer fancy indexing
-        # walks the same row-major survivor order a boolean mask would,
-        # without re-scanning the mask per gathered array.
-        t_loc, r_loc = np.nonzero(ok)
-        strip_ti.append(t_block[t_loc])
-        strip_rj.append(r_loc if r_block is None else r_block[r_loc])
-        strip_pick.append(pick_m[t_loc, r_loc])
-        strip_driver.append(driver_m[t_loc, r_loc])
+def _pack_and_solve(edges: _Edges, facts: _Facts, optimize_for: str) -> _Solved:
+    """Phase 4: the proposer-only canonical pack and the shared GS rounds.
 
-    if new_t_rows.size and n_requests:
-        score_block(new_t_rows, None)
-    if ret_t_rows.size and new_r_rows.size:
-        score_block(ret_t_rows, new_r_rows)
-
-    if strip_ti:
-        ti = np.concatenate(strip_ti)
-        rj = np.concatenate(strip_rj)
-        pick = np.concatenate(strip_pick)
-        driver = np.concatenate(strip_driver)
-    else:
-        ti = np.empty(0, dtype=np.intp)
-        rj = np.empty(0, dtype=np.intp)
-        pick = np.empty(0, dtype=np.float64)
-        driver = np.empty(0, dtype=np.float64)
-    n_edges = len(rj)
-
-    # -- proposer-only canonical pack + shared GS rounds -------------------
-    # One lexsort realizes the total (proposer row, score, partner id)
-    # order of the cold pack regardless of strip emission order — the key
-    # triple is unique per edge (a partner appears once per row), so the
-    # permutation is the unique sorted order.  When a side's ids ascend in
-    # row order, its row indices are order-isomorphic to its ids and
-    # stand in for them, narrowed to 16 bits where the frame allows (the
-    # cheaper sort keys).  The reviewer side needs no pack at all: its
-    # (score, id) order is encoded in the complex keys.
+    One lexsort realizes the total (proposer row, score, partner id)
+    order of the cold pack regardless of strip emission order — the key
+    triple is unique per edge (a partner appears once per row), so the
+    permutation is the unique sorted order.  When a side's ids ascend in
+    row order, its row indices are order-isomorphic to its ids and stand
+    in for them, narrowed to 16 bits where the frame allows: the cheaper
+    sort keys pay for themselves on the engines' frames (DESIGN §10).
+    The reviewer side needs no pack at all: its (score, id) order is
+    encoded in the complex keys.
+    """
+    ti, rj = edges.ti, edges.rj
+    n_taxis, n_requests = facts.taxi_ids.size, facts.req_ids.size
     idx_small = max(n_taxis, n_requests) <= 32767
     if optimize_for == "taxi":
         prop_rows, rev_rows = ti, rj
         n_prop, n_rev = n_taxis, n_requests
-        prop_score = driver
+        prop_score = edges.driver
         partner_tie = (
-            rj.astype(np.int16) if (idx_small and req_ids_ascending) else req_ids[rj]
+            rj.astype(np.int16)
+            if (idx_small and facts.req_ids_ascending)
+            else facts.req_ids[rj]
         )
-        rev_score = pick
-        rev_tie_ids = taxi_ids
+        rev_score = edges.pick
+        rev_tie_ids = facts.taxi_ids
     else:
         prop_rows, rev_rows = rj, ti
         n_prop, n_rev = n_requests, n_taxis
-        prop_score = pick
+        prop_score = edges.pick
         partner_tie = (
-            ti.astype(np.int16) if (idx_small and taxi_ids_ascending) else taxi_ids[ti]
+            ti.astype(np.int16)
+            if (idx_small and facts.taxi_ids_ascending)
+            else facts.taxi_ids[ti]
         )
-        rev_score = driver
-        rev_tie_ids = req_ids
+        rev_score = edges.driver
+        rev_tie_ids = facts.req_ids
     prop_small = prop_rows.astype(np.int16) if idx_small else prop_rows
     order = np.lexsort((partner_tie, prop_score, prop_small))
     indptr = np.zeros(n_prop + 1, dtype=np.int64)
     np.cumsum(np.bincount(prop_rows, minlength=n_prop), out=indptr[1:])
     pref = rev_rows[order]
-    keys = np.empty(n_edges, dtype=np.complex128)
+    keys = np.empty(order.size, dtype=np.complex128)
     keys.real = rev_score[order]
     keys.imag = rev_tie_ids[prop_rows[order]].astype(np.float64)
     partner, final_choice, _, _ = gale_shapley_rounds(indptr, pref, keys, n_rev)
+    return _Solved(order=order, partner=partner, final_choice=final_choice)
 
-    matched_rev = np.flatnonzero(partner != NO_PARTNER)
-    matched_prop = partner[matched_rev]
+
+def _egress(
+    churn: _Churn,
+    facts: _Facts,
+    edges: _Edges,
+    solved: _Solved,
+    taxis: Sequence[Taxi],
+    requests: Sequence[PassengerRequest],
+    optimize_for: str,
+) -> tuple[
+    Matching,
+    tuple[np.ndarray, np.ndarray],
+    tuple[np.ndarray, np.ndarray],
+    IncrementalBuildStats,
+    FrameSolveState,
+]:
+    """Phase 5: :func:`warm_frame_solve`'s return value."""
+    taxi_ids, req_ids = facts.taxi_ids, facts.req_ids
+    n_taxis, n_requests = taxi_ids.size, req_ids.size
+    matched_rev = np.flatnonzero(solved.partner != NO_PARTNER)
+    matched_prop = solved.partner[matched_rev]
     if optimize_for == "taxi":
         t_rows_m, r_rows_m = matched_prop, matched_rev
     else:
@@ -667,38 +732,37 @@ def warm_frame_solve(
     # (``final_choice - 1`` in pack order); ``order`` maps it back to the
     # strip arrays, whose pick entry is the exact-kernel pickup distance
     # of that very pair.
-    pick_pair = pick[order[final_choice[matched_prop] - 1]]
-    matched_legs = (pick_pair[row_order], trip[matched_rows[1]])
+    pick_pair = edges.pick[solved.order[solved.final_choice[matched_prop] - 1]]
+    matched_legs = (pick_pair[row_order], facts.rfacts[matched_rows[1], _RTRIP])
 
     stats = IncrementalBuildStats(
         n_taxis=n_taxis,
         n_requests=n_requests,
-        retained_taxis=int(ret_t_rows.size),
-        retained_requests=int(ret_r_rows.size),
-        pairs_scored=int(new_t_rows.size) * n_requests
-        + int(ret_t_rows.size) * int(new_r_rows.size),
+        retained_taxis=int(churn.ret_t_rows.size),
+        retained_requests=int(churn.ret_r_rows.size),
+        pairs_scored=int(churn.new_t_rows.size) * n_requests
+        + int(churn.ret_t_rows.size) * int(churn.new_r_rows.size),
         full_pairs=n_taxis * n_requests,
     )
 
     req_addr_sorted, req_addr_rows = _unmatched_addr_index(
-        addrs, matched_rows[1], n_requests
+        churn.req_addrs, matched_rows[1], n_requests
     )
     taxi_addr_sorted, taxi_addr_rows = _unmatched_addr_index(
-        taxi_addrs, matched_rows[0], n_taxis
+        churn.taxi_addrs, matched_rows[0], n_taxis
     )
     new_state = FrameSolveState(
         req_ids=req_ids,
         req_addr_sorted=req_addr_sorted,
         req_addr_rows=req_addr_rows,
         req_objs=list(requests),
-        rfacts=rfacts,
+        rfacts=facts.rfacts,
         taxi_ids=taxi_ids,
         taxi_addr_sorted=taxi_addr_sorted,
         taxi_addr_rows=taxi_addr_rows,
         taxi_objs=list(taxis),
-        tfacts=tfacts,
-        ids_bound=ids_bound,
-        counts_bound=counts_bound,
-        facts_finite=facts_finite,
+        tfacts=facts.tfacts,
+        ids_bound=facts.ids_bound,
+        counts_bound=facts.counts_bound,
     )
     return matching, matched_rows, matched_legs, stats, new_state

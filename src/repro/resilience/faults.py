@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import TransientFaultError
+from repro.geometry.batch import Points
 from repro.geometry.distance import DistanceOracle
 from repro.geometry.point import Point
 
@@ -179,11 +180,14 @@ class FaultInjector:
 class FaultyOracle:
     """A distance oracle wrapper that consults a :class:`FaultInjector`.
 
-    Batch calls (``pairwise``/``distances``/``paired``) count as one
-    fault opportunity each, mirroring one RPC to a map service; the
-    ``batch_exact`` contract passes through unchanged, so with the
-    injector disarmed the wrapper is observationally identical to its
-    base oracle.
+    Every batch call (``pairwise``/``distances``/``paired``) counts as
+    one fault opportunity, mirroring one RPC to a map service.  That
+    holds for every caller, warm NSTD frames and the sharing table
+    included: ``pairwise``/``paired`` are the oracle's only batch entry
+    points, and :mod:`repro.geometry.batch` routes coordinate arrays
+    through them too.  The ``batch_exact`` contract passes through
+    unchanged, so with the injector disarmed the wrapper is
+    observationally identical to its base oracle.
     """
 
     def __init__(self, base: DistanceOracle, injector: FaultInjector):
@@ -206,7 +210,7 @@ class FaultyOracle:
         self._injector.before_call()
         return self._base.distance(a, b)
 
-    def pairwise(self, sources: Sequence[Point], targets: Sequence[Point]) -> np.ndarray:
+    def pairwise(self, sources: Points, targets: Points) -> np.ndarray:
         from repro.geometry.batch import oracle_pairwise
 
         self._injector.before_call()
@@ -218,7 +222,7 @@ class FaultyOracle:
         self._injector.before_call()
         return oracle_distances(self._base, origin, targets=targets)
 
-    def paired(self, sources: Sequence[Point], targets: Sequence[Point]) -> np.ndarray:
+    def paired(self, sources: Points, targets: Points) -> np.ndarray:
         from repro.geometry.batch import oracle_paired
 
         self._injector.before_call()

@@ -365,7 +365,7 @@ class RunCore:
             and schedule.taxis is idle
             and schedule.requests is batch
         ):
-            return self._execute_packed(schedule, idle, batch)
+            return self._execute_rows(schedule, idle, batch)
         # The queue mapping doubles as the known-request-id view; only the
         # handful of assigned requests need resolving, not the whole batch.
         schedule.validate_ids({t.taxi_id for t in idle}, self.queue)
@@ -404,7 +404,7 @@ class RunCore:
         self.cache.retire_requests(retired)
         return len(retired), len(retired)
 
-    def _execute_packed(
+    def _execute_rows(
         self,
         schedule: PackedSingleSchedule,
         idle: list[Taxi],

@@ -1,30 +1,14 @@
-"""Known-bad: unpicklable or state-capturing pool submissions (REP009)."""
+"""Known-bad: process pools (REP009)."""
 
-import random
+import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-
-
-def _work(seed: int) -> int:
-    return seed * 2
 
 
 def fan_out(seeds: list[int]) -> list[int]:
-    rng = random.Random(7)
-
-    def closure_worker(seed: int) -> int:
-        return int(rng.random() * seed)
-
     with ProcessPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(lambda s: s + 1, seed) for seed in seeds]
-        futures.append(pool.submit(closure_worker, seeds[0]))
-        futures.append(pool.submit(partial(_work, rng)))
-        return [future.result() for future in futures]
+        return list(pool.map(abs, seeds))
 
 
-class ShardEngine:
-    def solve(self, payload: int) -> int:
-        return payload
-
-    def run(self, pool: ProcessPoolExecutor, payloads: list[int]) -> list[int]:
-        return list(pool.map(self.solve, payloads))
+def fan_out_qualified(seeds: list[int]) -> list[int]:
+    with concurrent.futures.ProcessPoolExecutor() as pool:
+        return list(pool.map(abs, seeds))

@@ -1,16 +1,12 @@
-"""Known-good: module-level, capture-free pool submissions (REP009)."""
+"""Known-good: one serial loop; a thread pool is not a process pool (REP009)."""
 
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-
-
-def solve_payload(seed: int, scale: int = 1) -> int:
-    return seed * scale
+from concurrent.futures import ThreadPoolExecutor
 
 
 def fan_out(seeds: list[int]) -> list[int]:
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        futures = [pool.submit(solve_payload, seed) for seed in seeds]
-        futures.append(pool.submit(partial(solve_payload, scale=3), 5))
-        results = list(pool.map(solve_payload, seeds))
-        return results + [future.result() for future in futures]
+    return [abs(seed) for seed in seeds]
+
+
+def fan_out_threads(seeds: list[int]) -> list[int]:
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return list(pool.map(abs, seeds))

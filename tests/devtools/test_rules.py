@@ -28,7 +28,7 @@ CASES = [
     ("REP006", "rep006_bad.py", [5, 7], "rep006_good.py"),
     ("REP007", "rep007_bad.py", [4, 9, 12], "rep007_good.py"),
     ("REP008", "rep008_bad.py", [17, 36, 44, 60, 66, 79], "rep008_good.py"),
-    ("REP009", "rep009_bad.py", [15, 19, 21, 30], "rep009_good.py"),
+    ("REP009", "rep009_bad.py", [4, 8, 13], "rep009_good.py"),
     ("REP010", "rep010_bad.py", [22, 28], "rep010_good.py"),
 ]
 

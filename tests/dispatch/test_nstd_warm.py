@@ -87,6 +87,25 @@ class TestWarmLifecycle:
         assert telemetry["warm_fallbacks"] == 1
         assert telemetry["warm_fallback_duplicate-ids"] == 1
 
+    def test_non_finite_entrant_raises_the_cold_error(self):
+        # Warm strips go through the same validating batch API as the
+        # cold pickup matrix, so a NaN entrant fails both frames alike.
+        warm = NSTDDispatcher(ORACLE, warm_start=True)
+        cold = NSTDDispatcher(ORACLE)
+        taxis, requests = _frame()
+        first = warm.dispatch(taxis, requests)
+        cold.dispatch(taxis, requests)
+        idle = [t for t in taxis if t.taxi_id not in first.dispatched_taxi_ids]
+        assert idle
+        entrants = idle + [Taxi(9, Point(float("nan"), 0.0))]
+        fresh = [PassengerRequest(7, Point(2.0, 1.0), Point(0.0, 0.0))]
+        with pytest.raises(ValueError) as cold_error:
+            cold.dispatch(entrants, fresh)
+        with pytest.raises(ValueError) as warm_error:
+            warm.dispatch(entrants, fresh)
+        assert str(warm_error.value) == str(cold_error.value)
+        assert warm.last_frame_mode == "cold"  # the warm frame never completed
+
     def test_fallback_clears_state_and_reseeds(self):
         dispatcher = NSTDDispatcher(ORACLE, warm_start=True)
         taxis, requests = _frame()

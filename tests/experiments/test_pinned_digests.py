@@ -11,7 +11,10 @@ pins are those of its warm frames, which make fewer calls than the cold
 frames it once ran (its policy-only and plain pins did not move).  They
 moved once more when STD stopped reading a whole pickup-gap matrix on
 every batch change: a warm frame now measures gap strips only when new
-requests arrive.
+requests arrive.  And once more when the sharing table's approach call
+became a fault opportunity like every other batch call (it used to
+bypass the injector through a kernel entry point the wrapper did not
+intercept).
 """
 
 import zlib
@@ -64,7 +67,7 @@ def digests(results):
 @pytest.mark.parametrize(
     ("faults", "resilience", "expected"),
     [
-        (PLAN, POLICY, {"Greedy": "791473a1", "NSTD-P": "52674051", "STD-P": "1371b7a7"}),
+        (PLAN, POLICY, {"Greedy": "791473a1", "NSTD-P": "52674051", "STD-P": "a265fd8c"}),
         (None, POLICY, {"Greedy": "791473a1", "NSTD-P": "49ee7c85", "STD-P": "87edce55"}),
         (None, None, {"Greedy": "39411d63", "NSTD-P": "bd0748ef", "STD-P": "0cb89300"}),
     ],
@@ -85,5 +88,5 @@ def test_faulted_taxi_sweep_digests():
     assert list(sweep) == [100, 200]
     assert {count: digests(cell) for count, cell in sweep.items()} == {
         100: {"Greedy": "c1a06eaa", "NSTD-P": "388f3aaf", "STD-P": "5877093c"},
-        200: {"Greedy": "791473a1", "NSTD-P": "52674051", "STD-P": "1371b7a7"},
+        200: {"Greedy": "791473a1", "NSTD-P": "52674051", "STD-P": "a265fd8c"},
     }

@@ -14,10 +14,10 @@ from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.core.errors import WarmStartError
 from repro.dispatch.nonsharing import NSTDDispatcher
 from repro.geometry import EuclideanDistance, Point
+from repro.geometry.batch import oracle_paired
 from repro.matching import build_nonsharing_arrays, passenger_optimal
 from repro.matching.warm_frame import (
     frame_state_from_cold,
-    request_trips,
     warm_frame_solve,
 )
 
@@ -49,7 +49,12 @@ def _frame(n_taxis=4, n_requests=4, seed=3, spread=1.5):
 def _seed_state(taxis, requests, config=CONFIG):
     arrays = build_nonsharing_arrays(taxis, requests, ORACLE, config)
     matching = passenger_optimal(arrays)
-    trips = request_trips(requests, ORACLE)
+    trips = oracle_paired(
+        ORACLE,
+        sources=[r.pickup for r in requests],
+        targets=[r.dropoff for r in requests],
+        exact=True,
+    )
     return matching, frame_state_from_cold(
         taxis, requests, matching, trip=trips, config=config
     )
@@ -216,9 +221,14 @@ class TestRequestTrips:
     def test_matches_scalar_oracle(self):
         _, requests = _frame(1, 7, seed=21)
         np.testing.assert_array_equal(
-            request_trips(requests, ORACLE),
+            oracle_paired(
+                ORACLE,
+                sources=[r.pickup for r in requests],
+                targets=[r.dropoff for r in requests],
+                exact=True,
+            ),
             np.array([r.trip_distance(ORACLE) for r in requests]),
         )
 
     def test_empty(self):
-        assert request_trips([], ORACLE).size == 0
+        assert oracle_paired(ORACLE, sources=[], targets=[], exact=True).size == 0

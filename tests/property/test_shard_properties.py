@@ -25,10 +25,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.geometry import EuclideanDistance, Point
+from repro.geometry.batch import oracle_paired
 from repro.matching import acceptability_radii, solve_shard
 from repro.matching.preferences import build_nonsharing_table_reference
 from repro.matching.sharding import default_cell_km
-from repro.matching.warm_frame import request_trips
 from repro.streaming import ZoneMatcher, plan_epoch_zones
 
 ORACLE = EuclideanDistance()
@@ -100,13 +100,25 @@ def _global_pairs(taxis, requests, config) -> dict[int, int]:
     """The global cold NSTD-P solve, empty when either side is."""
     if not taxis or not requests:
         return {}
-    trip = request_trips(requests, ORACLE)
+    trip = oracle_paired(
+        ORACLE,
+        sources=[r.pickup for r in requests],
+        targets=[r.dropoff for r in requests],
+        exact=True,
+    )
     return dict(solve_shard(taxis, requests, ORACLE, config, trip_km=trip).pairs)
 
 
 def _epoch(matcher: ZoneMatcher, taxis, requests) -> dict[int, int]:
     return matcher.match_epoch(
-        taxis, requests, trip_km=request_trips(requests, ORACLE)
+        taxis,
+        requests,
+        trip_km=oracle_paired(
+            ORACLE,
+            sources=[r.pickup for r in requests],
+            targets=[r.dropoff for r in requests],
+            exact=True,
+        ),
     ).pairs
 
 
@@ -124,7 +136,12 @@ def test_acceptable_pairs_lie_inside_one_zone_group(
 ):
     config = CONFIGS[config_index]
     taxis, requests = _frame(np.random.default_rng(seed), geometry, n_taxis, n_requests)
-    trip = request_trips(requests, ORACLE)
+    trip = oracle_paired(
+        ORACLE,
+        sources=[r.pickup for r in requests],
+        targets=[r.dropoff for r in requests],
+        exact=True,
+    )
     alpha_max = float(config.alpha)
     zone_km = ZONE_SIZES[zone_index]
     if zone_km is None:

@@ -4,10 +4,15 @@ import pickle
 
 import pytest
 
+from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.core.errors import TransientFaultError
+from repro.dispatch.sharing import build_sharing_table
 from repro.geometry import EuclideanDistance, Point
-from repro.geometry.batch import oracle_pairwise
+from repro.geometry.batch import oracle_paired, oracle_pairwise
+from repro.matching import build_nonsharing_arrays, passenger_optimal
+from repro.matching.warm_frame import frame_state_from_cold, warm_frame_solve
 from repro.resilience import FaultInjector, FaultPlan, FaultyOracle
+from repro.routing import build_ride_group
 
 
 class TestFaultInjector:
@@ -102,6 +107,42 @@ class TestFaultyOracle:
         assert matrix.shape == (2, 2)
         # And the wrapper is itself usable through the batch helpers.
         assert oracle_pairwise(wrapped, sources=points, targets=points).shape == (2, 2)
+
+    def test_warm_frame_counts_each_strip_and_trip_call(self):
+        base = EuclideanDistance()
+        config = DispatchConfig()
+        taxis = [Taxi(0, Point(0.0, 0.0)), Taxi(1, Point(5.0, 5.0)), Taxi(2, Point(9.0, 9.0))]
+        requests = [PassengerRequest(0, Point(0.1, 0.0), Point(1.0, 1.0))]
+        matching = passenger_optimal(build_nonsharing_arrays(taxis, requests, base, config))
+        trip = oracle_paired(
+            base, sources=[requests[0].pickup], targets=[requests[0].dropoff], exact=True
+        )
+        state = frame_state_from_cold(taxis, requests, matching, trip=trip, config=config)
+        # Taxis 1 and 2 are retained, taxi 3 and request 1 are new: one
+        # trip call, then the new-taxi strip and the retained-taxi strip.
+        frame = (
+            [taxis[1], taxis[2], Taxi(3, Point(1.0, 1.0))],
+            [PassengerRequest(1, Point(4.0, 4.0), Point(2.0, 2.0))],
+        )
+        injector = FaultInjector(0)
+        faulted = warm_frame_solve(state, *frame, injector.wrap(base), config)
+        assert injector.calls == 3
+        assert faulted[0] == warm_frame_solve(state, *frame, base, config)[0]
+
+    def test_sharing_table_counts_its_approach_call(self):
+        base = EuclideanDistance()
+        requests = [
+            PassengerRequest(0, Point(0.0, 0.0), Point(2.0, 0.0)),
+            PassengerRequest(1, Point(0.5, 0.0), Point(2.5, 0.0)),
+        ]
+        units = [build_ride_group(0, requests, base), build_ride_group(1, requests[:1], base)]
+        taxis = [Taxi(0, Point(1.0, 1.0)), Taxi(1, Point(-1.0, 0.0))]
+        terms: dict = {}
+        build_sharing_table(taxis, units, base, terms=terms)
+        assert len(terms) == 2
+        injector = FaultInjector(0)
+        build_sharing_table(taxis, units, injector.wrap(base), terms=terms)
+        assert injector.calls == 1
 
     def test_base_and_injector_accessors(self):
         base = EuclideanDistance()
