@@ -31,9 +31,9 @@ from repro.matching import (
     min_cost_matching,
     minimax_matching,
 )
-from repro.matching.preferences import build_nonsharing_table_reference
 from repro.packing import enumerate_feasible_groups, local_search_packing
 from repro.routing import optimal_shared_route
+from tests.oracles import build_nonsharing_table_reference
 
 ORACLE = EuclideanDistance()
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -62,7 +62,7 @@ else
     fi
 fi
 
-step "docstring coverage floor (stdlib, scripts/check_docstrings.py)"
+step "docstring coverage floor and cross-references (stdlib, scripts/check_docstrings.py)"
 if ! python scripts/check_docstrings.py src/; then
     failures=$((failures + 1))
 fi

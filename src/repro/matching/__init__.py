@@ -6,7 +6,6 @@ from repro.matching.bipartite import (
     min_cost_matching,
     minimax_matching,
 )
-from repro.matching.brute_force import all_matchings, all_stable_matchings_brute_force
 from repro.matching.deferred_acceptance import (
     DeferredAcceptanceStats,
     deferred_acceptance,
@@ -42,12 +41,6 @@ from repro.matching.preferences import (
     taxi_score,
 )
 from repro.matching.result import Matching
-from repro.matching.rotations import (
-    Rotation,
-    all_stable_matchings_by_rotations,
-    eliminate_rotation,
-    exposed_rotations,
-)
 from repro.matching.sharding import (
     Shard,
     ShardDecomposition,
@@ -56,11 +49,6 @@ from repro.matching.sharding import (
     shard_problems,
     solve_shard,
     theta_components,
-)
-from repro.matching.stable_marriage import (
-    complete_with_dummies,
-    gale_shapley,
-    project_completed_matching,
 )
 from repro.matching.ties import (
     TiedPreferenceTable,
@@ -114,21 +102,12 @@ __all__ = [
     "is_stable",
     "assert_stable",
     "is_valid_matching",
-    "all_matchings",
-    "all_stable_matchings_brute_force",
-    "gale_shapley",
-    "complete_with_dummies",
-    "project_completed_matching",
     "hopcroft_karp",
     "maximum_matching_size",
     "join",
     "meet",
     "median_stable_matching",
     "lattice_extremes",
-    "Rotation",
-    "exposed_rotations",
-    "eliminate_rotation",
-    "all_stable_matchings_by_rotations",
     "TiedPreferenceTable",
     "build_tied_nonsharing_table",
     "kiraly_max_stable",

@@ -31,7 +31,7 @@ proposal above one's partner is always refused (it would otherwise be a
 blocking pair), so re-proposing there is provably futile.
 
 Correctness is validated in the test suite against brute-force
-enumeration (`repro.matching.brute_force`) on thousands of randomized
+enumeration (``tests/oracles/brute_force.py``) on thousands of randomized
 instances, including the exactly-once property of Theorem 4.
 """
 

@@ -30,17 +30,15 @@ and a single global lexsort per side.  The dense matrix suits the
 engines' frame sizes: the largest NSTD frame of the full-scale NYC day
 holds about 10^5 candidate pairs.
 
-The scalar double loop (:func:`build_nonsharing_table_reference`) is
-the retained semantic specification.  The dense builder reproduces it
-**identically** — same preference orders, same scores, same
-deterministic id tie-breaks — which the property suite asserts pair for
-pair.  Pairs whose score would be non-finite (a disconnected
-road-network pair, an infinite trip) are unacceptable in both.
+Preference orders break score ties by id, so the result is
+deterministic.  Pairs whose score would be non-finite (a disconnected
+road-network pair, an infinite trip) are unacceptable.  The scalar
+double loop this builder must reproduce bit for bit lives with the
+test oracles (``tests/oracles/nonsharing_table.py``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
@@ -59,7 +57,6 @@ if TYPE_CHECKING:  # annotation-only: repro.matching.arrays imports this module
 __all__ = [
     "PreferenceTable",
     "build_nonsharing_table",
-    "build_nonsharing_table_reference",
     "build_nonsharing_arrays",
     "arrays_from_pairs",
     "passenger_score",
@@ -385,68 +382,6 @@ def _checked_alphas(
         if alpha < 0.0:
             raise PreferenceError(f"taxi {taxi_id} has negative alpha {alpha}")
     return alphas
-
-
-def build_nonsharing_table_reference(
-    taxis: Sequence[Taxi],
-    requests: Sequence[PassengerRequest],
-    oracle: DistanceOracle,
-    config: DispatchConfig | None = None,
-    *,
-    alpha_by_taxi: Mapping[int, float] | None = None,
-) -> PreferenceTable:
-    """The scalar double-loop reference implementation.
-
-    Kept as the semantic specification of :func:`build_nonsharing_table`:
-    the equivalence property tests and the kernel benchmark both compare
-    the dense builder against this, pair for pair and bit for bit.
-    """
-    config = config if config is not None else DispatchConfig()
-    alphas = _checked_alphas(taxis, requests, config, alpha_by_taxi)
-    return _scalar_table(taxis, requests, oracle, config, alphas)
-
-
-def _scalar_table(
-    taxis: Sequence[Taxi],
-    requests: Sequence[PassengerRequest],
-    oracle: DistanceOracle,
-    config: DispatchConfig,
-    alphas: Mapping[int, float],
-) -> PreferenceTable:
-    proposer_scores: dict[tuple[int, int], float] = {}
-    reviewer_scores: dict[tuple[int, int], float] = {}
-    acceptable_by_request: dict[int, list[tuple[float, int]]] = {r.request_id: [] for r in requests}
-    acceptable_by_taxi: dict[int, list[tuple[float, int]]] = {t.taxi_id: [] for t in taxis}
-
-    for request in requests:
-        trip = request.trip_distance(oracle)
-        for taxi in taxis:
-            if not taxi.can_carry(request):
-                continue
-            pickup_km = oracle.distance(taxi.location, request.pickup)
-            if not math.isfinite(pickup_km) or pickup_km > config.passenger_threshold_km:
-                continue
-            driver = pickup_km - alphas[taxi.taxi_id] * trip
-            if not math.isfinite(driver) or driver > config.taxi_threshold_km:
-                continue
-            proposer_scores[(request.request_id, taxi.taxi_id)] = pickup_km
-            reviewer_scores[(request.request_id, taxi.taxi_id)] = driver
-            acceptable_by_request[request.request_id].append((pickup_km, taxi.taxi_id))
-            acceptable_by_taxi[taxi.taxi_id].append((driver, request.request_id))
-
-    proposer_prefs = {
-        rid: tuple(t for _, t in sorted(pairs)) for rid, pairs in acceptable_by_request.items()
-    }
-    reviewer_prefs = {
-        tid: tuple(r for _, r in sorted(pairs)) for tid, pairs in acceptable_by_taxi.items()
-    }
-    return PreferenceTable(
-        proposer_prefs=proposer_prefs,
-        reviewer_prefs=reviewer_prefs,
-        proposer_scores=proposer_scores,
-        reviewer_scores=reviewer_scores,
-        validate=False,
-    )
 
 
 def _dense_pairs(

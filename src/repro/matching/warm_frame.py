@@ -23,9 +23,10 @@ unmatched reviewer never received a proposal.  Resuming the previous
 frame's solver state on the new instance therefore starts with every
 cursor at the top of an entirely fresh preference row, no held pairs,
 and every proposer free: the resume *is* a cold Gale–Shapley run on the
-new arrays.  (:func:`repro.matching.incremental.resume_deferred_acceptance`
-proves the general case and validates these preconditions one by one;
-here they hold by construction, so the solve runs fresh rounds.)
+new arrays.  (DESIGN §10 states the general case's three preconditions
+— no held proposer left while its reviewer stayed, no preference prefix
+changed under a cursor, no held edge vanished; here they hold
+vacuously, because nothing is held, so the solve runs fresh rounds.)
 
 What the warm path then saves per frame:
 

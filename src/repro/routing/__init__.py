@@ -1,7 +1,6 @@
 """Shared-ride routing substrate."""
 
-from repro.routing.hamiltonian import held_karp_path, shortest_hamiltonian_path
-from repro.routing.insertion import InsertionResult, best_insertion, route_length
+from repro.routing.insertion import route_length
 from repro.routing.shared_route import (
     MAX_EXHAUSTIVE_GROUP,
     RouteStop,
@@ -20,9 +19,5 @@ __all__ = [
     "build_ride_group",
     "count_feasible_sequences",
     "MAX_EXHAUSTIVE_GROUP",
-    "InsertionResult",
-    "best_insertion",
     "route_length",
-    "shortest_hamiltonian_path",
-    "held_karp_path",
 ]

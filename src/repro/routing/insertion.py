@@ -1,33 +1,19 @@
-"""Route insertion for the SARP baseline.
+"""Route length of a stop sequence.
 
-Li et al. [8] route passengers TSP-style and then insert new stops into
-the existing route with minimum extra travel distance.  We reproduce the
-insertion primitive: given a taxi's current stop sequence, find the pair
-of positions (pickup at ``i``, dropoff at ``j ≥ i``) that minimizes the
-route-length increase while keeping every existing stop's order intact.
+The insertion baselines (RAII, SARP) price a candidate insertion as the
+increase in :func:`route_length`; the search over pickup/dropoff
+positions lives in :meth:`repro.dispatch.sharing.plan.TaxiPlan.quote`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.core.errors import RoutingError
-from repro.core.types import PassengerRequest, RouteStop
+from repro.core.types import RouteStop
 from repro.geometry.distance import DistanceOracle
 from repro.geometry.point import Point
 
-__all__ = ["InsertionResult", "best_insertion", "route_length"]
-
-
-@dataclass(frozen=True, slots=True)
-class InsertionResult:
-    """The cheapest insertion of one request into an existing route."""
-
-    stops: tuple[RouteStop, ...]
-    added_km: float
-    pickup_index: int
-    dropoff_index: int
+__all__ = ["route_length"]
 
 
 def route_length(stops: Sequence[RouteStop], oracle: DistanceOracle, start: Point | None = None) -> float:
@@ -39,39 +25,3 @@ def route_length(stops: Sequence[RouteStop], oracle: DistanceOracle, start: Poin
             length += oracle.distance(previous, stop.point)
         previous = stop.point
     return length
-
-
-def best_insertion(
-    stops: Sequence[RouteStop],
-    request: PassengerRequest,
-    oracle: DistanceOracle,
-    *,
-    start: Point | None = None,
-) -> InsertionResult:
-    """Insert ``request``'s pickup and dropoff at minimum extra distance.
-
-    ``start`` anchors the first leg (the taxi's current position); when
-    provided, inserting before the first stop correctly pays the detour
-    from ``start``.  Existing stops keep their relative order, so the
-    cost is O(k²) leg evaluations for a k-stop route.
-    """
-    if any(stop.request_id == request.request_id for stop in stops):
-        raise RoutingError(f"request {request.request_id} is already on the route")
-
-    base = route_length(stops, oracle, start=start)
-    pickup = RouteStop(request_id=request.request_id, is_pickup=True, point=request.pickup)
-    dropoff = RouteStop(request_id=request.request_id, is_pickup=False, point=request.dropoff)
-
-    best: InsertionResult | None = None
-    n = len(stops)
-    for i in range(n + 1):
-        with_pickup = list(stops[:i]) + [pickup] + list(stops[i:])
-        for j in range(i + 1, n + 2):
-            candidate = with_pickup[:j] + [dropoff] + with_pickup[j:]
-            added = route_length(candidate, oracle, start=start) - base
-            if best is None or added < best.added_km - 1e-12:
-                best = InsertionResult(
-                    stops=tuple(candidate), added_km=added, pickup_index=i, dropoff_index=j
-                )
-    assert best is not None
-    return best

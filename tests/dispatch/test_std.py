@@ -22,7 +22,7 @@ from repro.packing.feasibility import GroupMemo
 from repro.resilience import WorkBudget
 from repro.simulation import Simulator
 from repro.trace.profiles import nyc_profile
-from tests.support import sharing_table_reference
+from tests.oracles import sharing_table_reference
 
 
 @pytest.fixture()

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from repro.matching import (
     Matching,
     PreferenceTable,
-    all_stable_matchings_brute_force,
     deferred_acceptance,
     is_stable,
 )
 from repro.matching.arrays import NO_PARTNER
 from repro.matching.deferred_acceptance import gale_shapley_rounds
+from tests.oracles import all_stable_matchings_brute_force
 from tests.support import TAXI_ID_BASE, random_table
 
 

@@ -9,11 +9,11 @@ from repro.matching import (
     Matching,
     PreferenceTable,
     all_stable_matchings,
-    all_stable_matchings_brute_force,
     break_dispatch,
     deferred_acceptance,
     is_stable,
 )
+from tests.oracles import all_stable_matchings_brute_force
 from tests.support import random_table
 
 

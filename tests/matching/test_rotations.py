@@ -9,13 +9,11 @@ from repro.matching import (
     Matching,
     PreferenceTable,
     all_stable_matchings,
-    all_stable_matchings_by_rotations,
     deferred_acceptance,
-    eliminate_rotation,
-    exposed_rotations,
     is_stable,
     taxi_optimal,
 )
+from tests.oracles import all_stable_matchings_by_rotations, eliminate_rotation, exposed_rotations
 from tests.support import random_table
 
 

@@ -5,12 +5,8 @@ import random
 import pytest
 
 from repro.core import PreferenceError
-from repro.matching import (
-    complete_with_dummies,
-    deferred_acceptance,
-    gale_shapley,
-    project_completed_matching,
-)
+from repro.matching import deferred_acceptance
+from tests.oracles import complete_with_dummies, gale_shapley, project_completed_matching
 from tests.support import random_table
 
 

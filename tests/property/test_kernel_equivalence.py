@@ -29,8 +29,8 @@ from repro.geometry import (
     ScaledDistance,
 )
 from repro.matching import build_nonsharing_table
-from repro.matching.preferences import build_nonsharing_table_reference
 from repro.routing.shared_route import build_ride_group
+from tests.oracles import build_nonsharing_table_reference
 from tests.support import oneway_ring
 
 TAXI_ID_BASE = 100

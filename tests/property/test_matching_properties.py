@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from repro.matching import (
     PreferenceTable,
     all_stable_matchings,
-    all_stable_matchings_brute_force,
     deferred_acceptance,
     find_blocking_pairs,
     is_stable,
     taxi_optimal,
     taxi_optimal_exact,
 )
+from tests.oracles import all_stable_matchings_brute_force
 
 REVIEWER_BASE = 1000
 

@@ -27,9 +27,9 @@ from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.geometry import EuclideanDistance, Point
 from repro.geometry.batch import oracle_paired
 from repro.matching import acceptability_radii, solve_shard
-from repro.matching.preferences import build_nonsharing_table_reference
 from repro.matching.sharding import default_cell_km
 from repro.streaming import ZoneMatcher, plan_epoch_zones
+from tests.oracles import build_nonsharing_table_reference
 
 ORACLE = EuclideanDistance()
 

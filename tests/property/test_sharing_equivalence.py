@@ -1,7 +1,7 @@
 """Property tests: the array sharing stack equals its scalar oracles.
 
 Three rewrites of Algorithm 3's per-frame work are held to the scalar
-code they replaced, kept in ``tests/support.py``:
+code they replaced, kept in ``tests/oracles/``:
 
 * the array sharing table (``build_sharing_table``) against the group ×
   taxi dict double loop (``sharing_table_reference``);
@@ -35,15 +35,14 @@ from repro.packing import enumerate_feasible_groups
 from repro.packing.set_packing import greedy_set_packing, local_search_packing
 from repro.resilience import WorkBudget
 from repro.routing.shared_route import build_ride_group, feasible_shared_route
-from tests.support import (
-    TAXI_ID_BASE,
+from tests.oracles import (
     enumerate_groups_reference,
     greedy_packing_reference,
     local_search_reference,
-    oneway_ring,
     scalar_shared_route,
     sharing_table_reference,
 )
+from tests.support import TAXI_ID_BASE, oneway_ring
 
 lattice = st.integers(min_value=0, max_value=3).map(float)
 coordinate = st.one_of(

@@ -33,7 +33,8 @@ from repro.geometry import EuclideanDistance, Point
 from repro.packing import enumerate_feasible_groups
 from repro.packing.feasibility import GroupMemo
 from repro.resilience import WorkBudget
-from tests.support import enumerate_groups_reference, oneway_ring
+from tests.oracles import enumerate_groups_reference
+from tests.support import oneway_ring
 
 half_km = st.integers(min_value=0, max_value=8).map(lambda k: 0.5 * k)
 points = st.builds(Point, half_km, half_km)

