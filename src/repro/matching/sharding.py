@@ -339,20 +339,31 @@ def solve_shard(
 
 
 def _check_global_ids(
-    taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
+    taxis: Sequence[Taxi], request_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame-order id arrays, validated unique across the *whole* frame.
 
     Per-shard builders can only check uniqueness inside their shard;
     without this frame-level check a duplicate id split across two
     shards would silently merge two entities the global builder rejects.
+    ``request_ids`` is the frame's request-id column in request order
+    (the streaming engine reads it off its run core).  An id array that
+    strictly ascends is unique by one vectorized comparison; only one
+    that does not is sorted to find a repeat.  The engines present
+    requests in trace order, whose ids ascend, so they always take the
+    comparison.
     """
     taxi_ids = np.fromiter((t.taxi_id for t in taxis), dtype=np.int64, count=len(taxis))
-    request_ids = np.fromiter(
-        (r.request_id for r in requests), dtype=np.int64, count=len(requests)
-    )
-    if np.unique(taxi_ids).size != taxi_ids.size:
+    request_ids = np.asarray(request_ids, dtype=np.int64)
+    if not _ids_distinct(taxi_ids):
         raise PreferenceError("duplicate taxi ids")
-    if np.unique(request_ids).size != request_ids.size:
+    if not _ids_distinct(request_ids):
         raise PreferenceError("duplicate request ids")
     return taxi_ids, request_ids
+
+
+def _ids_distinct(ids: np.ndarray) -> bool:
+    """Whether no id repeats: a strict ascent proves it without a sort."""
+    if ids.size < 2 or bool(np.all(ids[1:] > ids[:-1])):
+        return True
+    return bool(np.unique(ids).size == ids.size)

@@ -37,6 +37,7 @@ from repro.core.errors import SimulationError
 from repro.core.types import Assignment, DispatchSchedule, PassengerRequest, Taxi
 from repro.dispatch.base import PackedSingleSchedule
 from repro.dispatch.scoring import assignment_metrics
+from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle
 from repro.geometry.point import Point
 from repro.resilience.journal import frame_pairs_crc
@@ -206,6 +207,7 @@ class RunCore:
     DURABILITY_EXCLUSIONS: ClassVar[dict[str, str]] = {
         "snapshots": "per-row view of the agents' positions; restore_state rebuilds it from them",
         "available_at": "per-row view of the agents' available_at_s; restore_state rebuilds it",
+        "_request_columns": "trace-order columns of the immutable trace; rebuilt on first read",
     }
 
     def __init__(
@@ -247,6 +249,9 @@ class RunCore:
         # Insertion-ordered by admission, which follows trace order, so
         # request times are non-decreasing along the queue.
         self.queue: dict[int, PassengerRequest] = {}
+        # Pickup rows, ids and the id sort of ``ordered``; built by the
+        # first queue_columns() call.
+        self._request_columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.assignments: list[AssignmentRecord] = []
         #: Outcomes in the order they resolved (abandoned or dispatched);
         #: each frame's resolutions are a suffix, which frame_rows reads.
@@ -295,6 +300,28 @@ class RunCore:
             admitted.append(self.admit_next())
             incoming = self.next_arrival
         return admitted
+
+    def queue_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The queued requests' float64 ``(q, 2)`` pickups and int64 ids,
+        in queue order (that of ``list(queue.values())``).
+
+        The pickups are a gather from a run-long column over the trace,
+        built on the first call: no later call converts a :class:`Point`,
+        and a run that never calls this (the batch engine's) never builds
+        it.  They equal ``as_point_array`` of the queued pickups bit for
+        bit.  The ids are the queue's keys, which locate the rows.
+        """
+        if self._request_columns is None:
+            ordered = self.ordered
+            ids = np.fromiter(
+                (r.request_id for r in ordered), dtype=np.int64, count=len(ordered)
+            )
+            pickups = as_point_array([r.pickup for r in ordered], check_finite=False)
+            self._request_columns = (pickups, ids, np.argsort(ids, kind="stable"))
+        pickups, ids, sorter = self._request_columns
+        queued = np.fromiter(self.queue, dtype=np.int64, count=len(self.queue))
+        rows = sorter[np.searchsorted(ids, queued, sorter=sorter)]
+        return pickups[rows], queued
 
     def expire(self) -> int:
         """Drop queued requests whose patience ran out; returns how many."""

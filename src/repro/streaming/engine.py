@@ -36,7 +36,6 @@ from collections.abc import Sequence
 from repro.core.clock import telemetry_clock
 from repro.core.config import SimulationConfig
 from repro.core.types import PassengerRequest, Taxi
-from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle
 from repro.simulation.core import RunCore, SimulationResult
 from repro.streaming.events import (
@@ -129,9 +128,15 @@ class StreamingEngine:
             if idle:
                 batch = list(core.queue.values())
                 dispatch_start = telemetry_clock()
+                pickup_xy, request_ids = core.queue_columns()
                 trip = cache.trip_km(batch)
                 report = matcher.match_epoch(
-                    idle, batch, trip_km=trip, on_new_trips=cache.prime_trip_km
+                    idle,
+                    batch,
+                    trip_km=trip,
+                    pickup_xy=pickup_xy,
+                    request_ids=request_ids,
+                    on_new_trips=cache.prime_trip_km,
                 )
                 dispatch_ms = (telemetry_clock() - dispatch_start) * 1e3
                 plan = report.plan
@@ -141,12 +146,7 @@ class StreamingEngine:
                 zone_eff = matcher.zone_km_effective
                 if zone_eff:
                     try:
-                        depths = zone_queue_depths(
-                            as_point_array(
-                                [r.pickup for r in batch], check_finite=False
-                            ),
-                            zone_eff,
-                        )
+                        depths = zone_queue_depths(pickup_xy, zone_eff)
                     except ValueError:
                         depths = None  # unbucketable coordinates: no depth sample
                     if depths is not None and depths.size:

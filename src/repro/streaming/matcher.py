@@ -175,15 +175,24 @@ class ZoneMatcher:
         requests: Sequence[PassengerRequest],
         *,
         trip_km: np.ndarray,
+        pickup_xy: np.ndarray,
+        request_ids: np.ndarray,
         on_new_trips: Callable[[np.ndarray, np.ndarray], None] | None = None,
     ) -> EpochMatchReport:
         """Solve one matching epoch zone group by zone group.
 
-        ``trip_km`` is the epoch's per-request trip vector in request
-        order (the engine reads it from the frame cache, exact by
-        contract).  ``on_new_trips`` receives the ids/trips of requests
-        a warm group scored for the first time, so the engine's trip
-        memo stays primed on warm epochs exactly as on cold ones.
+        ``trip_km``, ``pickup_xy`` and ``request_ids`` are the epoch's
+        request columns, one row per request in request order: the trip
+        vector (the engine reads it from the frame cache, exact by
+        contract), the float64 ``(n, 2)`` pickup coordinates and the
+        int64 ids.  The engine gathers the last two from its run core's
+        trace-order columns
+        (:meth:`~repro.simulation.core.RunCore.queue_columns`), so no
+        epoch converts its queue's pickups; they must describe
+        ``requests`` row for row.  ``on_new_trips`` receives the
+        ids/trips of requests a warm group scored for the first time, so
+        the engine's trip memo stays primed on warm epochs exactly as on
+        cold ones.
 
         Returns the epoch's union matching and group accounting.  The
         union over groups equals the global NSTD-P solve of the same
@@ -196,11 +205,13 @@ class ZoneMatcher:
             # can happen before the next non-empty epoch, so churn
             # classification against them stays sound).
             return report
-        _, request_ids = _check_global_ids(taxis, requests)
+        if len(pickup_xy) != len(requests) or len(request_ids) != len(requests):
+            raise ValueError("epoch request columns do not match the request list")
+        _, request_ids = _check_global_ids(taxis, request_ids)
         trip = np.asarray(trip_km, dtype=np.float64)
         alpha_max = float(self.config.alpha)
         taxi_xy = as_point_array([t.location for t in taxis], check_finite=False)
-        pick_xy = as_point_array([r.pickup for r in requests], check_finite=False)
+        pick_xy = np.asarray(pickup_xy, dtype=np.float64)
         zone_km = self._resolve_zone_km(trip, alpha_max)
         # Replan policy: the full θ-ball component sweep runs on the
         # first epoch, every ``REPLAN_EVERY``-th epoch, and on every

@@ -30,6 +30,7 @@ from repro.matching import acceptability_radii, solve_shard
 from repro.matching.sharding import default_cell_km
 from repro.streaming import ZoneMatcher, plan_epoch_zones
 from tests.oracles import build_nonsharing_table_reference
+from tests.support import epoch_columns
 
 ORACLE = EuclideanDistance()
 
@@ -119,6 +120,7 @@ def _epoch(matcher: ZoneMatcher, taxis, requests) -> dict[int, int]:
             targets=[r.dropoff for r in requests],
             exact=True,
         ),
+        **epoch_columns(requests),
     ).pairs
 
 

@@ -7,12 +7,15 @@ cold.  The zone edge is derived from ``CONFIG``'s acceptability radius
 """
 
 import numpy as np
+import pytest
 
 from repro.core.config import DispatchConfig
+from repro.core.errors import PreferenceError
 from repro.core.types import PassengerRequest, Taxi
 from repro.geometry import EuclideanDistance, Point
 from repro.matching.sharding import solve_shard
 from repro.streaming import ZoneMatcher
+from tests.support import epoch_columns
 
 ORACLE = EuclideanDistance()
 CONFIG = DispatchConfig(passenger_threshold_km=2.0)
@@ -54,7 +57,9 @@ class TestEpochEquality:
             _request(12, 50.4), _request(13, 51.0),
         ]
         matcher = _matcher()
-        report = matcher.match_epoch(taxis, requests, trip_km=_trip(requests))
+        report = matcher.match_epoch(
+            taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+        )
         assert report.pairs == _global_pairs(taxis, requests)
         assert report.plan is not None and report.plan.degenerate_reason is None
         assert report.cold_groups == len(report.plan.groups)
@@ -64,14 +69,18 @@ class TestEpochEquality:
         """The boundary taxi/request pair must survive zone sharding."""
         taxis = [_taxi(1, 1.9)]
         requests = [_request(10, 2.1)]
-        report = _matcher().match_epoch(taxis, requests, trip_km=_trip(requests))
+        report = _matcher().match_epoch(
+            taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+        )
         assert report.pairs == {10: 1}
         assert report.plan.boundary_merges == 1
 
     def test_zero_supply_zone_requests_stay_unmatched(self):
         taxis = [_taxi(1, 0.5)]
         requests = [_request(10, 0.6), _request(11, 50.0)]
-        report = _matcher().match_epoch(taxis, requests, trip_km=_trip(requests))
+        report = _matcher().match_epoch(
+            taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+        )
         assert report.pairs == {10: 1}
         assert 11 not in report.pairs
 
@@ -80,7 +89,9 @@ class TestEpochEquality:
         matcher = ZoneMatcher(ORACLE, DispatchConfig())
         taxis = [_taxi(1, 0.3), _taxi(2, 30.0)]
         requests = [_request(10, 0.5), _request(11, 30.2)]
-        report = matcher.match_epoch(taxis, requests, trip_km=_trip(requests))
+        report = matcher.match_epoch(
+            taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+        )
         matched = solve_shard(
             taxis, requests, ORACLE, DispatchConfig(), trip_km=_trip(requests)
         )
@@ -89,10 +100,45 @@ class TestEpochEquality:
 
     def test_empty_sides_return_empty_report(self):
         matcher = _matcher()
-        report = matcher.match_epoch([], [_request(10, 0.5)], trip_km=_trip([_request(10, 0.5)]))
+        lone = [_request(10, 0.5)]
+        report = matcher.match_epoch([], lone, trip_km=_trip(lone), **epoch_columns(lone))
         assert report.pairs == {} and report.plan is None
-        report = matcher.match_epoch([_taxi(1, 0.5)], [], trip_km=np.empty(0))
+        report = matcher.match_epoch(
+            [_taxi(1, 0.5)], [], trip_km=np.empty(0), **epoch_columns([])
+        )
         assert report.pairs == {} and report.plan is None
+
+
+class TestIdGuard:
+    """The frame-wide id check on request ids that do not ascend."""
+
+    def test_duplicate_request_id_raises(self):
+        taxis = [_taxi(1, 0.3), _taxi(2, 50.2)]
+        requests = [_request(12, 0.5), _request(10, 50.4), _request(12, 51.0)]
+        with pytest.raises(PreferenceError):
+            _matcher().match_epoch(
+                taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+            )
+
+    def test_unsorted_unique_ids_equal_the_global_solve(self):
+        taxis = [_taxi(4, 50.9), _taxi(1, 0.3), _taxi(3, 50.2), _taxi(2, 1.1)]
+        requests = [
+            _request(13, 51.0), _request(10, 0.5),
+            _request(12, 50.4), _request(11, 1.4),
+        ]
+        report = _matcher().match_epoch(
+            taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+        )
+        assert report.pairs == _global_pairs(taxis, requests)
+        assert len(report.pairs) == 4
+
+    def test_columns_of_another_request_list_rejected(self):
+        requests = [_request(10, 0.5), _request(11, 1.4)]
+        with pytest.raises(ValueError):
+            _matcher().match_epoch(
+                [_taxi(1, 0.3)], requests, trip_km=_trip(requests),
+                **epoch_columns(requests[:1]),
+            )
 
 
 class TestWarmReuse:
@@ -104,13 +150,17 @@ class TestWarmReuse:
         taxi_kept = _taxi(2, 1.2)
         taxis1 = [_taxi(1, 0.3), taxi_kept]
         requests1 = [_request(10, 0.4)]
-        report1 = matcher.match_epoch(taxis1, requests1, trip_km=_trip(requests1))
+        report1 = matcher.match_epoch(
+            taxis1, requests1, trip_km=_trip(requests1), **epoch_columns(requests1)
+        )
         assert report1.pairs == {10: 1}
         assert report1.cold_groups >= 1 and report1.warm_groups == 0
 
         taxis2 = [taxi_kept]
         requests2 = [_request(11, 1.3)]
-        report2 = matcher.match_epoch(taxis2, requests2, trip_km=_trip(requests2))
+        report2 = matcher.match_epoch(
+            taxis2, requests2, trip_km=_trip(requests2), **epoch_columns(requests2)
+        )
         assert report2.pairs == _global_pairs(taxis2, requests2) == {11: 2}
         assert report2.warm_groups == 1
         telemetry = matcher.run_telemetry()
@@ -121,20 +171,20 @@ class TestWarmReuse:
         matcher = _matcher()
         taxis1 = [_taxi(1, 0.3), _taxi(2, 50.0)]
         requests1 = [_request(10, 0.4), _request(11, 50.2)]
-        matcher.match_epoch(taxis1, requests1, trip_km=_trip(requests1))
+        matcher.match_epoch(taxis1, requests1, trip_km=_trip(requests1), **epoch_columns(requests1))
         assert len(matcher._states) == 2
         # Next epoch only the first cluster is present: the other
         # anchor's state must be dropped, not pinned forever.
         taxis2 = [_taxi(3, 0.5)]
         requests2 = [_request(12, 0.6)]
-        matcher.match_epoch(taxis2, requests2, trip_km=_trip(requests2))
+        matcher.match_epoch(taxis2, requests2, trip_km=_trip(requests2), **epoch_columns(requests2))
         assert len(matcher._states) == 1
 
     def test_reset_drops_states(self):
         matcher = _matcher()
         taxis = [_taxi(1, 0.3)]
         requests = [_request(10, 0.4)]
-        matcher.match_epoch(taxis, requests, trip_km=_trip(requests))
+        matcher.match_epoch(taxis, requests, trip_km=_trip(requests), **epoch_columns(requests))
         assert matcher._states
         matcher.reset(counters=True)
         assert matcher._states == {}

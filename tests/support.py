@@ -7,12 +7,17 @@ Reference implementations that tests compare against live in
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
+import numpy as np
+
+from repro.core.types import PassengerRequest
 from repro.geometry import Point
+from repro.geometry.batch import as_point_array
 from repro.matching import PreferenceTable
 from repro.network import RoadNetwork
 
-__all__ = ["random_table", "oneway_ring", "TAXI_ID_BASE"]
+__all__ = ["random_table", "oneway_ring", "epoch_columns", "TAXI_ID_BASE"]
 
 TAXI_ID_BASE = 100
 
@@ -53,3 +58,12 @@ def oneway_ring() -> RoadNetwork:
     for u in range(4):
         network.add_edge(u, (u + 1) % 4, 10.0, oneway=True)
     return network
+
+
+def epoch_columns(requests: Sequence[PassengerRequest]) -> dict[str, np.ndarray]:
+    """The request columns :meth:`~repro.streaming.matcher.ZoneMatcher.match_epoch`
+    takes beside ``trip_km``, as keyword arguments."""
+    return {
+        "pickup_xy": as_point_array([r.pickup for r in requests], check_finite=False),
+        "request_ids": np.array([r.request_id for r in requests], dtype=np.int64),
+    }
