@@ -15,8 +15,9 @@ invariants:
   to the unprotected baseline.
 
 ``--crash-recovery`` runs the durability matrix instead: for each of
-the dispatch modes (cold and warm NSTD-P, and STD-P, whose frames run
-warm), a child process running a
+the dispatch modes (cold and warm NSTD-P, STD-P, whose frames run warm,
+and cold NSTD-P under a seeded fault injector, whose RNG fingerprint
+every replayed frame must reproduce), a child process running a
 journaled+checkpointed simulation behind the degradation ladder is
 SIGKILLed at several frame offsets (at the frame boundary, after the
 journal append, and mid-frame, before it), then the run is resumed from
@@ -61,6 +62,7 @@ from repro.resilience import (  # noqa: E402
     CrashPlan,
     DurabilityConfig,
     DurabilityManager,
+    FaultInjector,
     FaultPlan,
     ResiliencePolicy,
     resume_simulation,
@@ -77,8 +79,9 @@ INERT_UNDER_PLAN = {
 }
 
 #: Dispatch-mode matrix of the crash-recovery harness: cold and warm
-#: NSTD-P, and STD-P.
-CRASH_MODES = ("cold", "warm", "std-p")
+#: NSTD-P, STD-P, and cold NSTD-P under a seeded fault injector (a
+#: resume refuses warm dispatch with an armed injector).
+CRASH_MODES = ("cold", "warm", "std-p", "faulted")
 
 #: (frame offset, crash phase) matrix.  With ``CHECKPOINT_EVERY = 8``
 #: this covers the three recovery shapes: frame 5 crashes before any
@@ -199,13 +202,19 @@ def make_crash_simulator(
     mode: str, sim_config, *, durability: DurabilityManager | None = None
 ) -> Simulator:
     oracle = EuclideanDistance()
+    policy = ResiliencePolicy()
+    if mode == "faulted":
+        # The smoke run's fault schedule (see run_chaos).
+        injector = FaultInjector(
+            13, latency_rate=0.08, latency_s=45.0, error_rate=0.01, per_call_cost_s=0.05
+        )
+        oracle = injector.wrap(oracle)
+        policy = policy.with_injector(injector)
     if mode == "std-p":
         dispatcher = make_dispatcher("STD-P", oracle, sim_config.dispatch)
     else:
         dispatcher = NSTDDispatcher(oracle, sim_config.dispatch, warm_start=mode == "warm")
-    return Simulator(
-        dispatcher, oracle, sim_config, resilience=ResiliencePolicy(), durability=durability
-    )
+    return Simulator(dispatcher, oracle, sim_config, resilience=policy, durability=durability)
 
 
 def crash_child(directory: str, mode: str, frame: int, phase: str) -> int:

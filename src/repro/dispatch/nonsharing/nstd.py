@@ -6,18 +6,17 @@ taxi-proposing fast path (provably equal to Algorithm 2's taxi-best
 pick — see :mod:`repro.matching.optimality`), with an ``exact`` switch
 that runs the full Algorithm 2 enumeration instead.
 
-NSTD has three solve paths, two of which share one Gale–Shapley round
-kernel (:func:`~repro.matching.deferred_acceptance.gale_shapley_rounds`):
+Every cold frame is compiled into
+:class:`~repro.matching.arrays.PreferenceArrays` by the dense pair
+builder (no per-pair dicts).  NSTD-P and NSTD-T match the arrays with
+the array deferred-acceptance engine; NSTD-M and exact NSTD-T walk the
+stable lattice on their dict view (``prefs.to_table()``), since lattice
+enumeration walks dict tables.  The **warm path** (below) feeds the
+cold engine's Gale–Shapley round kernel
+(:func:`~repro.matching.deferred_acceptance.gale_shapley_rounds`)
+complex keys.
 
-* the **cold array path** (NSTD-P and NSTD-T): the frame is compiled
-  straight into :class:`~repro.matching.arrays.PreferenceArrays` by the
-  dense pair builder (no per-pair dicts) and matched by the array
-  deferred-acceptance engine, bit-identical to the dict reference;
-* the **warm path** (below), which feeds the same kernel complex keys;
-* the **dict path** (NSTD-M and exact NSTD-T), since lattice
-  enumeration walks dict tables.
-
-Both cold paths and the auditor's rebuild read the pickup matrix and
+The cold build and the auditor's rebuild read the pickup matrix and
 trip distances from the dispatcher's
 :meth:`~repro.dispatch.base.Dispatcher.distance_cache` (the engine's
 frame cache, or a per-call one outside an engine); warm frames prime
@@ -39,8 +38,8 @@ fallbacks, and rebuild fractions.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
-from typing import ClassVar, TypeVar
+from collections.abc import Mapping, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,11 +51,7 @@ from repro.geometry.distance import DistanceOracle
 from repro.matching.arrays import PreferenceArrays
 from repro.matching.lattice import median_stable_matching
 from repro.matching.optimality import passenger_optimal, taxi_optimal, taxi_optimal_exact
-from repro.matching.preferences import (
-    PreferenceTable,
-    build_nonsharing_arrays,
-    build_nonsharing_table,
-)
+from repro.matching.preferences import build_nonsharing_arrays
 from repro.matching.result import Matching
 from repro.matching.warm_frame import (
     FrameSolveState,
@@ -65,8 +60,6 @@ from repro.matching.warm_frame import (
 )
 
 __all__ = ["NSTDDispatcher", "nstd_p", "nstd_t", "nstd_m"]
-
-_Prefs = TypeVar("_Prefs", PreferenceArrays, PreferenceTable)
 
 
 def _reason_key(reason: str) -> str:
@@ -127,12 +120,10 @@ class NSTDDispatcher(Dispatcher):
                 f"optimize_for must be one of {sorted(self._NAMES)}, got {optimize_for!r}"
             )
         # NSTD-M and exact NSTD-T enumerate the stable lattice, which
-        # walks dict tables; every other frame runs on arrays.
-        self._array_path = optimize_for in ("passenger", "taxi") and not exact
-        if warm_start and not self._array_path:
+        # has no warm solver.
+        if warm_start and (optimize_for == "median" or exact):
             raise ValueError(
-                "warm_start requires the array fast path: "
-                "optimize_for in ('passenger', 'taxi'), exact=False"
+                "warm_start requires optimize_for in ('passenger', 'taxi') and exact=False"
             )
         self.optimize_for = optimize_for
         self.exact = exact
@@ -174,24 +165,21 @@ class NSTDDispatcher(Dispatcher):
         the carried warm state, so the result is a state-independent
         oracle for the auditor.
         """
-        return self._cold_prefs(taxis, requests, build_nonsharing_arrays)[0]
+        return self._cold_prefs(taxis, requests)[0]
 
     def _cold_prefs(
-        self,
-        taxis: Sequence[Taxi],
-        requests: Sequence[PassengerRequest],
-        build: Callable[..., _Prefs],
-    ) -> tuple[_Prefs, np.ndarray]:
-        """The frame's cold preference structure, built by ``build``
-        (:func:`build_nonsharing_arrays` or :func:`build_nonsharing_table`)
-        from the distance cache's pickup matrix and trip vector.
+        self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
+    ) -> tuple[PreferenceArrays, np.ndarray]:
+        """The frame's cold preference arrays, built by
+        :func:`build_nonsharing_arrays` from the distance cache's pickup
+        matrix and trip vector.
 
         Also returns the trip vector.
         """
         cache = self.distance_cache()
         pickup_matrix = cache.pickup_matrix(taxis, requests)
         trip_km = cache.trip_km(requests)
-        prefs = build(
+        prefs = build_nonsharing_arrays(
             taxis,
             requests,
             self.oracle,
@@ -240,23 +228,19 @@ class NSTDDispatcher(Dispatcher):
     ) -> Matching:
         """The stateless frame solve (the pre-warm-start behaviour)."""
         self.last_frame_mode = "cold"
-        prefs: PreferenceArrays | PreferenceTable
-        if self._array_path:
-            prefs, trip_km = self._cold_prefs(taxis, requests, build_nonsharing_arrays)
-        else:
-            prefs, trip_km = self._cold_prefs(taxis, requests, build_nonsharing_table)
+        prefs, trip_km = self._cold_prefs(taxis, requests)
         self.checkpoint("nstd:prefs-built")
         if self.optimize_for == "passenger":
             matching = passenger_optimal(prefs)
         elif self.optimize_for == "median":
             # The Teo-Sethuraman compromise the paper cites as [13]:
             # every matched side gets its median stable partner.
-            matching = median_stable_matching(prefs)
+            matching = median_stable_matching(prefs.to_table())
         elif self.exact:
             # Under a frame deadline the full Algorithm 2 enumeration
             # becomes anytime: the taxi-best matching found in budget is
             # still stable, so a truncated pick remains a valid frame.
-            matching = taxi_optimal_exact(prefs, deadline=self.frame_budget)
+            matching = taxi_optimal_exact(prefs.to_table(), deadline=self.frame_budget)
         else:
             matching = taxi_optimal(prefs)
         if self.warm_start:

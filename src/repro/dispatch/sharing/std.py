@@ -100,7 +100,7 @@ def pack_requests(
     packer: str = "local",
     max_passengers: int | None = 4,
     pairing_radius_km: float | None = None,
-    cache: dict | None = None,
+    cache: GroupMemo | None = None,
     budget: WorkBudget | None = None,
 ) -> list[RideGroup]:
     """Stage one of Algorithm 3: the dispatch units ``R' ∪ C'``.
@@ -108,13 +108,13 @@ def pack_requests(
     Returns packed multi-request groups plus singleton groups for every
     unpacked request, with consecutive group ids in deterministic order.
 
-    ``cache`` is the caller's cross-frame group memo, keyed by member
+    ``cache`` is the caller's cross-frame
+    :class:`~repro.packing.feasibility.GroupMemo`, keyed by member
     request ids: it holds every evaluated candidate group (``None`` when
     infeasible) and every singleton unit.  Request ids must identify
-    requests for the memo's lifetime.  A
-    :class:`~repro.packing.feasibility.GroupMemo` also carries the last
-    frame's group family and its packing: the enumeration then evaluates
-    only the candidates that touch new requests, and an unchanged family
+    requests for the memo's lifetime.  It also carries the last frame's
+    group family and its packing: the enumeration then evaluates only
+    the candidates that touch new requests, and an unchanged family
     reuses the packer's choice, since packing is a deterministic
     function of the family.
 
@@ -134,10 +134,9 @@ def pack_requests(
         cache=cache,
         budget=budget,
     )
-    memo = cache if isinstance(cache, GroupMemo) else None
-    family = memo.family if memo is not None else None
+    family = cache.family if cache is not None else None
     keys = family.keys if family is not None else None
-    record = memo.packing if memo is not None else None
+    record = cache.packing if cache is not None else None
     reuse = (
         record
         if isinstance(record, _Packing)
@@ -185,8 +184,8 @@ def pack_requests(
             if cache is not None:
                 cache[key] = single
         units.append(single.relabeled(len(units)))
-    if memo is not None and family is not None:
-        memo.packing = (
+    if cache is not None and family is not None:
+        cache.packing = (
             None
             if keys is None
             else _Packing(packer, family, keys, tuple(chosen_indices), nodes, tuple(units))

@@ -4,7 +4,6 @@ from repro.geometry.batch import (
     BatchDistanceOracle,
     as_point_array,
     batch_kernels_exact,
-    oracle_distances,
     oracle_paired,
     oracle_pairwise,
     supports_batch,
@@ -45,6 +44,5 @@ __all__ = [
     "supports_batch",
     "batch_kernels_exact",
     "oracle_pairwise",
-    "oracle_distances",
     "oracle_paired",
 ]

@@ -6,13 +6,13 @@ the *batch* side of the oracle API:
 
 * :class:`BatchDistanceOracle` — the optional protocol an oracle may
   implement next to ``distance(a, b)``: ``pairwise(sources, targets)``
-  (full cross product), ``distances(origin, targets)`` (one-to-many)
-  and ``paired(sources, targets)`` (elementwise, equal lengths), all
+  (full cross product; one source row gives one-to-many distances) and
+  ``paired(sources, targets)`` (elementwise, equal lengths), both
   returning float64 arrays of kilometres;
-* generic helpers (:func:`oracle_pairwise`, :func:`oracle_distances`,
-  :func:`oracle_paired`) that use the batch API when present and fall
-  back to a scalar ``distance`` loop otherwise, so third-party oracles
-  that only implement the scalar protocol keep working everywhere.
+* generic helpers (:func:`oracle_pairwise`, :func:`oracle_paired`) that
+  use the batch API when present and fall back to a scalar
+  ``distance`` loop otherwise, so third-party oracles that only
+  implement the scalar protocol keep working everywhere.
 
 **Source-row convention.**  Batch operands are named, not positional:
 ``sources`` are the rows / first argument of the scalar reference
@@ -65,7 +65,6 @@ __all__ = [
     "supports_batch",
     "batch_kernels_exact",
     "oracle_pairwise",
-    "oracle_distances",
     "oracle_paired",
 ]
 
@@ -83,10 +82,6 @@ class BatchDistanceOracle(Protocol):
 
     def pairwise(self, sources: Sequence[Point], targets: Sequence[Point]) -> np.ndarray:
         """The ``(len(sources), len(targets))`` matrix ``D(source, target)`` in km."""
-        ...
-
-    def distances(self, origin: Point, targets: Sequence[Point]) -> np.ndarray:
-        """One-to-many distances as a ``(len(targets),)`` vector in km."""
         ...
 
     def paired(self, sources: Sequence[Point], targets: Sequence[Point]) -> np.ndarray:
@@ -167,23 +162,6 @@ def oracle_pairwise(
             return _scalar_pairwise(oracle, sources, targets)
     # repro-lint: disable=REP005 generic delegation: third-party oracles may name their parameters differently
     return np.asarray(oracle.pairwise(sources, targets), dtype=np.float64)
-
-
-def oracle_distances(
-    oracle: "DistanceOracle",
-    origin: Point,
-    *,
-    targets: Sequence[Point],
-    exact: bool = False,
-) -> np.ndarray:
-    """One-to-many distances with the same dispatch rule as
-    :func:`oracle_pairwise`."""
-    if callable(getattr(oracle, "distances", None)) and (
-        not exact or batch_kernels_exact(oracle)
-    ):
-        return np.asarray(oracle.distances(origin, targets), dtype=np.float64)
-    distance = oracle.distance
-    return np.array([distance(origin, b) for b in targets], dtype=np.float64)
 
 
 def oracle_paired(

@@ -27,7 +27,7 @@ CPython's libm by a few ulp, so it does not.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -71,11 +71,6 @@ class _BroadcastKernelMixin:
         a = as_point_array(sources)
         b = as_point_array(targets)
         return self._kernel(a[:, 0:1], a[:, 1:2], b[None, :, 0], b[None, :, 1])
-
-    def distances(self, origin: Point, targets: Sequence[Point]) -> np.ndarray:
-        b = as_point_array(targets)
-        origin_arr = as_point_array([origin])
-        return self._kernel(origin_arr[0, 0], origin_arr[0, 1], b[:, 0], b[:, 1])
 
     def paired(self, sources: Points, targets: Points) -> np.ndarray:
         a = as_point_array(sources)
@@ -215,11 +210,6 @@ class ScaledDistance:
         from repro.geometry.batch import oracle_pairwise
 
         return self._factor * oracle_pairwise(self._base, sources=sources, targets=targets)
-
-    def distances(self, origin: Point, targets: Sequence[Point]) -> np.ndarray:
-        from repro.geometry.batch import oracle_distances
-
-        return self._factor * oracle_distances(self._base, origin, targets=targets)
 
     def paired(self, sources: Points, targets: Points) -> np.ndarray:
         from repro.geometry.batch import oracle_paired

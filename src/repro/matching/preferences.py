@@ -21,14 +21,15 @@ with an ordered list of acceptable partners.  A pair appears on one
 side's list iff it appears on the other's, which keeps the stability
 definition symmetric.
 
-**Construction.**  :func:`build_nonsharing_table` and
-:func:`build_nonsharing_arrays` share one dense pair builder: one
-taxi × request score matrix (the frame cache's, or one ``exact=True``
-call into :mod:`repro.geometry.batch`, the one module that chooses
-between an oracle's exact kernel and the scalar loop), threshold masks,
-and a single global lexsort per side.  The dense matrix suits the
-engines' frame sizes: the largest NSTD frame of the full-scale NYC day
-holds about 10^5 candidate pairs.
+**Construction.**  One dense pair builder,
+:func:`build_nonsharing_arrays`, compiles a frame: one taxi × request
+score matrix (the frame cache's, or one ``exact=True`` call into
+:mod:`repro.geometry.batch`, the one module that chooses between an
+oracle's exact kernel and the scalar loop), threshold masks, and a
+single global lexsort per side.  :func:`build_nonsharing_table` is its
+dict view (``build_nonsharing_arrays(...).to_table()``).  The dense
+matrix suits the engines' frame sizes: the largest NSTD frame of the
+full-scale NYC day holds about 10^5 candidate pairs.
 
 Preference orders break score ties by id, so the result is
 deterministic.  Pairs whose score would be non-finite (a disconnected
@@ -39,7 +40,7 @@ test oracles (``tests/oracles/nonsharing_table.py``).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
@@ -87,10 +88,6 @@ class PreferenceTable:
         the end of every list.
     reviewer_prefs:
         Symmetric structure for reviewers.
-    proposer_scores / reviewer_scores:
-        Optional raw scores (smaller = better) behind the orders, keyed
-        by ``(proposer_id, reviewer_id)``; kept for metrics and for
-        deterministic re-ranking in the sharing pipeline.
     validate:
         Whether to run the O(E) mutual-consistency check on
         construction.  On by default so hand-built tables (tests,
@@ -101,8 +98,6 @@ class PreferenceTable:
 
     proposer_prefs: dict[int, tuple[int, ...]]
     reviewer_prefs: dict[int, tuple[int, ...]]
-    proposer_scores: dict[tuple[int, int], float] = field(default_factory=dict)
-    reviewer_scores: dict[tuple[int, int], float] = field(default_factory=dict)
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool = True) -> None:
@@ -185,8 +180,6 @@ class PreferenceTable:
         table = PreferenceTable(
             proposer_prefs=dict(self.reviewer_prefs),
             reviewer_prefs=dict(self.proposer_prefs),
-            proposer_scores={(r, p): s for (p, r), s in self.reviewer_scores.items()} if self.reviewer_scores else {},
-            reviewer_scores={(r, p): s for (p, r), s in self.proposer_scores.items()} if self.proposer_scores else {},
             validate=False,
         )
         object.__setattr__(table, "_proposer_rank_cache", self._reviewer_ranks())
@@ -253,11 +246,19 @@ def build_nonsharing_table(
     dense kernel output, and the caller is responsible for its values
     being bit-identical to scalar ``distance`` calls (true for every
     cache in this package, which computes with ``exact=True`` kernels).
+
+    The table is :func:`build_nonsharing_arrays`' market unpacked into
+    dicts, in ``requests`` / ``taxis`` order.
     """
-    config = config if config is not None else DispatchConfig()
-    alphas = _checked_alphas(taxis, requests, config, alpha_by_taxi)
-    pairs = _dense_pairs(taxis, requests, oracle, config, alphas, pickup_matrix, trip_km)
-    return _pairs_to_table(taxis, requests, *pairs)
+    return build_nonsharing_arrays(
+        taxis,
+        requests,
+        oracle,
+        config,
+        alpha_by_taxi=alpha_by_taxi,
+        pickup_matrix=pickup_matrix,
+        trip_km=trip_km,
+    ).to_table()
 
 
 def build_nonsharing_arrays(
@@ -270,20 +271,16 @@ def build_nonsharing_arrays(
     pickup_matrix: np.ndarray | None = None,
     trip_km: np.ndarray | None = None,
 ) -> "PreferenceArrays":
-    """The same market as :func:`build_nonsharing_table`, emitted directly
-    as :class:`~repro.matching.arrays.PreferenceArrays`.
+    """The market of :func:`build_nonsharing_table` as
+    :class:`~repro.matching.arrays.PreferenceArrays`: the one builder
+    behind both.
 
-    This is the frame fast path: the dense pair builder feeds two
-    lexsorts and a handful of scatters, and **no intermediate Python
-    dict or tuple is materialized** — proposer index ``j`` is position
-    ``j`` in ``requests``, reviewer index ``i`` is position ``i`` in
-    ``taxis``, exactly the order the dict builder would have used.  The
-    result is structurally identical to
-    ``PreferenceArrays.from_table(build_nonsharing_table(...))`` (the
-    property suite asserts this), at a fraction of the cost.
-
-    ``pickup_matrix``/``trip_km`` behave as in
-    :func:`build_nonsharing_table`.
+    The dense pair builder feeds two lexsorts and a handful of
+    scatters, and **no intermediate Python dict or tuple is
+    materialized** — proposer index ``j`` is position ``j`` in
+    ``requests``, reviewer index ``i`` is position ``i`` in ``taxis``.
+    Acceptability, ``alpha_by_taxi`` and ``pickup_matrix``/``trip_km``
+    behave as documented on :func:`build_nonsharing_table`.
     """
     config = config if config is not None else DispatchConfig()
     alphas = _checked_alphas(taxis, requests, config, alpha_by_taxi)
@@ -397,8 +394,8 @@ def _dense_pairs(
 
     Returns ``(rj, ti, pick, driver)``: request/taxi *positions* (into
     the given sequences) of every mutually acceptable pair plus both
-    scores, in no particular order.  This is the shared front half of
-    the dict and array builders.
+    scores, in no particular order: the front half of
+    :func:`build_nonsharing_arrays`.
     """
     n_requests = len(requests)
     n_taxis = len(taxis)
@@ -453,58 +450,6 @@ def _dense_pairs(
         & (driver <= config.taxi_threshold_km)
     )
     return rj[ok], ti[ok], pick[ok], driver[ok]
-
-
-def _pairs_to_table(
-    taxis: Sequence[Taxi],
-    requests: Sequence[PassengerRequest],
-    rj: np.ndarray,
-    ti: np.ndarray,
-    pick: np.ndarray,
-    driver: np.ndarray,
-) -> PreferenceTable:
-    """The dict tail of the dense pipeline: sort, group, tuple-ize."""
-    n_requests = len(requests)
-    n_taxis = len(taxis)
-    request_ids = np.array([r.request_id for r in requests], dtype=np.int64)
-    taxi_ids = np.array([t.taxi_id for t in taxis], dtype=np.int64)
-
-    if len(rj) == 0:
-        return PreferenceTable(
-            proposer_prefs={r.request_id: () for r in requests},
-            reviewer_prefs={t.taxi_id: () for t in taxis},
-            validate=False,
-        )
-
-    # One global lexsort per side reproduces the per-list sorted() of the
-    # reference: primary key the owner, then score, then partner id.
-    proposer_order = np.lexsort((taxi_ids[ti], pick, rj))
-    rj_sorted = rj[proposer_order]
-    proposer_partner = taxi_ids[ti[proposer_order]].tolist()
-    starts = np.searchsorted(rj_sorted, np.arange(n_requests))
-    ends = np.searchsorted(rj_sorted, np.arange(1, n_requests + 1))
-    proposer_prefs = {
-        requests[j].request_id: tuple(proposer_partner[starts[j] : ends[j]])
-        for j in range(n_requests)
-    }
-
-    reviewer_order = np.lexsort((request_ids[rj], driver, ti))
-    ti_sorted = ti[reviewer_order]
-    reviewer_partner = request_ids[rj[reviewer_order]].tolist()
-    starts = np.searchsorted(ti_sorted, np.arange(n_taxis))
-    ends = np.searchsorted(ti_sorted, np.arange(1, n_taxis + 1))
-    reviewer_prefs = {
-        taxis[i].taxi_id: tuple(reviewer_partner[starts[i] : ends[i]]) for i in range(n_taxis)
-    }
-
-    keys = list(zip(request_ids[rj].tolist(), taxi_ids[ti].tolist()))
-    return PreferenceTable(
-        proposer_prefs=proposer_prefs,
-        reviewer_prefs=reviewer_prefs,
-        proposer_scores=dict(zip(keys, pick.tolist())),
-        reviewer_scores=dict(zip(keys, driver.tolist())),
-        validate=False,
-    )
 
 
 def _check_unique_ids(taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]) -> None:

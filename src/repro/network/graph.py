@@ -183,10 +183,6 @@ class RoadNetwork:
                 out[i, j] = pts_a[i].distance_to(pts_b[j])
         return out
 
-    def distances(self, origin: Point, targets: Sequence[Point]) -> np.ndarray:
-        """One-to-many snapped shortest-path distances in km."""
-        return self.pairwise(sources=[origin], targets=targets)[0]
-
     def paired(self, sources: Sequence[Point], targets: Sequence[Point]) -> np.ndarray:
         """Elementwise snapped shortest-path distances in km."""
         pts_a, snaps_a = self._snap_points(sources)

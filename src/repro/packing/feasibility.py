@@ -117,7 +117,7 @@ def enumerate_feasible_groups(
     max_passengers: int | None = 4,
     assume_metric: bool = True,
     pairing_radius_km: float | None = None,
-    cache: dict[tuple[int, ...], RideGroup | None] | None = None,
+    cache: GroupMemo | None = None,
     with_stats: bool = False,
     budget: WorkBudget | None = None,
 ) -> list[RideGroup] | tuple[list[RideGroup], FeasibilityStats]:
@@ -139,15 +139,12 @@ def enumerate_feasible_groups(
     ``cache`` memoizes each evaluated member-id tuple's group (or
     ``None`` when infeasible) across calls; a cached group is
     relabelled, not re-routed, and does not count as tested.  A cached
-    group the call's ``max_passengers`` cannot seat is rejected.  A
-    plain ``dict`` cannot tell a seat rejection from a θ rejection, so
-    it must serve one ``max_passengers``; a :class:`GroupMemo` records
-    its seat rejections and re-evaluates one once a call's bound seats
-    it.  A
-    :class:`GroupMemo` also carries this call's enumeration to the next
-    one, which then evaluates only the candidates that touch a request
-    new to the batch (see :class:`GroupMemo`); the groups, their order
-    and the stats are those of the full scan.
+    group the call's ``max_passengers`` cannot seat is rejected, and a
+    seat rejection is re-evaluated once a call's bound seats the group.
+    The cache also carries this call's enumeration to the next one,
+    which then evaluates only the candidates that touch a request new
+    to the batch (see :class:`GroupMemo`); the groups, their order and
+    the stats are those of the full scan.
 
     ``budget`` charges one node per candidate subset considered, in
     lexicographic order, skipped ones included; an exhausted budget
@@ -159,7 +156,6 @@ def enumerate_feasible_groups(
     stats = FeasibilityStats()
     ordered = sorted(requests, key=lambda r: r.request_id)
     n = len(ordered)
-    memo = cache if isinstance(cache, GroupMemo) else None
     signature = (max_passengers, assume_metric, pairing_radius_km, config.theta_km,
                  config.max_group_size)
 
@@ -173,9 +169,9 @@ def enumerate_feasible_groups(
         if cache is not None and key in cache:
             if not fits:
                 return key, None
-            if memo is None or key not in memo.seat_rejected:
+            if key not in cache.seat_rejected:
                 return key, cache[key]
-            memo.seat_rejected.discard(key)
+            cache.seat_rejected.discard(key)
         is_pair = len(members) == 2
         if is_pair:
             stats.pairs_tested += 1
@@ -193,15 +189,15 @@ def enumerate_feasible_groups(
                 stats.triples_feasible += 1
         if cache is not None:
             cache[key] = group
-            if memo is not None and not fits:
-                memo.seat_rejected.add(key)
+            if not fits:
+                cache.seat_rejected.add(key)
         return key, group
 
-    carried = memo.family if memo is not None else None
+    carried = cache.family if cache is not None else None
     fallback = None
-    if memo is not None:
+    if cache is not None:
         fallback = (
-            memo.cold_reason
+            cache.cold_reason
             if carried is None
             else carried.mismatch(signature, budget, _scan_nodes(n, config.max_group_size))
         )
@@ -221,8 +217,8 @@ def enumerate_feasible_groups(
         groups = list(carried.groups)
     else:
         groups = [group.relabeled(index) for index, (_, group) in enumerate(pairs + triples)]
-        if memo is not None and not stats.truncated and assume_metric:
-            memo.family = GroupFamily(
+        if cache is not None and not stats.truncated and assume_metric:
+            cache.family = GroupFamily(
                 ids=np.fromiter((r.request_id for r in ordered), dtype=np.int64, count=n),
                 feasible=feasible,
                 pairs=pairs,
@@ -231,12 +227,12 @@ def enumerate_feasible_groups(
                 signature=signature,
             )
     stats.groups = len(groups)
-    if memo is not None:
-        memo.last_fallback = fallback
+    if cache is not None:
+        cache.last_fallback = fallback
         if stats.truncated or not assume_metric:
             # A truncated scan is not the batch's family; an unpruned
             # one has no feasible-pair rule to extend it by.
-            memo.drop_family("budget" if stats.truncated else WARM_FALLBACK_OTHER)
+            cache.drop_family("budget" if stats.truncated else WARM_FALLBACK_OTHER)
     if with_stats:
         return groups, stats
     return groups
@@ -490,7 +486,7 @@ class GroupFamily:
 class GroupMemo(dict[tuple[int, ...], "RideGroup | None"]):
     """A dispatcher's cross-frame group memo, keyed by member-id tuple.
 
-    As a plain ``dict`` memo it holds every evaluated candidate (``None``
+    As a ``dict`` it holds every evaluated candidate (``None``
     when infeasible) and every singleton unit.  On top of that it keeps:
 
     * an id → keys index, so :meth:`retain` evicts the entries of

@@ -76,10 +76,12 @@ __all__ = [
 #: Schema version stamped into every snapshot envelope.  /3 moved the
 #: run history (outcomes, assignments, frame stats, resilience and audit
 #: records) out of the snapshot into the journal, leaving a history
-#: cursor, and appends the ``crc`` member instead of sorting it in.
+#: cursor, and appends the ``crc`` member instead of sorting it in.  /4
+#: added the frame cache's trip memo (``trips``), so a resumed run makes
+#: the oracle calls, and draws the faults, of the interrupted one.
 #: Older snapshots are refused rather than guessed at, per the
 #: version-skew policy below.
-CHECKPOINT_SCHEMA = "repro-checkpoint/3"
+CHECKPOINT_SCHEMA = "repro-checkpoint/4"
 
 _SNAPSHOT_PREFIX = "snap-"
 _JOURNAL_NAME = "journal.jsonl"

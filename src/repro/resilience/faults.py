@@ -28,7 +28,6 @@ import os
 import random
 import signal
 import zlib
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,12 +214,6 @@ class FaultyOracle:
 
         self._injector.before_call()
         return oracle_pairwise(self._base, sources=sources, targets=targets)
-
-    def distances(self, origin: Point, targets: Sequence[Point]) -> np.ndarray:
-        from repro.geometry.batch import oracle_distances
-
-        self._injector.before_call()
-        return oracle_distances(self._base, origin, targets=targets)
 
     def paired(self, sources: Points, targets: Points) -> np.ndarray:
         from repro.geometry.batch import oracle_paired

@@ -7,9 +7,8 @@ record per completed frame, carrying
 
 * a compact *outcome digest* (:class:`FrameDigest`) — the frame's
   matched pairs folded into a CRC, a running cumulative CRC over every
-  assignment so far, the queue/idle/dispatch counters, the resilience
-  rung that served the frame, and (when a fault injector is installed)
-  a fingerprint of its seeded RNG state;
+  assignment so far, the queue/idle/dispatch counters, and (when a
+  fault injector is installed) a fingerprint of its seeded RNG state;
 * the frame's ``rows`` — every history row the frame appended, as
   JSON values: its assignment records, the request outcomes it
   resolved (dispatched or abandoned; each outcome is written by
@@ -73,8 +72,10 @@ __all__ = [
 #: Schema version stamped into every journal header; readers hard-refuse
 #: anything else (see :class:`~repro.core.errors.JournalSchemaError`).
 #: /2 added each frame's history ``rows`` to its record and appends the
-#: ``crc`` member last instead of sorting it in.
-JOURNAL_SCHEMA = "repro-journal/2"
+#: ``crc`` member last instead of sorting it in.  /3 dropped the digest's
+#: ``rung``, ``mode``, ``audited`` and ``divergence`` fields, which the
+#: frame's resilience and audit rows already carry.
+JOURNAL_SCHEMA = "repro-journal/3"
 
 _RECORD_KINDS = ("header", "frame", "resume", "end")
 
@@ -136,13 +137,15 @@ def frame_pairs_crc(pairs: list[tuple[int, int]], *, seed: int = 0) -> int:
 class FrameDigest:
     """The per-frame outcome digest journaled after a frame commits.
 
-    ``pairs_crc`` / ``cum_crc`` are the replay-verification surface: they
-    are warm/cold-invariant (the bit-identity theorems of DESIGN.md
-    §10–11 make the *matching* mode-independent), so a resumed run that
-    restarts warm state cold still reproduces them exactly.  ``rung``,
-    ``mode``, ``audited`` and ``divergence`` are telemetry — a replayed
-    frame may legitimately differ there (a frame that was warm before
-    the crash replays cold) and they are excluded from replay equality.
+    Every field is replay-verified.  ``pairs_crc`` / ``cum_crc`` are
+    warm/cold-invariant (the bit-identity theorems of DESIGN.md §10–11
+    make the *matching* mode-independent), so a resumed run that
+    restarts warm state cold still reproduces them exactly.  ``rng``,
+    the fault injector's fingerprint, would differ between a warm frame
+    and its cold replay (they make different oracle calls), but a
+    resume refuses warm dispatch under an armed injector, so every
+    replay it verifies is cold, like the run it replays.  The frame's
+    ladder rung and audit verdict live in its ``rows``.
     """
 
     frame: int
@@ -154,19 +157,14 @@ class FrameDigest:
     pairs_crc: int
     cum_crc: int
     rng: str | None = None
-    rung: str | None = None
-    mode: str | None = None
-    audited: bool = False
-    divergence: bool = False
 
-    #: Fields a replayed frame must reproduce exactly; the rest is
-    #: mode-dependent telemetry.
+    #: Fields a replayed frame must reproduce exactly.
     REPLAY_FIELDS = ("frame", "time_s", "queue", "idle", "dispatched", "abandoned",
-                     "pairs_crc", "cum_crc")
+                     "pairs_crc", "cum_crc", "rng")
 
     def replay_key(self) -> tuple:
         """The tuple a replayed frame must reproduce exactly
-        (``REPLAY_FIELDS`` only — telemetry fields are excluded)."""
+        (``REPLAY_FIELDS``)."""
         return tuple(getattr(self, name) for name in self.REPLAY_FIELDS)
 
     def to_record(self) -> dict:

@@ -25,7 +25,6 @@ down the ladder never spends more than the frame.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -95,8 +94,7 @@ def default_ladder() -> tuple[Rung, ...]:
 class ResiliencePolicy:
     """Everything the engine needs to keep frames inside their deadline.
 
-    ``budget_fraction`` is the primary dispatcher's slice of the frame
-    (``frame_budget_s`` overrides it with an absolute deadline);
+    ``budget_fraction`` is the primary dispatcher's slice of the frame;
     budgeted fallback rungs share the remainder up to
     ``headroom_fraction`` of the frame, after which only the unbudgeted
     terminal rung remains.  ``transient_retries`` bounds same-rung
@@ -108,7 +106,6 @@ class ResiliencePolicy:
     """
 
     budget_fraction: float = 0.5
-    frame_budget_s: float | None = None
     headroom_fraction: float = 0.95
     transient_retries: int = 2
     ladder: tuple[Rung, ...] = field(default_factory=default_ladder)
@@ -143,8 +140,6 @@ class ResiliencePolicy:
         return time.perf_counter
 
     def primary_budget_s(self, frame_length_s: float) -> float:
-        if self.frame_budget_s is not None:
-            return self.frame_budget_s
         return self.budget_fraction * frame_length_s
 
     def rung_deadline_s(self, budgeted_position: int, budgeted_count: int, frame_length_s: float) -> float:
@@ -183,7 +178,3 @@ class ResiliencePolicy:
             else:
                 rungs.append((rung, rung.factory(oracle, primary.config)))
         return rungs
-
-    @staticmethod
-    def unbudgeted_deadline() -> float:
-        return math.inf

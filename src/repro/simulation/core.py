@@ -643,6 +643,7 @@ class RunCore:
             "time_s": self.time_s,
             "arrival_cursor": self.arrival_cursor,
             "queue": list(self.queue.keys()),
+            "trips": self.cache.state_payload(),
             "agents": [
                 [a.taxi_id, a.location.x, a.location.y, a.available_at_s,
                  a.total_driven_km, a.completed_trips, a.served_requests]
@@ -674,6 +675,7 @@ class RunCore:
         requests_by_id = {r.request_id: r for r in self.ordered}
         for rid in payload["queue"]:
             self.queue[rid] = requests_by_id[rid]
+        self.cache.restore_state(payload["trips"])
         for row in payload["agents"]:
             taxi_id, x, y, avail, driven, trips, served = row
             agent = self.agents[taxi_id]

@@ -172,7 +172,6 @@ class Simulator:
             dispatch_ms = 0.0
             frame_record: FrameResilienceRecord | None = None
             audit_record: StabilityAuditRecord | None = None
-            frame_mode: str | None = None
             if idle:
                 batch = list(core.queue.values())
                 dispatch_start = telemetry_clock()
@@ -193,22 +192,22 @@ class Simulator:
                         if index != record.rung_index:
                             rung_dispatcher.reset_warm_state()
                 dispatch_ms = (telemetry_clock() - dispatch_start) * 1e3
-                if frame_record is None or frame_record.rung_index == 0:
-                    frame_mode = self.dispatcher.last_frame_mode
-                    if auditor is not None:
-                        # Sampled stability re-verification of fast-path
-                        # frames; on divergence the schedule coming back
-                        # is a healed cold recomputation, and only the
-                        # primary dispatcher's frames are eligible (a
-                        # ladder fallback has no carried state to audit).
-                        schedule, audit_record = auditor.audit_frame(
-                            frame_index=frame_index,
-                            time_s=time_s,
-                            dispatcher=self.dispatcher,
-                            taxis=idle,
-                            requests=batch,
-                            schedule=schedule,
-                        )
+                if auditor is not None and (
+                    frame_record is None or frame_record.rung_index == 0
+                ):
+                    # Sampled stability re-verification of fast-path
+                    # frames; on divergence the schedule coming back is
+                    # a healed cold recomputation, and only the primary
+                    # dispatcher's frames are eligible (a ladder
+                    # fallback has no carried state to audit).
+                    schedule, audit_record = auditor.audit_frame(
+                        frame_index=frame_index,
+                        time_s=time_s,
+                        dispatcher=self.dispatcher,
+                        taxis=idle,
+                        requests=batch,
+                        schedule=schedule,
+                    )
                 dispatched = core.execute(schedule, idle, batch)
 
             stats = core.record_frame(queue_length, idle_taxis, dispatched, abandoned, dispatch_ms)
@@ -225,10 +224,6 @@ class Simulator:
                     pairs_crc=pairs_crc,
                     cum_crc=core.cum_crc,
                     rng=injector.state_fingerprint() if injector is not None else None,
-                    rung=frame_record.rung if frame_record is not None else None,
-                    mode=frame_mode,
-                    audited=audit_record is not None,
-                    divergence=audit_record.diverged if audit_record is not None else False,
                 )
                 rows = core.frame_rows(stats)
                 if frame_record is not None:

@@ -36,6 +36,7 @@ only how fast it is produced.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,6 +49,16 @@ __all__ = ["FrameDistanceCache"]
 
 class FrameDistanceCache:
     """One frame's batched distance matrices, computed once, read many."""
+
+    #: Attributes the snapshot leaves out (:meth:`state_payload` holds the
+    #: trip memo), each with the reason a resumed run does not need it.
+    DURABILITY_EXCLUSIONS: ClassVar[dict[str, str]] = {
+        "_pickup": "taxi-keyed matrices, dropped at every frame boundary, where snapshots are taken",
+        "frames": "telemetry counter; a resumed cache counts from the resume",
+        "hits": "telemetry counter; a resumed cache counts from the resume",
+        "misses": "telemetry counter; a resumed cache counts from the resume",
+        "evictions": "telemetry counter; a resumed cache counts from the resume",
+    }
 
     def __init__(self, oracle: DistanceOracle):
         self.oracle = oracle
@@ -165,6 +176,20 @@ class FrameDistanceCache:
         trips = self._trip_km
         for rid, value in zip(rid_list, km_list):
             trips[rid] = value
+
+    def state_payload(self) -> list[list[int | float]]:
+        """The trip memo as ``[request_id, km]`` rows, for a snapshot.
+
+        A resumed run must make exactly the oracle calls the interrupted
+        one would have made: under a fault injector every call draws
+        from the fault schedule, so measuring a queued request's trip
+        a second time would shift every later fault.
+        """
+        return [[rid, km] for rid, km in self._trip_km.items()]
+
+    def restore_state(self, payload: Sequence[Sequence[int | float]]) -> None:
+        """Adopt a :meth:`state_payload` trip memo."""
+        self._trip_km = {int(rid): float(km) for rid, km in payload}
 
     def trip_distance(self, request: PassengerRequest) -> float:
         """Single-request trip distance through the same memo."""

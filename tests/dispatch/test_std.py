@@ -22,7 +22,7 @@ from repro.packing.feasibility import GroupMemo
 from repro.resilience import WorkBudget
 from repro.simulation import Simulator
 from repro.trace.profiles import nyc_profile
-from tests.oracles import sharing_table_reference
+from tests.oracles import sharing_scores_reference
 
 
 @pytest.fixture()
@@ -101,9 +101,8 @@ class TestSharingTable:
         taxis = [Taxi(0, Point(0, 0))]
         r = request(1, 3, 4, 3, 10)  # pickup 5 km, trip 6 km
         units = pack_requests([r], oracle, DispatchConfig())
-        reference = sharing_table_reference(taxis, units, oracle, DispatchConfig())
-        assert reference.proposer_scores[(0, 0)] == pytest.approx(5.0)
-        assert reference.reviewer_scores[(0, 0)] == pytest.approx(5.0 - 6.0)
+        scores = sharing_scores_reference(taxis, units, oracle, DispatchConfig())
+        assert scores[(0, 0)] == pytest.approx((5.0, 5.0 - 6.0))
         table = build_sharing_table(taxis, units, oracle, DispatchConfig()).to_table()
         assert table.proposer_prefs == {0: (0,)}
         assert table.reviewer_prefs == {0: (0,)}

@@ -20,7 +20,6 @@ from repro.geometry import (
     ScaledDistance,
     as_point_array,
     batch_kernels_exact,
-    oracle_distances,
     oracle_paired,
     oracle_pairwise,
     supports_batch,
@@ -82,10 +81,10 @@ class TestPairwise:
 class TestDistancesAndPaired:
     @pytest.mark.parametrize("oracle", EXACT_ORACLES, ids=lambda o: repr(o))
     def test_distances_is_pairwise_row(self, oracle):
+        # One-to-many distances are a one-row pairwise call.
         origin = Point(0.75, -1.5)
-        row = oracle.distances(origin, B)
+        row = oracle_pairwise(oracle, sources=[origin], targets=B, exact=True)[0]
         assert row.shape == (len(B),)
-        assert np.array_equal(row, oracle.pairwise([origin], B)[0])
         assert row.tolist() == [oracle.distance(origin, b) for b in B]
 
     @pytest.mark.parametrize("oracle", EXACT_ORACLES, ids=lambda o: repr(o))
@@ -128,7 +127,7 @@ class TestRoadNetworkBatch:
     def test_distances_and_paired_match_scalar(self, network):
         points = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, 1.0)]
         origin = Point(0.2, 0.0)
-        assert network.distances(origin, points).tolist() == [
+        assert network.pairwise([origin], points)[0].tolist() == [
             network.distance(origin, p) for p in points
         ]
         assert network.paired(points, list(reversed(points))).tolist() == [
@@ -156,10 +155,6 @@ class TestFallbackContract:
         assert np.array_equal(
             oracle_pairwise(oracle, sources=A, targets=B, exact=True), scalar_matrix(oracle, A, B)
         )
-        origin = Point(0.0, 1.0)
-        assert oracle_distances(oracle, origin, targets=B).tolist() == [
-            oracle.distance(origin, b) for b in B
-        ]
         assert oracle_paired(oracle, sources=A, targets=A).tolist() == [0.0] * len(A)
 
     def test_exact_flag_gates_inexact_kernels(self):

@@ -4,8 +4,9 @@
 point; this test runs the same harness in-process so CI proves the
 acceptance criterion directly: a journaled+checkpointed run SIGKILLed
 at three distinct frame offsets (boundary and mid-frame), in each of
-the cold NSTD-P, warm NSTD-P and STD-P dispatch modes, resumes to a
-result bit-identical to the uninterrupted reference.
+the cold NSTD-P, warm NSTD-P, STD-P and fault-injected cold NSTD-P
+dispatch modes, resumes to a result bit-identical to the uninterrupted
+reference.
 """
 
 import importlib.util
@@ -27,11 +28,11 @@ def test_sigkill_resume_is_bit_identical_across_modes_and_offsets(tmp_path):
     chaos = load_chaos_module()
     summary, failures = chaos.run_crash_recovery(tmp_path)
     assert failures == []
-    # The matrix must actually cover >= 3 offsets x 3 modes, and every
+    # The matrix must actually cover >= 3 offsets x 4 modes, and every
     # case must have completed the full run after resume.
-    assert summary.pop("cases") == 9
-    assert len(summary) == 9
-    assert {case.split("@")[0] for case in summary} == {"cold", "warm", "std-p"}
+    assert summary.pop("cases") == 12
+    assert len(summary) == 12
+    assert {case.split("@")[0] for case in summary} == {"cold", "warm", "std-p", "faulted"}
     assert len({case.split("@")[1] for case in summary}) >= 3
     # The three recovery shapes: journal-only replay (no snapshot yet),
     # snapshot + replay, and snapshot-at-crash-frame (zero replay).

@@ -69,13 +69,6 @@ class TestBuildNonsharing:
         assert table.proposer_prefs[0] == ()
         assert table.reviewer_prefs[0] == ()
 
-    def test_scores_recorded(self, oracle):
-        taxis = [Taxi(0, Point(1, 0))]
-        requests = [PassengerRequest(0, Point(0, 0), Point(0, 2))]
-        table = build_nonsharing_table(taxis, requests, oracle)
-        assert table.proposer_scores[(0, 0)] == pytest.approx(1.0)
-        assert table.reviewer_scores[(0, 0)] == pytest.approx(1.0 - 2.0)
-
     def test_duplicate_ids_rejected(self, oracle):
         taxis = [Taxi(0, Point(0, 0)), Taxi(0, Point(1, 1))]
         with pytest.raises(PreferenceError):
@@ -118,14 +111,10 @@ class TestPreferenceTable:
         table = PreferenceTable(
             proposer_prefs={0: (101, 100)},
             reviewer_prefs={100: (0,), 101: (0,)},
-            proposer_scores={(0, 101): 1.0, (0, 100): 2.0},
-            reviewer_scores={(0, 101): -1.0, (0, 100): -2.0},
         )
         reverse = table.reversed()
         assert reverse.proposer_prefs == {100: (0,), 101: (0,)}
         assert reverse.reviewer_prefs == {0: (101, 100)}
-        assert reverse.proposer_scores[(101, 0)] == -1.0
-        assert reverse.reviewer_scores[(100, 0)] == 2.0
         # Reversing twice restores the original orientation.
         assert reverse.reversed().proposer_prefs == table.proposer_prefs
 

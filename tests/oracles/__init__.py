@@ -12,14 +12,18 @@ runtime code do.
   completion.
 * :mod:`.hamiltonian` — the shortest Hamiltonian path (Theorem 5's
   hardness object).
-* :mod:`.nonsharing_table` — the scalar non-sharing preference table.
+* :mod:`.nonsharing_table` — the scalar non-sharing preference table
+  and its pair scores.
 * :mod:`.shared_route`, :mod:`.sharing`, :mod:`.packing` — the scalar
   STD route search, sharing table, group enumeration and set packers.
 """
 
 from tests.oracles.brute_force import all_matchings, all_stable_matchings_brute_force
 from tests.oracles.hamiltonian import held_karp_path, shortest_hamiltonian_path
-from tests.oracles.nonsharing_table import build_nonsharing_table_reference
+from tests.oracles.nonsharing_table import (
+    build_nonsharing_table_reference,
+    nonsharing_scores_reference,
+)
 from tests.oracles.packing import greedy_packing_reference, local_search_reference
 from tests.oracles.rotations import (
     Rotation,
@@ -28,7 +32,11 @@ from tests.oracles.rotations import (
     exposed_rotations,
 )
 from tests.oracles.shared_route import scalar_shared_route
-from tests.oracles.sharing import enumerate_groups_reference, sharing_table_reference
+from tests.oracles.sharing import (
+    enumerate_groups_reference,
+    sharing_scores_reference,
+    sharing_table_reference,
+)
 from tests.oracles.stable_marriage import (
     complete_with_dummies,
     gale_shapley,
@@ -48,8 +56,10 @@ __all__ = [
     "shortest_hamiltonian_path",
     "held_karp_path",
     "build_nonsharing_table_reference",
+    "nonsharing_scores_reference",
     "scalar_shared_route",
     "sharing_table_reference",
+    "sharing_scores_reference",
     "enumerate_groups_reference",
     "greedy_packing_reference",
     "local_search_reference",

@@ -22,8 +22,9 @@ from repro.matching import PreferenceTable
 from repro.packing.feasibility import FeasibilityStats, group_is_feasible
 from repro.resilience.budget import WorkBudget
 from repro.routing.shared_route import build_ride_group
+from tests.oracles.nonsharing_table import PairScores, table_from_scores
 
-__all__ = ["sharing_table_reference", "enumerate_groups_reference"]
+__all__ = ["sharing_table_reference", "sharing_scores_reference", "enumerate_groups_reference"]
 
 
 def sharing_table_reference(
@@ -37,6 +38,20 @@ def sharing_table_reference(
     """The group × taxi double loop over the sharing scores, as a dict
     table: the test oracle of
     :func:`repro.dispatch.sharing.preferences.build_sharing_table`."""
+    scores = sharing_scores_reference(taxis, units, oracle, config, alpha_by_taxi=alpha_by_taxi)
+    return table_from_scores([g.group_id for g in units], [t.taxi_id for t in taxis], scores)
+
+
+def sharing_scores_reference(
+    taxis: Sequence[Taxi],
+    units: Sequence[RideGroup],
+    oracle: DistanceOracle,
+    config: DispatchConfig | None = None,
+    *,
+    alpha_by_taxi: Mapping[int, float] | None = None,
+) -> PairScores:
+    """Both sharing scores of every acceptable ``(group id, taxi id)``
+    pair, by the group × taxi double loop."""
     config = config if config is not None else DispatchConfig()
     alphas = {
         taxi.taxi_id: (alpha_by_taxi or {}).get(taxi.taxi_id, config.alpha) for taxi in taxis
@@ -51,10 +66,7 @@ def sharing_table_reference(
     if len(set(taxi_ids)) != len(taxi_ids):
         raise PreferenceError("duplicate taxi ids")
 
-    proposer_scores: dict[tuple[int, int], float] = {}
-    reviewer_scores: dict[tuple[int, int], float] = {}
-    by_unit: dict[int, list[tuple[float, int]]] = {g.group_id: [] for g in units}
-    by_taxi: dict[int, list[tuple[float, int]]] = {t.taxi_id: [] for t in taxis}
+    scores: PairScores = {}
 
     if not units or not taxis:
         approach = None
@@ -100,18 +112,8 @@ def sharing_table_reference(
             ) * total_trip
             if t_score > config.taxi_threshold_km:
                 continue
-            proposer_scores[(group.group_id, taxi.taxi_id)] = p_score
-            reviewer_scores[(group.group_id, taxi.taxi_id)] = t_score
-            by_unit[group.group_id].append((p_score, taxi.taxi_id))
-            by_taxi[taxi.taxi_id].append((t_score, group.group_id))
-
-    return PreferenceTable(
-        proposer_prefs={u: tuple(t for _, t in sorted(pairs)) for u, pairs in by_unit.items()},
-        reviewer_prefs={t: tuple(u for _, u in sorted(pairs)) for t, pairs in by_taxi.items()},
-        proposer_scores=proposer_scores,
-        reviewer_scores=reviewer_scores,
-        validate=False,
-    )
+            scores[(group.group_id, taxi.taxi_id)] = (p_score, t_score)
+    return scores
 
 
 def enumerate_groups_reference(

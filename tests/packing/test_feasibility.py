@@ -5,6 +5,7 @@ import pytest
 from repro.core import DispatchConfig, PackingError, PassengerRequest
 from repro.geometry import EuclideanDistance, Point
 from repro.packing import enumerate_feasible_groups, group_is_feasible
+from repro.packing.feasibility import GroupMemo
 
 
 @pytest.fixture()
@@ -120,10 +121,11 @@ class TestEnumeration:
     def test_cache_skips_recomputation(self, oracle):
         requests = [request(i, 0.2 * i, 0, 5, 0) for i in range(1, 7)]
         config = DispatchConfig()
-        cache = {}
+        cache = GroupMemo()
         first, stats1 = enumerate_feasible_groups(
             requests, oracle, config, cache=cache, with_stats=True
         )
+        cache.drop_family("memo-cleared")  # a full scan, served by memo hits
         second, stats2 = enumerate_feasible_groups(
             requests, oracle, config, cache=cache, with_stats=True
         )
@@ -133,7 +135,7 @@ class TestEnumeration:
 
     def test_cached_groups_get_fresh_ids(self, oracle):
         requests = [request(i, 0.1 * i, 0, 5, 0) for i in range(1, 4)]
-        cache = {}
+        cache = GroupMemo()
         enumerate_feasible_groups(requests, oracle, DispatchConfig(), cache=cache)
         groups = enumerate_feasible_groups(requests, oracle, DispatchConfig(), cache=cache)
         assert [g.group_id for g in groups] == list(range(len(groups)))

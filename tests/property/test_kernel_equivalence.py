@@ -29,8 +29,9 @@ from repro.geometry import (
     ScaledDistance,
 )
 from repro.matching import build_nonsharing_table
+from repro.matching.preferences import _checked_alphas, _dense_pairs
 from repro.routing.shared_route import build_ride_group
-from tests.oracles import build_nonsharing_table_reference
+from tests.oracles import build_nonsharing_table_reference, nonsharing_scores_reference
 from tests.support import oneway_ring
 
 TAXI_ID_BASE = 100
@@ -85,27 +86,43 @@ def markets(draw):
     return taxis, requests, alpha_by_taxi
 
 
-def assert_tables_identical(reference, candidate, context):
-    assert candidate.proposer_prefs == reference.proposer_prefs, context
-    assert candidate.reviewer_prefs == reference.reviewer_prefs, context
-    # Dict equality on floats is bitwise up to 0.0 == -0.0; distances and
-    # score differences here never produce negative zero from a positive
-    # one, so this is the bit-identity check the kernels promise.
-    assert candidate.proposer_scores == reference.proposer_scores, context
-    assert candidate.reviewer_scores == reference.reviewer_scores, context
+def dense_scores(taxis, requests, oracle, config=None, *, alpha_by_taxi=None):
+    """Both scores of every pair the dense builder keeps, keyed as
+    :func:`nonsharing_scores_reference` keys them."""
+    config = config if config is not None else DispatchConfig()
+    alphas = _checked_alphas(taxis, requests, config, alpha_by_taxi)
+    rj, ti, pick, driver = _dense_pairs(taxis, requests, oracle, config, alphas, None, None)
+    return {
+        (requests[j].request_id, taxis[i].taxi_id): (p, d)
+        for j, i, p, d in zip(rj.tolist(), ti.tolist(), pick.tolist(), driver.tolist())
+    }
 
 
-@settings(max_examples=120, deadline=None)
-@given(markets(), oracles, configs)
-def test_every_engine_matches_scalar_reference(market, oracle, config):
-    taxis, requests, alpha_by_taxi = market
+def assert_builds_identical(taxis, requests, oracle, config, alpha_by_taxi, context):
     reference = build_nonsharing_table_reference(
         taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
     )
     candidate = build_nonsharing_table(
         taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
     )
-    assert_tables_identical(reference, candidate, "dense")
+    assert candidate.proposer_prefs == reference.proposer_prefs, context
+    assert candidate.reviewer_prefs == reference.reviewer_prefs, context
+    # Dict equality on floats is bitwise up to 0.0 == -0.0; distances and
+    # score differences here never produce negative zero from a positive
+    # one, so this is the bit-identity check the kernels promise.
+    expected = nonsharing_scores_reference(
+        taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
+    )
+    assert dense_scores(
+        taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
+    ) == expected, context
+
+
+@settings(max_examples=120, deadline=None)
+@given(markets(), oracles, configs)
+def test_every_engine_matches_scalar_reference(market, oracle, config):
+    taxis, requests, alpha_by_taxi = market
+    assert_builds_identical(taxis, requests, oracle, config, alpha_by_taxi, "dense")
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,13 +131,10 @@ def test_alpha_heterogeneity_changes_only_reviewer_side(market, oracle):
     """Sanity anchor: alphas shift driver scores, never pickup scores."""
     taxis, requests, alpha_by_taxi = market
     config = DispatchConfig()
-    plain = build_nonsharing_table(taxis, requests, oracle, config)
-    mixed = build_nonsharing_table(
-        taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
-    )
-    shared = set(plain.proposer_scores) & set(mixed.proposer_scores)
-    for pair in shared:
-        assert plain.proposer_scores[pair] == mixed.proposer_scores[pair]
+    plain = dense_scores(taxis, requests, oracle, config)
+    mixed = dense_scores(taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi)
+    for pair in set(plain) & set(mixed):
+        assert plain[pair][0] == mixed[pair][0]
 
 
 class TestThresholdBoundary:
@@ -136,7 +150,9 @@ class TestThresholdBoundary:
         for build in (build_nonsharing_table_reference, build_nonsharing_table):
             table = build(taxis, requests, oracle, config)
             assert table.proposer_prefs[0] == (TAXI_ID_BASE,), build.__name__
-            assert table.proposer_scores[(0, TAXI_ID_BASE)] == 5.0, build.__name__
+        for scores in (nonsharing_scores_reference, dense_scores):
+            pair = scores(taxis, requests, oracle, config)[(0, TAXI_ID_BASE)]
+            assert pair[0] == 5.0, scores.__name__
 
     def test_just_beyond_threshold_dropped_by_every_engine(self):
         taxis = [Taxi(TAXI_ID_BASE, Point(3.0, 4.0))]
@@ -163,13 +179,9 @@ class TestThresholdBoundary:
         )
         threshold = distances[len(distances) // 2] if distances else 1.0
         config = DispatchConfig(passenger_threshold_km=threshold)
-        reference = build_nonsharing_table_reference(
-            taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
+        assert_builds_identical(
+            taxis, requests, oracle, config, alpha_by_taxi, "dense-boundary"
         )
-        dense = build_nonsharing_table(
-            taxis, requests, oracle, config, alpha_by_taxi=alpha_by_taxi
-        )
-        assert_tables_identical(reference, dense, "dense-boundary")
 
 
 class TestAsymmetricRoadNetwork:
@@ -199,15 +211,13 @@ class TestAsymmetricRoadNetwork:
         forward = self.network.distance(taxi.location, request.pickup)
         backward = self.network.distance(request.pickup, taxi.location)
         assert forward != backward  # the ring makes a flipped kernel visible
-        table = build_nonsharing_table(self.taxis, self.requests, self.network, self.config)
-        assert table.proposer_scores[(0, TAXI_ID_BASE)] == forward
+        scores = dense_scores(self.taxis, self.requests, self.network, self.config)
+        assert scores[(0, TAXI_ID_BASE)][0] == forward
 
     def test_vectorized_engines_match_scalar_reference(self):
-        reference = build_nonsharing_table_reference(
-            self.taxis, self.requests, self.network, self.config
+        assert_builds_identical(
+            self.taxis, self.requests, self.network, self.config, None, "dense"
         )
-        candidate = build_nonsharing_table(self.taxis, self.requests, self.network, self.config)
-        assert_tables_identical(reference, candidate, "dense")
 
     def test_cost_matrix_uses_taxi_to_pickup_direction(self):
         matrix = build_cost_matrix(self.taxis, self.requests, self.network)

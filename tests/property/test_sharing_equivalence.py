@@ -32,6 +32,7 @@ from repro.dispatch.sharing import build_sharing_table
 from repro.geometry import EuclideanDistance, Point
 from repro.matching.arrays import PreferenceArrays
 from repro.packing import enumerate_feasible_groups
+from repro.packing.feasibility import GroupMemo
 from repro.packing.set_packing import greedy_set_packing, local_search_packing
 from repro.resilience import WorkBudget
 from repro.routing.shared_route import build_ride_group, feasible_shared_route
@@ -40,6 +41,7 @@ from tests.oracles import (
     greedy_packing_reference,
     local_search_reference,
     scalar_shared_route,
+    sharing_scores_reference,
     sharing_table_reference,
 )
 from tests.support import TAXI_ID_BASE, oneway_ring
@@ -92,16 +94,16 @@ def sharing_markets(draw):
 def test_array_table_equals_dict_oracle(market, data):
     oracle, taxis, units, alpha_by_taxi = market
     config = DispatchConfig(alpha=data.draw(st.sampled_from([0.0, 1.0, 1.5])))
-    unbounded = sharing_table_reference(taxis, units, oracle, config, alpha_by_taxi=alpha_by_taxi)
+    unbounded = sharing_scores_reference(taxis, units, oracle, config, alpha_by_taxi=alpha_by_taxi)
     # Thresholds set exactly at realized scores: the boundary pair is
     # kept on both sides (the threshold itself must be positive).
     thresholds = [(math.inf, math.inf)]
-    positive = sorted(p for p in unbounded.proposer_scores.values() if p > 0.0)
+    positive = sorted(p for p, _ in unbounded.values() if p > 0.0)
     if positive:
         thresholds.append(
             (
                 data.draw(st.sampled_from(positive)),
-                data.draw(st.sampled_from(sorted(unbounded.reviewer_scores.values()))),
+                data.draw(st.sampled_from(sorted(t for _, t in unbounded.values()))),
             )
         )
     for passenger_km, taxi_km in thresholds:
@@ -178,16 +180,19 @@ def group_view(groups):
 
 
 @settings(max_examples=200, deadline=None)
-@given(enumerations(), st.booleans())
-def test_mask_enumeration_equals_combinations_scan(case, warm):
+@given(enumerations(), st.sampled_from(["none", "family", "hits"]))
+def test_mask_enumeration_equals_combinations_scan(case, memo):
     oracle, requests, config, kwargs, budget_nodes = case
-    cache, reference_cache = ({}, {}) if warm else (None, None)
-    if warm:
+    cache, reference_cache = (None, None) if memo == "none" else (GroupMemo(), {})
+    if cache is not None:
         # A warm memo: an earlier frame evaluated every other request.
         earlier = requests[::2]
         enumerate_feasible_groups(earlier, oracle, config, cache=cache, **kwargs)
         enumerate_groups_reference(earlier, oracle, config, cache=reference_cache, **kwargs)
         assert cache == reference_cache
+        if memo == "hits":
+            # No carried family: a full scan served by memo hits.
+            cache.drop_family("memo-cleared")
 
     budget = WorkBudget(budget_nodes) if budget_nodes is not None else None
     reference_budget = WorkBudget(budget_nodes) if budget_nodes is not None else None

@@ -32,8 +32,7 @@ def digest(frame, pairs, *, cum=0):
         abandoned=0,
         pairs_crc=frame_pairs_crc(pairs),
         cum_crc=frame_pairs_crc(pairs, seed=cum),
-        rung="primary",
-        mode="warm",
+        rng=f"{frame}:0:0:0000abcd",
     )
 
 
@@ -210,4 +209,4 @@ class TestSchemaSkew:
         skewed.write_text("".join(lines))
         with pytest.raises(JournalSchemaError, match="repro-journal/99"):
             read_journal(skewed)
-        assert JOURNAL_SCHEMA == "repro-journal/2"
+        assert JOURNAL_SCHEMA == "repro-journal/3"

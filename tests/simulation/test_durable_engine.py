@@ -108,6 +108,22 @@ def make_simulator(
     )
 
 
+def faulted_simulator(sim_config, durability=None):
+    """Cold NSTD-P under the ladder and a 1/2 auditor, with a seeded fault
+    schedule (resume refuses warm dispatch with an armed injector)."""
+    injector = FaultInjector(
+        13, latency_rate=0.05, latency_s=40.0, error_rate=0.02, per_call_cost_s=0.01
+    )
+    return make_simulator(
+        sim_config,
+        warm=False,
+        oracle=injector.wrap(ORACLE),
+        durability=durability,
+        auditor=StabilityAuditor(rate=0.5),
+        resilience=ResiliencePolicy(budget_fraction=0.5).with_injector(injector),
+    )
+
+
 def std_p_simulator(sim_config, durability=None):
     """STD-P under the default ladder, as the experiment runners build it."""
     return make_simulator(
@@ -338,23 +354,9 @@ class TestDurableRun:
     ):
         # Every history row kind at once: degraded ladder frames, audit
         # records and a seeded fault schedule that must line up across
-        # the crash.  Cold dispatch: resume refuses warm + injector.
+        # the crash.
         sim_config, fleet, requests = active_workload
-
-        def make(durability=None):
-            injector = FaultInjector(
-                13, latency_rate=0.05, latency_s=40.0, error_rate=0.02, per_call_cost_s=0.01
-            )
-            oracle = injector.wrap(ORACLE)
-            return make_simulator(
-                sim_config,
-                warm=False,
-                oracle=oracle,
-                durability=durability,
-                auditor=StabilityAuditor(rate=0.5),
-                resilience=ResiliencePolicy(budget_fraction=0.5).with_injector(injector),
-            )
-
+        make = partial(faulted_simulator, sim_config)
         reference = make().run(fleet, requests)
         assert reference.resilience.degraded_frames
         assert reference.resilience.faults_absorbed > 0
@@ -363,6 +365,21 @@ class TestDurableRun:
         resumed = resume(make, fleet, requests, tmp_path)
         assert observable(resumed) == observable(reference)
         assert resumed.perf_stats()["replay_frames_verified"] == 8
+
+    def test_fault_injector_resumes_bit_identical_from_a_boundary_snapshot(
+        self, active_workload, tmp_path
+    ):
+        # No frame is replayed, so the restored state alone must make the
+        # resumed frames draw the uninterrupted run's fault schedule: the
+        # snapshot at frame 63 holds queued requests whose trips the run
+        # has measured, and measuring them again would be extra fault
+        # opportunities.
+        sim_config, fleet, requests = active_workload
+        make = partial(faulted_simulator, sim_config)
+        reference = make().run(fleet, requests)
+        interrupt(make, fleet, requests, tmp_path, die_at=63, phase="boundary")
+        resumed = resume(make, fleet, requests, tmp_path)
+        assert observable(resumed) == observable(reference)
 
     def test_tampered_journal_digest_fails_the_resume_loudly(self, workload, tmp_path):
         sim_config, fleet, requests = workload
@@ -392,6 +409,25 @@ class TestDurableRun:
         simulator = make_simulator(sim_config, durability=resumed_manager)
         with pytest.raises(ResumeError, match="diverged from the journal"):
             resume_simulation(simulator, fleet, requests)
+
+    def test_tampered_fault_fingerprint_fails_the_resume_loudly(
+        self, active_workload, tmp_path
+    ):
+        # Rewrite a post-snapshot record's fault-injector fingerprint,
+        # keeping the line checksum valid: the replayed frame draws the
+        # honest schedule, so replay verification must catch the edit.
+        sim_config, fleet, requests = active_workload
+        make = partial(faulted_simulator, sim_config)
+        die_at = 40
+        manager = interrupt(make, fleet, requests, tmp_path, die_at=die_at)
+
+        def forge(record):
+            assert record["rng"] is not None
+            record["rng"] = "0:0:0:00000000"
+
+        rewrite_frame_record(manager.journal_path, die_at - 3, forge)
+        with pytest.raises(ResumeError, match="diverged from the journal"):
+            resume(make, fleet, requests, tmp_path)
 
     def test_completed_journal_refuses_resume(self, workload, tmp_path):
         sim_config, fleet, requests = workload
