@@ -26,7 +26,8 @@ assignment and taxi-total field, and the frame and resilience series
 less their wall-clock fields — to an uninterrupted reference.  Each
 case also records its largest snapshot and its journal size, and fails
 if its newest snapshot carries run history (which lives only in the
-journal).  ``--artifacts-dir`` keeps the journals and snapshots on disk
+journal) or state derived from the trace (the trip table, which every
+run measures at its start).  ``--artifacts-dir`` keeps the journals and snapshots on disk
 for post-mortem (CI uploads them on failure).
 
 Exit code 0 on success, 1 with a failure listing otherwise.  Both fault
@@ -94,6 +95,10 @@ CHECKPOINT_EVERY = 8
 
 #: Snapshot state keys of run history, which only the journal may carry.
 HISTORY_KEYS = frozenset({"outcomes", "assignments", "frame_stats", "resilience", "audit"})
+
+#: Snapshot state keys derived from the immutable trace (the trip table),
+#: which a run rebuilds at its start: a snapshot holds only mutable state.
+TRACE_KEYS = frozenset({"trips"})
 
 
 def comparable(result):
@@ -280,9 +285,11 @@ def run_crash_recovery(artifacts_dir: Path) -> tuple[dict, list[str]]:
                 failures.append(f"{case}: resumed run differs from uninterrupted reference")
                 continue
             newest = manager.store.latest_valid()
-            leaked = sorted(HISTORY_KEYS & set(newest["state"])) if newest else []
+            leaked = sorted((HISTORY_KEYS | TRACE_KEYS) & set(newest["state"])) if newest else []
             if leaked:
-                failures.append(f"{case}: newest snapshot carries run history {leaked}")
+                failures.append(
+                    f"{case}: newest snapshot carries run history or trace-derived state {leaked}"
+                )
                 continue
             summary[case] = {
                 "frames": resumed.frames_run,

@@ -50,11 +50,15 @@ def jain_index(values: Sequence[float]) -> float:
         raise ValueError("cannot compute Jain's index of no values")
     if any(v < 0 for v in values):
         raise ValueError("Jain's index requires non-negative values")
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares <= 0.0:  # all-zero input (values are validated non-negative)
+    peak = max(values)
+    if peak <= 0.0:  # all-zero input (values are validated non-negative)
         return 1.0
-    return (total * total) / (len(values) * squares)
+    # The index is scale-free; dividing by the peak keeps the squares out
+    # of the subnormal range, where tiny inputs lost enough precision to
+    # push the index past 1.
+    scaled = [v / peak for v in values]
+    total = sum(scaled)
+    return (total * total) / (len(values) * sum(v * v for v in scaled))
 
 
 def driver_income_report(

@@ -224,8 +224,8 @@ class PackedSingleSchedule(DispatchSchedule):
 
     Array egress paths (the warm frame solver) already know the
     matched ``(taxi, request)`` rows into the frame's own ``taxis`` /
-    ``requests`` sequences — and, when available, the exact pickup and
-    trip leg lengths of every pair.  This schedule carries those arrays
+    ``requests`` sequences — and, when available, the exact pickup leg
+    of every pair.  This schedule carries those arrays
     verbatim so the simulation engine can execute the frame without
     constructing one :class:`Assignment` (three frozen objects) per
     matched pair.  Every other consumer sees a normal
@@ -235,13 +235,14 @@ class PackedSingleSchedule(DispatchSchedule):
     The schedule is finalized at construction; do not ``add`` to it —
     the row arrays would not see the appended assignment.
 
-    ``pickup_km`` / ``trip_km`` (when not ``None``) are aligned with the
-    row arrays and owe bit-equality with the scalar oracle under the
-    batch-exactness contract; consumers may use them in place of
-    ``oracle.distance`` calls for the matched legs.
+    ``pickup_km`` (when not ``None``) is aligned with the row arrays and
+    owes bit-equality with the scalar oracle under the batch-exactness
+    contract; consumers may use it in place of ``oracle.distance`` calls
+    for the matched pickup legs.  Trip legs are not carried: the engine
+    reads them from its run's trip table.
     """
 
-    __slots__ = ("taxis", "requests", "taxi_rows", "request_rows", "pickup_km", "trip_km")
+    __slots__ = ("taxis", "requests", "taxi_rows", "request_rows", "pickup_km")
 
     def __init__(
         self,
@@ -251,7 +252,6 @@ class PackedSingleSchedule(DispatchSchedule):
         request_rows: "np.ndarray",
         *,
         pickup_km: "np.ndarray | None" = None,
-        trip_km: "np.ndarray | None" = None,
     ):
         # ``assignments`` is intentionally left unset: the slot stays
         # empty until ``__getattr__`` materializes the object view.
@@ -260,7 +260,6 @@ class PackedSingleSchedule(DispatchSchedule):
         self.taxi_rows = taxi_rows
         self.request_rows = request_rows
         self.pickup_km = pickup_km
-        self.trip_km = trip_km
 
     def __getattr__(self, name: str) -> list[Assignment]:
         # Reached only when normal lookup fails — i.e. the first read of

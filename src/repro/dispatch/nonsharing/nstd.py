@@ -19,8 +19,8 @@ complex keys.
 The cold build and the auditor's rebuild read the pickup matrix and
 trip distances from the dispatcher's
 :meth:`~repro.dispatch.base.Dispatcher.distance_cache` (the engine's
-frame cache, or a per-call one outside an engine); warm frames prime
-its trip memo with the new requests' trips.
+frame cache, or a per-call one outside an engine); warm frames read
+their trip vector from it too.
 
 ``warm_start=True`` (NSTD-P and NSTD-T only) additionally carries solver
 state across frames through the warm frame solver
@@ -30,7 +30,7 @@ retained entities' facts ride along as fused arrays, and the stable
 matching is recomputed by the shared Gale–Shapley rounds on complex
 suitor keys, bit-identical to the cold solve.  Warm frames ship a
 :class:`~repro.dispatch.base.PackedSingleSchedule` carrying the
-solver's matched rows and leg lengths.  Any frame whose state fails a
+solver's matched rows and pickup legs.  Any frame whose state fails a
 warm precondition falls back to a cold solve transparently;
 :meth:`NSTDDispatcher.run_telemetry` reports warm/cold frame counts,
 fallbacks, and rebuild fractions.
@@ -206,15 +206,13 @@ class NSTDDispatcher(Dispatcher):
                 self.checkpoint("nstd:matched")
                 # The solver hands back the matched (taxi, request) rows
                 # already sorted by request id, indexing straight into
-                # this frame's sequences, plus each pair's exact leg
-                # lengths.  The schedule ships them verbatim: the engine
+                # this frame's sequences, plus each pair's exact pickup
+                # leg.  The schedule ships them verbatim: the engine
                 # executes the rows directly (it validates every
                 # schedule it executes), and any other consumer
                 # materializes ordinary assignments lazily.
-                (t_rows, r_rows), (pick_legs, trip_legs) = warm
-                return PackedSingleSchedule(
-                    taxis, requests, t_rows, r_rows, pickup_km=pick_legs, trip_km=trip_legs
-                )
+                (t_rows, r_rows), pick_legs = warm
+                return PackedSingleSchedule(taxis, requests, t_rows, r_rows, pickup_km=pick_legs)
         matching = self._dispatch_cold(taxis, requests)
         self.checkpoint("nstd:matched")
         taxis_by_id = {t.taxi_id: t for t in taxis}
@@ -259,7 +257,7 @@ class NSTDDispatcher(Dispatcher):
 
     def _dispatch_warm(
         self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
-    ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] | None:
+    ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray] | None:
         """One frame through the warm frame solver.
 
         Crucially this path never touches the full taxi × request pickup
@@ -268,25 +266,23 @@ class NSTDDispatcher(Dispatcher):
         :class:`~repro.matching.warm_frame.FrameSolveState`.
 
         Returns the solver's matched ``(taxi_rows, request_rows)`` and
-        the matched pairs' ``(pickup_km, trip_km)`` leg lengths, or
-        ``None`` when the frame must be solved cold instead: there is no
-        carried state yet, or the state failed a warm precondition
-        (counted as a fallback, and the state is dropped).
+        the matched pairs' pickup legs, or ``None`` when the frame must
+        be solved cold instead: there is no carried state yet, or the
+        state failed a warm precondition (counted as a fallback, and the
+        state is dropped).
         """
         state = self._warm_state
         if state is not None:
             try:
-                _, matched_rows, matched_legs, build_stats, new_state = warm_frame_solve(
+                _, matched_rows, pick_legs, build_stats, new_state = warm_frame_solve(
                     state,
                     taxis,
                     requests,
                     self.oracle,
                     self.config,
+                    trip_km=self.distance_cache().trip_km(requests),
                     optimize_for=self.optimize_for,
                     alpha_by_taxi=self.alpha_by_taxi,
-                    # Keep the engine's request-keyed trip memo primed so
-                    # per-assignment scoring hits it on warm frames too.
-                    on_new_trips=self.distance_cache().prime_trip_km,
                 )
             except WarmStartError as exc:
                 # The frame failed a warm precondition; redo it cold.
@@ -300,7 +296,7 @@ class NSTDDispatcher(Dispatcher):
                 self._bump("warm_frames")
                 self._bump("pairs_scored_warm", build_stats.pairs_scored)
                 self._bump("full_pairs_warm", build_stats.full_pairs)
-                return matched_rows, matched_legs
+                return matched_rows, pick_legs
         self._bump("cold_frames")
         return None
 

@@ -55,10 +55,12 @@ What the warm path then saves per frame:
   raise :class:`~repro.core.errors.WarmStartError` and the frame re-runs
   cold.  Party and seat counts share the same float-exact bound.
 
-Each matched pair's pickup and trip leg lengths are read straight out
-of the frame's edge arrays and returned with the matching, so the
-dispatcher can ship a packed schedule without re-deriving either
-distance.
+Trips are an operand, not a measurement: the caller passes the
+frame's per-request trip vector (the engines read it from the run's
+trip table), and the solver copies only the entrants' rows into the
+carried facts.  Each matched pair's pickup leg is read straight out of
+the frame's edge arrays and returned with the matching, so the
+dispatcher can ship a packed schedule without re-deriving it.
 
 Entity identity is what makes misclassification impossible rather than
 merely unlikely: an entity is *retained* only if the **same live
@@ -89,12 +91,12 @@ validates coordinate arrays on the exact kernels.
 :func:`_churn_strips` (the frame's edge set, one :func:`_score_strip`
 per churn strip), :func:`_pack_and_solve` (the canonical proposer pack
 plus the shared Gale–Shapley rounds) and :func:`_egress` (matching,
-matched rows and legs, stats and the next state).
+matched rows and pickup legs, stats and the next state).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,7 +105,7 @@ import numpy as np
 from repro.core.config import DispatchConfig
 from repro.core.errors import WarmStartError
 from repro.core.types import PassengerRequest, Taxi
-from repro.geometry.batch import as_point_array, oracle_paired, oracle_pairwise
+from repro.geometry.batch import as_point_array, oracle_pairwise
 from repro.geometry.distance import DistanceOracle
 from repro.matching.arrays import NO_PARTNER
 from repro.matching.deferred_acceptance import gale_shapley_rounds
@@ -377,29 +379,28 @@ def warm_frame_solve(
     oracle: DistanceOracle,
     config: DispatchConfig,
     *,
+    trip_km: np.ndarray,
     optimize_for: str = "passenger",
     alpha_by_taxi: Mapping[int, float] | None = None,
-    on_new_trips: Callable[[np.ndarray, np.ndarray], None] | None = None,
 ) -> tuple[
     Matching,
     tuple[np.ndarray, np.ndarray],
-    tuple[np.ndarray, np.ndarray],
+    np.ndarray,
     IncrementalBuildStats,
     FrameSolveState,
 ]:
     """Solve one frame warm: churn strips, proposer-only pack, shared GS rounds.
 
-    Returns ``(matching, matched_rows, matched_legs, stats, next_state)``:
-    the frame's stable matching (request id → taxi id, in NSTD
-    orientation for both ``optimize_for`` modes); the matched
+    Returns ``(matching, matched_rows, matched_pickup_km, stats,
+    next_state)``: the frame's stable matching (request id → taxi id,
+    in NSTD orientation for both ``optimize_for`` modes); the matched
     ``(taxi_rows, request_rows)`` as positions into the given sequences,
     sorted by request id (so a caller can build a schedule without
-    re-keying either side by id); the matched ``(pickup_km, trip_km)``
-    leg lengths in the same order (the exact-kernel pickup distance of
-    the accepted edge and the carried trip fact); build stats for
-    telemetry; and the state seeding the next frame.  Bit-identical to
-    the cold array path on the same inputs — see the module docstring
-    for the arguments this rests on.
+    re-keying either side by id); the matched pairs' pickup legs in the
+    same order (the exact-kernel distance of each accepted edge); build
+    stats for telemetry; and the state seeding the next frame.
+    Bit-identical to the cold array path on the same inputs — see the
+    module docstring for the arguments this rests on.
 
     Parameters.  ``state`` is the previous frame's
     :class:`FrameSolveState`; it is only *read* (a fresh state is
@@ -411,10 +412,9 @@ def warm_frame_solve(
     objects are safely reclassified as new).  ``optimize_for`` selects
     the proposing side (``"passenger"`` or ``"taxi"``);
     ``alpha_by_taxi`` overrides ``config.alpha`` per driver.
-    ``on_new_trips`` is called once per frame with the ids and trip
-    distances of the *new* requests (the only trips computed this
-    frame); the dispatcher uses it to keep the engine's request-keyed
-    trip memo primed exactly as the cold path's bulk computation does.
+    ``trip_km`` is ``D(r^s, r^d)`` per request, in ``requests`` order —
+    the operand the cold builder takes; the solver reads the new
+    requests' rows of it and measures no trip.
 
     Raises :class:`~repro.core.errors.WarmStartError` — and never a
     partial result — when a precondition fails, carrying a machine-
@@ -430,9 +430,7 @@ def warm_frame_solve(
     the cold frame's ``ValueError``.
     """
     churn = _classify_churn(state, taxis, requests)
-    facts = _entity_facts(
-        state, churn, taxis, requests, oracle, config, alpha_by_taxi, on_new_trips
-    )
+    facts = _entity_facts(state, churn, taxis, requests, trip_km, config, alpha_by_taxi)
     edges = _churn_strips(churn, facts, oracle, config)
     solved = _pack_and_solve(edges, facts, optimize_for)
     return _egress(churn, facts, edges, solved, taxis, requests, optimize_for)
@@ -504,17 +502,16 @@ def _entity_facts(
     churn: _Churn,
     taxis: Sequence[Taxi],
     requests: Sequence[PassengerRequest],
-    oracle: DistanceOracle,
+    trip_km: np.ndarray,
     config: DispatchConfig,
     alpha_by_taxi: Mapping[int, float] | None,
-    on_new_trips: Callable[[np.ndarray, np.ndarray], None] | None,
 ) -> _Facts:
     """Phase 2: the fused fact matrices, extracting only the new entities.
 
     Retained rows were bounded when they first entered a state, so only
     the new entities update the carried bounds; one scalar comparison
-    per frame replaces the full scans.  The new requests' trips are the
-    frame's only trip computation, one exact ``paired`` call.
+    per frame replaces the full scans.  The new requests' trips are
+    their rows of the caller's ``trip_km``.
     """
     new_taxis = [taxis[i] for i in churn.new_t_rows.tolist()]
     k = len(new_taxis)
@@ -544,14 +541,7 @@ def _entity_facts(
         new_rfacts[:, _RPARTY] = np.fromiter(
             (r.passengers for r in new_requests), dtype=np.float64, count=k
         )
-        new_rfacts[:, _RTRIP] = oracle_paired(
-            oracle,
-            sources=new_rfacts[:, : _RY + 1],
-            targets=as_point_array([r.dropoff for r in new_requests], check_finite=False),
-            exact=True,
-        )
-        if on_new_trips is not None:
-            on_new_trips(new_rids, new_rfacts[:, _RTRIP])
+        new_rfacts[:, _RTRIP] = np.asarray(trip_km, dtype=np.float64)[churn.new_r_rows]
     req_ids, rfacts = _fused(
         state.req_ids,
         state.rfacts,
@@ -711,7 +701,7 @@ def _egress(
 ) -> tuple[
     Matching,
     tuple[np.ndarray, np.ndarray],
-    tuple[np.ndarray, np.ndarray],
+    np.ndarray,
     IncrementalBuildStats,
     FrameSolveState,
 ]:
@@ -734,7 +724,6 @@ def _egress(
     # strip arrays, whose pick entry is the exact-kernel pickup distance
     # of that very pair.
     pick_pair = edges.pick[solved.order[solved.final_choice[matched_prop] - 1]]
-    matched_legs = (pick_pair[row_order], facts.rfacts[matched_rows[1], _RTRIP])
 
     stats = IncrementalBuildStats(
         n_taxis=n_taxis,
@@ -766,4 +755,4 @@ def _egress(
         ids_bound=facts.ids_bound,
         counts_bound=facts.counts_bound,
     )
-    return matching, matched_rows, matched_legs, stats, new_state
+    return matching, matched_rows, pick_pair[row_order], stats, new_state

@@ -78,10 +78,12 @@ __all__ = [
 #: records) out of the snapshot into the journal, leaving a history
 #: cursor, and appends the ``crc`` member instead of sorting it in.  /4
 #: added the frame cache's trip memo (``trips``), so a resumed run makes
-#: the oracle calls, and draws the faults, of the interrupted one.
+#: the oracle calls, and draws the faults, of the interrupted one.  /5
+#: dropped it: every run measures its trace's trips at run start, with
+#: no fault injector armed, so a snapshot holds only mutable state.
 #: Older snapshots are refused rather than guessed at, per the
 #: version-skew policy below.
-CHECKPOINT_SCHEMA = "repro-checkpoint/4"
+CHECKPOINT_SCHEMA = "repro-checkpoint/5"
 
 _SNAPSHOT_PREFIX = "snap-"
 _JOURNAL_NAME = "journal.jsonl"
@@ -217,10 +219,12 @@ class CheckpointStore:
 @dataclass(frozen=True, slots=True)
 class ResumePoint:
     """Where a resumed run restarts: the newest snapshot's ``state``
-    payload and the journal ``history`` rows of frames ``0..frame`` it
-    presumes, one dict per frame (see :mod:`repro.resilience.journal`)."""
+    payload, and the journal ``digests`` and ``history`` rows of frames
+    ``0..frame`` it presumes, one of each per frame (see
+    :mod:`repro.resilience.journal`)."""
 
     state: dict
+    digests: list[FrameDigest]
     history: list[dict]
 
 
@@ -484,7 +488,7 @@ def resume_simulation(
                 f"cursor {cursor}, but the snapshot presumes {state.get('history')}; "
                 "refusing to rebuild a history the snapshot does not describe"
             )
-        point = ResumePoint(state=state, history=history)
+        point = ResumePoint(state=state, digests=digests, history=history)
 
     policy = simulator.resilience
     if (

@@ -13,9 +13,10 @@ record per completed frame, carrying
   JSON values: its assignment records, the request outcomes it
   resolved (dispatched or abandoned; each outcome is written by
   exactly one frame), its frame statistics, and its resilience and
-  stability-audit records when it has them.  The simulation core
-  defines the row layout (:meth:`~repro.simulation.core.RunCore.frame_rows`);
-  the journal carries it opaquely.
+  stability-audit records when it has them, each less the fields the
+  digest already carries.  The simulation core defines the row layout
+  (:meth:`~repro.simulation.core.RunCore.frame_rows`); the journal
+  carries it opaquely.
 
 Snapshots therefore never repeat history: on recovery the engine
 rebuilds it from the journal prefix up to the newest snapshot, then
@@ -74,8 +75,12 @@ __all__ = [
 #: /2 added each frame's history ``rows`` to its record and appends the
 #: ``crc`` member last instead of sorting it in.  /3 dropped the digest's
 #: ``rung``, ``mode``, ``audited`` and ``divergence`` fields, which the
-#: frame's resilience and audit rows already carry.
-JOURNAL_SCHEMA = "repro-journal/3"
+#: frame's resilience and audit rows already carry.  /4 dropped from the
+#: rows what the digest carries: the frame time (from the assignment,
+#: stats, resilience and audit rows), the queue, idle, dispatched and
+#: abandoned counts (from the stats row) and the audit row's frame index
+#: and queue and idle counts.  A restore rebuilds them from the digest.
+JOURNAL_SCHEMA = "repro-journal/4"
 
 _RECORD_KINDS = ("header", "frame", "resume", "end")
 

@@ -9,6 +9,10 @@ queue, outcomes, assignments, per-frame statistics and the run's
 steps over it: admit, expire, idle, execute, record, snapshot/restore
 and result assembly.
 
+A request's trip ``D(r^s, r^d)`` is a constant of the trace: the cache
+measures every trip of the trace once, at run start, and every later
+read is a table lookup, so no frame measures a trip.
+
 The history (assignments, resolved outcomes, frame statistics) only
 ever grows.  :meth:`RunCore.frame_rows` hands each frame's new rows to
 the journal, and :meth:`RunCore.state_payload` carries only the mutable
@@ -26,7 +30,7 @@ run at frame length ``e``.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
@@ -40,7 +44,7 @@ from repro.dispatch.scoring import assignment_metrics
 from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle
 from repro.geometry.point import Point
-from repro.resilience.journal import frame_pairs_crc
+from repro.resilience.journal import FrameDigest, frame_pairs_crc
 from repro.resilience.report import ResilienceReport, StabilityAuditReport
 from repro.simulation.events import AssignmentRecord, FrameStats, RequestOutcome, TaxiStats
 from repro.simulation.frame_cache import FrameDistanceCache
@@ -200,7 +204,8 @@ class RunCore:
     The engine owns the clock: it calls :meth:`advance` to move
     :attr:`time_s` to the next frame (or epoch), then runs the steps at
     that time.  ``dispatch_config`` supplies the α/β of the executed
-    metrics.
+    metrics.  Construction measures the trace's trips on ``oracle``, so
+    an engine builds the core with no fault injector armed.
     """
 
     #: Attributes the snapshot leaves out, each rebuilt from state it does carry.
@@ -257,8 +262,9 @@ class RunCore:
         #: each frame's resolutions are a suffix, which frame_rows reads.
         self.resolved: list[RequestOutcome] = []
         self.frame_stats: list[FrameStats] = []
-        # The run's distance memo: idle() opens each frame, solvers read it.
-        self.cache = FrameDistanceCache(oracle)
+        # The run's distance memo: idle() opens each frame, solvers read
+        # it.  Built with the trace, it measures every trip here.
+        self.cache = FrameDistanceCache(oracle, self.ordered)
         self.time_s = 0.0
         #: Running CRC chained over every frame's assignment pairs; the
         #: journal's cross-frame integrity digest.
@@ -341,7 +347,6 @@ class RunCore:
             outcome = self.outcomes_by_id[rid]
             outcome.abandoned = True
             self.resolved.append(outcome)
-        self.cache.retire_requests(expired)
         return len(expired)
 
     def idle(self) -> list[Taxi]:
@@ -401,6 +406,8 @@ class RunCore:
             for scheduled in schedule.assignments
             for rid in scheduled.request_ids
         }
+        trip_km = self.cache.trip_km(list(requests_by_id.values()))
+        trips = dict(zip(requests_by_id, trip_km.tolist()))
         for assignment in schedule.assignments:
             agent = self.agents[assignment.taxi_id]
             rids = assignment.request_ids
@@ -413,23 +420,19 @@ class RunCore:
                 and stops[1].point is request.dropoff
             ):
                 # The canonical non-sharing plan: pickup, then dropoff.
-                self._assign_single(request, agent)
+                self._assign_single(request, agent, None, trips[rids[0]])
             else:
-                self._assign_group(assignment, agent, requests_by_id)
-        # Dispatched requests never return to a frame; their request-keyed
-        # memos are dead (the revenue above was their last read).
-        self.cache.retire_requests(requests_by_id)
+                self._assign_group(assignment, agent, requests_by_id, trips)
         return len(requests_by_id), len(schedule.assignments)
 
-    def execute_pairs(self, pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    def execute_pairs(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
         """Commit single-rider ``(request id, taxi id)`` pairs in the given
         order, each on the canonical plan; returns ``(requests, taxis)``."""
-        retired: list[int] = []
-        for rid, taxi_id in pairs:
-            self._assign_single(self.queue[rid], self.agents[taxi_id])
-            retired.append(rid)
-        self.cache.retire_requests(retired)
-        return len(retired), len(retired)
+        requests = [self.queue[rid] for rid, _ in pairs]
+        trips = self.cache.trip_km(requests).tolist()
+        for request, (_, taxi_id), d2 in zip(requests, pairs, trips):
+            self._assign_single(request, self.agents[taxi_id], None, d2)
+        return len(requests), len(requests)
 
     def _execute_rows(
         self,
@@ -456,32 +459,28 @@ class RunCore:
             or int(r_rows.max()) >= len(batch)
         ):
             raise ValueError("packed schedule has duplicate or out-of-range rows")
-        # Solver-supplied legs are bit-equal to the scalar oracle by the
-        # batch-exactness contract; without them _assign_single derives
-        # the legs exactly as the object path does.
-        none = [None] * n_pairs
-        picks = schedule.pickup_km.tolist() if schedule.pickup_km is not None else none
-        trips = schedule.trip_km.tolist() if schedule.trip_km is not None else none
-        retired: list[int] = []
-        for t_row, r_row, d1, d2 in zip(t_rows.tolist(), r_rows.tolist(), picks, trips):
-            request = batch[r_row]
+        # Solver-supplied pickup legs are bit-equal to the scalar oracle
+        # by the batch-exactness contract; without them _assign_single
+        # measures the leg exactly as the object path does.
+        picks = schedule.pickup_km.tolist() if schedule.pickup_km is not None else [None] * n_pairs
+        requests = [batch[r_row] for r_row in r_rows.tolist()]
+        trips = self.cache.trip_km(requests).tolist()
+        for t_row, request, d1, d2 in zip(t_rows.tolist(), requests, picks, trips):
             self._assign_single(request, self.agents[idle[t_row].taxi_id], d1, d2)
-            retired.append(request.request_id)
-        self.cache.retire_requests(retired)
         return n_pairs, n_pairs
 
     def _assign_single(
         self,
         request: PassengerRequest,
         agent: TaxiAgent,
-        d1: float | None = None,
-        d2: float | None = None,
+        d1: float | None,
+        d2: float,
     ) -> None:
         """Commit ``agent`` to the canonical pickup→dropoff plan of ``request``.
 
-        ``d1``/``d2`` are the pickup and trip legs when the solver
-        already has them (exact by contract); otherwise they come from
-        the oracle and the frame memo.  The
+        ``d2`` is the request's trip, read from the run's trip table;
+        ``d1`` is the pickup leg when the solver already has it (exact
+        by contract), and otherwise comes from the oracle.  The
         :func:`~repro.dispatch.scoring.assignment_metrics` formulas are
         inlined in their exact operation order — the ``0.0 +`` seed, the
         cumulative subtraction, and all — so every number is
@@ -490,8 +489,6 @@ class RunCore:
         """
         if d1 is None:
             d1 = self.oracle.distance(agent.location, request.pickup)
-        if d2 is None:
-            d2 = self.cache.trip_distance(request)
         dcfg = self.dispatch_config
         time_s = self.time_s
         pickup_km = 0.0 + d1
@@ -525,14 +522,16 @@ class RunCore:
         assignment: Assignment,
         agent: TaxiAgent,
         requests_by_id: Mapping[int, PassengerRequest],
+        trips: Mapping[int, float],
     ) -> None:
-        """Commit ``agent`` to a general (shared or reordered) plan."""
+        """Commit ``agent`` to a general (shared or reordered) plan;
+        ``trips`` maps each of its request ids to the request's trip."""
         time_s = self.time_s
         rids = assignment.request_ids
         metrics = assignment_metrics(
             agent.snapshot(), assignment, requests_by_id, self.oracle, self.dispatch_config
         )
-        revenue = sum(self.cache.trip_distance(requests_by_id[rid]) for rid in rids)
+        revenue = sum(trips[rid] for rid in rids)
         for arrival in agent.assign(assignment, time_s, self.oracle, self.sim_config):
             outcome = self.outcomes_by_id[arrival.request_id]
             if arrival.is_pickup:
@@ -608,7 +607,8 @@ class RunCore:
         JSON values: the journal record that makes them durable.
 
         The frame's assignments and resolved outcomes are the suffixes
-        its dispatch and abandonment counts name.
+        its dispatch and abandonment counts name.  Nothing the frame's
+        digest carries (its time and counts) is repeated here.
         """
         assigned = self.assignments[len(self.assignments) - stats.dispatched_taxis:]
         resolved = self.resolved[
@@ -616,7 +616,7 @@ class RunCore:
         ]
         return {
             "assignments": [
-                [r.frame_time_s, r.taxi_id, list(r.request_ids),
+                [r.taxi_id, list(r.request_ids),
                  r.taxi_dissatisfaction, r.total_drive_km, r.revenue_km]
                 for r in assigned
             ],
@@ -626,9 +626,7 @@ class RunCore:
                  o.group_size, o.taxi_id, o.abandoned]
                 for o in resolved
             ],
-            "stats": [stats.time_s, stats.queue_length, stats.idle_taxis,
-                      stats.dispatched_requests, stats.dispatched_taxis,
-                      stats.abandoned, stats.dispatch_ms],
+            "stats": [stats.dispatched_taxis, stats.dispatch_ms],
         }
 
     def state_payload(self) -> dict[str, Any]:
@@ -643,7 +641,6 @@ class RunCore:
             "time_s": self.time_s,
             "arrival_cursor": self.arrival_cursor,
             "queue": list(self.queue.keys()),
-            "trips": self.cache.state_payload(),
             "agents": [
                 [a.taxi_id, a.location.x, a.location.y, a.available_at_s,
                  a.total_driven_km, a.completed_trips, a.served_requests]
@@ -658,11 +655,14 @@ class RunCore:
         }
 
     def restore_state(
-        self, payload: Mapping[str, Any], history: Sequence[Mapping[str, Any]]
+        self,
+        payload: Mapping[str, Any],
+        digests: Sequence[FrameDigest],
+        history: Sequence[Mapping[str, Any]],
     ) -> None:
         """Adopt a :meth:`state_payload` snapshot and rebuild the history
-        from ``history``, the journal's :meth:`frame_rows` of every frame
-        the snapshot presumes.
+        from ``digests`` and ``history``, the journal's digest and
+        :meth:`frame_rows` of every frame the snapshot presumes.
 
         All floats crossed the snapshot and the journal as JSON
         (shortest-repr round trip, exact), so the restored run is
@@ -675,7 +675,6 @@ class RunCore:
         requests_by_id = {r.request_id: r for r in self.ordered}
         for rid in payload["queue"]:
             self.queue[rid] = requests_by_id[rid]
-        self.cache.restore_state(payload["trips"])
         for row in payload["agents"]:
             taxi_id, x, y, avail, driven, trips, served = row
             agent = self.agents[taxi_id]
@@ -686,9 +685,9 @@ class RunCore:
             agent.served_requests = served
         self.snapshots[:] = [agent.snapshot() for agent in self.agent_list]
         self.available_at[:] = [agent.available_at_s for agent in self.agent_list]
-        for rows in history:
+        for digest, rows in zip(digests, history, strict=True):
             self.assignments.extend(
-                AssignmentRecord(row[0], row[1], tuple(row[2]), row[3], row[4], row[5])
+                AssignmentRecord(digest.time_s, row[0], tuple(row[1]), row[2], row[3], row[4])
                 for row in rows["assignments"]
             )
             for row in rows["outcomes"]:
@@ -701,7 +700,11 @@ class RunCore:
                 outcome.taxi_id = row[6]
                 outcome.abandoned = row[7]
                 self.resolved.append(outcome)
-            self.frame_stats.append(FrameStats(*rows["stats"]))
+            dispatched_taxis, dispatch_ms = rows["stats"]
+            self.frame_stats.append(
+                FrameStats(digest.time_s, digest.queue, digest.idle, digest.dispatched,
+                           dispatched_taxis, digest.abandoned, dispatch_ms)
+            )
         self.cum_crc = int(payload["history"]["cum_crc"])
 
     def result(

@@ -47,9 +47,15 @@ from repro.simulation.repositioning import RepositioningPolicy
 __all__ = ["Simulator", "SimulationResult"]
 
 
+#: Record fields equal to a field of their frame's journal digest (its
+#: ``time_s``, ``frame``, ``queue`` and ``idle``): journal rows leave them out.
+_DIGEST_FIELDS = frozenset({"time_s", "frame", "requests", "taxis"})
+
+
 def _row(record: FrameResilienceRecord | StabilityAuditRecord) -> list[Any]:
-    """A flat record as a journal row: its fields in constructor order."""
-    return [getattr(record, f.name) for f in fields(record)]
+    """A flat record as a journal row: its fields in constructor order,
+    less those its frame's digest carries."""
+    return [getattr(record, f.name) for f in fields(record) if f.name not in _DIGEST_FIELDS]
 
 
 class Simulator:
@@ -93,6 +99,13 @@ class Simulator:
         installed :class:`~repro.resilience.checkpoint.DurabilityManager`.
         """
         config = self.sim_config
+        policy = self.resilience
+        if policy is not None and policy.fault_injector is not None:
+            # Faults are confined to dispatch attempts: the ladder arms
+            # the injector per attempt and the engine's own work (the
+            # run-start trip measurement, the accounting) never runs
+            # with it armed.
+            policy.fault_injector.disarm()
         core = RunCore(taxis, requests, self.oracle, config, self.dispatcher.config)
         self.dispatcher.frame_cache = core.cache
         # Warm solver state (if the dispatcher carries any) never outlives
@@ -101,7 +114,6 @@ class Simulator:
 
         # The degradation ladder (if any) is instantiated once per run;
         # every rung shares the frame cache and the run's oracle.
-        policy = self.resilience
         rungs: list[tuple[Rung, Dispatcher]] | None = None
         report: ResilienceReport | None = None
         if policy is not None:
@@ -110,11 +122,6 @@ class Simulator:
             for _, rung_dispatcher in rungs:
                 rung_dispatcher.frame_cache = core.cache
                 rung_dispatcher.reset_warm_state(counters=True)
-            if policy.fault_injector is not None:
-                # Faults are confined to dispatch attempts: the ladder
-                # arms the injector per attempt and the engine's own
-                # accounting never runs with it armed.
-                policy.fault_injector.disarm()
 
         frame = config.frame_length_s
         deadline = config.horizon_s + self.overrun_s
@@ -305,12 +312,16 @@ class Simulator:
         """Adopt a :meth:`_state_payload` snapshot and rebuild the history
         from its journal prefix (crash recovery)."""
         payload = point.state
-        core.restore_state(payload, point.history)
-        for rows in point.history:
+        core.restore_state(payload, point.digests, point.history)
+        for digest, rows in zip(point.digests, point.history):
+            # Each record's leading fields come back from the digest.
             if report is not None and "resilience" in rows:
-                report.record(FrameResilienceRecord(*rows["resilience"]))
+                report.record(FrameResilienceRecord(digest.time_s, *rows["resilience"]))
             if self.auditor is not None and "audit" in rows:
-                self.auditor.report.record(StabilityAuditRecord(*rows["audit"]))
+                mode, *verdict = rows["audit"]
+                self.auditor.report.record(StabilityAuditRecord(
+                    digest.time_s, digest.frame, mode, digest.queue, digest.idle, *verdict
+                ))
         self.dispatcher.restore_state(payload.get("dispatch") or {})
         policy = self.resilience
         if policy is not None and policy.fault_injector is not None:

@@ -11,32 +11,33 @@ its own for that one call, so it computes exactly what it would inside.
 
 Ownership and invalidation
 --------------------------
-The :class:`~repro.simulation.engine.Simulator` owns one cache per run
-and hands it to the dispatcher through the ``frame_cache`` attribute on
-:class:`~repro.dispatch.base.Dispatcher`.  At every frame boundary the
-engine calls :meth:`FrameDistanceCache.begin_frame`, which drops all
-**taxi-dependent** matrices — taxis move between frames, so anything
-keyed on taxi positions is stale the moment the frame ends.  Trip
-distances are **request-keyed**: immutable facts about frozen requests
-that persist while their request is queued, so a request waiting across
-frames is measured once.  The engines retire each request's trip as it
-resolves (:meth:`FrameDistanceCache.retire_requests`), which bounds the
-memo by the live queue.
+The :class:`~repro.simulation.core.RunCore` of each run owns one cache
+and the engine hands it to the dispatcher through the ``frame_cache``
+attribute on :class:`~repro.dispatch.base.Dispatcher`.  At every frame
+boundary the core calls :meth:`FrameDistanceCache.begin_frame`, which
+drops all **taxi-dependent** matrices — taxis move between frames, so
+anything keyed on taxi positions is stale the moment the frame ends.
+Trip distances ``D(r^s, r^d)`` are constants of the immutable trace:
+the run's cache is built with the whole trace and measures every trip
+once, at run start, in one exact call.  From then on a trip read is a
+table lookup, and no frame measures a trip.  A cache built without a
+trace (a dispatcher outside an engine) measures the trips it is asked
+for, in one call per read.
 
 Exactness
 ---------
 Every cached value is computed with ``exact=True`` batch kernels, which
 fall back to scalar ``distance`` loops on oracles that do not honour
-the exactness contract (see :mod:`repro.geometry.batch`).  A cache hit
-is therefore bit-identical to the scalar oracle call it replaces, so
-threading the cache through a dispatcher can never change its output —
-only how fast it is produced.
+the exactness contract (see :mod:`repro.geometry.batch`).  The exact
+kernels are elementwise, so a table entry measured with the whole trace
+is bit-identical to the scalar oracle call it replaces, and threading
+the cache through a dispatcher can never change its output — only how
+fast it is produced.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from typing import ClassVar
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -47,60 +48,49 @@ from repro.geometry.distance import DistanceOracle
 __all__ = ["FrameDistanceCache"]
 
 
+def _measure_trips(oracle: DistanceOracle, requests: Sequence[PassengerRequest]) -> np.ndarray:
+    """``D(r^s, r^d)`` of ``requests``, in order, in one exact paired call."""
+    return oracle_paired(
+        oracle,
+        sources=[r.pickup for r in requests],
+        targets=[r.dropoff for r in requests],
+        exact=True,
+    )
+
+
 class FrameDistanceCache:
-    """One frame's batched distance matrices, computed once, read many."""
+    """One frame's batched distance matrices, computed once, read many.
 
-    #: Attributes the snapshot leaves out (:meth:`state_payload` holds the
-    #: trip memo), each with the reason a resumed run does not need it.
-    DURABILITY_EXCLUSIONS: ClassVar[dict[str, str]] = {
-        "_pickup": "taxi-keyed matrices, dropped at every frame boundary, where snapshots are taken",
-        "frames": "telemetry counter; a resumed cache counts from the resume",
-        "hits": "telemetry counter; a resumed cache counts from the resume",
-        "misses": "telemetry counter; a resumed cache counts from the resume",
-        "evictions": "telemetry counter; a resumed cache counts from the resume",
-    }
+    ``trace`` is every request the cache will be asked about (an
+    engine's whole trace): their trips are measured here, in one call,
+    and every later :meth:`trip_km` read of them is a lookup.
+    """
 
-    def __init__(self, oracle: DistanceOracle):
+    def __init__(self, oracle: DistanceOracle, trace: Sequence[PassengerRequest] = ()):
         self.oracle = oracle
         # taxi-dependent: cleared every begin_frame()
         self._pickup: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-        # request-keyed: persists while its request is live (see
-        # retire_requests)
-        self._trip_km: dict[int, float] = {}
+        # request-keyed, for the life of the cache: the trace's trips,
+        # sorted by request id
+        ids = np.fromiter((r.request_id for r in trace), dtype=np.int64, count=len(trace))
+        order = np.argsort(ids, kind="stable")
+        self._trip_ids = ids[order]
+        self._trips = _measure_trips(oracle, trace)[order] if len(trace) else np.empty(0)
         self.frames = 0
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     def begin_frame(self) -> None:
         """Start a new frame: drop everything keyed on taxi positions."""
         self.frames += 1
         self._pickup.clear()
 
-    def retire_requests(self, request_ids: Iterable[int]) -> None:
-        """Evict the trip memos of requests that left the system.
-
-        Served and expired requests can never reappear in a frame, so
-        their trip distances are dead weight; the engine calls this as
-        requests resolve, which bounds the memo by the live queue
-        instead of letting it grow with the whole trace.
-        """
-        trips = self._trip_km
-        # Membership tests run against the retired ids (a frame's worth),
-        # never by scanning the memo itself (queue-sized or larger).
-        dead_trips = [rid for rid in request_ids if rid in trips]
-        for rid in dead_trips:
-            del trips[rid]
-        self.evictions += len(dead_trips)
-
     def stats(self) -> dict[str, float | int]:
-        """Occupancy and traffic counters, for run telemetry."""
+        """Traffic counters, for run telemetry."""
         return {
             "cache_frames": self.frames,
             "cache_hits": self.hits,
             "cache_misses": self.misses,
-            "cache_evictions": self.evictions,
-            "cache_trip_entries": len(self._trip_km),
         }
 
     # -- taxi-dependent ----------------------------------------------------
@@ -134,77 +124,28 @@ class FrameDistanceCache:
         self._pickup[key] = matrix
         return matrix
 
-    # -- request-keyed (persist across frames) -----------------------------
+    # -- request-keyed (the trace's trip table) ----------------------------
 
     def trip_km(self, requests: Sequence[PassengerRequest]) -> np.ndarray:
         """``D(r_j^s, r_j^d)`` per request, in the given order.
 
-        Trip distances are memoized by request id for the life of the
-        cache, so a request that waits in the queue for many frames is
-        measured exactly once.
+        A read the trip table answers whole is a hit; otherwise the
+        requests it lacks are measured in one exact call (a miss).  An
+        empty read counts as neither.
         """
-        trips = self._trip_km
-        missing = [r for r in requests if r.request_id not in trips]
-        if missing:
-            self.misses += 1
-            distances = oracle_paired(
-                self.oracle,
-                sources=[r.pickup for r in missing],
-                targets=[r.dropoff for r in missing],
-                exact=True,
-            )
-            for request, km in zip(missing, distances.tolist()):
-                trips[request.request_id] = km
+        if not requests:
+            return np.empty(0, dtype=np.float64)
+        ids = np.fromiter((r.request_id for r in requests), dtype=np.int64, count=len(requests))
+        known = self._trip_ids
+        if known.size:
+            rows = np.minimum(known.searchsorted(ids), known.size - 1)
+            km, found = self._trips[rows], known[rows] == ids
+            if found.all():
+                self.hits += 1
+                return km
         else:
-            self.hits += 1
-        return np.array([trips[r.request_id] for r in requests], dtype=np.float64)
-
-    def prime_trip_km(
-        self, request_ids: Sequence[int] | np.ndarray, km: Sequence[float] | np.ndarray
-    ) -> None:
-        """Seed the trip memo with values computed elsewhere.
-
-        The warm frame solver computes new requests' trip distances with
-        the same exact kernels this cache uses; priming them here keeps
-        the engine's per-assignment :meth:`trip_distance` reads hitting
-        the memo on warm frames exactly as they do on cold ones.
-        """
-        rid_list = request_ids.tolist() if isinstance(request_ids, np.ndarray) else [
-            int(rid) for rid in request_ids
-        ]
-        km_list = km.tolist() if isinstance(km, np.ndarray) else [float(value) for value in km]
-        trips = self._trip_km
-        for rid, value in zip(rid_list, km_list):
-            trips[rid] = value
-
-    def state_payload(self) -> list[list[int | float]]:
-        """The trip memo as ``[request_id, km]`` rows, for a snapshot.
-
-        A resumed run must make exactly the oracle calls the interrupted
-        one would have made: under a fault injector every call draws
-        from the fault schedule, so measuring a queued request's trip
-        a second time would shift every later fault.
-        """
-        return [[rid, km] for rid, km in self._trip_km.items()]
-
-    def restore_state(self, payload: Sequence[Sequence[int | float]]) -> None:
-        """Adopt a :meth:`state_payload` trip memo."""
-        self._trip_km = {int(rid): float(km) for rid, km in payload}
-
-    def trip_distance(self, request: PassengerRequest) -> float:
-        """Single-request trip distance through the same memo."""
-        km = self._trip_km.get(request.request_id)
-        if km is None:
-            km = float(
-                oracle_paired(
-                    self.oracle,
-                    sources=[request.pickup],
-                    targets=[request.dropoff],
-                    exact=True,
-                )[0]
-            )
-            self._trip_km[request.request_id] = km
-            self.misses += 1
-        else:
-            self.hits += 1
+            km, found = np.empty(len(ids)), np.zeros(len(ids), dtype=bool)
+        self.misses += 1
+        missing = np.flatnonzero(~found)
+        km[missing] = _measure_trips(self.oracle, [requests[j] for j in missing.tolist()])
         return km

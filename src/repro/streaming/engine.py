@@ -131,12 +131,7 @@ class StreamingEngine:
                 pickup_xy, request_ids = core.queue_columns()
                 trip = cache.trip_km(batch)
                 report = matcher.match_epoch(
-                    idle,
-                    batch,
-                    trip_km=trip,
-                    pickup_xy=pickup_xy,
-                    request_ids=request_ids,
-                    on_new_trips=cache.prime_trip_km,
+                    idle, batch, trip_km=trip, pickup_xy=pickup_xy, request_ids=request_ids
                 )
                 dispatch_ms = (telemetry_clock() - dispatch_start) * 1e3
                 plan = report.plan

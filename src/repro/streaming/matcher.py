@@ -35,7 +35,7 @@ misses, and anchor drift alike.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,7 +177,6 @@ class ZoneMatcher:
         trip_km: np.ndarray,
         pickup_xy: np.ndarray,
         request_ids: np.ndarray,
-        on_new_trips: Callable[[np.ndarray, np.ndarray], None] | None = None,
     ) -> EpochMatchReport:
         """Solve one matching epoch zone group by zone group.
 
@@ -189,10 +188,8 @@ class ZoneMatcher:
         trace-order columns
         (:meth:`~repro.simulation.core.RunCore.queue_columns`), so no
         epoch converts its queue's pickups; they must describe
-        ``requests`` row for row.  ``on_new_trips`` receives the
-        ids/trips of requests a warm group scored for the first time, so
-        the engine's trip memo stays primed on warm epochs exactly as on
-        cold ones.
+        ``requests`` row for row.  Warm and cold groups alike read their
+        trips from ``trip_km``: no epoch measures a trip.
 
         Returns the epoch's union matching and group accounting.  The
         union over groups equals the global NSTD-P solve of the same
@@ -278,7 +275,7 @@ class ZoneMatcher:
                         group_requests,
                         self.oracle,
                         self.config,
-                        on_new_trips=on_new_trips,
+                        trip_km=group_trip,
                     )
                 except WarmStartError:
                     self._bump("warm_fallbacks")

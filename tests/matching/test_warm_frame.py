@@ -3,8 +3,9 @@
 The sweeping bit-identity guarantees live in
 ``tests/property/test_warm_start_properties.py``; these tests pin the
 module's *contracts* one by one — address-based retention, matched-row
-presentation, fallback triggers, the new-trip callback — so a failure
-names the broken rule instead of just "the matching changed".
+presentation, fallback triggers, trips read from the caller's operand —
+so a failure names the broken rule instead of just "the matching
+changed".
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.matching.warm_frame import (
     frame_state_from_cold,
     warm_frame_solve,
 )
+from tests.support import CountingOracle
 
 ORACLE = EuclideanDistance()
 CONFIG = DispatchConfig()
@@ -46,17 +48,20 @@ def _frame(n_taxis=4, n_requests=4, seed=3, spread=1.5):
     return taxis, requests
 
 
-def _seed_state(taxis, requests, config=CONFIG):
-    arrays = build_nonsharing_arrays(taxis, requests, ORACLE, config)
-    matching = passenger_optimal(arrays)
-    trips = oracle_paired(
+def _trips(requests):
+    return oracle_paired(
         ORACLE,
         sources=[r.pickup for r in requests],
         targets=[r.dropoff for r in requests],
         exact=True,
     )
+
+
+def _seed_state(taxis, requests, config=CONFIG):
+    arrays = build_nonsharing_arrays(taxis, requests, ORACLE, config)
+    matching = passenger_optimal(arrays)
     return matching, frame_state_from_cold(
-        taxis, requests, matching, trip=trips, config=config
+        taxis, requests, matching, trip=_trips(requests), config=config
     )
 
 
@@ -71,7 +76,8 @@ class TestRetentionByAddress:
         next_taxis = [t for t in taxis if t.taxi_id not in matched_t]
         assert next_taxis and next_requests
         _, _, _, stats, _ = warm_frame_solve(
-            state, next_taxis, next_requests, ORACLE, CONFIG_THRESH
+            state, next_taxis, next_requests, ORACLE, CONFIG_THRESH,
+            trip_km=_trips(next_requests),
         )
         assert stats.retained_taxis == len(next_taxis)
         assert stats.retained_requests == len(next_requests)
@@ -94,7 +100,9 @@ class TestRetentionByAddress:
             Taxi(t.taxi_id, t.location, t.seats) for t in taxis if t.taxi_id not in matched_t
         ]
         assert clones_t and clones_r
-        _, _, _, stats, _ = warm_frame_solve(state, clones_t, clones_r, ORACLE, CONFIG_THRESH)
+        _, _, _, stats, _ = warm_frame_solve(
+            state, clones_t, clones_r, ORACLE, CONFIG_THRESH, trip_km=_trips(clones_r)
+        )
         assert stats.retained_taxis == 0
         assert stats.retained_requests == 0
         assert stats.pairs_scored == stats.full_pairs
@@ -108,7 +116,7 @@ class TestRetentionByAddress:
         matching, state = _seed_state(taxis, requests, CONFIG_THRESH)
         assert matching.pairs
         _, _, _, stats, _ = warm_frame_solve(
-            state, list(taxis), list(requests), ORACLE, CONFIG_THRESH
+            state, list(taxis), list(requests), ORACLE, CONFIG_THRESH, trip_km=_trips(requests)
         )
         assert stats.retained_taxis == len(taxis) - len({t for _, t in matching.pairs})
         assert stats.retained_requests == len(requests) - len(
@@ -126,7 +134,7 @@ class TestSolveOutputs:
             PassengerRequest(r.request_id + 10, r.pickup, r.dropoff) for r in new_requests
         ]
         matching, matched_rows, _, _, _ = warm_frame_solve(
-            state, new_taxis, new_requests, ORACLE, CONFIG
+            state, new_taxis, new_requests, ORACLE, CONFIG, trip_km=_trips(new_requests)
         )
         cold = passenger_optimal(build_nonsharing_arrays(new_taxis, new_requests, ORACLE, CONFIG))
         assert matching.pairs == cold.pairs
@@ -139,25 +147,21 @@ class TestSolveOutputs:
         ]
         assert pairs == sorted(matching.pairs)
 
-    def test_on_new_trips_reports_only_new_requests(self):
+    def test_entrant_trips_are_read_from_the_operand(self):
+        # The solver measures no trip: an entrant's carried trip fact is
+        # its row of ``trip_km``, and the only oracle calls are strips.
         taxis, requests = _frame()
         matching, state = _seed_state(taxis, requests)
         matched_r = {p for p, _ in matching.pairs}
         survivors = [r for r in requests if r.request_id not in matched_r]
-        fresh = [PassengerRequest(100, Point(0.5, 0.5), Point(1.5, -0.5))]
-        seen: list[tuple[list[int], list[float]]] = []
-        warm_frame_solve(
-            state,
-            [Taxi(50, Point(0.0, 0.0))],
-            survivors + fresh,
-            ORACLE,
-            CONFIG,
-            on_new_trips=lambda ids, km: seen.append((ids.tolist(), km.tolist())),
+        frame = survivors + [PassengerRequest(100, Point(0.5, 0.5), Point(1.5, -0.5))]
+        trip_km = _trips(frame)
+        oracle = CountingOracle(ORACLE)
+        *_, new_state = warm_frame_solve(
+            state, [Taxi(50, Point(0.0, 0.0))], frame, oracle, CONFIG, trip_km=trip_km
         )
-        assert len(seen) == 1
-        ids, km = seen[0]
-        assert ids == [100]
-        np.testing.assert_allclose(km, [fresh[0].trip_distance(ORACLE)])
+        assert oracle.paired_calls == 0 and oracle.pairwise_calls >= 1
+        assert new_state.rfacts[-1, 3] == trip_km[-1]
 
 
 class TestFallbacks:
@@ -166,7 +170,8 @@ class TestFallbacks:
         _, state = _seed_state(taxis, requests)
         dupes = [Taxi(9, Point(1.0, 0.0)), Taxi(8, Point(0.0, 1.0)), Taxi(8, Point(1.0, 1.0))]
         with pytest.raises(WarmStartError) as err:
-            warm_frame_solve(state, dupes, [PassengerRequest(99, Point(0, 0), Point(1, 1))], ORACLE, CONFIG)
+            lone = [PassengerRequest(99, Point(0, 0), Point(1, 1))]
+            warm_frame_solve(state, dupes, lone, ORACLE, CONFIG, trip_km=_trips(lone))
         assert err.value.reason == "duplicate-ids"
 
     def test_duplicate_request_ids_raise(self):
@@ -178,7 +183,9 @@ class TestFallbacks:
             PassengerRequest(8, Point(0, 1), Point(1, 0)),
         ]
         with pytest.raises(WarmStartError) as err:
-            warm_frame_solve(state, [Taxi(50, Point(0.0, 0.0))], dupes, ORACLE, CONFIG)
+            warm_frame_solve(
+                state, [Taxi(50, Point(0.0, 0.0))], dupes, ORACLE, CONFIG, trip_km=_trips(dupes)
+            )
         assert err.value.reason == "duplicate-ids"
 
     def test_negative_alpha_raises(self):
@@ -191,6 +198,7 @@ class TestFallbacks:
                 [PassengerRequest(99, Point(0, 0), Point(1, 1))],
                 ORACLE,
                 CONFIG,
+                trip_km=np.array([2.0**0.5]),
                 alpha_by_taxi={50: -1.0},
             )
         assert err.value.reason == "bad-alpha"

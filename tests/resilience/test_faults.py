@@ -118,16 +118,20 @@ class TestFaultyOracle:
             base, sources=[requests[0].pickup], targets=[requests[0].dropoff], exact=True
         )
         state = frame_state_from_cold(taxis, requests, matching, trip=trip, config=config)
-        # Taxis 1 and 2 are retained, taxi 3 and request 1 are new: one
-        # trip call, then the new-taxi strip and the retained-taxi strip.
+        # Taxis 1 and 2 are retained, taxi 3 and request 1 are new: the
+        # new-taxi strip and the retained-taxi strip, and no trip call
+        # (the new request's trip is the caller's operand).
         frame = (
             [taxis[1], taxis[2], Taxi(3, Point(1.0, 1.0))],
             [PassengerRequest(1, Point(4.0, 4.0), Point(2.0, 2.0))],
         )
+        new_trip = oracle_paired(
+            base, sources=[frame[1][0].pickup], targets=[frame[1][0].dropoff], exact=True
+        )
         injector = FaultInjector(0)
-        faulted = warm_frame_solve(state, *frame, injector.wrap(base), config)
-        assert injector.calls == 3
-        assert faulted[0] == warm_frame_solve(state, *frame, base, config)[0]
+        faulted = warm_frame_solve(state, *frame, injector.wrap(base), config, trip_km=new_trip)
+        assert injector.calls == 2
+        assert faulted[0] == warm_frame_solve(state, *frame, base, config, trip_km=new_trip)[0]
 
     def test_sharing_table_counts_its_approach_call(self):
         base = EuclideanDistance()

@@ -110,9 +110,10 @@ def make_simulator(
 
 def faulted_simulator(sim_config, durability=None):
     """Cold NSTD-P under the ladder and a 1/2 auditor, with a seeded fault
-    schedule (resume refuses warm dispatch with an armed injector)."""
+    schedule (resume refuses warm dispatch with an armed injector) that
+    degrades four frames and absorbs two faults on ``active_workload``."""
     injector = FaultInjector(
-        13, latency_rate=0.05, latency_s=40.0, error_rate=0.02, per_call_cost_s=0.01
+        16, latency_rate=0.05, latency_s=40.0, error_rate=0.02, per_call_cost_s=0.01
     )
     return make_simulator(
         sim_config,
@@ -370,10 +371,10 @@ class TestDurableRun:
         self, active_workload, tmp_path
     ):
         # No frame is replayed, so the restored state alone must make the
-        # resumed frames draw the uninterrupted run's fault schedule: the
-        # snapshot at frame 63 holds queued requests whose trips the run
-        # has measured, and measuring them again would be extra fault
-        # opportunities.
+        # resumed frames draw the uninterrupted run's fault schedule.  The
+        # snapshot at frame 63 holds queued requests; the resumed run
+        # measures their trips again, but at run start, disarmed, so no
+        # frame makes an extra fault opportunity.
         sim_config, fleet, requests = active_workload
         make = partial(faulted_simulator, sim_config)
         reference = make().run(fleet, requests)
@@ -504,6 +505,7 @@ class TestSnapshotContents:
         for path in paths:
             state = json.loads(path.read_text())["state"]
             assert not HISTORY_KEYS & set(state)
+            assert "trips" not in state  # trace-derived: measured at run start
             assert set(state["history"]) == {"frames", "assignments", "outcomes", "cum_crc"}
 
     def test_snapshot_size_does_not_grow_with_the_run(self, tmp_path):

@@ -9,7 +9,9 @@ journal digests and frame-cache counters are pinned to the values the
 engines produced when every frame gathered its idle list.  The journal
 pins moved once, when the digest dropped its rung, mode and audit
 fields: the new values are the CRCs of the old digests' remaining
-fields.
+fields.  The cache counters moved when trips became a run-start table:
+trip reads that measured (or bypassed the cache) became hits, and the
+eviction and trip-entry counters went with the memo they described.
 """
 
 from __future__ import annotations
@@ -32,23 +34,15 @@ from repro.simulation import Simulator
 from repro.streaming import StreamingEngine
 from repro.trace.profiles import nyc_profile
 
-#: Frame-cache counters of every pinned run (none of them depends on
-#: the dispatcher's warm state).
-CACHE_NSTD = {
-    "cache_frames": 476,
-    "cache_hits": 2,
-    "cache_misses": 2,
-    "cache_evictions": 30,
-    "cache_trip_entries": 0,
-}
-#: STD reads only trip distances from the cache: its pickup gaps are
-#: measured by the group enumeration itself.
-CACHE_STD = CACHE_NSTD | {
-    "cache_hits": 0,
-    "cache_misses": 21,
-    "cache_evictions": 21,
-}
-CACHE_STREAM = CACHE_NSTD | {"cache_hits": 181, "cache_misses": 22}
+#: Frame-cache counters of every pinned run.  Every trip read is a hit
+#: on the run-start trip table (one per solve and one per executed
+#: frame); the one miss is the warm run's single cold frame's pickup
+#: matrix.
+CACHE_NSTD = {"cache_frames": 476, "cache_hits": 200, "cache_misses": 1}
+#: STD reads only trip distances from the cache, once per executed
+#: frame: its pickup gaps are measured by the group enumeration itself.
+CACHE_STD = CACHE_NSTD | {"cache_hits": 18, "cache_misses": 0}
+CACHE_STREAM = CACHE_NSTD | {"cache_misses": 0}
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,9 @@
 
 The cache's contract has three legs: exactness (a hit is bit-identical
 to the scalar oracle call it replaces), invalidation (taxi-dependent
-matrices die at the frame boundary, request-keyed values persist), and
-transparency (installing the cache on a dispatcher changes nothing but
-wall clock).  Each leg gets its own test class.
+matrices die at the frame boundary, the trace's trip table persists),
+and transparency (installing the cache on a dispatcher changes nothing
+but wall clock).  Each leg gets its own test class.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from repro.dispatch.nonsharing import (
 from repro.dispatch.sharing import STDDispatcher
 from repro.geometry import EuclideanDistance, ManhattanDistance, Point
 from repro.simulation import FrameDistanceCache
-from tests.support import oneway_ring
+from tests.support import CountingOracle, oneway_ring
 
 ORACLE = EuclideanDistance()
 
@@ -45,15 +45,13 @@ class TestExactness:
                 assert matrix[i, j] == ORACLE.distance(taxi.location, request.pickup)
 
     def test_trip_km_matches_scalar_oracle(self):
+        # A standalone cache measures on demand; a cache built with the
+        # trace (in another order) reads its run-start table.
         _, requests = small_frame()
-        cache = FrameDistanceCache(ORACLE)
-        trips = cache.trip_km(requests)
-        for j, request in enumerate(requests):
-            assert trips[j] == ORACLE.distance(request.pickup, request.dropoff)
-        for request in requests:
-            assert cache.trip_distance(request) == ORACLE.distance(
-                request.pickup, request.dropoff
-            )
+        for cache in (FrameDistanceCache(ORACLE), FrameDistanceCache(ORACLE, requests[::-1])):
+            trips = cache.trip_km(requests)
+            for j, request in enumerate(requests):
+                assert trips[j] == ORACLE.distance(request.pickup, request.dropoff)
 
     def test_exact_on_non_batch_oracle(self):
         # Manhattan has no exact batch kernel contract issue either, but
@@ -95,34 +93,25 @@ class TestInvalidationAndReuse:
 
     def test_request_keyed_values_survive_frames(self):
         _, requests = small_frame()
-        cache = FrameDistanceCache(ORACLE)
+        cache = FrameDistanceCache(ORACLE, requests)
         cache.begin_frame()
         trips = cache.trip_km(requests)
         cache.begin_frame()
         assert np.array_equal(cache.trip_km(requests), trips)
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.hits == 2 and cache.misses == 0
 
     def test_trip_memo_computes_only_missing(self):
         _, requests = small_frame()
-        cache = FrameDistanceCache(ORACLE)
-        cache.trip_km(requests[:4])
-        misses_before = cache.misses
-        # Superset: one more batched miss measures only the four new ones.
+        oracle = CountingOracle(ORACLE)
+        cache = FrameDistanceCache(oracle, requests[:4])
+        assert oracle.paired_calls == 1
+        # A read past the table is one batched miss that measures only
+        # the four requests the table lacks.
         full = cache.trip_km(requests)
-        assert cache.misses == misses_before + 1
-        assert full[0] == ORACLE.distance(requests[0].pickup, requests[0].dropoff)
-
-    def test_prime_trip_km_preloads_the_memo(self):
-        # The warm frame solver measures new requests' trips itself and
-        # primes the cache; subsequent reads must hit, not recompute.
-        _, requests = small_frame()
-        cache = FrameDistanceCache(ORACLE)
-        km = [ORACLE.distance(r.pickup, r.dropoff) for r in requests]
-        cache.prime_trip_km([r.request_id for r in requests], km)
-        assert cache.misses == 0
-        np.testing.assert_array_equal(cache.trip_km(requests), km)
-        assert cache.trip_distance(requests[0]) == km[0]
-        assert cache.hits == 2 and cache.misses == 0
+        assert cache.misses == 1 and cache.hits == 0
+        assert oracle.paired_calls == 2 and len(oracle.events[-1]) == 4
+        for j, request in enumerate(requests):
+            assert full[j] == ORACLE.distance(request.pickup, request.dropoff)
 
     def test_matrices_are_read_only(self):
         taxis, requests = small_frame()
@@ -194,21 +183,3 @@ class TestDispatcherTransparency:
                     assert cache.misses > 0, label  # the cache was actually consulted
                 assert bare_pairs, label  # every frame serves someone
 
-
-class TestTripCapacity:
-    """The trip memo holds only live requests: the engines retire each
-    request as it resolves, and nothing else bounds the memo."""
-
-    def test_retirement_counts_as_eviction(self):
-        _, requests = small_frame(n_requests=6)
-        cache = FrameDistanceCache(ORACLE)
-        cache.trip_km(requests)
-        cache.retire_requests([r.request_id for r in requests[:2]])
-        stats = cache.stats()
-        assert stats["cache_trip_entries"] == 4
-        assert stats["cache_evictions"] == 2
-
-    def test_retiring_unknown_ids_is_a_no_op(self):
-        cache = FrameDistanceCache(ORACLE)
-        cache.retire_requests([999, 1000])
-        assert cache.stats()["cache_evictions"] == 0

@@ -71,7 +71,6 @@ class _PassThroughDispatcher(NSTDDispatcher):
                 schedule.taxi_rows,
                 schedule.request_rows,
                 pickup_km=schedule.pickup_km,
-                trip_km=schedule.trip_km,
             )
         return schedule
 

@@ -13,11 +13,11 @@ import numpy as np
 
 from repro.core.types import PassengerRequest
 from repro.geometry import Point
-from repro.geometry.batch import as_point_array
+from repro.geometry.batch import Points, as_point_array
 from repro.matching import PreferenceTable
 from repro.network import RoadNetwork
 
-__all__ = ["random_table", "oneway_ring", "epoch_columns", "TAXI_ID_BASE"]
+__all__ = ["random_table", "oneway_ring", "epoch_columns", "CountingOracle", "TAXI_ID_BASE"]
 
 TAXI_ID_BASE = 100
 
@@ -67,3 +67,33 @@ def epoch_columns(requests: Sequence[PassengerRequest]) -> dict[str, np.ndarray]
         "pickup_xy": as_point_array([r.pickup for r in requests], check_finite=False),
         "request_ids": np.array([r.request_id for r in requests], dtype=np.int64),
     }
+
+
+class CountingOracle:
+    """A distance-oracle proxy that counts the batch calls made through it.
+
+    It keeps its base's exactness flag, so the batch helpers route
+    through it exactly as they route through the base.  Each ``paired``
+    call appends its targets, as an ``(n, 2)`` array, to ``events``; a
+    test may append markers of its own there to order calls against
+    other events.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.batch_exact = getattr(base, "batch_exact", False)
+        self.pairwise_calls = 0
+        self.paired_calls = 0
+        self.events: list[object] = []
+
+    def distance(self, a: Point, b: Point) -> float:
+        return self.base.distance(a, b)
+
+    def pairwise(self, sources: Points, targets: Points) -> np.ndarray:
+        self.pairwise_calls += 1
+        return self.base.pairwise(sources, targets)
+
+    def paired(self, sources: Points, targets: Points) -> np.ndarray:
+        self.paired_calls += 1
+        self.events.append(as_point_array(targets, check_finite=False))
+        return self.base.paired(sources, targets)
