@@ -4,12 +4,7 @@ from repro.analysis.aggregate import HourlyStats, hourly_averages, summarize_by_
 from repro.analysis.cdf import EmpiricalCDF, empirical_cdf
 from repro.analysis.fairness import driver_income_report, gini, jain_index
 from repro.analysis.report import format_cdf_table, format_summary_table, format_table
-from repro.analysis.stats import (
-    MetricSummary,
-    ordering_consistency,
-    replicate,
-    summarize_samples,
-)
+from repro.analysis.stats import MetricSummary, ordering_consistency, summarize_samples
 from repro.analysis.timeline import downsample_frames, load_profile, timeline_table
 
 __all__ = [
@@ -23,7 +18,6 @@ __all__ = [
     "format_summary_table",
     "MetricSummary",
     "summarize_samples",
-    "replicate",
     "ordering_consistency",
     "gini",
     "jain_index",

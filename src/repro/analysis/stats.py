@@ -1,19 +1,20 @@
 """Multi-seed statistics: means, confidence intervals, and robust
 orderings.
 
-Single-seed comparisons can flip on workload noise; these helpers rerun
-an experiment across seeds and report Student-t confidence intervals so
-figure-level claims ("NSTD's taxi dissatisfaction beats Greedy's") can
-be asserted with error bars, the way the reproduction benches use them.
+Single-seed comparisons can flip on workload noise; these helpers
+summarize an experiment's per-seed values with Student-t confidence
+intervals so figure-level claims ("NSTD's taxi dissatisfaction beats
+Greedy's") can be asserted with error bars, the way the reproduction
+benches use them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
-__all__ = ["MetricSummary", "summarize_samples", "replicate", "ordering_consistency"]
+__all__ = ["MetricSummary", "summarize_samples", "ordering_consistency"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,29 +60,6 @@ def summarize_samples(samples: Sequence[float], confidence: float = 0.95) -> Met
     return MetricSummary(
         mean=mean, std=std, ci_low=mean - half, ci_high=mean + half, n=n, confidence=confidence
     )
-
-
-def replicate(
-    run: Callable[[int], Mapping[str, float]],
-    seeds: Sequence[int],
-    confidence: float = 0.95,
-) -> dict[str, MetricSummary]:
-    """Run ``run(seed)`` for every seed and summarize each metric.
-
-    ``run`` must return the same metric keys for every seed.
-    """
-    if not seeds:
-        raise ValueError("need at least one seed")
-    collected: dict[str, list[float]] = {}
-    for seed in seeds:
-        metrics = run(seed)
-        if not collected:
-            collected = {key: [] for key in metrics}
-        if set(metrics) != set(collected):
-            raise ValueError("run() returned inconsistent metric keys across seeds")
-        for key, value in metrics.items():
-            collected[key].append(float(value))
-    return {key: summarize_samples(values, confidence) for key, values in collected.items()}
 
 
 def ordering_consistency(

@@ -1,5 +1,4 @@
-"""Dispatch layer: the Dispatcher protocol and the eleven dispatchers
-(the paper's ten plus the NSTD-M median extension)."""
+"""Dispatch layer: the Dispatcher protocol and the paper's ten dispatchers."""
 
 from repro.dispatch.base import Dispatcher, group_assignment, single_assignment
 from repro.dispatch.nonsharing import (
@@ -7,7 +6,6 @@ from repro.dispatch.nonsharing import (
     MinCostDispatcher,
     MinimaxDispatcher,
     NSTDDispatcher,
-    nstd_m,
     nstd_p,
     nstd_t,
 )
@@ -31,7 +29,6 @@ __all__ = [
     "NSTDDispatcher",
     "nstd_p",
     "nstd_t",
-    "nstd_m",
     "GreedyNearestDispatcher",
     "MinCostDispatcher",
     "MinimaxDispatcher",

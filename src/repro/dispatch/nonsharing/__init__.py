@@ -3,13 +3,12 @@
 from repro.dispatch.nonsharing.greedy import GreedyNearestDispatcher
 from repro.dispatch.nonsharing.mincost import MinCostDispatcher, build_cost_matrix
 from repro.dispatch.nonsharing.minimax import MinimaxDispatcher
-from repro.dispatch.nonsharing.nstd import NSTDDispatcher, nstd_m, nstd_p, nstd_t
+from repro.dispatch.nonsharing.nstd import NSTDDispatcher, nstd_p, nstd_t
 
 __all__ = [
     "NSTDDispatcher",
     "nstd_p",
     "nstd_t",
-    "nstd_m",
     "GreedyNearestDispatcher",
     "MinCostDispatcher",
     "MinimaxDispatcher",

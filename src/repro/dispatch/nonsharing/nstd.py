@@ -1,17 +1,14 @@
 """NSTD-P and NSTD-T: the paper's stable non-sharing dispatchers.
 
 ``NSTD-P`` runs Algorithm 1 directly (passenger-optimal).  ``NSTD-T``
-selects the taxi-optimal stable matching; by default it uses the
-taxi-proposing fast path (provably equal to Algorithm 2's taxi-best
-pick — see :mod:`repro.matching.optimality`), with an ``exact`` switch
-that runs the full Algorithm 2 enumeration instead.
+selects the taxi-optimal stable matching by the taxi-proposing run,
+which equals Algorithm 2's taxi-best pick (see
+:mod:`repro.matching.optimality`).
 
 Every cold frame is compiled into
 :class:`~repro.matching.arrays.PreferenceArrays` by the dense pair
-builder (no per-pair dicts).  NSTD-P and NSTD-T match the arrays with
-the array deferred-acceptance engine; NSTD-M and exact NSTD-T walk the
-stable lattice on their dict view (``prefs.to_table()``), since lattice
-enumeration walks dict tables.  The **warm path** (below) feeds the
+builder (no per-pair dicts), and both modes match the arrays with the
+array deferred-acceptance engine.  The **warm path** (below) feeds the
 cold engine's Gale–Shapley round kernel
 (:func:`~repro.matching.deferred_acceptance.gale_shapley_rounds`)
 complex keys.
@@ -22,8 +19,8 @@ trip distances from the dispatcher's
 frame cache, or a per-call one outside an engine); warm frames read
 their trip vector from it too.
 
-``warm_start=True`` (NSTD-P and NSTD-T only) additionally carries solver
-state across frames through the warm frame solver
+``warm_start=True`` additionally carries solver state across frames
+through the warm frame solver
 (:mod:`repro.matching.warm_frame`): only churn-proportional distance
 strips are scored (never the full taxi × request pickup kernel), the
 retained entities' facts ride along as fused arrays, and the stable
@@ -49,8 +46,7 @@ from repro.core.types import DispatchSchedule, PassengerRequest, Taxi
 from repro.dispatch.base import Dispatcher, PackedSingleSchedule, single_assignment
 from repro.geometry.distance import DistanceOracle
 from repro.matching.arrays import PreferenceArrays
-from repro.matching.lattice import median_stable_matching
-from repro.matching.optimality import passenger_optimal, taxi_optimal, taxi_optimal_exact
+from repro.matching.optimality import passenger_optimal, taxi_optimal
 from repro.matching.preferences import build_nonsharing_arrays
 from repro.matching.result import Matching
 from repro.matching.warm_frame import (
@@ -59,7 +55,7 @@ from repro.matching.warm_frame import (
     warm_frame_solve,
 )
 
-__all__ = ["NSTDDispatcher", "nstd_p", "nstd_t", "nstd_m"]
+__all__ = ["NSTDDispatcher", "nstd_p", "nstd_t"]
 
 
 def _reason_key(reason: str) -> str:
@@ -83,7 +79,7 @@ class NSTDDispatcher(Dispatcher):
     builder actually performed.
     """
 
-    _NAMES = {"passenger": "NSTD-P", "taxi": "NSTD-T", "median": "NSTD-M"}
+    _NAMES = {"passenger": "NSTD-P", "taxi": "NSTD-T"}
 
     #: The declared durability contract (enforced by repro-lint REP008):
     #: cross-frame attributes this dispatcher mutates but deliberately
@@ -110,7 +106,6 @@ class NSTDDispatcher(Dispatcher):
         config: DispatchConfig | None = None,
         *,
         optimize_for: str = "passenger",
-        exact: bool = False,
         alpha_by_taxi: Mapping[int, float] | None = None,
         warm_start: bool = False,
     ):
@@ -119,14 +114,7 @@ class NSTDDispatcher(Dispatcher):
             raise ValueError(
                 f"optimize_for must be one of {sorted(self._NAMES)}, got {optimize_for!r}"
             )
-        # NSTD-M and exact NSTD-T enumerate the stable lattice, which
-        # has no warm solver.
-        if warm_start and (optimize_for == "median" or exact):
-            raise ValueError(
-                "warm_start requires optimize_for in ('passenger', 'taxi') and exact=False"
-            )
         self.optimize_for = optimize_for
-        self.exact = exact
         self.alpha_by_taxi = dict(alpha_by_taxi) if alpha_by_taxi else None
         self.warm_start = warm_start
         self.name = self._NAMES[optimize_for]
@@ -230,15 +218,6 @@ class NSTDDispatcher(Dispatcher):
         self.checkpoint("nstd:prefs-built")
         if self.optimize_for == "passenger":
             matching = passenger_optimal(prefs)
-        elif self.optimize_for == "median":
-            # The Teo-Sethuraman compromise the paper cites as [13]:
-            # every matched side gets its median stable partner.
-            matching = median_stable_matching(prefs.to_table())
-        elif self.exact:
-            # Under a frame deadline the full Algorithm 2 enumeration
-            # becomes anytime: the taxi-best matching found in budget is
-            # still stable, so a truncated pick remains a valid frame.
-            matching = taxi_optimal_exact(prefs.to_table(), deadline=self.frame_budget)
         else:
             matching = taxi_optimal(prefs)
         if self.warm_start:
@@ -306,13 +285,6 @@ def nstd_p(oracle: DistanceOracle, config: DispatchConfig | None = None) -> NSTD
     return NSTDDispatcher(oracle, config, optimize_for="passenger")
 
 
-def nstd_t(
-    oracle: DistanceOracle, config: DispatchConfig | None = None, *, exact: bool = False
-) -> NSTDDispatcher:
+def nstd_t(oracle: DistanceOracle, config: DispatchConfig | None = None) -> NSTDDispatcher:
     """The taxi-optimal stable dispatcher (Algorithms 1 + 2)."""
-    return NSTDDispatcher(oracle, config, optimize_for="taxi", exact=exact)
-
-
-def nstd_m(oracle: DistanceOracle, config: DispatchConfig | None = None) -> NSTDDispatcher:
-    """The median-stable compromise dispatcher (Sethuraman et al. [13])."""
-    return NSTDDispatcher(oracle, config, optimize_for="median")
+    return NSTDDispatcher(oracle, config, optimize_for="taxi")

@@ -2,11 +2,7 @@
 
 from repro.dispatch.sharing.ilp import ILPDispatcher
 from repro.dispatch.sharing.plan import InsertionQuote, TaxiPlan
-from repro.dispatch.sharing.preferences import (
-    build_sharing_table,
-    group_passenger_score,
-    group_taxi_score,
-)
+from repro.dispatch.sharing.preferences import build_sharing_table
 from repro.dispatch.sharing.raii import RAIIDispatcher
 from repro.dispatch.sharing.sarp import SARPDispatcher
 from repro.dispatch.sharing.std import STDDispatcher, pack_requests, std_p, std_t
@@ -17,8 +13,6 @@ __all__ = [
     "std_t",
     "pack_requests",
     "build_sharing_table",
-    "group_passenger_score",
-    "group_taxi_score",
     "RAIIDispatcher",
     "SARPDispatcher",
     "ILPDispatcher",

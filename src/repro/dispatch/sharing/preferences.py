@@ -26,9 +26,8 @@ cell, and the approach distances ``D(t_i, route start)`` are one
 by member as ``(A + offset_k) + β·detour_k`` and then divided by the
 member count — the scalar double loop's operations in its order — so
 every score, and hence every preference order, is IEEE-identical to
-that loop (kept in the test suite as the oracle).  Ties break by
-partner id.  The scalar :func:`group_passenger_score` /
-:func:`group_taxi_score` remain the per-pair definitions.
+that loop (kept in the test suite as the oracle, next to the scalar
+per-pair score definitions).  Ties break by partner id.
 """
 
 from __future__ import annotations
@@ -45,26 +44,7 @@ from repro.geometry.distance import DistanceOracle
 from repro.matching.arrays import PreferenceArrays
 from repro.matching.preferences import arrays_from_pairs
 
-__all__ = ["build_sharing_table", "group_passenger_score", "group_taxi_score"]
-
-
-def group_passenger_score(
-    taxi: Taxi, group: RideGroup, oracle: DistanceOracle, beta: float
-) -> float:
-    """Mean member dissatisfaction of being served by ``taxi``."""
-    approach = oracle.distance(taxi.location, group.route_start)
-    total = 0.0
-    for request in group.requests:
-        offset = group.pickup_offset_km[request.request_id]
-        detour = group.onboard_distance_km[request.request_id] - request.trip_distance(oracle)
-        total += approach + offset + beta * detour
-    return total / len(group.requests)
-
-
-def group_taxi_score(taxi: Taxi, group: RideGroup, oracle: DistanceOracle, alpha: float) -> float:
-    """The driver's expense-minus-payoff score for serving ``group``."""
-    total_drive = oracle.distance(taxi.location, group.route_start) + group.route_length_km
-    return total_drive - (alpha + 1.0) * group.total_trip_distance(oracle)
+__all__ = ["build_sharing_table"]
 
 
 def build_sharing_table(

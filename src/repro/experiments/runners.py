@@ -55,8 +55,6 @@ def make_dispatcher(
         return NSTDDispatcher(oracle, config, optimize_for="passenger")
     if key == "NSTD-T":
         return NSTDDispatcher(oracle, config, optimize_for="taxi")
-    if key == "NSTD-M":
-        return NSTDDispatcher(oracle, config, optimize_for="median")
     if key == "GREEDY":
         return GreedyNearestDispatcher(oracle, config)
     if key == "MCBM":

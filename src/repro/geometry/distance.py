@@ -225,11 +225,9 @@ def oracle_dominates_linf(oracle: DistanceOracle) -> bool:
     coordinates.
 
     This is the soundness condition for every grid-geometry shortcut in
-    the package: cell-box candidate generation
-    (:meth:`~repro.geometry.spatial_index.GridSpatialIndex.within`),
-    preference-builder pruning, and the sharding layer's θ-ball
-    component decomposition all reason "far apart in cell space ⇒ far
-    apart under the oracle", which holds exactly when the metric
+    the package: preference-builder pruning and the sharding layer's
+    θ-ball component decomposition both reason "far apart in cell space
+    ⇒ far apart under the oracle", which holds exactly when the metric
     dominates L∞.  Euclidean and Manhattan distance both do, as does any
     ``ScaledDistance`` *expansion* (factor ≥ 1) of a dominating metric;
     a contraction or an unknown third-party oracle does not, and callers

@@ -206,46 +206,3 @@ class GridSpatialIndex:
                 kth = found[k - 1][0]
         found.sort()
         return [(key, dist) for dist, _, key in found[:k]]
-
-    def within(self, point: Point, radius_km: float) -> list[tuple[Hashable, float]]:
-        """All items within ``radius_km`` of ``point``, sorted by distance.
-
-        The boundary is inclusive (``dist <= radius_km``), like the
-        acceptance thresholds: a partner at exactly the radius is never
-        dropped.
-        """
-        if radius_km < 0.0:
-            raise ValueError(f"radius must be non-negative, got {radius_km}")
-        center = self._cell_of(point)
-        found: list[tuple[float, str, Hashable]] = []
-        # A qualifying item lies within L-infinity ``radius_km`` of the
-        # query (the oracle dominates L-infinity), i.e. in a cell at
-        # Chebyshev cell-distance <= floor(radius/cell) + 1; the extra
-        # ring (+2 total) absorbs floating-point division slop.  When
-        # that box is smaller than the occupied-cell list, enumerating it
-        # directly beats sorting every occupied cell by distance.
-        if math.isfinite(radius_km):
-            reach = int(math.floor(radius_km / self._cell_size)) + 2
-            box_cells = (2 * reach + 1) ** 2
-            if box_cells < len(self._cells):
-                cx, cy = center
-                for x in range(cx - reach, cx + reach + 1):
-                    for y in range(cy - reach, cy + reach + 1):
-                        bucket = self._cells.get((x, y))
-                        if not bucket:
-                            continue
-                        for key in bucket:
-                            dist = self._oracle.distance(point, self._points[key])
-                            if dist <= radius_km:
-                                found.append((dist, repr(key), key))
-                found.sort()
-                return [(key, dist) for dist, _, key in found]
-        for cheb, cell in self._occupied_by_distance(center):
-            if self._lower_bound_km(cheb) > radius_km:
-                break
-            for key in self._cells[cell]:
-                dist = self._oracle.distance(point, self._points[key])
-                if dist <= radius_km:
-                    found.append((dist, repr(key), key))
-        found.sort()
-        return [(key, dist) for dist, _, key in found]

@@ -16,22 +16,13 @@ from repro.matching.enumeration import (
     EnumerationStats,
     all_stable_matchings,
     break_dispatch,
-    enumerate_all_stable_matchings,
 )
 from repro.matching.hopcroft_karp import hopcroft_karp, maximum_matching_size
-from repro.matching.lattice import (
-    join,
-    lattice_extremes,
-    median_stable_matching,
-    meet,
-)
 from repro.matching.optimality import (
-    company_optimal,
     company_revenue,
     passenger_optimal,
     rank_profile,
     taxi_optimal,
-    taxi_optimal_exact,
 )
 from repro.matching.preferences import (
     PreferenceTable,
@@ -49,14 +40,6 @@ from repro.matching.sharding import (
     shard_problems,
     solve_shard,
     theta_components,
-)
-from repro.matching.ties import (
-    TiedPreferenceTable,
-    build_tied_nonsharing_table,
-    find_weak_blocking_pairs,
-    kiraly_max_stable,
-    max_weakly_stable_brute_force,
-    weakly_stable,
 )
 from repro.matching.verification import (
     assert_stable,
@@ -89,13 +72,10 @@ __all__ = [
     "solve_shard",
     "theta_components",
     "all_stable_matchings",
-    "enumerate_all_stable_matchings",
     "break_dispatch",
     "EnumerationStats",
     "passenger_optimal",
     "taxi_optimal",
-    "taxi_optimal_exact",
-    "company_optimal",
     "company_revenue",
     "rank_profile",
     "find_blocking_pairs",
@@ -104,16 +84,6 @@ __all__ = [
     "is_valid_matching",
     "hopcroft_karp",
     "maximum_matching_size",
-    "join",
-    "meet",
-    "median_stable_matching",
-    "lattice_extremes",
-    "TiedPreferenceTable",
-    "build_tied_nonsharing_table",
-    "kiraly_max_stable",
-    "weakly_stable",
-    "find_weak_blocking_pairs",
-    "max_weakly_stable_brute_force",
     "min_cost_matching",
     "minimax_matching",
     "matching_total_cost",

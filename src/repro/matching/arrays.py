@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.errors import PreferenceError
 from repro.matching.preferences import PreferenceTable
 
 __all__ = ["PreferenceArrays", "UNRANKED", "NO_PARTNER"]
@@ -129,82 +128,12 @@ class PreferenceArrays:
 
     # -- conversions -------------------------------------------------------
 
-    @classmethod
-    def from_table(cls, table: PreferenceTable) -> "PreferenceArrays":
-        """Pack a dict :class:`PreferenceTable` into arrays.
+    def to_table(self) -> PreferenceTable:
+        """Unpack into the dict :class:`PreferenceTable` (scores omitted).
 
-        Entity order follows the table's dict insertion order, so a
-        round trip through :meth:`to_table` preserves iteration order.
-        This is the compatibility path (tests, hand-built tables); the
-        frame hot path builds arrays directly via
-        :func:`repro.matching.preferences.build_nonsharing_arrays`
-        without materializing the dicts at all.
+        The arrays are consistent by construction, so the table skips
+        its own consistency check.
         """
-        proposer_ids = np.fromiter(table.proposer_prefs, dtype=np.int64, count=len(table.proposer_prefs))
-        reviewer_ids = np.fromiter(table.reviewer_prefs, dtype=np.int64, count=len(table.reviewer_prefs))
-        p_index = {int(pid): i for i, pid in enumerate(proposer_ids)}
-        r_index = {int(rid): i for i, rid in enumerate(reviewer_ids)}
-
-        n_prop, n_rev = len(proposer_ids), len(reviewer_ids)
-        proposer_rank = np.full((n_prop, n_rev), UNRANKED, dtype=np.int32)
-        reviewer_rank = np.full((n_rev, n_prop), UNRANKED, dtype=np.int32)
-
-        p_indptr = np.zeros(n_prop + 1, dtype=np.int64)
-        p_cols: list[int] = []
-        for pid, prefs in table.proposer_prefs.items():
-            p = p_index[pid]
-            for k, rid in enumerate(prefs):
-                r = r_index.get(rid)
-                if r is None:
-                    raise PreferenceError(f"proposer {pid} lists unknown reviewer {rid}")
-                p_cols.append(r)
-                proposer_rank[p, r] = k
-            p_indptr[p + 1] = len(prefs)
-        np.cumsum(p_indptr, out=p_indptr)
-
-        r_indptr = np.zeros(n_rev + 1, dtype=np.int64)
-        r_cols: list[int] = []
-        for rid, prefs in table.reviewer_prefs.items():
-            r = r_index[rid]
-            for k, pid in enumerate(prefs):
-                p = p_index.get(pid)
-                if p is None:
-                    raise PreferenceError(f"reviewer {rid} lists unknown proposer {pid}")
-                r_cols.append(p)
-                reviewer_rank[r, p] = k
-            r_indptr[r + 1] = len(prefs)
-        np.cumsum(r_indptr, out=r_indptr)
-
-        proposer_list = np.array(p_cols, dtype=np.int32)
-        reviewer_list = np.array(r_cols, dtype=np.int32)
-        if len(proposer_list) != len(reviewer_list):
-            raise PreferenceError(
-                "preference lists are not mutually consistent: "
-                f"{len(proposer_list)} proposer edges vs {len(reviewer_list)} reviewer edges"
-            )
-        proposer_owner = np.repeat(np.arange(n_prop), np.diff(p_indptr))
-        reviewer_owner = np.repeat(np.arange(n_rev), np.diff(r_indptr))
-        proposer_list_rank = reviewer_rank[proposer_list, proposer_owner]
-        reviewer_list_rank = proposer_rank[reviewer_list, reviewer_owner]
-        if len(proposer_list) and (
-            (proposer_list_rank == UNRANKED).any() or (reviewer_list_rank == UNRANKED).any()
-        ):
-            raise PreferenceError("preference lists are not mutually consistent")
-        return cls(
-            proposer_ids=proposer_ids,
-            reviewer_ids=reviewer_ids,
-            proposer_indptr=p_indptr,
-            proposer_list=proposer_list,
-            proposer_list_rank=proposer_list_rank,
-            reviewer_indptr=r_indptr,
-            reviewer_list=reviewer_list,
-            reviewer_list_rank=reviewer_list_rank,
-            proposer_rank=proposer_rank,
-            reviewer_rank=reviewer_rank,
-        )
-
-    def to_table(self, *, validate: bool = False) -> PreferenceTable:
-        """Unpack into the dict :class:`PreferenceTable` (scores omitted)."""
         proposer_prefs: dict[int, tuple[int, ...]] = {}
         rid_list = self.reviewer_ids.tolist()
         pid_list = self.proposer_ids.tolist()
@@ -222,64 +151,5 @@ class PreferenceArrays:
                 pid_list[p] for p in r_cols[r_indptr[r] : r_indptr[r + 1]]
             )
         return PreferenceTable(
-            proposer_prefs=proposer_prefs, reviewer_prefs=reviewer_prefs, validate=validate
+            proposer_prefs=proposer_prefs, reviewer_prefs=reviewer_prefs, validate=False
         )
-
-    # -- equality (for tests) ---------------------------------------------
-
-    def equals(self, other: "PreferenceArrays") -> bool:
-        """Structural equality, field by field (array-aware)."""
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in (
-                "proposer_ids",
-                "reviewer_ids",
-                "proposer_indptr",
-                "proposer_list",
-                "proposer_list_rank",
-                "reviewer_indptr",
-                "reviewer_list",
-                "reviewer_list_rank",
-                "proposer_rank",
-                "reviewer_rank",
-            )
-        )
-
-    def validate(self) -> None:
-        """O(E) consistency check for hand-built instances.
-
-        The trusted builders produce consistent arrays by construction;
-        call this from tests or when ingesting external data.
-        """
-        n_prop, n_rev = self.n_proposers, self.n_reviewers
-        if self.proposer_indptr[0] != 0 or self.proposer_indptr[-1] != len(self.proposer_list):
-            raise PreferenceError("proposer_indptr does not span proposer_list")
-        if self.reviewer_indptr[0] != 0 or self.reviewer_indptr[-1] != len(self.reviewer_list):
-            raise PreferenceError("reviewer_indptr does not span reviewer_list")
-        if len(self.proposer_list) != len(self.reviewer_list):
-            raise PreferenceError("edge counts differ between sides")
-        if self.proposer_rank.shape != (n_prop, n_rev):
-            raise PreferenceError(f"proposer_rank shape {self.proposer_rank.shape}")
-        if self.reviewer_rank.shape != (n_rev, n_prop):
-            raise PreferenceError(f"reviewer_rank shape {self.reviewer_rank.shape}")
-        if len(self.proposer_list) and (
-            self.proposer_list.min() < 0 or self.proposer_list.max() >= n_rev
-        ):
-            raise PreferenceError("proposer_list contains out-of-range reviewer index")
-        if len(self.reviewer_list) and (
-            self.reviewer_list.min() < 0 or self.reviewer_list.max() >= n_prop
-        ):
-            raise PreferenceError("reviewer_list contains out-of-range proposer index")
-        # Mutual consistency: the edge sets of both sides coincide, and
-        # the dense matrices agree with the CSR ranks.
-        p_owner = np.repeat(np.arange(n_prop), np.diff(self.proposer_indptr))
-        r_owner = np.repeat(np.arange(n_rev), np.diff(self.reviewer_indptr))
-        p_edges = set(zip(p_owner.tolist(), self.proposer_list.tolist()))
-        r_edges = set(zip(self.reviewer_list.tolist(), r_owner.tolist()))
-        if p_edges != r_edges:
-            diff = sorted(p_edges ^ r_edges)[:5]
-            raise PreferenceError(f"sides disagree on acceptable pairs: {diff}")
-        if not np.array_equal(self.proposer_list_rank, self.reviewer_rank[self.proposer_list, p_owner]):
-            raise PreferenceError("proposer_list_rank disagrees with reviewer_rank")
-        if not np.array_equal(self.reviewer_list_rank, self.proposer_rank[self.reviewer_list, r_owner]):
-            raise PreferenceError("reviewer_list_rank disagrees with proposer_rank")

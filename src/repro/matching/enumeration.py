@@ -48,7 +48,6 @@ from repro.resilience.budget import FrameBudget, WorkBudget
 __all__ = [
     "break_dispatch",
     "all_stable_matchings",
-    "enumerate_all_stable_matchings",
     "EnumerationStats",
 ]
 
@@ -242,8 +241,3 @@ def all_stable_matchings(
     if with_stats:
         return ordered, stats
     return ordered
-
-
-#: The name the resilience layer documents for the anytime entry point;
-#: identical to :func:`all_stable_matchings`.
-enumerate_all_stable_matchings = all_stable_matchings

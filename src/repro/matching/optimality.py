@@ -1,45 +1,35 @@
-"""Selecting among stable matchings: passenger-optimal, taxi-optimal,
-and company-revenue-optimal.
+"""Selecting among stable matchings: passenger-optimal and taxi-optimal.
 
 Property 2 of the paper: Algorithm 1 yields the *passenger-optimal*
-(and simultaneously taxi-pessimal) stable matching.  Its mirror — the
-*taxi-optimal* stable matching (NSTD-T) — is obtained two ways here:
+(and simultaneously taxi-pessimal) stable matching.  Its mirror, the
+*taxi-optimal* stable matching (NSTD-T), is deferred acceptance on the
+role-reversed table, which is proposer-optimal for taxis.  With dummy
+thresholds the matched sets coincide across all stable matchings (the
+rural-hospitals invariance behind Theorem 2), so this is exactly the
+matching Algorithm 2 would select for taxis by enumerating every stable
+matching; the test suite checks the two against each other.
 
-* the **fast path**: deferred acceptance on the role-reversed table,
-  which is proposer-optimal for taxis.  With dummy thresholds the
-  matched sets coincide across all stable matchings (the rural-hospitals
-  invariance behind Theorem 2), so this is exactly the matching
-  Algorithm 2 would select for taxis;
-* the **exact path**: enumerate all stable matchings (Algorithm 2) and
-  pick the taxi-best one.  Used by tests to certify the fast path and by
-  analyses that want the whole lattice anyway.
-
-Section IV-D motivates a third selector: the company "can pick a stable
-matching from all possible ones, such that the most money is made" —
-the company takes a fixed percentage of each fare, so revenue is the
-total trip distance of served requests.
+Section IV-D notes that the company "can pick a stable matching from all
+possible ones, such that the most money is made": the company takes a
+fixed percentage of each fare, so revenue is the total trip distance of
+served requests (:func:`company_revenue`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
-from repro.core.errors import MatchingError
 from repro.core.types import PassengerRequest
 from repro.geometry.distance import DistanceOracle
 from repro.matching.arrays import PreferenceArrays
 from repro.matching.deferred_acceptance import deferred_acceptance
-from repro.matching.enumeration import all_stable_matchings
 from repro.matching.preferences import PreferenceTable
 from repro.matching.result import Matching
-from repro.resilience.budget import FrameBudget
 
 __all__ = [
     "passenger_optimal",
     "taxi_optimal",
-    "taxi_optimal_exact",
     "company_revenue",
-    "company_optimal",
     "rank_profile",
 ]
 
@@ -65,40 +55,6 @@ def taxi_optimal(table: PreferenceTable | PreferenceArrays) -> Matching:
     return Matching({proposer: reviewer for reviewer, proposer in reversed_matching.pairs})
 
 
-def taxi_optimal_exact(
-    table: PreferenceTable,
-    *,
-    limit: int | None = None,
-    max_nodes: int | None = None,
-    deadline: FrameBudget | None = None,
-) -> Matching:
-    """NSTD-T via the paper's route: enumerate with Algorithm 2, then pick
-    the matching every taxi weakly prefers (the taxi-best lattice point).
-
-    Selection minimizes the sum of taxi-side ranks; on the stable-matching
-    lattice this is uniquely minimized by the taxi-optimal matching.
-
-    ``max_nodes``/``deadline`` bound the enumeration (see
-    :func:`~repro.matching.enumeration.all_stable_matchings`); when it
-    truncates, the selection is over the anytime prefix, which always
-    contains the passenger-optimal matching, so a valid stable matching
-    is still returned.
-    """
-    matchings = all_stable_matchings(table, limit=limit, max_nodes=max_nodes, deadline=deadline)
-    if not matchings:
-        raise MatchingError("no stable matchings found")
-    return min(matchings, key=lambda m: (_taxi_rank_sum(table, m), sorted(m.pairs)))
-
-
-def _taxi_rank_sum(table: PreferenceTable, matching: Matching) -> int:
-    total = 0
-    for proposer_id, reviewer_id in matching.pairs:
-        rank = table.reviewer_rank(reviewer_id, proposer_id)
-        assert rank is not None
-        total += rank
-    return total
-
-
 def company_revenue(
     matching: Matching,
     requests: Sequence[PassengerRequest],
@@ -111,33 +67,6 @@ def company_revenue(
         for proposer_id, _ in matching.pairs
         if proposer_id in by_id
     )
-
-
-def company_optimal(
-    table: PreferenceTable,
-    requests: Sequence[PassengerRequest],
-    oracle: DistanceOracle,
-    *,
-    limit: int | None = None,
-    objective: Callable[[Matching], float] | None = None,
-) -> tuple[Matching, float]:
-    """The stable matching maximizing the company's objective.
-
-    By default the objective is :func:`company_revenue`.  Since every
-    stable matching serves the same set of requests (Theorem 2 plus its
-    taxi-side analogue), the default objective ties across the lattice —
-    the function exists for custom objectives (e.g. revenue minus a
-    deadhead-compensation cost) and returns the achieved value.
-    """
-    matchings = all_stable_matchings(table, limit=limit)
-    if not matchings:
-        raise MatchingError("no stable matchings found")
-    if objective is None:
-        score = lambda m: company_revenue(m, requests, oracle)  # noqa: E731
-    else:
-        score = objective
-    best = max(matchings, key=lambda m: (score(m), sorted(m.pairs)))
-    return best, score(best)
 
 
 def rank_profile(table: PreferenceTable, matching: Matching) -> tuple[float, float]:

@@ -1,21 +1,12 @@
 """Road-network substrate: graphs, generators, and shortest paths."""
 
-from repro.network.generators import grid_city, radial_city, random_geometric_city
+from repro.network.generators import grid_city
 from repro.network.graph import RoadNetwork
-from repro.network.shortest_path import (
-    SingleSourceCache,
-    astar,
-    dijkstra,
-    dijkstra_to_target,
-)
+from repro.network.shortest_path import SingleSourceCache, dijkstra
 
 __all__ = [
     "RoadNetwork",
     "grid_city",
-    "radial_city",
-    "random_geometric_city",
     "dijkstra",
-    "dijkstra_to_target",
-    "astar",
     "SingleSourceCache",
 ]

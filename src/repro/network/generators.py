@@ -1,27 +1,18 @@
-"""Synthetic city road-network generators.
+"""Synthetic city road networks.
 
-Three families cover the shapes that matter for dispatch experiments:
-
-* :func:`grid_city` — Manhattan-style lattice streets.
-* :func:`radial_city` — ring + spoke layout typical of European cores.
-* :func:`random_geometric_city` — irregular suburban sprawl (random
-  geometric graph, largest connected component kept).
-
-All generators return a :class:`repro.network.graph.RoadNetwork` whose
-coordinates are in kilometres, so they can be used directly as distance
-oracles in experiments.
+:func:`grid_city` builds Manhattan-style lattice streets, the network
+the road-oracle ablation dispatches on.  It returns a
+:class:`repro.network.graph.RoadNetwork` whose coordinates are in
+kilometres, so it can be used directly as a distance oracle in
+experiments.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from repro.geometry.point import Point
 from repro.network.graph import RoadNetwork
 
-__all__ = ["grid_city", "radial_city", "random_geometric_city"]
+__all__ = ["grid_city"]
 
 
 def grid_city(rows: int, cols: int, block_km: float = 0.2) -> RoadNetwork:
@@ -45,105 +36,4 @@ def grid_city(rows: int, cols: int, block_km: float = 0.2) -> RoadNetwork:
                 network.add_edge(node, node + 1, block_km)
             if r + 1 < rows:
                 network.add_edge(node, node + cols, block_km)
-    return network
-
-
-def radial_city(rings: int, spokes: int, ring_spacing_km: float = 1.0) -> RoadNetwork:
-    """Concentric rings connected by radial spokes, with a centre node.
-
-    Node 0 is the centre; ring ``q`` (1-based) node ``s`` has id
-    ``1 + (q−1)·spokes + s``.
-    """
-    if rings < 1:
-        raise ValueError(f"need at least one ring, got {rings}")
-    if spokes < 3:
-        raise ValueError(f"need at least three spokes, got {spokes}")
-    if ring_spacing_km <= 0.0:
-        raise ValueError(f"ring_spacing_km must be positive, got {ring_spacing_km}")
-    network = RoadNetwork()
-    network.add_node(0, Point(0.0, 0.0))
-    for q in range(1, rings + 1):
-        radius = q * ring_spacing_km
-        for s in range(spokes):
-            angle = 2.0 * math.pi * s / spokes
-            node = 1 + (q - 1) * spokes + s
-            network.add_node(node, Point(radius * math.cos(angle), radius * math.sin(angle)))
-    for q in range(1, rings + 1):
-        base = 1 + (q - 1) * spokes
-        for s in range(spokes):
-            network.add_edge(base + s, base + (s + 1) % spokes)
-        if q == 1:
-            for s in range(spokes):
-                network.add_edge(0, base + s)
-        else:
-            inner = 1 + (q - 2) * spokes
-            for s in range(spokes):
-                network.add_edge(inner + s, base + s)
-    return network
-
-
-def random_geometric_city(
-    n_nodes: int,
-    span_km: float,
-    connect_radius_km: float,
-    seed: int = 0,
-) -> RoadNetwork:
-    """A random geometric graph restricted to its largest component.
-
-    Nodes are placed uniformly in a ``span_km × span_km`` square and
-    connected when within ``connect_radius_km``.  Ids are re-labelled
-    0..m−1 inside the surviving component.
-    """
-    if n_nodes < 2:
-        raise ValueError(f"need at least two nodes, got {n_nodes}")
-    if span_km <= 0.0 or connect_radius_km <= 0.0:
-        raise ValueError("span_km and connect_radius_km must be positive")
-    rng = np.random.default_rng(seed)
-    coords = rng.uniform(0.0, span_km, size=(n_nodes, 2))
-
-    # Build adjacency with a coarse grid to avoid the O(n^2) scan.
-    cell = connect_radius_km
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (x, y) in enumerate(coords):
-        buckets.setdefault((int(x // cell), int(y // cell)), []).append(i)
-    edges: list[tuple[int, int, float]] = []
-    for (cx, cy), members in buckets.items():
-        neighbors: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                neighbors.extend(buckets.get((cx + dx, cy + dy), ()))
-        for i in members:
-            for j in neighbors:
-                if j <= i:
-                    continue
-                d = math.hypot(coords[i][0] - coords[j][0], coords[i][1] - coords[j][1])
-                if d <= connect_radius_km:
-                    edges.append((i, j, d))
-
-    # Largest connected component via union-find.
-    parent = list(range(n_nodes))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j, _ in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    component: dict[int, list[int]] = {}
-    for i in range(n_nodes):
-        component.setdefault(find(i), []).append(i)
-    largest = max(component.values(), key=len)
-    keep = set(largest)
-    relabel = {old: new for new, old in enumerate(sorted(keep))}
-
-    network = RoadNetwork()
-    for old in sorted(keep):
-        network.add_node(relabel[old], Point(float(coords[old][0]), float(coords[old][1])))
-    for i, j, d in edges:
-        if i in keep and j in keep:
-            network.add_edge(relabel[i], relabel[j], d)
     return network

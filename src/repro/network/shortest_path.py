@@ -1,9 +1,8 @@
 """Shortest-path algorithms over adjacency-list graphs.
 
 The road network stores adjacency as ``dict[node, list[(neighbor, w)]]``.
-We implement Dijkstra (single source, optionally early-terminated at a
-target) and A* with a coordinate heuristic, plus a small LRU-style cache
-of single-source runs, because a dispatch frame asks for distances from
+We implement single-source Dijkstra plus a small LRU-style cache of
+single-source runs, because a dispatch frame asks for distances from
 one taxi to many pickups (and one pickup to many taxis), which a cached
 single-source run answers in O(1) each after the first query.
 """
@@ -13,9 +12,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import OrderedDict
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Hashable, Mapping
 
-__all__ = ["dijkstra", "dijkstra_to_target", "astar", "SingleSourceCache"]
+__all__ = ["dijkstra", "SingleSourceCache"]
 
 Adjacency = Mapping[Hashable, list[tuple[Hashable, float]]]
 
@@ -44,65 +43,6 @@ def dijkstra(adjacency: Adjacency, source: Hashable) -> dict[Hashable, float]:
                 heapq.heappush(heap, (nd, counter, neighbor))
                 counter += 1
     return dist
-
-
-def dijkstra_to_target(adjacency: Adjacency, source: Hashable, target: Hashable) -> float:
-    """Shortest distance from ``source`` to ``target``; ``inf`` if unreachable."""
-    if source == target:
-        return 0.0
-    dist: dict[Hashable, float] = {source: 0.0}
-    heap: list[tuple[float, int, Hashable]] = [(0.0, 0, source)]
-    counter = 1
-    settled: set[Hashable] = set()
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node == target:
-            return d
-        if node in settled:
-            continue
-        settled.add(node)
-        for neighbor, weight in adjacency.get(node, ()):
-            if weight < 0.0:
-                raise ValueError(f"negative edge weight {weight} on {node!r}->{neighbor!r}")
-            nd = d + weight
-            if nd < dist.get(neighbor, math.inf):
-                dist[neighbor] = nd
-                heapq.heappush(heap, (nd, counter, neighbor))
-                counter += 1
-    return math.inf
-
-
-def astar(
-    adjacency: Adjacency,
-    source: Hashable,
-    target: Hashable,
-    heuristic: Callable[[Hashable], float],
-) -> float:
-    """A* shortest distance with an admissible heuristic to ``target``.
-
-    ``heuristic(node)`` must never overestimate the true remaining
-    distance, otherwise the result may be suboptimal.
-    """
-    if source == target:
-        return 0.0
-    g: dict[Hashable, float] = {source: 0.0}
-    heap: list[tuple[float, int, Hashable]] = [(heuristic(source), 0, source)]
-    counter = 1
-    settled: set[Hashable] = set()
-    while heap:
-        _, _, node = heapq.heappop(heap)
-        if node == target:
-            return g[node]
-        if node in settled:
-            continue
-        settled.add(node)
-        for neighbor, weight in adjacency.get(node, ()):
-            nd = g[node] + weight
-            if nd < g.get(neighbor, math.inf):
-                g[neighbor] = nd
-                heapq.heappush(heap, (nd + heuristic(neighbor), counter, neighbor))
-                counter += 1
-    return math.inf
 
 
 class SingleSourceCache:

@@ -1,12 +1,7 @@
 """Trace substrate: trip records, real-trace loaders, synthetic generators."""
 
 from repro.trace.loader import LoadReport, load_generic_trace, load_nyc_trace
-from repro.trace.persistence import (
-    load_fleet_csv,
-    load_requests_csv,
-    save_fleet_csv,
-    save_requests_csv,
-)
+from repro.trace.persistence import load_requests_csv, save_requests_csv
 from repro.trace.profiles import (
     COMMUTER_HOURLY_WEIGHTS,
     CityProfile,
@@ -33,8 +28,6 @@ __all__ = [
     "load_generic_trace",
     "save_requests_csv",
     "load_requests_csv",
-    "save_fleet_csv",
-    "load_fleet_csv",
     "CityProfile",
     "nyc_profile",
     "boston_profile",

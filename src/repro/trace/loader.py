@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -144,6 +145,9 @@ def load_nyc_trace(path: str | Path, max_rows: int | None = None) -> LoadReport:
             except (ValueError, TypeError, KeyError):
                 skip("bad_coordinate")
                 continue
+            if not _finite(plon, plat, dlon, dlat):
+                skip("bad_coordinate")
+                continue
             try:
                 passengers = max(1, int(float(row[cols["passengers"]] or 1)))
             except (ValueError, TypeError, KeyError):
@@ -211,9 +215,15 @@ def load_generic_trace(path: str | Path, max_rows: int | None = None) -> LoadRep
             except TraceFormatError:
                 skip("bad_timestamp")
                 continue
+            if isinstance(when, float) and not _finite(when):
+                skip("bad_timestamp")
+                continue
             try:
                 plon, plat, dlon, dlat = (float(v) for v in row[1:5])
             except ValueError:
+                skip("bad_coordinate")
+                continue
+            if not _finite(plon, plat, dlon, dlat):
                 skip("bad_coordinate")
                 continue
             try:
@@ -244,6 +254,11 @@ def load_generic_trace(path: str | Path, max_rows: int | None = None) -> LoadRep
         LoadReport(records=records, total_rows=total, skipped_rows=skipped, skip_reasons=reasons),
         path,
     )
+
+
+def _finite(*values: float) -> bool:
+    """``float()`` accepts ``nan``/``inf``; no trip starts or ends there."""
+    return all(math.isfinite(v) for v in values)
 
 
 def _degenerate(lon: float, lat: float) -> bool:

@@ -15,11 +15,10 @@ from pathlib import Path
 from collections.abc import Sequence
 
 from repro.core.errors import TraceFormatError
-from repro.core.types import PassengerRequest, Taxi
-from repro.geometry.point import Point
+from repro.core.types import PassengerRequest
 from repro.trace.records import IdentityProjection, TripRecord, records_to_requests
 
-__all__ = ["save_requests_csv", "load_requests_csv", "save_fleet_csv", "load_fleet_csv"]
+__all__ = ["save_requests_csv", "load_requests_csv"]
 
 _FLOAT = "{:.12g}"
 
@@ -74,49 +73,8 @@ def load_requests_csv(path: str | Path, start_id: int = 0) -> list[PassengerRequ
                         passengers=int(row.get("passengers") or 1),
                     )
                 )
-            except (TypeError, ValueError) as exc:
-                raise TraceFormatError(f"{path}:{line_number}: malformed saved-trace row") from exc
+            except (TypeError, ValueError, TraceFormatError) as exc:
+                raise TraceFormatError(
+                    f"{path}:{line_number}: malformed saved-trace row ({exc})"
+                ) from exc
     return records_to_requests(records, IdentityProjection(), start_id=start_id)
-
-
-def save_fleet_csv(taxis: Sequence[Taxi], path: str | Path) -> int:
-    """Write a fleet as ``taxi_id,x,y,seats``; returns rows written."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["taxi_id", "x", "y", "seats"])
-        count = 0
-        for taxi in sorted(taxis, key=lambda t: t.taxi_id):
-            writer.writerow(
-                [
-                    taxi.taxi_id,
-                    _FLOAT.format(taxi.location.x),
-                    _FLOAT.format(taxi.location.y),
-                    taxi.seats,
-                ]
-            )
-            count += 1
-    return count
-
-
-def load_fleet_csv(path: str | Path) -> list[Taxi]:
-    """Load a fleet CSV written by :func:`save_fleet_csv`."""
-    path = Path(path)
-    taxis: list[Taxi] = []
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"taxi_id", "x", "y", "seats"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise TraceFormatError(f"{path} is not a fleet CSV (need columns {sorted(required)})")
-        for line_number, row in enumerate(reader, start=2):
-            try:
-                taxis.append(
-                    Taxi(
-                        taxi_id=int(row["taxi_id"]),
-                        location=Point(float(row["x"]), float(row["y"])),
-                        seats=int(row["seats"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
-                raise TraceFormatError(f"{path}:{line_number}: bad fleet row") from exc
-    return taxis

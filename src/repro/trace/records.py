@@ -34,8 +34,12 @@ class TripRecord:
     passengers: int = 1
 
     def __post_init__(self) -> None:
-        if self.request_time_s < 0.0:
-            raise TraceFormatError(f"negative request time {self.request_time_s}")
+        if not math.isfinite(self.request_time_s) or self.request_time_s < 0.0:
+            raise TraceFormatError(f"request time {self.request_time_s} is not finite and ≥ 0")
+        if not all(math.isfinite(v) for v in (*self.pickup, *self.dropoff)):
+            raise TraceFormatError(
+                f"non-finite coordinate in pickup {self.pickup} or dropoff {self.dropoff}"
+            )
         if self.passengers < 1:
             raise TraceFormatError(f"non-positive passenger count {self.passengers}")
 

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import (
     MetricSummary,
     ordering_consistency,
-    replicate,
     summarize_samples,
 )
 
@@ -56,28 +55,6 @@ class TestSummarizeSamples:
     def test_rejects_bad_confidence(self):
         with pytest.raises(ValueError):
             summarize_samples([1.0, 2.0], confidence=1.5)
-
-
-class TestReplicate:
-    def test_collects_metrics_per_seed(self):
-        def run(seed):
-            return {"a": float(seed), "b": 2.0 * seed}
-
-        summaries = replicate(run, seeds=[1, 2, 3])
-        assert summaries["a"].mean == pytest.approx(2.0)
-        assert summaries["b"].mean == pytest.approx(4.0)
-        assert summaries["a"].n == 3
-
-    def test_rejects_inconsistent_keys(self):
-        def run(seed):
-            return {"a": 1.0} if seed == 0 else {"b": 1.0}
-
-        with pytest.raises(ValueError):
-            replicate(run, seeds=[0, 1])
-
-    def test_rejects_no_seeds(self):
-        with pytest.raises(ValueError):
-            replicate(lambda s: {"a": 1.0}, seeds=[])
 
 
 class TestOrderingConsistency:

@@ -8,6 +8,7 @@ from repro.dispatch import nstd_p, nstd_t
 from repro.dispatch.nonsharing import NSTDDispatcher
 from repro.geometry import EuclideanDistance, Point
 from repro.matching import Matching, build_nonsharing_table, is_stable
+from tests.oracles import taxi_optimal_exact
 
 
 @pytest.fixture()
@@ -45,8 +46,8 @@ class TestStability:
         for seed in range(5):
             taxis, requests = random_frame(seed, n_taxis=5, n_requests=6)
             fast = nstd_t(oracle, config).dispatch(taxis, requests)
-            exact = nstd_t(oracle, config, exact=True).dispatch(taxis, requests)
-            assert fast.taxi_of == exact.taxi_of
+            table = build_nonsharing_table(taxis, requests, oracle, config)
+            assert schedule_to_matching(fast) == taxi_optimal_exact(table)
 
 
 class TestProperty1:

@@ -1,10 +1,10 @@
-"""Unit tests for NSTD extensions: heterogeneous drivers and NSTD-M."""
+"""Unit tests for NSTD extensions: heterogeneous drivers."""
 
 import numpy as np
 import pytest
 
 from repro.core import DispatchConfig, PassengerRequest, Taxi
-from repro.dispatch import nstd_m, nstd_p, nstd_t
+from repro.dispatch import nstd_p, nstd_t
 from repro.dispatch.nonsharing import NSTDDispatcher
 from repro.dispatch.sharing import build_sharing_table, pack_requests
 from repro.geometry import EuclideanDistance, Point
@@ -27,45 +27,6 @@ def heterogeneous_market(seed=1, n=8):
     return taxis, requests, alphas
 
 
-class TestMedianDispatcher:
-    def test_name_and_factory(self, oracle):
-        assert nstd_m(oracle).name == "NSTD-M"
-
-    def test_median_schedule_is_stable(self, oracle):
-        taxis, requests, alphas = heterogeneous_market()
-        config = DispatchConfig(passenger_threshold_km=9.0, taxi_threshold_km=9.0)
-        dispatcher = NSTDDispatcher(
-            oracle, config, optimize_for="median", alpha_by_taxi=alphas
-        )
-        schedule = dispatcher.dispatch(taxis, requests)
-        table = build_nonsharing_table(
-            taxis, requests, oracle, config, alpha_by_taxi=alphas
-        )
-        assert is_stable(table, Matching(schedule.taxi_of))
-
-    def test_median_between_extremes_on_contested_market(self, oracle):
-        # Seed 1 is the known two-point lattice; with two matchings the
-        # (lower) median equals the passenger-optimal one.
-        taxis, requests, alphas = heterogeneous_market(seed=1)
-        config = DispatchConfig(passenger_threshold_km=9.0, taxi_threshold_km=9.0)
-        median = NSTDDispatcher(
-            oracle, config, optimize_for="median", alpha_by_taxi=alphas
-        ).dispatch(taxis, requests)
-        passenger = NSTDDispatcher(
-            oracle, config, optimize_for="passenger", alpha_by_taxi=alphas
-        ).dispatch(taxis, requests)
-        assert median.taxi_of == passenger.taxi_of
-
-    def test_matches_unique_matching_under_homogeneous_alpha(self, oracle):
-        taxis, requests, _ = heterogeneous_market(seed=5)
-        config = DispatchConfig()
-        assert (
-            nstd_m(oracle, config).dispatch(taxis, requests).taxi_of
-            == nstd_p(oracle, config).dispatch(taxis, requests).taxi_of
-            == nstd_t(oracle, config).dispatch(taxis, requests).taxi_of
-        )
-
-
 class TestHeterogeneousDispatch:
     def test_p_and_t_can_differ(self, oracle):
         taxis, requests, alphas = heterogeneous_market(seed=1)
@@ -78,11 +39,19 @@ class TestHeterogeneousDispatch:
         ).dispatch(taxis, requests)
         assert p.taxi_of != t.taxi_of  # the two-point lattice of seed 1
 
+    def test_unique_matching_under_homogeneous_alpha(self, oracle):
+        taxis, requests, _ = heterogeneous_market(seed=5)
+        config = DispatchConfig()
+        assert (
+            nstd_p(oracle, config).dispatch(taxis, requests).taxi_of
+            == nstd_t(oracle, config).dispatch(taxis, requests).taxi_of
+        )
+
     def test_both_remain_stable(self, oracle):
         taxis, requests, alphas = heterogeneous_market(seed=1)
         config = DispatchConfig(passenger_threshold_km=9.0, taxi_threshold_km=9.0)
         table = build_nonsharing_table(taxis, requests, oracle, config, alpha_by_taxi=alphas)
-        for mode in ("passenger", "taxi", "median"):
+        for mode in ("passenger", "taxi"):
             schedule = NSTDDispatcher(
                 oracle, config, optimize_for=mode, alpha_by_taxi=alphas
             ).dispatch(taxis, requests)

@@ -1,12 +1,13 @@
-"""Pinned outputs of the four NSTD solve modes and the preference builder.
+"""Pinned outputs of the two NSTD solve modes and the preference builder.
 
 Each case is one seeded frame with a heterogeneous ``alpha_by_taxi``
 map (so the stable lattice has more than one point), on the Euclidean
 oracle or on the asymmetric one-way ring.  The CRCs cover every
-assignment NSTD-P, NSTD-T, exact NSTD-T and NSTD-M ship, and both
-sides' preference orders of :func:`build_nonsharing_table` in dict
-iteration order.  Any rewrite of the preference build or of the solve
-paths must keep them bit for bit.
+assignment NSTD-P and NSTD-T ship, and both sides' preference orders of
+:func:`build_nonsharing_table` in dict iteration order.  Any rewrite of
+the preference build or of the solve paths must keep them bit for bit.
+On every frame, NSTD-T's taxi-proposing run must also equal Algorithm
+2's taxi-best pick over the enumerated lattice.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import pytest
 from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.dispatch.nonsharing import NSTDDispatcher
 from repro.geometry import EuclideanDistance, Point
-from repro.matching import build_nonsharing_table
+from repro.matching import build_nonsharing_table, taxi_optimal
+from tests.oracles import taxi_optimal_exact
 from tests.support import oneway_ring
 
 ORACLES = {"euclidean": EuclideanDistance, "oneway-ring": oneway_ring}
@@ -27,34 +29,16 @@ CONFIG = DispatchConfig(passenger_threshold_km=9.0, taxi_threshold_km=9.0)
 MODES = {
     "NSTD-P": {"optimize_for": "passenger"},
     "NSTD-T": {"optimize_for": "taxi"},
-    "NSTD-T-exact": {"optimize_for": "taxi", "exact": True},
-    "NSTD-M": {"optimize_for": "median"},
 }
 
 #: (oracle, seed) -> {mode or "table": CRC32 as hex}.  Seeds 6, 14 and 28
-#: have two stable matchings, so NSTD-P and NSTD-T differ there; on a
-#: two-point lattice the (lower) median is the passenger-optimal one.
+#: have two stable matchings, so NSTD-P and NSTD-T differ there.
 PINS = {
-    ("euclidean", 1): {
-        "NSTD-P": "d225a2ee", "NSTD-T": "d225a2ee", "NSTD-T-exact": "d225a2ee",
-        "NSTD-M": "d225a2ee", "table": "a2f646af",
-    },
-    ("euclidean", 6): {
-        "NSTD-P": "e64e405c", "NSTD-T": "1a94b6a1", "NSTD-T-exact": "1a94b6a1",
-        "NSTD-M": "e64e405c", "table": "e5a97c41",
-    },
-    ("euclidean", 14): {
-        "NSTD-P": "aff76025", "NSTD-T": "914a1b63", "NSTD-T-exact": "914a1b63",
-        "NSTD-M": "aff76025", "table": "2d82bc68",
-    },
-    ("oneway-ring", 1): {
-        "NSTD-P": "64d0c8e1", "NSTD-T": "64d0c8e1", "NSTD-T-exact": "64d0c8e1",
-        "NSTD-M": "64d0c8e1", "table": "e5c40776",
-    },
-    ("oneway-ring", 28): {
-        "NSTD-P": "88c83b50", "NSTD-T": "7b24ad80", "NSTD-T-exact": "7b24ad80",
-        "NSTD-M": "88c83b50", "table": "2cd95cdb",
-    },
+    ("euclidean", 1): {"NSTD-P": "d225a2ee", "NSTD-T": "d225a2ee", "table": "a2f646af"},
+    ("euclidean", 6): {"NSTD-P": "e64e405c", "NSTD-T": "1a94b6a1", "table": "e5a97c41"},
+    ("euclidean", 14): {"NSTD-P": "aff76025", "NSTD-T": "914a1b63", "table": "2d82bc68"},
+    ("oneway-ring", 1): {"NSTD-P": "64d0c8e1", "NSTD-T": "64d0c8e1", "table": "e5c40776"},
+    ("oneway-ring", 28): {"NSTD-P": "88c83b50", "NSTD-T": "7b24ad80", "table": "2cd95cdb"},
 }
 
 
@@ -94,6 +78,7 @@ def frame_digests(oracle_name: str, seed: int) -> dict[str, str]:
             [(a.taxi_id, a.request_ids, a.stops) for a in schedule.assignments]
         )
     table = build_nonsharing_table(taxis, requests, oracle, CONFIG, alpha_by_taxi=alphas)
+    assert taxi_optimal(table) == taxi_optimal_exact(table)
     digests["table"] = crc(
         (list(table.proposer_prefs.items()), list(table.reviewer_prefs.items()))
     )

@@ -30,12 +30,6 @@ def _frame():
 
 
 class TestWarmStartFlag:
-    def test_requires_array_fast_path(self):
-        with pytest.raises(ValueError):
-            NSTDDispatcher(ORACLE, optimize_for="median", warm_start=True)
-        with pytest.raises(ValueError):
-            NSTDDispatcher(ORACLE, optimize_for="taxi", exact=True, warm_start=True)
-
     def test_off_by_default(self):
         dispatcher = NSTDDispatcher(ORACLE)
         assert not dispatcher.warm_start

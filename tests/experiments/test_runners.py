@@ -34,6 +34,11 @@ class TestMakeDispatcher:
         with pytest.raises(ExperimentError):
             make_dispatcher("Uber", EuclideanDistance(), DispatchConfig())
 
+    def test_nstd_m_is_not_registered(self):
+        # The median stable matching is not one of the paper's ten.
+        with pytest.raises(ExperimentError):
+            make_dispatcher("NSTD-M", EuclideanDistance(), DispatchConfig())
+
 
 class TestBuildWorkload:
     def test_deterministic(self):
@@ -80,9 +85,3 @@ class TestRunTaxiSweep:
         assert len(small.taxi_stats) < len(large.taxi_stats)
         # More taxis never hurt the service rate on the same trace.
         assert large.service_rate >= small.service_rate - 1e-9
-
-
-class TestMedianInRegistry:
-    def test_nstd_m_resolves(self):
-        dispatcher = make_dispatcher("NSTD-M", EuclideanDistance(), DispatchConfig())
-        assert dispatcher.name == "NSTD-M"

@@ -97,26 +97,3 @@ class TestNearest:
         index.bulk_load([("a", Point(2, 0)), ("b", Point(1.5, 1.4))])
         # Manhattan: a is 2.0 away, b is 2.9 away.
         assert index.nearest(Point(0, 0), k=1)[0][0] == "a"
-
-
-class TestWithin:
-    def test_radius_filter(self):
-        index = GridSpatialIndex(cell_size=1.0)
-        index.bulk_load([("near", Point(1, 0)), ("far", Point(10, 0))])
-        found = index.within(Point(0, 0), 5.0)
-        assert [key for key, _ in found] == ["near"]
-
-    def test_results_sorted_by_distance(self):
-        index = GridSpatialIndex(cell_size=1.0)
-        index.bulk_load([("b", Point(2, 0)), ("a", Point(1, 0)), ("c", Point(3, 0))])
-        found = index.within(Point(0, 0), 10.0)
-        assert [key for key, _ in found] == ["a", "b", "c"]
-
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            GridSpatialIndex().within(Point(0, 0), -1.0)
-
-    def test_boundary_inclusive(self):
-        index = GridSpatialIndex(cell_size=1.0)
-        index.insert("edge", Point(5, 0))
-        assert index.within(Point(0, 0), 5.0) == [("edge", pytest.approx(5.0))]

@@ -7,7 +7,6 @@ from repro.matching import (
     all_stable_matchings,
     break_dispatch,
     deferred_acceptance,
-    enumerate_all_stable_matchings,
 )
 from repro.matching.preferences import PreferenceTable
 from repro.resilience import FrameBudget, WorkBudget
@@ -30,9 +29,6 @@ class FakeClock:
 
 
 class TestAnytimeEnumeration:
-    def test_alias_is_the_same_function(self):
-        assert enumerate_all_stable_matchings is all_stable_matchings
-
     def test_unbudgeted_path_unchanged(self):
         table = cyclic_market()
         plain = all_stable_matchings(table)

@@ -4,18 +4,17 @@ import random
 
 import pytest
 
-from repro.core import MatchingError, PassengerRequest
+from repro.core import PassengerRequest
 from repro.geometry import EuclideanDistance, Point
 from repro.matching import (
     PreferenceTable,
     all_stable_matchings,
-    company_optimal,
     company_revenue,
     passenger_optimal,
     rank_profile,
     taxi_optimal,
-    taxi_optimal_exact,
 )
+from tests.oracles import taxi_optimal_exact
 from tests.support import random_table
 
 
@@ -82,29 +81,17 @@ class TestCompanySelection:
         revenue = company_revenue(Matching({0: 100, 2: 101}), requests, oracle)
         assert revenue == pytest.approx(5.0 + 1.0)
 
-    def test_company_optimal_ties_on_default_objective(self, latin_square_table):
+    def test_revenue_constant_across_lattice(self, latin_square_table):
         # All stable matchings serve the same requests (Theorem 2), so
         # revenue is constant across the lattice.
         oracle = EuclideanDistance()
         requests = self._requests()
-        best, value = company_optimal(latin_square_table, requests, oracle)
-        assert value == pytest.approx(sum(r.trip_distance(oracle) for r in requests))
-
-    def test_company_optimal_custom_objective(self, latin_square_table):
-        # A taxi-centric objective must pick the taxi-optimal matching.
-        table = latin_square_table
-
-        def objective(matching):
-            return -rank_profile(table, matching)[1]
-
-        best, _ = company_optimal(table, self._requests(), EuclideanDistance(), objective=objective)
-        assert best == taxi_optimal(table)
-
-    def test_empty_market_raises(self):
-        table = PreferenceTable(proposer_prefs={}, reviewer_prefs={})
-        # One (empty) stable matching exists, so selection still works.
-        best, value = company_optimal(table, [], EuclideanDistance())
-        assert best.size == 0 and value == 0.0
+        lattice = all_stable_matchings(latin_square_table)
+        assert len(lattice) == 3
+        for matching in lattice:
+            assert company_revenue(matching, requests, oracle) == pytest.approx(
+                sum(r.trip_distance(oracle) for r in requests)
+            )
 
     def test_taxi_optimal_exact_requires_matchings(self):
         table = PreferenceTable(proposer_prefs={}, reviewer_prefs={})

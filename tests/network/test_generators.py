@@ -1,11 +1,9 @@
 """Unit tests for the synthetic city generators."""
 
-import math
-
 import pytest
 
 from repro.geometry import Point
-from repro.network import grid_city, radial_city, random_geometric_city
+from repro.network import grid_city
 from repro.network.shortest_path import dijkstra
 
 
@@ -29,43 +27,3 @@ class TestGridCity:
     def test_rejects_bad_block(self):
         with pytest.raises(ValueError):
             grid_city(3, 3, block_km=0.0)
-
-
-class TestRadialCity:
-    def test_node_count(self):
-        network = radial_city(rings=3, spokes=8)
-        assert network.node_count == 1 + 3 * 8
-
-    def test_ring_radius(self):
-        network = radial_city(rings=2, spokes=4, ring_spacing_km=2.0)
-        outer = network.node_point(1 + 4)  # first node of ring 2
-        assert math.hypot(outer.x, outer.y) == pytest.approx(4.0)
-
-    def test_connected(self):
-        network = radial_city(rings=2, spokes=5)
-        reachable = dijkstra({u: network.neighbors(u) for u in network.nodes()}, 0)
-        assert len(reachable) == network.node_count
-
-    @pytest.mark.parametrize("kwargs", [{"rings": 0, "spokes": 4}, {"rings": 2, "spokes": 2}])
-    def test_rejects_degenerate(self, kwargs):
-        with pytest.raises(ValueError):
-            radial_city(**kwargs)
-
-
-class TestRandomGeometricCity:
-    def test_deterministic(self):
-        a = random_geometric_city(100, 10.0, 1.8, seed=5)
-        b = random_geometric_city(100, 10.0, 1.8, seed=5)
-        assert a.node_count == b.node_count
-        assert a.edge_count == b.edge_count
-
-    def test_largest_component_is_connected(self):
-        network = random_geometric_city(150, 10.0, 1.5, seed=1)
-        reachable = dijkstra({u: network.neighbors(u) for u in network.nodes()}, 0)
-        assert len(reachable) == network.node_count
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            random_geometric_city(1, 10.0, 1.0)
-        with pytest.raises(ValueError):
-            random_geometric_city(10, -1.0, 1.0)

@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.network import SingleSourceCache, astar, dijkstra, dijkstra_to_target
+from repro.network import SingleSourceCache, dijkstra
 
 
 def random_graph(seed, n=40, p=0.15):
@@ -44,37 +44,6 @@ class TestDijkstra:
 
     def test_source_distance_zero(self):
         assert dijkstra({0: []}, 0) == {0: 0.0}
-
-
-class TestDijkstraToTarget:
-    def test_early_termination_equals_full(self):
-        adjacency, graph = random_graph(1)
-        for target in (5, 17, 33):
-            full = dijkstra(adjacency, 2).get(target, math.inf)
-            assert dijkstra_to_target(adjacency, 2, target) == pytest.approx(full)
-
-    def test_same_node(self):
-        assert dijkstra_to_target({0: []}, 0, 0) == 0.0
-
-    def test_unreachable_is_inf(self):
-        assert dijkstra_to_target({0: [], 1: []}, 0, 1) == math.inf
-
-
-class TestAStar:
-    def test_zero_heuristic_equals_dijkstra(self):
-        adjacency, _ = random_graph(2)
-        for target in (3, 11, 29):
-            expected = dijkstra_to_target(adjacency, 0, target)
-            assert astar(adjacency, 0, target, lambda n: 0.0) == pytest.approx(expected)
-
-    def test_admissible_heuristic_exact_on_line(self):
-        # Line graph 0-1-2-3 with unit weights and exact heuristic.
-        adjacency = {i: [(i + 1, 1.0)] for i in range(3)}
-        adjacency[3] = []
-        assert astar(adjacency, 0, 3, lambda n: 3 - n) == pytest.approx(3.0)
-
-    def test_same_node(self):
-        assert astar({0: []}, 0, 0, lambda n: 0.0) == 0.0
 
 
 class TestSingleSourceCache:

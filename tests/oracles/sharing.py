@@ -4,7 +4,8 @@ The test oracles of
 :func:`repro.dispatch.sharing.preferences.build_sharing_table` and
 :func:`repro.packing.feasibility.enumerate_feasible_groups`, which
 replaced these loops with array code that must agree with them bit for
-bit.
+bit, and the scalar per-pair score definitions
+(:func:`group_passenger_score`, :func:`group_taxi_score`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ from repro.resilience.budget import WorkBudget
 from repro.routing.shared_route import build_ride_group
 from tests.oracles.nonsharing_table import PairScores, table_from_scores
 
-__all__ = ["sharing_table_reference", "sharing_scores_reference", "enumerate_groups_reference"]
+__all__ = [
+    "sharing_table_reference",
+    "sharing_scores_reference",
+    "enumerate_groups_reference",
+    "group_passenger_score",
+    "group_taxi_score",
+]
 
 
 def sharing_table_reference(
@@ -202,3 +209,22 @@ def enumerate_groups_reference(
     if with_stats:
         return groups, stats
     return groups
+
+
+def group_passenger_score(
+    taxi: Taxi, group: RideGroup, oracle: DistanceOracle, beta: float
+) -> float:
+    """Mean member dissatisfaction of being served by ``taxi``."""
+    approach = oracle.distance(taxi.location, group.route_start)
+    total = 0.0
+    for request in group.requests:
+        offset = group.pickup_offset_km[request.request_id]
+        detour = group.onboard_distance_km[request.request_id] - request.trip_distance(oracle)
+        total += approach + offset + beta * detour
+    return total / len(group.requests)
+
+
+def group_taxi_score(taxi: Taxi, group: RideGroup, oracle: DistanceOracle, alpha: float) -> float:
+    """The driver's expense-minus-payoff score for serving ``group``."""
+    total_drive = oracle.distance(taxi.location, group.route_start) + group.route_length_km
+    return total_drive - (alpha + 1.0) * group.total_trip_distance(oracle)

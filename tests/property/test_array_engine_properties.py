@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.geometry import EuclideanDistance, Point
 from repro.matching import (
-    PreferenceArrays,
     PreferenceTable,
     build_nonsharing_arrays,
     build_nonsharing_table,
@@ -25,6 +24,7 @@ from repro.matching import (
     find_blocking_pairs,
     is_stable,
 )
+from tests.oracles import arrays_equal, arrays_from_table, validate_arrays
 
 ORACLE = EuclideanDistance()
 REVIEWER_BASE = 1000
@@ -85,7 +85,7 @@ def geometric_frames(draw):
 
 
 def _run_both(table):
-    arrays = PreferenceArrays.from_table(table)
+    arrays = arrays_from_table(table)
     matching_dict, stats_dict = deferred_acceptance_dict(table, with_stats=True)
     matching_array, stats_array = deferred_acceptance_arrays(arrays, with_stats=True)
     return matching_dict, stats_dict, matching_array, stats_array
@@ -113,7 +113,7 @@ def test_unserved_sets_agree(table):
 @settings(max_examples=150, deadline=None)
 @given(preference_tables(max_side=4))
 def test_verification_agrees_across_representations(table):
-    arrays = PreferenceArrays.from_table(table)
+    arrays = arrays_from_table(table)
     matching = deferred_acceptance_arrays(arrays)
     assert is_stable(table, matching) and is_stable(arrays, matching)
     assert find_blocking_pairs(table, matching) == find_blocking_pairs(arrays, matching)
@@ -125,9 +125,9 @@ def test_builders_agree_including_threshold_boundaries(frame):
     taxis, requests, config = frame
     table = build_nonsharing_table(taxis, requests, ORACLE, config)
     direct = build_nonsharing_arrays(taxis, requests, ORACLE, config)
-    packed = PreferenceArrays.from_table(table)
-    assert direct.equals(packed)
-    direct.validate()
+    packed = arrays_from_table(table)
+    assert arrays_equal(direct, packed)
+    validate_arrays(direct)
     # And the engines agree on the geometric market too.
     matching_dict, stats_dict = deferred_acceptance_dict(table, with_stats=True)
     matching_array, stats_array = deferred_acceptance_arrays(direct, with_stats=True)
@@ -138,7 +138,7 @@ def test_builders_agree_including_threshold_boundaries(frame):
 @settings(max_examples=100, deadline=None)
 @given(preference_tables())
 def test_round_trip_table_arrays_table(table):
-    arrays = PreferenceArrays.from_table(table)
+    arrays = arrays_from_table(table)
     back = arrays.to_table()
     assert back.proposer_prefs == table.proposer_prefs
     assert back.reviewer_prefs == table.reviewer_prefs

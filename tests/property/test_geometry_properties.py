@@ -53,20 +53,3 @@ def test_spatial_index_nearest_matches_brute_force(items, query, k, cell_size):
         ((oracle.distance(query, p), repr(i), i) for i, p in keyed.items())
     )[:k]
     assert [key for key, _ in got] == [i for _, _, i in expected]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.lists(points, min_size=0, max_size=25),
-    points,
-    st.floats(min_value=0.0, max_value=30.0),
-    st.floats(min_value=0.05, max_value=8.0),
-)
-def test_spatial_index_within_matches_brute_force(items, query, radius, cell_size):
-    index = GridSpatialIndex(cell_size=cell_size)
-    oracle = EuclideanDistance()
-    keyed = {i: p for i, p in enumerate(items)}
-    index.bulk_load(keyed.items())
-    got = {key for key, _ in index.within(query, radius)}
-    expected = {i for i, p in keyed.items() if oracle.distance(query, p) <= radius}
-    assert got == expected

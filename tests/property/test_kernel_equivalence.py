@@ -16,11 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.dispatch import GreedyNearestDispatcher
 from repro.dispatch.nonsharing.mincost import build_cost_matrix
-from repro.dispatch.sharing.preferences import (
-    build_sharing_table,
-    group_passenger_score,
-    group_taxi_score,
-)
+from repro.dispatch.sharing.preferences import build_sharing_table
 from repro.geometry import (
     EuclideanDistance,
     HaversineDistance,
@@ -31,7 +27,12 @@ from repro.geometry import (
 from repro.matching import build_nonsharing_table
 from repro.matching.preferences import _checked_alphas, _dense_pairs
 from repro.routing.shared_route import build_ride_group
-from tests.oracles import build_nonsharing_table_reference, nonsharing_scores_reference
+from tests.oracles import (
+    build_nonsharing_table_reference,
+    group_passenger_score,
+    group_taxi_score,
+    nonsharing_scores_reference,
+)
 from tests.support import oneway_ring
 
 TAXI_ID_BASE = 100

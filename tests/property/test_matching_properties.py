@@ -16,9 +16,8 @@ from repro.matching import (
     find_blocking_pairs,
     is_stable,
     taxi_optimal,
-    taxi_optimal_exact,
 )
-from tests.oracles import all_stable_matchings_brute_force
+from tests.oracles import all_stable_matchings_brute_force, taxi_optimal_exact
 
 REVIEWER_BASE = 1000
 

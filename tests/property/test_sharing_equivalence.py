@@ -30,13 +30,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core import DispatchConfig, PassengerRequest, Taxi
 from repro.dispatch.sharing import build_sharing_table
 from repro.geometry import EuclideanDistance, Point
-from repro.matching.arrays import PreferenceArrays
 from repro.packing import enumerate_feasible_groups
 from repro.packing.feasibility import GroupMemo
 from repro.packing.set_packing import greedy_set_packing, local_search_packing
 from repro.resilience import WorkBudget
 from repro.routing.shared_route import build_ride_group, feasible_shared_route
 from tests.oracles import (
+    arrays_equal,
+    arrays_from_table,
     enumerate_groups_reference,
     greedy_packing_reference,
     local_search_reference,
@@ -114,7 +115,7 @@ def test_array_table_equals_dict_oracle(market, data):
             taxis, units, oracle, bounded, alpha_by_taxi=alpha_by_taxi
         )
         candidate = build_sharing_table(taxis, units, oracle, bounded, alpha_by_taxi=alpha_by_taxi)
-        assert candidate.equals(PreferenceArrays.from_table(reference))
+        assert arrays_equal(candidate, arrays_from_table(reference))
 
 
 # -- exhaustive route search -------------------------------------------------

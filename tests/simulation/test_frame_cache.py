@@ -158,7 +158,6 @@ class TestDispatcherTransparency:
         yield MinimaxDispatcher(oracle, config)
         yield NSTDDispatcher(oracle, config, optimize_for="passenger")
         yield NSTDDispatcher(oracle, config, optimize_for="taxi")
-        yield NSTDDispatcher(oracle, config, optimize_for="median")
         yield STDDispatcher(oracle, config, optimize_for="passenger", pairing_radius_km=3.0)
 
     def test_schedules_identical_with_and_without_cache(self):

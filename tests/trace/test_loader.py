@@ -76,6 +76,19 @@ class TestNYCLoader:
         assert report.loaded_rows == 0
         assert report.skipped_rows == 2
 
+    def test_skips_non_finite_coordinates(self, tmp_path):
+        path = write_nyc(
+            tmp_path,
+            [
+                "2,2016-01-01 00:00:00,2016-01-01 00:10:00,1,2.1,nan,40.73,1,N,-73.98,40.75,1,9.0",
+                "2,2016-01-01 00:01:00,2016-01-01 00:10:00,1,2.1,-73.99,40.73,1,N,-73.98,inf,1,9.0",
+                "2,2016-01-01 00:05:00,2016-01-01 00:20:00,1,3.0,-73.97,40.76,1,N,-73.99,40.72,1,12.0",
+            ],
+        )
+        report = load_nyc_trace(path)
+        assert report.loaded_rows == 1
+        assert report.skip_reasons == {"bad_coordinate": 2}
+
     def test_max_rows(self, tmp_path):
         rows = [
             f"2,2016-01-01 00:0{i}:00,2016-01-01 00:10:00,1,2.1,-73.99,40.73,1,N,-73.98,40.75,1,9.0"
@@ -125,6 +138,33 @@ class TestGenericLoader:
         report = load_generic_trace(path)
         assert [r.request_time_s for r in report.records] == [0.0, 60.0]
         assert all(r.passengers == 1 for r in report.records)
+
+    def test_non_finite_time_skipped(self, tmp_path):
+        # A ``nan`` first time used to become the rebase origin, turning
+        # every request time into ``nan`` with nothing skipped.
+        path = tmp_path / "boston.csv"
+        path.write_text(
+            "time,plon,plat,dlon,dlat\n"
+            "nan,-71.06,42.36,-71.09,42.34\n"
+            "inf,-71.06,42.36,-71.09,42.34\n"
+            "100,-71.06,42.36,-71.09,42.34\n"
+            "160,-71.07,42.35,-71.05,42.37\n"
+        )
+        report = load_generic_trace(path)
+        assert [r.request_time_s for r in report.records] == [0.0, 60.0]
+        assert report.skip_reasons == {"bad_timestamp": 2}
+
+    def test_non_finite_coordinates_skipped(self, tmp_path):
+        path = tmp_path / "boston.csv"
+        path.write_text(
+            "time,plon,plat,dlon,dlat\n"
+            "10,-71.06,nan,-71.09,42.34\n"
+            "20,-71.06,42.36,-inf,42.34\n"
+            "30,-71.07,42.35,-71.05,42.37\n"
+        )
+        report = load_generic_trace(path)
+        assert report.loaded_rows == 1
+        assert report.skip_reasons == {"bad_coordinate": 2}
 
     def test_short_rows_skipped(self, tmp_path):
         path = tmp_path / "boston.csv"

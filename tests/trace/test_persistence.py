@@ -4,12 +4,7 @@ import pytest
 
 from repro.core import TraceFormatError
 from repro.trace import boston_profile
-from repro.trace.persistence import (
-    load_fleet_csv,
-    load_requests_csv,
-    save_fleet_csv,
-    save_requests_csv,
-)
+from repro.trace.persistence import load_requests_csv, save_requests_csv
 from repro.trace.synthetic import SyntheticTraceGenerator
 
 
@@ -51,32 +46,16 @@ class TestRequestsRoundTrip:
         with pytest.raises(TraceFormatError):
             load_requests_csv(path)
 
+    @pytest.mark.parametrize(
+        "row", ["nan,1,2,3,4,1", "10,1,inf,3,4,1", "-5,1,2,3,4,1"], ids=["nan", "inf", "negative"]
+    )
+    def test_invalid_values_rejected_with_line(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"time,plon,plat,dlon,dlat,passengers\n0,1,2,3,4,1\n{row}\n")
+        with pytest.raises(TraceFormatError, match=r"bad\.csv:3:"):
+            load_requests_csv(path)
+
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.csv"
         assert save_requests_csv([], path) == 0
         assert load_requests_csv(path) == []
-
-
-class TestFleetRoundTrip:
-    def test_round_trip(self, tmp_path, workload):
-        _, fleet = workload
-        path = tmp_path / "fleet.csv"
-        assert save_fleet_csv(fleet, path) == len(fleet)
-        loaded = load_fleet_csv(path)
-        assert [t.taxi_id for t in loaded] == [t.taxi_id for t in sorted(fleet, key=lambda t: t.taxi_id)]
-        assert all(a.seats == b.seats for a, b in zip(loaded, sorted(fleet, key=lambda t: t.taxi_id)))
-        assert loaded[0].location.x == pytest.approx(
-            sorted(fleet, key=lambda t: t.taxi_id)[0].location.x, rel=1e-9
-        )
-
-    def test_missing_columns_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(TraceFormatError):
-            load_fleet_csv(path)
-
-    def test_bad_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("taxi_id,x,y,seats\nnope,1,2,4\n")
-        with pytest.raises(TraceFormatError):
-            load_fleet_csv(path)

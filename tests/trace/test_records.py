@@ -20,6 +20,19 @@ class TestTripRecord:
         with pytest.raises(TraceFormatError):
             TripRecord(0.0, (0, 0), (1, 1), passengers=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_time(self, bad):
+        with pytest.raises(TraceFormatError):
+            TripRecord(bad, (0, 0), (1, 1))
+
+    @pytest.mark.parametrize(
+        "pickup, dropoff",
+        [((float("nan"), 0.0), (1.0, 1.0)), ((0.0, 0.0), (1.0, float("-inf")))],
+    )
+    def test_rejects_non_finite_coordinates(self, pickup, dropoff):
+        with pytest.raises(TraceFormatError):
+            TripRecord(0.0, pickup, dropoff)
+
 
 class TestProjections:
     def test_identity(self):
