@@ -26,6 +26,8 @@ __all__ = [
     "GridSpatialIndex",
     "grid_cells",
     "pack_cell_keys",
+    "cell_key_column",
+    "UNBUCKETABLE_KEY",
     "cell_reach",
 ]
 
@@ -33,6 +35,33 @@ __all__ = [
 #: key; anything outside is a degenerate geometry (coordinates billions
 #: of kilometres from the origin) the packers refuse rather than wrap.
 _CELL_LIMIT = np.int64(1) << 31
+
+#: The key :func:`cell_key_column` gives a row the grid cannot bucket;
+#: :func:`pack_cell_keys` never produces it.
+UNBUCKETABLE_KEY = np.uint64(0)
+
+
+def _bucket_rows(xy: np.ndarray, cell_km: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``floor(coordinate / cell_km)`` per axis as int64 cells, with two
+    per-row flags: the row's cells are finite, and they fit the packable
+    32-bit range.  A row outside that range reads cells 0.
+
+    The range is checked on the float cells, before the integer cast: a
+    cell beyond int64 would otherwise wrap to ``-2^63``, whose absolute
+    value overflows back to itself and passes an integer check.
+    """
+    if cell_km <= 0.0 or not math.isfinite(cell_km):
+        raise ValueError(f"cell_km must be positive and finite, got {cell_km}")
+    pts = np.asarray(xy, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) coordinate array, got shape {pts.shape}")
+    cells = np.floor_divide(pts, cell_km)
+    finite = np.isfinite(cells).all(axis=1)
+    # NaN and infinite cells compare False, so in range implies finite.
+    in_range = (np.abs(cells) < float(_CELL_LIMIT)).all(axis=1)
+    if not in_range.all():
+        cells = np.where(in_range[:, None], cells, 0.0)
+    return cells.astype(np.int64), finite, in_range
 
 
 def grid_cells(xy: np.ndarray, cell_km: float) -> np.ndarray:
@@ -47,16 +76,10 @@ def grid_cells(xy: np.ndarray, cell_km: float) -> np.ndarray:
     packable 32-bit range; callers treating the grid as an optimization
     (the sharding layer) catch this and fall back to one global bucket.
     """
-    if cell_km <= 0.0 or not math.isfinite(cell_km):
-        raise ValueError(f"cell_km must be positive and finite, got {cell_km}")
-    pts = np.asarray(xy, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected an (n, 2) coordinate array, got shape {pts.shape}")
-    cells = np.floor_divide(pts, cell_km)
-    if not bool(np.all(np.isfinite(cells))):
+    out, finite, in_range = _bucket_rows(xy, cell_km)
+    if not bool(finite.all()):
         raise ValueError("non-finite coordinates cannot be bucketed")
-    out = cells.astype(np.int64)
-    if bool(np.any(np.abs(out) >= _CELL_LIMIT)):
+    if not bool(in_range.all()):
         raise ValueError("cell coordinates overflow the packable 32-bit range")
     return out
 
@@ -67,10 +90,26 @@ def pack_cell_keys(cells: np.ndarray) -> np.ndarray:
     The key is ``(cx + 2^31) << 32 | (cy + 2^31)``: a bijection on the
     range :func:`grid_cells` guarantees, monotone in ``(cx, cy)``
     lexicographic order, so sorted keys admit ``searchsorted`` joins.
+    Both lanes are at least 1 there, so no packed key is
+    :data:`UNBUCKETABLE_KEY`.
     """
     cell_arr = np.asarray(cells, dtype=np.int64)
     shifted = (cell_arr + _CELL_LIMIT).astype(np.uint64)
     return (shifted[:, 0] << np.uint64(32)) | shifted[:, 1]
+
+
+def cell_key_column(xy: np.ndarray, cell_km: float) -> np.ndarray:
+    """``pack_cell_keys(grid_cells(xy, cell_km))`` row by row.
+
+    A row :func:`grid_cells` would reject reads :data:`UNBUCKETABLE_KEY`
+    instead of failing the whole array, so one column serves every
+    subset of its rows: a subset is bucketable exactly when none of its
+    keys is that flag (``keys.all()``).
+    """
+    out, _, in_range = _bucket_rows(xy, cell_km)
+    keys = pack_cell_keys(out)
+    keys[~in_range] = UNBUCKETABLE_KEY
+    return keys
 
 
 def cell_reach(radius_km: np.ndarray, cell_km: float) -> np.ndarray:

@@ -3,11 +3,19 @@
 The paper's model (Section III-A / VI-A) is one loop: at each frame
 boundary, match the idle taxis to the pending requests, execute the
 matches, repeat.  :class:`RunCore` owns everything that loop carries
-between frames — agents and their idle view, the admission-ordered
-queue, outcomes, assignments, per-frame statistics and the run's
+between frames — agents and their idle view, the queue, outcomes,
+assignments, per-frame statistics and the run's
 :class:`~repro.simulation.frame_cache.FrameDistanceCache` — and the
 steps over it: admit, expire, idle, execute, record, snapshot/restore
 and result assembly.
+
+Requests and taxis are rows.  A request's row is its position in the
+trace sorted by arrival (:attr:`RunCore.ordered`), a taxi's its
+position in the fleet.  What a frame reads of them — request ids,
+trips, pickups, zone keys (:class:`RequestColumns`) and taxi positions
+— is held in run-long columns, and a frame reads its requests' and idle
+taxis' facts as one gather over their rows.  The queue is a mask over
+request rows; admission follows rows, so queue order is ascending rows.
 
 A request's trip ``D(r^s, r^d)`` is a constant of the trace: the cache
 measures every trip of the trace once, at run start, and every later
@@ -44,6 +52,7 @@ from repro.dispatch.scoring import assignment_metrics
 from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle
 from repro.geometry.point import Point
+from repro.geometry.spatial_index import cell_key_column
 from repro.resilience.journal import FrameDigest, frame_pairs_crc
 from repro.resilience.report import ResilienceReport, StabilityAuditReport
 from repro.simulation.events import AssignmentRecord, FrameStats, RequestOutcome, TaxiStats
@@ -51,7 +60,7 @@ from repro.simulation.frame_cache import FrameDistanceCache
 from repro.simulation.repositioning import RepositioningPolicy
 from repro.simulation.taxi_state import TaxiAgent
 
-__all__ = ["RunCore", "SimulationResult"]
+__all__ = ["RequestColumns", "RunCore", "SimulationResult"]
 
 
 @dataclass(slots=True)
@@ -190,12 +199,73 @@ class SimulationResult:
         }
 
 
+#: The rows of an empty queue (read-only, so it can be shared).
+_NO_ROWS = np.empty(0, dtype=np.int64)
+_NO_ROWS.setflags(write=False)
+
+
+def _locations(agents: Sequence[TaxiAgent]) -> np.ndarray:
+    """The agents' locations as a float64 ``(n, 2)`` array."""
+    return as_point_array([agent.location for agent in agents], check_finite=False)
+
+
 def _percentile(sorted_samples: list[float], q: float) -> float:
     """Nearest-rank percentile of an ascending sample list (0.0 if empty)."""
     if not sorted_samples:
         return 0.0
     rank = max(1, math.ceil(q * len(sorted_samples)))
     return sorted_samples[rank - 1]
+
+
+class RequestColumns:
+    """A trace's per-request facts as run-long columns, one row per request.
+
+    Row ``i`` describes ``requests[i]``, so a frame reads its requests'
+    facts as one gather over their rows, with no walk over request
+    objects.  The request objects themselves (an object column), the
+    int64 ids and the float64 trips are taken at construction.  The
+    pickups and the zone keys, which only the streaming engine reads,
+    are built on their first read, so a batch run builds neither.
+    """
+
+    __slots__ = ("requests", "ids", "trips", "_pickup_xy", "_zone_keys")
+
+    def __init__(self, requests: Sequence[PassengerRequest], trips: np.ndarray):
+        if len(trips) != len(requests):
+            raise ValueError("one trip per request is needed")
+        self.requests = np.fromiter(requests, dtype=object, count=len(requests))
+        self.ids = np.fromiter(
+            (r.request_id for r in requests), dtype=np.int64, count=len(requests)
+        )
+        self.trips = np.asarray(trips, dtype=np.float64)
+        self._pickup_xy: np.ndarray | None = None
+        # zone edge -> key column
+        self._zone_keys: dict[float, np.ndarray] = {}
+
+    @property
+    def pickup_xy(self) -> np.ndarray:
+        """The float64 ``(n, 2)`` pickups, bit-equal to ``as_point_array``
+        of the requests' pickup points."""
+        if self._pickup_xy is None:
+            self._pickup_xy = as_point_array(
+                [r.pickup for r in self.requests], check_finite=False
+            )
+        return self._pickup_xy
+
+    def zone_keys(self, zone_km: float) -> np.ndarray:
+        """Each pickup's packed zone key on the grid of edge ``zone_km``
+        (:func:`~repro.geometry.spatial_index.cell_key_column`, the
+        floor division of ``grid_cells``).
+
+        A pickup the grid cannot bucket reads
+        :data:`~repro.geometry.spatial_index.UNBUCKETABLE_KEY`.  The
+        column is built on the first read at an edge: a streaming run
+        freezes its edge, so it is built once per run.
+        """
+        keys = self._zone_keys.get(zone_km)
+        if keys is None:
+            keys = self._zone_keys[zone_km] = cell_key_column(self.pickup_xy, zone_km)
+        return keys
 
 
 class RunCore:
@@ -212,7 +282,9 @@ class RunCore:
     DURABILITY_EXCLUSIONS: ClassVar[dict[str, str]] = {
         "snapshots": "per-row view of the agents' positions; restore_state rebuilds it from them",
         "available_at": "per-row view of the agents' available_at_s; restore_state rebuilds it",
-        "_request_columns": "trace-order columns of the immutable trace; rebuilt on first read",
+        "agent_xy": "per-row column of the agents' locations; restore_state rebuilds it from them",
+        "idle_rows": "the idle rows of the frame in flight; idle() rewrites them every frame",
+        "batch_rows": "the queued rows of the frame in flight; batch() rewrites them every frame",
     }
 
     def __init__(
@@ -232,31 +304,40 @@ class RunCore:
         self.agent_list = list(self.agents.values())
         self.agent_row = {agent.taxi_id: row for row, agent in enumerate(self.agent_list)}
         # Row-indexed idle view: the per-frame idle gather is one
-        # vectorized comparison plus list indexing.  Rows refresh wherever
-        # an agent moves (assignment, relocation).
-        self.snapshots = [agent.snapshot() for agent in self.agent_list]
+        # vectorized comparison plus one gather from the snapshot column.
+        # Rows refresh wherever an agent moves (assignment, relocation).
+        self.snapshots = np.fromiter(
+            (agent.snapshot() for agent in self.agent_list),
+            dtype=object,
+            count=len(self.agent_list),
+        )
         self.available_at = np.fromiter(
             (agent.available_at_s for agent in self.agent_list),
             dtype=np.float64,
             count=len(self.agent_list),
         )
+        #: float64 ``(n, 2)`` agent locations by fleet row.
+        self.agent_xy = _locations(self.agent_list)
+        #: Fleet rows of the frame's idle taxis, as :meth:`idle` last listed them.
+        self.idle_rows = np.empty(0, dtype=np.int64)
 
         self.ordered = sorted(requests, key=lambda r: (r.request_time_s, r.request_id))
         self.outcomes = [
             RequestOutcome(request_id=r.request_id, request_time_s=r.request_time_s)
             for r in self.ordered
         ]
-        self.outcomes_by_id = {outcome.request_id: outcome for outcome in self.outcomes}
-        if len(self.outcomes_by_id) != len(self.ordered):
+        self.request_row = {r.request_id: row for row, r in enumerate(self.ordered)}
+        if len(self.request_row) != len(self.ordered):
             raise SimulationError("duplicate request ids in trace")
 
         self.arrival_cursor = 0
-        # Insertion-ordered by admission, which follows trace order, so
-        # request times are non-decreasing along the queue.
-        self.queue: dict[int, PassengerRequest] = {}
-        # Pickup rows, ids and the id sort of ``ordered``; built by the
-        # first queue_columns() call.
-        self._request_columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # The queue: a mask over request rows.  Admission follows rows,
+        # so request times are non-decreasing along the queued rows, and
+        # no row below ``queue_head`` is queued.
+        self.queued = np.zeros(len(self.ordered), dtype=bool)
+        self.queue_head = 0
+        #: Rows of the frame's batch, as :meth:`batch` last listed them.
+        self.batch_rows = np.empty(0, dtype=np.int64)
         self.assignments: list[AssignmentRecord] = []
         #: Outcomes in the order they resolved (abandoned or dispatched);
         #: each frame's resolutions are a suffix, which frame_rows reads.
@@ -265,6 +346,7 @@ class RunCore:
         # The run's distance memo: idle() opens each frame, solvers read
         # it.  Built with the trace, it measures every trip here.
         self.cache = FrameDistanceCache(oracle, self.ordered)
+        self.columns = RequestColumns(self.ordered, self.cache.trip_km(self.ordered))
         self.time_s = 0.0
         #: Running CRC chained over every frame's assignment pairs; the
         #: journal's cross-frame integrity digest.
@@ -282,7 +364,9 @@ class RunCore:
     @property
     def drained(self) -> bool:
         """Every request has arrived and none is still queued."""
-        return not self.queue and self.arrival_cursor >= len(self.ordered)
+        return self.arrival_cursor >= len(self.ordered) and not self.queued[
+            self.queue_head:
+        ].any()
 
     @property
     def next_arrival(self) -> PassengerRequest | None:
@@ -293,10 +377,10 @@ class RunCore:
 
     def admit_next(self) -> PassengerRequest:
         """Queue :attr:`next_arrival` and return it."""
-        request = self.ordered[self.arrival_cursor]
-        self.queue[request.request_id] = request
-        self.arrival_cursor += 1
-        return request
+        row = self.arrival_cursor
+        self.queued[row] = True
+        self.arrival_cursor = row + 1
+        return self.ordered[row]
 
     def admit(self) -> list[PassengerRequest]:
         """Queue every request that arrived by :attr:`time_s` (inclusive)."""
@@ -307,56 +391,68 @@ class RunCore:
             incoming = self.next_arrival
         return admitted
 
-    def queue_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """The queued requests' float64 ``(q, 2)`` pickups and int64 ids,
-        in queue order (that of ``list(queue.values())``).
+    def queue_rows(self) -> np.ndarray:
+        """The queued rows, ascending: the queue in admission order.
 
-        The pickups are a gather from a run-long column over the trace,
-        built on the first call: no later call converts a :class:`Point`,
-        and a run that never calls this (the batch engine's) never builds
-        it.  They equal ``as_point_array`` of the queued pickups bit for
-        bit.  The ids are the queue's keys, which locate the rows.
+        One ``flatnonzero`` over the live window, from the lowest queued
+        row to the arrival cursor; the window's start then moves up to
+        the lowest row still queued.
         """
-        if self._request_columns is None:
-            ordered = self.ordered
-            ids = np.fromiter(
-                (r.request_id for r in ordered), dtype=np.int64, count=len(ordered)
-            )
-            pickups = as_point_array([r.pickup for r in ordered], check_finite=False)
-            self._request_columns = (pickups, ids, np.argsort(ids, kind="stable"))
-        pickups, ids, sorter = self._request_columns
-        queued = np.fromiter(self.queue, dtype=np.int64, count=len(self.queue))
-        rows = sorter[np.searchsorted(ids, queued, sorter=sorter)]
-        return pickups[rows], queued
+        head, cursor = self.queue_head, self.arrival_cursor
+        if head == cursor:
+            # Drained and nothing arrived since: most frames of a quiet run.
+            return _NO_ROWS
+        rows = np.flatnonzero(self.queued[head:cursor])
+        rows += head
+        self.queue_head = int(rows[0]) if rows.size else cursor
+        return rows
+
+    def batch(self, rows: np.ndarray) -> list[PassengerRequest]:
+        """The requests at ``rows`` (a :meth:`queue_rows` result), in
+        order: the frame's batch.
+
+        Records ``rows`` as :attr:`batch_rows`, which :meth:`execute`
+        reads, so a frame executes against the batch it last listed.
+        """
+        self.batch_rows = rows
+        return self.columns.requests[rows].tolist()
 
     def expire(self) -> int:
         """Drop queued requests whose patience ran out; returns how many."""
         patience_s = self.sim_config.passenger_patience_s
-        if not self.queue or patience_s == float("inf"):
+        head = self.queue_head
+        ordered = self.ordered
+        # Request times are non-decreasing along the rows and no row below
+        # queue_head is queued, so the expired rows form a prefix of the
+        # queue, and none has expired while the head row has not.
+        if (
+            patience_s == float("inf")
+            or head == self.arrival_cursor
+            or self.time_s - ordered[head].request_time_s <= patience_s
+        ):
             return 0
-        # Request times are non-decreasing along the queue, so the
-        # expired entries form a prefix: stop at the first survivor
-        # instead of scanning the whole queue.
-        expired = []
-        for rid, queued in self.queue.items():
-            if self.time_s - queued.request_time_s <= patience_s:
+        expired = 0
+        for row in self.queue_rows().tolist():
+            if self.time_s - ordered[row].request_time_s <= patience_s:
                 break
-            expired.append(rid)
-        for rid in expired:
-            del self.queue[rid]
-            outcome = self.outcomes_by_id[rid]
+            self.queued[row] = False
+            outcome = self.outcomes[row]
             outcome.abandoned = True
             self.resolved.append(outcome)
-        return len(expired)
+            expired += 1
+        return expired
 
     def idle(self) -> list[Taxi]:
         """The taxis idle at :attr:`time_s`, in fleet-row order.
 
-        Also opens the frame's distance cache: taxi positions changed
-        since the last frame, so its position-keyed matrices are stale.
+        Records their fleet rows as :attr:`idle_rows`, so their
+        positions are ``agent_xy[idle_rows]``.  Also opens the frame's
+        distance cache: taxi positions changed since the last frame, so
+        its position-keyed matrices are stale.
         """
-        rows = np.flatnonzero(self.available_at <= self.time_s).tolist()
-        idle = [self.snapshots[row] for row in rows]
+        rows = np.flatnonzero(self.available_at <= self.time_s)
+        self.idle_rows = rows
+        idle = self.snapshots[rows].tolist()
         self.cache.begin_frame()
         return idle
 
@@ -377,6 +473,7 @@ class RunCore:
         moved = RepositioningPolicy.step_toward(agent.location, target, max_km)
         agent.total_driven_km += agent.location.distance_to(moved)
         agent.location = moved
+        self.agent_xy[row] = moved.x, moved.y
         self.snapshots[row] = agent.snapshot()
 
     def execute(
@@ -388,9 +485,10 @@ class RunCore:
         """Commit a frame's schedule; returns ``(requests, taxis)`` dispatched.
 
         ``idle`` and ``batch`` are the frame's inputs the schedule was
-        computed from.  A :class:`~repro.dispatch.base.PackedSingleSchedule`
-        over exactly those lists executes row by row; any other schedule
-        is validated against the idle fleet and the live queue first.
+        computed from, as :meth:`idle` and :meth:`batch` listed them.  A
+        :class:`~repro.dispatch.base.PackedSingleSchedule` over exactly
+        those lists executes row by row; any other schedule is validated
+        against the idle fleet and the batch (the live queue) first.
         """
         if (
             isinstance(schedule, PackedSingleSchedule)
@@ -398,16 +496,18 @@ class RunCore:
             and schedule.requests is batch
         ):
             return self._execute_rows(schedule, idle, batch)
-        # The queue mapping doubles as the known-request-id view; only the
-        # handful of assigned requests need resolving, not the whole batch.
-        schedule.validate_ids({t.taxi_id for t in idle}, self.queue)
-        requests_by_id = {
-            rid: self.queue[rid]
+        queued_ids = set(self.columns.ids[self.batch_rows].tolist())
+        schedule.validate_ids({t.taxi_id for t in idle}, queued_ids)
+        # Only the handful of assigned requests need resolving, not the
+        # whole batch.
+        rows = {
+            rid: self.request_row[rid]
             for scheduled in schedule.assignments
             for rid in scheduled.request_ids
         }
-        trip_km = self.cache.trip_km(list(requests_by_id.values()))
-        trips = dict(zip(requests_by_id, trip_km.tolist()))
+        ordered = self.ordered
+        requests_by_id = {rid: ordered[row] for rid, row in rows.items()}
+        trips = dict(zip(rows, self.columns.trips[list(rows.values())].tolist()))
         for assignment in schedule.assignments:
             agent = self.agents[assignment.taxi_id]
             rids = assignment.request_ids
@@ -420,7 +520,7 @@ class RunCore:
                 and stops[1].point is request.dropoff
             ):
                 # The canonical non-sharing plan: pickup, then dropoff.
-                self._assign_single(request, agent, None, trips[rids[0]])
+                self._assign_single(rows[rids[0]], agent, None, trips[rids[0]])
             else:
                 self._assign_group(assignment, agent, requests_by_id, trips)
         return len(requests_by_id), len(schedule.assignments)
@@ -428,11 +528,13 @@ class RunCore:
     def execute_pairs(self, pairs: Sequence[tuple[int, int]]) -> tuple[int, int]:
         """Commit single-rider ``(request id, taxi id)`` pairs in the given
         order, each on the canonical plan; returns ``(requests, taxis)``."""
-        requests = [self.queue[rid] for rid, _ in pairs]
-        trips = self.cache.trip_km(requests).tolist()
-        for request, (_, taxi_id), d2 in zip(requests, pairs, trips):
-            self._assign_single(request, self.agents[taxi_id], None, d2)
-        return len(requests), len(requests)
+        rows = [self.request_row[rid] for rid, _ in pairs]
+        if not self.queued[rows].all():
+            raise SimulationError("a dispatched pair names a request that is not queued")
+        trips = self.columns.trips[rows].tolist()
+        for row, (_, taxi_id), d2 in zip(rows, pairs, trips):
+            self._assign_single(row, self.agents[taxi_id], None, d2)
+        return len(rows), len(rows)
 
     def _execute_rows(
         self,
@@ -445,7 +547,9 @@ class RunCore:
         The identity check in :meth:`execute` means every row names a
         known entity, so the no-taxi-twice / no-request-twice validation
         the object path runs per id becomes two uniqueness checks on the
-        row arrays.
+        row arrays.  The schedule's rows map to fleet and trace rows
+        through :attr:`idle_rows` and :attr:`batch_rows`, so the trips
+        are one gather.
         """
         t_rows = schedule.taxi_rows
         r_rows = schedule.request_rows
@@ -463,20 +567,24 @@ class RunCore:
         # by the batch-exactness contract; without them _assign_single
         # measures the leg exactly as the object path does.
         picks = schedule.pickup_km.tolist() if schedule.pickup_km is not None else [None] * n_pairs
-        requests = [batch[r_row] for r_row in r_rows.tolist()]
-        trips = self.cache.trip_km(requests).tolist()
-        for t_row, request, d1, d2 in zip(t_rows.tolist(), requests, picks, trips):
-            self._assign_single(request, self.agents[idle[t_row].taxi_id], d1, d2)
+        rows = self.batch_rows[r_rows]
+        trips = self.columns.trips[rows].tolist()
+        agents = self.agent_list
+        for agent_row, row, d1, d2 in zip(
+            self.idle_rows[t_rows].tolist(), rows.tolist(), picks, trips
+        ):
+            self._assign_single(row, agents[agent_row], d1, d2)
         return n_pairs, n_pairs
 
     def _assign_single(
         self,
-        request: PassengerRequest,
+        row: int,
         agent: TaxiAgent,
         d1: float | None,
         d2: float,
     ) -> None:
-        """Commit ``agent`` to the canonical pickup→dropoff plan of ``request``.
+        """Commit ``agent`` to the canonical pickup→dropoff plan of the
+        request at trace ``row``.
 
         ``d2`` is the request's trip, read from the run's trip table;
         ``d1`` is the pickup leg when the solver already has it (exact
@@ -487,6 +595,7 @@ class RunCore:
         bit-identical to the general path while skipping its per-
         assignment dict/dataclass machinery.
         """
+        request = self.ordered[row]
         if d1 is None:
             d1 = self.oracle.distance(agent.location, request.pickup)
         dcfg = self.dispatch_config
@@ -496,7 +605,7 @@ class RunCore:
         detour = (total_drive - pickup_km) - d2
         pickup_s, dropoff_s = agent.assign_single(request, time_s, d1, d2, self.sim_config)
         rid = request.request_id
-        outcome = self.outcomes_by_id[rid]
+        outcome = self.outcomes[row]
         outcome.pickup_time_s = pickup_s
         outcome.dropoff_time_s = dropoff_s
         outcome.dispatch_time_s = time_s
@@ -504,7 +613,7 @@ class RunCore:
         outcome.group_size = 1
         outcome.passenger_dissatisfaction = pickup_km + dcfg.beta * detour
         self.resolved.append(outcome)
-        del self.queue[rid]
+        self.queued[row] = False
         self._commit(
             agent,
             AssignmentRecord(
@@ -532,20 +641,22 @@ class RunCore:
             agent.snapshot(), assignment, requests_by_id, self.oracle, self.dispatch_config
         )
         revenue = sum(trips[rid] for rid in rids)
+        request_row = self.request_row
         for arrival in agent.assign(assignment, time_s, self.oracle, self.sim_config):
-            outcome = self.outcomes_by_id[arrival.request_id]
+            outcome = self.outcomes[request_row[arrival.request_id]]
             if arrival.is_pickup:
                 outcome.pickup_time_s = arrival.time_s
             else:
                 outcome.dropoff_time_s = arrival.time_s
         for rid in rids:
-            outcome = self.outcomes_by_id[rid]
+            row = request_row[rid]
+            outcome = self.outcomes[row]
             outcome.dispatch_time_s = time_s
             outcome.taxi_id = agent.taxi_id
             outcome.group_size = len(rids)
             outcome.passenger_dissatisfaction = metrics.passenger_dissatisfaction[rid]
             self.resolved.append(outcome)
-            del self.queue[rid]
+            self.queued[row] = False
         self._commit(
             agent,
             AssignmentRecord(
@@ -562,6 +673,7 @@ class RunCore:
         """Refresh the dispatched taxi's idle view and log its assignment."""
         row = self.agent_row[agent.taxi_id]
         self.available_at[row] = agent.available_at_s
+        self.agent_xy[row] = agent.location.x, agent.location.y
         self.snapshots[row] = agent.snapshot()
         self.assignments.append(record)
 
@@ -640,7 +752,7 @@ class RunCore:
         return {
             "time_s": self.time_s,
             "arrival_cursor": self.arrival_cursor,
-            "queue": list(self.queue.keys()),
+            "queue": self.columns.ids[self.queue_rows()].tolist(),
             "agents": [
                 [a.taxi_id, a.location.x, a.location.y, a.available_at_s,
                  a.total_driven_km, a.completed_trips, a.served_requests]
@@ -672,9 +784,9 @@ class RunCore:
         """
         self.time_s = float(payload["time_s"])
         self.arrival_cursor = int(payload["arrival_cursor"])
-        requests_by_id = {r.request_id: r for r in self.ordered}
-        for rid in payload["queue"]:
-            self.queue[rid] = requests_by_id[rid]
+        self.queued[:] = False
+        self.queued[[self.request_row[rid] for rid in payload["queue"]]] = True
+        self.queue_head = 0
         for row in payload["agents"]:
             taxi_id, x, y, avail, driven, trips, served = row
             agent = self.agents[taxi_id]
@@ -683,15 +795,17 @@ class RunCore:
             agent.total_driven_km = driven
             agent.completed_trips = trips
             agent.served_requests = served
-        self.snapshots[:] = [agent.snapshot() for agent in self.agent_list]
+        for row, agent in enumerate(self.agent_list):
+            self.snapshots[row] = agent.snapshot()
         self.available_at[:] = [agent.available_at_s for agent in self.agent_list]
+        self.agent_xy[:] = _locations(self.agent_list)
         for digest, rows in zip(digests, history, strict=True):
             self.assignments.extend(
                 AssignmentRecord(digest.time_s, row[0], tuple(row[1]), row[2], row[3], row[4])
                 for row in rows["assignments"]
             )
             for row in rows["outcomes"]:
-                outcome = self.outcomes_by_id[row[0]]
+                outcome = self.outcomes[self.request_row[row[0]]]
                 outcome.dispatch_time_s = row[1]
                 outcome.pickup_time_s = row[2]
                 outcome.dropoff_time_s = row[3]

@@ -167,7 +167,8 @@ class Simulator:
                     core.relocate(row, target, reposition_step_km)
 
             abandoned = core.expire()
-            queue_length = len(core.queue)
+            queue_rows = core.queue_rows()
+            queue_length = len(queue_rows)
             # A frame with nothing queued dispatches nothing: it needs
             # only the idle count, not the idle snapshots.
             if queue_length:
@@ -180,7 +181,7 @@ class Simulator:
             frame_record: FrameResilienceRecord | None = None
             audit_record: StabilityAuditRecord | None = None
             if idle:
-                batch = list(core.queue.values())
+                batch = core.batch(queue_rows)
                 dispatch_start = telemetry_clock()
                 if policy is None:
                     schedule = self.dispatcher.dispatch(idle, batch)

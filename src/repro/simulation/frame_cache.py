@@ -70,12 +70,13 @@ class FrameDistanceCache:
         self.oracle = oracle
         # taxi-dependent: cleared every begin_frame()
         self._pickup: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-        # request-keyed, for the life of the cache: the trace's trips,
-        # sorted by request id
-        ids = np.fromiter((r.request_id for r in trace), dtype=np.int64, count=len(trace))
-        order = np.argsort(ids, kind="stable")
-        self._trip_ids = ids[order]
-        self._trips = _measure_trips(oracle, trace)[order] if len(trace) else np.empty(0)
+        # request-keyed, for the life of the cache: the trace's ids and
+        # trips in trace order, and the permutation that sorts the ids
+        self._trip_ids = np.fromiter(
+            (r.request_id for r in trace), dtype=np.int64, count=len(trace)
+        )
+        self._trip_order = np.argsort(self._trip_ids, kind="stable")
+        self._trips = _measure_trips(oracle, trace) if len(trace) else np.empty(0)
         self.frames = 0
         self.hits = 0
         self.misses = 0
@@ -138,7 +139,8 @@ class FrameDistanceCache:
         ids = np.fromiter((r.request_id for r in requests), dtype=np.int64, count=len(requests))
         known = self._trip_ids
         if known.size:
-            rows = np.minimum(known.searchsorted(ids), known.size - 1)
+            order = self._trip_order
+            rows = order[np.minimum(known.searchsorted(ids, sorter=order), known.size - 1)]
             km, found = self._trips[rows], known[rows] == ids
             if found.all():
                 self.hits += 1

@@ -86,7 +86,6 @@ class StreamingEngine:
         matcher = ZoneMatcher(self.oracle, config.dispatch)
         matcher.reset(counters=True)
         core = RunCore(taxis, requests, self.oracle, config, matcher.config)
-        cache = core.cache
 
         epoch = float(config.frame_length_s)
         deadline = config.horizon_s + self.overrun_s
@@ -117,7 +116,8 @@ class StreamingEngine:
 
             # -- matching epoch at core.time_s ----------------------------
             abandoned = core.expire()
-            queue_length = len(core.queue)
+            rows = core.queue_rows()
+            queue_length = len(rows)
             if queue_length:
                 idle = core.idle()
                 idle_taxis = len(idle)
@@ -126,12 +126,14 @@ class StreamingEngine:
             dispatched = (0, 0)
             dispatch_ms = 0.0
             if idle:
-                batch = list(core.queue.values())
+                batch = core.batch(rows)
                 dispatch_start = telemetry_clock()
-                pickup_xy, request_ids = core.queue_columns()
-                trip = cache.trip_km(batch)
                 report = matcher.match_epoch(
-                    idle, batch, trip_km=trip, pickup_xy=pickup_xy, request_ids=request_ids
+                    idle,
+                    batch,
+                    rows=rows,
+                    columns=core.columns,
+                    taxi_xy=core.agent_xy[core.idle_rows],
                 )
                 dispatch_ms = (telemetry_clock() - dispatch_start) * 1e3
                 plan = report.plan
@@ -141,9 +143,9 @@ class StreamingEngine:
                 zone_eff = matcher.zone_km_effective
                 if zone_eff:
                     try:
-                        depths = zone_queue_depths(pickup_xy, zone_eff)
+                        depths = zone_queue_depths(core.columns.zone_keys(zone_eff)[rows])
                     except ValueError:
-                        depths = None  # unbucketable coordinates: no depth sample
+                        depths = None  # an unbucketable pickup: no depth sample
                     if depths is not None and depths.size:
                         zone_queue_depth_max = max(zone_queue_depth_max, int(depths.max()))
                         zones_pending_max = max(zones_pending_max, int(depths.size))
@@ -162,7 +164,7 @@ class StreamingEngine:
             events.push(core.time_s, PRIORITY_MATCHING_EPOCH, MatchingEpoch())
 
         telemetry: dict[str, float | int] = dict(matcher.run_telemetry())
-        telemetry.update(cache.stats())
+        telemetry.update(core.cache.stats())
         telemetry.update(
             {
                 "events_processed": events.popped,

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.config import DispatchConfig
 from repro.core.errors import WarmStartError
 from repro.core.types import PassengerRequest, Taxi
-from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle
 from repro.matching.sharding import (
     _check_global_ids,
@@ -57,6 +57,9 @@ from repro.matching.warm_frame import (
     warm_frame_solve,
 )
 from repro.streaming.zones import EpochZonePlan, coarse_epoch_plan, plan_epoch_zones
+
+if TYPE_CHECKING:
+    from repro.simulation.core import RequestColumns
 
 __all__ = ["EpochMatchReport", "ZoneMatcher"]
 
@@ -156,8 +159,8 @@ class ZoneMatcher:
 
     def _solve_group_cold(
         self,
-        group_taxis: list[Taxi],
-        group_requests: list[PassengerRequest],
+        group_taxis: Sequence[Taxi],
+        group_requests: Sequence[PassengerRequest],
         group_trip: np.ndarray,
     ) -> tuple[dict[int, int], FrameSolveState]:
         """One group through the standard cold builders (+ state seed)."""
@@ -174,22 +177,21 @@ class ZoneMatcher:
         taxis: Sequence[Taxi],
         requests: Sequence[PassengerRequest],
         *,
-        trip_km: np.ndarray,
-        pickup_xy: np.ndarray,
-        request_ids: np.ndarray,
+        rows: np.ndarray,
+        columns: RequestColumns,
+        taxi_xy: np.ndarray,
     ) -> EpochMatchReport:
         """Solve one matching epoch zone group by zone group.
 
-        ``trip_km``, ``pickup_xy`` and ``request_ids`` are the epoch's
-        request columns, one row per request in request order: the trip
-        vector (the engine reads it from the frame cache, exact by
-        contract), the float64 ``(n, 2)`` pickup coordinates and the
-        int64 ids.  The engine gathers the last two from its run core's
-        trace-order columns
-        (:meth:`~repro.simulation.core.RunCore.queue_columns`), so no
-        epoch converts its queue's pickups; they must describe
-        ``requests`` row for row.  Warm and cold groups alike read their
-        trips from ``trip_km``: no epoch measures a trip.
+        ``columns`` holds the run's per-request facts as run-long columns
+        (:class:`~repro.simulation.core.RequestColumns`) and ``rows`` are
+        the epoch's rows in them, one per request in request order: the
+        epoch's ids, trips, pickups and zone keys are gathers over
+        ``rows``, so no epoch converts a point or measures a trip.
+        ``taxi_xy`` is the float64 ``(T, 2)`` array of the taxis'
+        locations, row for row (the engine gathers it from its run
+        core's fleet column).  Both must describe ``taxis`` and
+        ``requests`` row for row.
 
         Returns the epoch's union matching and group accounting.  The
         union over groups equals the global NSTD-P solve of the same
@@ -202,13 +204,11 @@ class ZoneMatcher:
             # can happen before the next non-empty epoch, so churn
             # classification against them stays sound).
             return report
-        if len(pickup_xy) != len(requests) or len(request_ids) != len(requests):
-            raise ValueError("epoch request columns do not match the request list")
-        _, request_ids = _check_global_ids(taxis, request_ids)
-        trip = np.asarray(trip_km, dtype=np.float64)
+        if len(rows) != len(requests) or len(taxi_xy) != len(taxis):
+            raise ValueError("epoch rows do not match the taxi and request lists")
+        _, request_ids = _check_global_ids(taxis, columns.ids[rows])
+        trip = columns.trips[rows]
         alpha_max = float(self.config.alpha)
-        taxi_xy = as_point_array([t.location for t in taxis], check_finite=False)
-        pick_xy = np.asarray(pickup_xy, dtype=np.float64)
         zone_km = self._resolve_zone_km(trip, alpha_max)
         # Replan policy: the full θ-ball component sweep runs on the
         # first epoch, every ``REPLAN_EVERY``-th epoch, and on every
@@ -226,7 +226,7 @@ class ZoneMatcher:
         if full:
             plan = plan_epoch_zones(
                 taxi_xy,
-                pick_xy,
+                columns.pickup_xy[rows],
                 trip,
                 request_ids,
                 self.oracle,
@@ -237,7 +237,7 @@ class ZoneMatcher:
             if plan.degenerate_reason is None:
                 self._last_full_groups = len(plan.groups)
         else:
-            plan = coarse_epoch_plan(taxi_xy, pick_xy, zone_km)
+            plan = coarse_epoch_plan(taxi_xy, columns.zone_keys(zone_km)[rows], zone_km)
         report.plan = plan
         self._bump("zone_epochs")
         if plan.coarse:
@@ -250,9 +250,14 @@ class ZoneMatcher:
         next_states: dict[int, FrameSolveState] = {}
         claimed: set[int] = set()
         for group in plan.groups:
-            group_taxis = [taxis[i] for i in group.taxi_rows.tolist()]
-            group_requests = [requests[j] for j in group.request_rows.tolist()]
-            group_trip = trip[group.request_rows]
+            if group.taxi_rows.size == len(taxis) and group.request_rows.size == len(requests):
+                # One group holds every row, in order: the epoch's own
+                # lists and trips are the group's.
+                group_taxis, group_requests, group_trip = taxis, requests, trip
+            else:
+                group_taxis = [taxis[i] for i in group.taxi_rows.tolist()]
+                group_requests = [requests[j] for j in group.request_rows.tolist()]
+                group_trip = trip[group.request_rows]
             # Probe every zone key the group spans, smallest first: a
             # group whose composition shifted (zone drained, neighbour
             # merged in) still finds its carried state under any

@@ -198,7 +198,7 @@ def plan_epoch_zones(
         zone_keys = _group_zone_keys(
             taxi_cells, request_cells, shard.taxi_rows, shard.request_rows
         )
-        keys = tuple(int(k) for k in zone_keys.tolist())
+        keys = tuple(zone_keys.tolist())
         boundary_merges += max(0, len(keys) - 1)
         groups.append(
             ZoneGroup(
@@ -217,7 +217,7 @@ def plan_epoch_zones(
 
 
 def coarse_epoch_plan(
-    taxi_xy: np.ndarray, pick_xy: np.ndarray, zone_km: float
+    taxi_xy: np.ndarray, request_keys: np.ndarray, zone_km: float
 ) -> EpochZonePlan:
     """One deliberate city-wide group, skipping component analysis.
 
@@ -230,21 +230,20 @@ def coarse_epoch_plan(
     state stays filed per zone and the occupancy telemetry stays live,
     but the θ-ball component sweep — the expensive part — is skipped.
 
-    Falls back exactly like the full planner when the coordinates
-    cannot be bucketed.
+    ``request_keys`` are the requests' packed zone keys at ``zone_km``,
+    read from a run-long column
+    (:func:`~repro.geometry.spatial_index.cell_key_column`).  Falls back
+    exactly like the full planner when a taxi or a pickup cannot be
+    bucketed (a request key of
+    :data:`~repro.geometry.spatial_index.UNBUCKETABLE_KEY`).
     """
     all_taxi_rows = np.arange(len(taxi_xy), dtype=np.int64)
-    all_request_rows = np.arange(len(pick_xy), dtype=np.int64)
+    all_request_rows = np.arange(len(request_keys), dtype=np.int64)
     try:
-        keys = np.unique(
-            np.concatenate(
-                [
-                    pack_cell_keys(grid_cells(taxi_xy, zone_km)),
-                    pack_cell_keys(grid_cells(pick_xy, zone_km)),
-                ]
-            )
-        )
+        taxi_keys = pack_cell_keys(grid_cells(taxi_xy, zone_km))
     except ValueError:
+        taxi_keys = None
+    if taxi_keys is None or not request_keys.all():
         return EpochZonePlan(
             groups=[
                 ZoneGroup(
@@ -259,10 +258,11 @@ def coarse_epoch_plan(
             degenerate_reason="unbucketable-coordinates",
             coarse=True,
         )
+    keys = np.unique(np.concatenate([taxi_keys, request_keys]))
     return EpochZonePlan(
         groups=[
             ZoneGroup(
-                zone_keys=tuple(int(k) for k in keys.tolist()),
+                zone_keys=tuple(keys.tolist()),
                 taxi_rows=all_taxi_rows,
                 request_rows=all_request_rows,
             )
@@ -275,15 +275,16 @@ def coarse_epoch_plan(
     )
 
 
-def zone_queue_depths(pick_xy: np.ndarray, zone_km: float) -> np.ndarray:
-    """Pending-request count per occupied zone (descending not required).
+def zone_queue_depths(request_keys: np.ndarray) -> np.ndarray:
+    """Pending-request count per occupied zone (descending not required),
+    from the requests' packed zone keys.
 
-    Raises ``ValueError`` on coordinates the grid cannot bucket, as
-    :func:`~repro.geometry.spatial_index.grid_cells` does; the engine
-    treats that as "no zone telemetry this epoch", never as an error.
+    Raises ``ValueError`` when a key is
+    :data:`~repro.geometry.spatial_index.UNBUCKETABLE_KEY` (a pickup the
+    grid cannot bucket); the engine treats that as "no zone telemetry
+    this epoch", never as an error.
     """
-    if len(pick_xy) == 0:
-        return np.empty(0, dtype=np.int64)
-    keys = pack_cell_keys(grid_cells(pick_xy, zone_km))
-    _, counts = np.unique(keys, return_counts=True)
+    if not request_keys.all():
+        raise ValueError("a pickup cannot be bucketed")
+    _, counts = np.unique(request_keys, return_counts=True)
     return counts.astype(np.int64, copy=False)

@@ -218,6 +218,11 @@ def load_generic_trace(path: str | Path, max_rows: int | None = None) -> LoadRep
             if isinstance(when, float) and not _finite(when):
                 skip("bad_timestamp")
                 continue
+            if raw and isinstance(when, float) != isinstance(raw[0][0], float):
+                # The first accepted row fixes the column's kind: seconds
+                # and timestamps have no common origin to rebase to.
+                skip("bad_timestamp")
+                continue
             try:
                 plon, plat, dlon, dlat = (float(v) for v in row[1:5])
             except ValueError:

@@ -4,8 +4,9 @@ Reproducibility beyond seeds: a generated trace can be frozen to disk
 in the generic ``time,plon,plat,dlon,dlat,passengers`` layout the
 Boston loader reads, shared alongside results, and replayed bit-exact
 on another machine.  Coordinates are written as planar kilometres with
-an identity projection, so a round trip loses nothing but float
-formatting (12 significant digits, well beyond the physics).
+an identity projection, and every float in its shortest round-trip
+form (``repr``), so a round trip loses nothing: each reloaded time and
+coordinate equals the saved one bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ from repro.trace.records import IdentityProjection, TripRecord, records_to_reque
 
 __all__ = ["save_requests_csv", "load_requests_csv"]
 
-_FLOAT = "{:.12g}"
+
+
+def _exact(value: float) -> str:
+    """``value`` in the shortest text that parses back to the same float."""
+    return repr(float(value))
 
 
 def save_requests_csv(requests: Sequence[PassengerRequest], path: str | Path) -> int:
@@ -33,11 +38,11 @@ def save_requests_csv(requests: Sequence[PassengerRequest], path: str | Path) ->
         for request in sorted(requests, key=lambda r: (r.request_time_s, r.request_id)):
             writer.writerow(
                 [
-                    _FLOAT.format(request.request_time_s),
-                    _FLOAT.format(request.pickup.x),
-                    _FLOAT.format(request.pickup.y),
-                    _FLOAT.format(request.dropoff.x),
-                    _FLOAT.format(request.dropoff.y),
+                    _exact(request.request_time_s),
+                    _exact(request.pickup.x),
+                    _exact(request.pickup.y),
+                    _exact(request.dropoff.x),
+                    _exact(request.dropoff.y),
                     request.passengers,
                 ]
             )

@@ -111,17 +111,13 @@ def _global_pairs(taxis, requests, config) -> dict[int, int]:
 
 
 def _epoch(matcher: ZoneMatcher, taxis, requests) -> dict[int, int]:
-    return matcher.match_epoch(
-        taxis,
-        requests,
-        trip_km=oracle_paired(
-            ORACLE,
-            sources=[r.pickup for r in requests],
-            targets=[r.dropoff for r in requests],
-            exact=True,
-        ),
-        **epoch_columns(requests),
-    ).pairs
+    trip = oracle_paired(
+        ORACLE,
+        sources=[r.pickup for r in requests],
+        targets=[r.dropoff for r in requests],
+        exact=True,
+    )
+    return matcher.match_epoch(taxis, requests, **epoch_columns(taxis, requests, trip)).pairs
 
 
 @settings(max_examples=120, deadline=None)

@@ -58,7 +58,7 @@ class TestEpochEquality:
         ]
         matcher = _matcher()
         report = matcher.match_epoch(
-            taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+            taxis, requests, **epoch_columns(taxis, requests, _trip(requests))
         )
         assert report.pairs == _global_pairs(taxis, requests)
         assert report.plan is not None and report.plan.degenerate_reason is None
@@ -70,7 +70,7 @@ class TestEpochEquality:
         taxis = [_taxi(1, 1.9)]
         requests = [_request(10, 2.1)]
         report = _matcher().match_epoch(
-            taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+            taxis, requests, **epoch_columns(taxis, requests, _trip(requests))
         )
         assert report.pairs == {10: 1}
         assert report.plan.boundary_merges == 1
@@ -79,7 +79,7 @@ class TestEpochEquality:
         taxis = [_taxi(1, 0.5)]
         requests = [_request(10, 0.6), _request(11, 50.0)]
         report = _matcher().match_epoch(
-            taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+            taxis, requests, **epoch_columns(taxis, requests, _trip(requests))
         )
         assert report.pairs == {10: 1}
         assert 11 not in report.pairs
@@ -90,7 +90,7 @@ class TestEpochEquality:
         taxis = [_taxi(1, 0.3), _taxi(2, 30.0)]
         requests = [_request(10, 0.5), _request(11, 30.2)]
         report = matcher.match_epoch(
-            taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+            taxis, requests, **epoch_columns(taxis, requests, _trip(requests))
         )
         matched = solve_shard(
             taxis, requests, ORACLE, DispatchConfig(), trip_km=_trip(requests)
@@ -101,10 +101,10 @@ class TestEpochEquality:
     def test_empty_sides_return_empty_report(self):
         matcher = _matcher()
         lone = [_request(10, 0.5)]
-        report = matcher.match_epoch([], lone, trip_km=_trip(lone), **epoch_columns(lone))
+        report = matcher.match_epoch([], lone, **epoch_columns([], lone, _trip(lone)))
         assert report.pairs == {} and report.plan is None
         report = matcher.match_epoch(
-            [_taxi(1, 0.5)], [], trip_km=np.empty(0), **epoch_columns([])
+            [_taxi(1, 0.5)], [], **epoch_columns([_taxi(1, 0.5)], [], np.empty(0))
         )
         assert report.pairs == {} and report.plan is None
 
@@ -117,7 +117,7 @@ class TestIdGuard:
         requests = [_request(12, 0.5), _request(10, 50.4), _request(12, 51.0)]
         with pytest.raises(PreferenceError):
             _matcher().match_epoch(
-                taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+                taxis, requests, **epoch_columns(taxis, requests, _trip(requests))
             )
 
     def test_unsorted_unique_ids_equal_the_global_solve(self):
@@ -127,17 +127,25 @@ class TestIdGuard:
             _request(12, 50.4), _request(11, 1.4),
         ]
         report = _matcher().match_epoch(
-            taxis, requests, trip_km=_trip(requests), **epoch_columns(requests)
+            taxis, requests, **epoch_columns(taxis, requests, _trip(requests))
         )
         assert report.pairs == _global_pairs(taxis, requests)
         assert len(report.pairs) == 4
 
     def test_columns_of_another_request_list_rejected(self):
+        taxis = [_taxi(1, 0.3)]
         requests = [_request(10, 0.5), _request(11, 1.4)]
         with pytest.raises(ValueError):
             _matcher().match_epoch(
-                [_taxi(1, 0.3)], requests, trip_km=_trip(requests),
-                **epoch_columns(requests[:1]),
+                taxis, requests, **epoch_columns(taxis, requests[:1], _trip(requests[:1]))
+            )
+
+    def test_positions_of_another_taxi_list_rejected(self):
+        taxis = [_taxi(1, 0.3), _taxi(2, 1.1)]
+        requests = [_request(10, 0.5)]
+        with pytest.raises(ValueError):
+            _matcher().match_epoch(
+                taxis, requests, **epoch_columns(taxis[:1], requests, _trip(requests))
             )
 
 
@@ -151,7 +159,7 @@ class TestWarmReuse:
         taxis1 = [_taxi(1, 0.3), taxi_kept]
         requests1 = [_request(10, 0.4)]
         report1 = matcher.match_epoch(
-            taxis1, requests1, trip_km=_trip(requests1), **epoch_columns(requests1)
+            taxis1, requests1, **epoch_columns(taxis1, requests1, _trip(requests1))
         )
         assert report1.pairs == {10: 1}
         assert report1.cold_groups >= 1 and report1.warm_groups == 0
@@ -159,7 +167,7 @@ class TestWarmReuse:
         taxis2 = [taxi_kept]
         requests2 = [_request(11, 1.3)]
         report2 = matcher.match_epoch(
-            taxis2, requests2, trip_km=_trip(requests2), **epoch_columns(requests2)
+            taxis2, requests2, **epoch_columns(taxis2, requests2, _trip(requests2))
         )
         assert report2.pairs == _global_pairs(taxis2, requests2) == {11: 2}
         assert report2.warm_groups == 1
@@ -171,20 +179,20 @@ class TestWarmReuse:
         matcher = _matcher()
         taxis1 = [_taxi(1, 0.3), _taxi(2, 50.0)]
         requests1 = [_request(10, 0.4), _request(11, 50.2)]
-        matcher.match_epoch(taxis1, requests1, trip_km=_trip(requests1), **epoch_columns(requests1))
+        matcher.match_epoch(taxis1, requests1, **epoch_columns(taxis1, requests1, _trip(requests1)))
         assert len(matcher._states) == 2
         # Next epoch only the first cluster is present: the other
         # anchor's state must be dropped, not pinned forever.
         taxis2 = [_taxi(3, 0.5)]
         requests2 = [_request(12, 0.6)]
-        matcher.match_epoch(taxis2, requests2, trip_km=_trip(requests2), **epoch_columns(requests2))
+        matcher.match_epoch(taxis2, requests2, **epoch_columns(taxis2, requests2, _trip(requests2)))
         assert len(matcher._states) == 1
 
     def test_reset_drops_states(self):
         matcher = _matcher()
         taxis = [_taxi(1, 0.3)]
         requests = [_request(10, 0.4)]
-        matcher.match_epoch(taxis, requests, trip_km=_trip(requests), **epoch_columns(requests))
+        matcher.match_epoch(taxis, requests, **epoch_columns(taxis, requests, _trip(requests)))
         assert matcher._states
         matcher.reset(counters=True)
         assert matcher._states == {}

@@ -14,7 +14,18 @@ import pytest
 from repro.core.config import DispatchConfig
 from repro.core.types import PassengerRequest, Taxi
 from repro.geometry import EuclideanDistance, Point
-from repro.streaming import DEGENERATE_ANCHOR, plan_epoch_zones, zone_queue_depths
+from repro.geometry.spatial_index import (
+    UNBUCKETABLE_KEY,
+    cell_key_column,
+    grid_cells,
+    pack_cell_keys,
+)
+from repro.streaming import (
+    DEGENERATE_ANCHOR,
+    coarse_epoch_plan,
+    plan_epoch_zones,
+    zone_queue_depths,
+)
 
 ORACLE = EuclideanDistance()
 #: Radius = min(passenger_threshold_km, ∞) = 2 km exactly.
@@ -137,13 +148,66 @@ class TestDegenerateFallback:
 
 class TestZoneQueueDepths:
     def test_counts_per_occupied_zone(self):
-        pick_xy = np.array([[0.5, 0.0], [1.0, 0.0], [2.5, 0.0]], dtype=np.float64)
-        depths = zone_queue_depths(pick_xy, ZONE_KM)
+        keys = cell_key_column(np.array([[0.5, 0.0], [1.0, 0.0], [2.5, 0.0]]), ZONE_KM)
+        depths = zone_queue_depths(keys)
         assert sorted(depths.tolist()) == [1, 2]
 
     def test_empty_input(self):
-        assert zone_queue_depths(np.empty((0, 2)), ZONE_KM).size == 0
+        assert zone_queue_depths(cell_key_column(np.empty((0, 2)), ZONE_KM)).size == 0
 
     def test_unbucketable_coordinates_raise(self):
+        keys = cell_key_column(np.array([[0.5, 0.0], [math.nan, 0.0]]), ZONE_KM)
         with pytest.raises(ValueError):
-            zone_queue_depths(np.array([[math.nan, 0.0]]), ZONE_KM)
+            zone_queue_depths(keys)
+
+
+class TestCoarsePlan:
+    """The coarse plan reads the requests' zone keys off a run-long column."""
+
+    def test_one_group_over_every_occupied_zone(self):
+        taxi_xy = np.array([[0.5, 0.0], [4.5, 0.0]])
+        keys = cell_key_column(np.array([[0.6, 0.0], [2.5, 0.0], [2.6, 0.0]]), ZONE_KM)
+        plan = coarse_epoch_plan(taxi_xy, keys, ZONE_KM)
+        assert plan.coarse and plan.degenerate_reason is None
+        (group,) = plan.groups
+        assert group.taxi_rows.tolist() == [0, 1] and group.request_rows.tolist() == [0, 1, 2]
+        assert plan.zones_occupied == 3
+        expected = np.unique(np.concatenate([
+            pack_cell_keys(grid_cells(taxi_xy, ZONE_KM)), keys,
+        ]))
+        assert group.zone_keys == tuple(expected.tolist())
+
+    @pytest.mark.parametrize("side", ["taxi", "request"])
+    def test_unbucketable_entity_takes_the_city_wide_fallback(self, side):
+        far = [1e12, 0.0]
+        taxi_xy = np.array([[0.5, 0.0], far if side == "taxi" else [1.5, 0.0]])
+        pick_xy = np.array([[0.6, 0.0], far if side == "request" else [1.6, 0.0]])
+        plan = coarse_epoch_plan(taxi_xy, cell_key_column(pick_xy, ZONE_KM), ZONE_KM)
+        assert plan.degenerate_reason == "unbucketable-coordinates"
+        (group,) = plan.groups
+        assert group.anchor == DEGENERATE_ANCHOR
+        assert group.request_rows.tolist() == [0, 1] and plan.zones_occupied == 0
+
+
+class TestCellKeyColumn:
+    """Row-wise zone keys: a row grid_cells rejects is flagged, the rest
+    equal the whole-array packing."""
+
+    def test_bucketable_rows_equal_the_array_packing(self):
+        xy = np.array([[0.5, -3.0], [7.25, 1e3], [-0.1, 0.0]])
+        keys = cell_key_column(xy, ZONE_KM)
+        assert keys.tolist() == pack_cell_keys(grid_cells(xy, ZONE_KM)).tolist()
+        assert keys.all()
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, 1e12, 1e30], ids=["nan", "inf", "overflow", "beyond-int64"]
+    )
+    def test_rejected_rows_are_flagged(self, bad):
+        xy = np.array([[0.5, 0.0], [0.0, bad], [3.0, 1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            grid_cells(xy, ZONE_KM)
+        with np.errstate(invalid="ignore"):
+            keys = cell_key_column(xy, ZONE_KM)
+        assert [k == UNBUCKETABLE_KEY for k in keys.tolist()] == [False, True, False]
+        good = xy[[0, 2]]
+        assert keys[[0, 2]].tolist() == pack_cell_keys(grid_cells(good, ZONE_KM)).tolist()

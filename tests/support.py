@@ -11,11 +11,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.types import PassengerRequest
+from repro.core.types import PassengerRequest, Taxi
 from repro.geometry import Point
 from repro.geometry.batch import Points, as_point_array
 from repro.matching import PreferenceTable
 from repro.network import RoadNetwork
+from repro.simulation.core import RequestColumns
 
 __all__ = ["random_table", "oneway_ring", "epoch_columns", "CountingOracle", "TAXI_ID_BASE"]
 
@@ -60,12 +61,17 @@ def oneway_ring() -> RoadNetwork:
     return network
 
 
-def epoch_columns(requests: Sequence[PassengerRequest]) -> dict[str, np.ndarray]:
-    """The request columns :meth:`~repro.streaming.matcher.ZoneMatcher.match_epoch`
-    takes beside ``trip_km``, as keyword arguments."""
+def epoch_columns(
+    taxis: Sequence[Taxi], requests: Sequence[PassengerRequest], trip_km: np.ndarray
+) -> dict[str, object]:
+    """The operands :meth:`~repro.streaming.matcher.ZoneMatcher.match_epoch`
+    takes beside the two lists, as keyword arguments: ``requests`` as the
+    whole run's request columns (with trips ``trip_km``), every row of
+    them, and the taxis' locations."""
     return {
-        "pickup_xy": as_point_array([r.pickup for r in requests], check_finite=False),
-        "request_ids": np.array([r.request_id for r in requests], dtype=np.int64),
+        "rows": np.arange(len(requests), dtype=np.int64),
+        "columns": RequestColumns(requests, trip_km),
+        "taxi_xy": as_point_array([t.location for t in taxis], check_finite=False),
     }
 
 

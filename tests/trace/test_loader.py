@@ -154,6 +154,43 @@ class TestGenericLoader:
         assert [r.request_time_s for r in report.records] == [0.0, 60.0]
         assert report.skip_reasons == {"bad_timestamp": 2}
 
+    @pytest.mark.parametrize(
+        ("rows", "expected"),
+        [
+            (["100", "2012-09-01 08:00:00", "160"], [0.0, 60.0]),
+            (["2012-09-01 08:00:00", "100", "2012-09-01 08:01:00"], [0.0, 60.0]),
+        ],
+        ids=["seconds-first", "timestamp-first"],
+    )
+    def test_time_kind_mixed_into_the_column_skipped(self, tmp_path, rows, expected):
+        # A column mixing seconds and timestamps used to crash with a
+        # TypeError (in float() or in min()); the first accepted row
+        # fixes the kind, and rows of the other kind are bad timestamps.
+        path = tmp_path / "boston.csv"
+        path.write_text(
+            "time,plon,plat,dlon,dlat\n"
+            + "".join(f"{when},-71.06,42.36,-71.09,42.34\n" for when in rows)
+        )
+        with pytest.warns(RuntimeWarning, match="bad_timestamp=1"):
+            report = load_generic_trace(path)
+        assert [r.request_time_s for r in report.records] == expected
+        assert report.skip_reasons == {"bad_timestamp": 1}
+
+    def test_time_kind_fixed_by_the_first_accepted_row(self, tmp_path):
+        """A rejected first row does not fix the kind."""
+        path = tmp_path / "boston.csv"
+        path.write_text(
+            "time,plon,plat,dlon,dlat\n"
+            "100,-71.06,nan,-71.09,42.34\n"
+            "2012-09-01 08:00:00,-71.06,42.36,-71.09,42.34\n"
+            "2012-09-01 08:02:00,-71.06,42.36,-71.09,42.34\n"
+            "160,-71.06,42.36,-71.09,42.34\n"
+        )
+        with pytest.warns(RuntimeWarning):
+            report = load_generic_trace(path)
+        assert [r.request_time_s for r in report.records] == [0.0, 120.0]
+        assert report.skip_reasons == {"bad_coordinate": 1, "bad_timestamp": 1}
+
     def test_non_finite_coordinates_skipped(self, tmp_path):
         path = tmp_path / "boston.csv"
         path.write_text(

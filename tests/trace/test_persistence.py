@@ -1,8 +1,13 @@
 """Unit tests for trace persistence round trips."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core import TraceFormatError
+from repro.core import DispatchConfig, TraceFormatError
+from repro.dispatch.nonsharing import NSTDDispatcher
+from repro.geometry import EuclideanDistance
+from repro.simulation import Simulator
 from repro.trace import boston_profile
 from repro.trace.persistence import load_requests_csv, save_requests_csv
 from repro.trace.synthetic import SyntheticTraceGenerator
@@ -30,6 +35,32 @@ class TestRequestsRoundTrip:
             assert restored.pickup.x == pytest.approx(original.pickup.x, rel=1e-9)
             assert restored.dropoff.y == pytest.approx(original.dropoff.y, rel=1e-9)
             assert restored.passengers == original.passengers
+
+    def test_round_trip_is_bit_exact_and_replays_the_run(self, tmp_path):
+        """Every reloaded request equals the saved one bit for bit, so a
+        run on the reloaded trace reproduces the original's summary
+        exactly (12 significant digits once moved every request)."""
+        profile = boston_profile().scaled(0.02)
+        generator = SyntheticTraceGenerator(profile, seed=2017)
+        requests, fleet = generator.requests_for_day(), generator.fleet(12)
+        path = tmp_path / "day.csv"
+        save_requests_csv(requests, path)
+        loaded = load_requests_csv(path)
+        ordered = sorted(requests, key=lambda r: (r.request_time_s, r.request_id))
+        assert len(loaded) == len(ordered) > 100
+        for original, restored in zip(ordered, loaded):
+            assert restored.request_time_s.hex() == float(original.request_time_s).hex()
+            for a, b in ((restored.pickup, original.pickup), (restored.dropoff, original.dropoff)):
+                assert (a.x.hex(), a.y.hex()) == (b.x.hex(), b.y.hex())
+            assert restored.passengers == original.passengers
+        oracle = EuclideanDistance()
+
+        def summary(trace):
+            dispatcher = NSTDDispatcher(oracle, DispatchConfig())
+            return Simulator(dispatcher, oracle).run(fleet, trace).summary()
+
+        renumbered = [replace(r, request_id=j) for j, r in enumerate(ordered)]
+        assert summary(loaded) == summary(renumbered)
 
     def test_ids_reassigned_in_time_order(self, tmp_path, workload):
         requests, _ = workload
