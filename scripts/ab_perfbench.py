@@ -7,9 +7,12 @@ the worktree and one in the working tree per pair, alternating which
 side starts.  The worktree is removed afterwards.  For each workload it
 prints every end-to-end metric: both sides' medians and interquartile
 ranges, the change of the medians in percent (positive is better), and
-in how many pairs the working tree's run beat the base's.  It also says
-whether each quality metric read the same on every run of both sides,
-bit for bit.
+in how many pairs the working tree's run beat the base's, and two
+verdicts: whether the medians differ by more than the base's
+interquartile range (``gap>IQR``), and whether the change stays within
+the metric's bound in ``BENCHMARK.json`` (``in bound``; the file is only
+read).  It also says whether each quality metric read the same on every
+run of both sides, bit for bit.
 
 Usage (from the repository root)::
 
@@ -70,13 +73,30 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return low, median, high
 
 
+def bounds() -> dict[str, float]:
+    """Each end-to-end metric's bound in ``BENCHMARK.json``: the largest
+    relative worsening the benchmark accepts."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {metric["name"]: float(metric["bound"]) for metric in spec["end_to_end"]}
+
+
+def within_bound(b_med: float, c_med: float, sign: float, bound: float) -> bool:
+    """Whether the change's median is no worse than the base's by more
+    than ``bound`` of it (any worsening of a zero base is out of bound)."""
+    worsening = -sign * (c_med - b_med)
+    if b_med == 0.0:
+        return worsening <= 0.0
+    return worsening <= bound * abs(b_med)
+
+
 def report(workload: str, pairs: list[tuple[dict, dict]]) -> bool:
     """Print one workload's comparison; returns whether every run was correct."""
     ok = all(run["correct"] for pair in pairs for run in pair)
+    limits = bounds()
     print(f"\n== {workload}: {len(pairs)} pair(s), base vs change"
           f"{'' if ok else '  (INCORRECT RUNS: see failed counts)'}")
     print(f"{'metric':<36}{'base median [IQR]':>26}{'change median [IQR]':>26}"
-          f"{'change':>10}{'won':>7}")
+          f"{'change':>10}{'won':>7}{'gap>IQR':>9}{'in bound':>10}")
     for name, unit, better in END_TO_END:
         base = [b["metrics"][name]["value"] for b, _ in pairs]
         new = [c["metrics"][name]["value"] for _, c in pairs]
@@ -85,10 +105,13 @@ def report(workload: str, pairs: list[tuple[dict, dict]]) -> bool:
         sign = 1.0 if better == "higher" else -1.0
         change = sign * (c_med - b_med) / b_med * 100.0 if b_med else 0.0
         won = sum(1 for b, c in zip(base, new) if sign * (c - b) > 0)
+        beyond_iqr = abs(c_med - b_med) > b_high - b_low
+        in_bound = within_bound(b_med, c_med, sign, limits[name])
         print(f"{name + ' (' + unit + ')':<36}"
               f"{f'{b_med:.4g} [{b_high - b_low:.3g}]':>26}"
               f"{f'{c_med:.4g} [{c_high - c_low:.3g}]':>26}"
-              f"{change:>+9.1f}%{f'{won}/{len(pairs)}':>7}")
+              f"{change:>+9.1f}%{f'{won}/{len(pairs)}':>7}"
+              f"{'yes' if beyond_iqr else 'no':>9}{'yes' if in_bound else 'NO':>10}")
     for name in QUALITY_METRICS:
         values = {run["metrics"][name]["value"] for pair in pairs for run in pair}
         verdict = "bit-identical" if len(values) == 1 else f"DIFFERS: {sorted(values)}"

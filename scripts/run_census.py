@@ -140,6 +140,11 @@ EXEMPTIONS: dict[str, tuple[str, ...]] = {
         "repro.dispatch.nonsharing.nstd:nstd_t",
         "repro.dispatch.sharing.std:std_t",
     ),
+    "warm NSTD outside an engine: a standalone warm dispatch (and the "
+    "solver's tests) builds the frame's operands from the objects; every "
+    "engine frame gathers them from its run's columns": (
+        "repro.matching.warm_frame:frame_operands",
+    ),
     "public accessors: small methods of the value types that tests, test "
     "oracles or library callers read and no entry point does": (
         "repro.analysis.aggregate:summarize_by_label",

@@ -16,8 +16,9 @@ complex keys.
 The cold build and the auditor's rebuild read the pickup matrix and
 trip distances from the dispatcher's
 :meth:`~repro.dispatch.base.Dispatcher.distance_cache` (the engine's
-frame cache, or a per-call one outside an engine); warm frames read
-their trip vector from it too.
+frame cache, or a per-call one outside an engine).  The warm solver's
+operands come from it too: gathered from the run's columns inside an
+engine, built from the objects outside one.
 
 ``warm_start=True`` additionally carries solver state across frames
 through the warm frame solver
@@ -50,6 +51,7 @@ from repro.matching.optimality import passenger_optimal, taxi_optimal
 from repro.matching.preferences import build_nonsharing_arrays
 from repro.matching.result import Matching
 from repro.matching.warm_frame import (
+    FrameOperands,
     FrameSolveState,
     frame_state_from_cold,
     warm_frame_solve,
@@ -225,14 +227,25 @@ class NSTDDispatcher(Dispatcher):
             # precondition failed): seed the next frame's warm state
             # from the frame's own facts.
             self._warm_state = frame_state_from_cold(
-                taxis,
-                requests,
-                matching,
-                trip=trip_km,
-                config=self.config,
-                alpha_by_taxi=self.alpha_by_taxi,
+                self._frame_operands(taxis, requests, trip_km), matching
             )
         return matching
+
+    def _frame_operands(
+        self,
+        taxis: Sequence[Taxi],
+        requests: Sequence[PassengerRequest],
+        trip_km: np.ndarray | None = None,
+    ) -> FrameOperands:
+        """The frame's warm-solver operands, from the distance cache
+        (``trip_km``: the frame's trips, if already read)."""
+        return self.distance_cache().frame_operands(
+            taxis,
+            requests,
+            alpha=self.config.alpha,
+            alpha_by_taxi=self.alpha_by_taxi,
+            trip_km=trip_km,
+        )
 
     def _dispatch_warm(
         self, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
@@ -240,9 +253,9 @@ class NSTDDispatcher(Dispatcher):
         """One frame through the warm frame solver.
 
         Crucially this path never touches the full taxi × request pickup
-        kernel — only the churn strips are scored — and never rebuilds
-        the retained entities' facts: they ride along inside the carried
-        :class:`~repro.matching.warm_frame.FrameSolveState`.
+        kernel — only the churn strips are scored — and, inside an
+        engine, walks no entity object: the frame's operands are gathers
+        over the run's columns.
 
         Returns the solver's matched ``(taxi_rows, request_rows)`` and
         the matched pairs' pickup legs, or ``None`` when the frame must
@@ -255,13 +268,10 @@ class NSTDDispatcher(Dispatcher):
             try:
                 _, matched_rows, pick_legs, build_stats, new_state = warm_frame_solve(
                     state,
-                    taxis,
-                    requests,
+                    self._frame_operands(taxis, requests),
                     self.oracle,
                     self.config,
-                    trip_km=self.distance_cache().trip_km(requests),
                     optimize_for=self.optimize_for,
-                    alpha_by_taxi=self.alpha_by_taxi,
                 )
             except WarmStartError as exc:
                 # The frame failed a warm precondition; redo it cold.

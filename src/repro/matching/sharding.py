@@ -339,21 +339,23 @@ def solve_shard(
 
 
 def _check_global_ids(
-    taxis: Sequence[Taxi], request_ids: np.ndarray
+    taxi_ids: np.ndarray, request_ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame-order id arrays, validated unique across the *whole* frame.
 
     Per-shard builders can only check uniqueness inside their shard;
     without this frame-level check a duplicate id split across two
     shards would silently merge two entities the global builder rejects.
-    ``request_ids`` is the frame's request-id column in request order
-    (the streaming engine reads it off its run core).  An id array that
-    strictly ascends is unique by one vectorized comparison; only one
-    that does not is sorted to find a repeat.  The engines present
-    requests in trace order, whose ids ascend, so they always take the
-    comparison.
+    ``taxi_ids`` and ``request_ids`` are the frame's id columns in fleet
+    and request order (the streaming engine gathers both off its run
+    core).  An id array that strictly ascends is unique by one
+    vectorized comparison; only one that does not is sorted to find a
+    repeat.  Fleet rows follow the fleet's order and trace rows the
+    requests' (time, id) order, so the engines' ids ascend whenever the
+    fleet and the trace number their entities in those orders — the
+    synthetic workloads do — and take the comparison.
     """
-    taxi_ids = np.fromiter((t.taxi_id for t in taxis), dtype=np.int64, count=len(taxis))
+    taxi_ids = np.asarray(taxi_ids, dtype=np.int64)
     request_ids = np.asarray(request_ids, dtype=np.int64)
     if not _ids_distinct(taxi_ids):
         raise PreferenceError("duplicate taxi ids")

@@ -96,22 +96,38 @@ def assert_stable(table: PreferenceTable | PreferenceArrays, matching: Matching)
 # -- array fast path -------------------------------------------------------
 
 
+def _positions(ids: np.ndarray, wanted: np.ndarray) -> np.ndarray | None:
+    """The position of each ``wanted`` id in the unique ``ids``, or
+    ``None`` when one is absent."""
+    if not wanted.size:
+        return np.empty(0, dtype=np.intp)
+    if not ids.size:
+        return None
+    order = np.argsort(ids, kind="stable")
+    rows = order[np.minimum(np.searchsorted(ids, wanted, sorter=order), ids.size - 1)]
+    return rows if bool((ids[rows] == wanted).all()) else None
+
+
 def _matched_indices(
     arrays: PreferenceArrays, matching: Matching
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Partner *indices* per entity position (-1 = dummy), or ``None``
     when the matching references an unknown id."""
-    p_index = {int(pid): p for p, pid in enumerate(arrays.proposer_ids)}
-    r_index = {int(rid): r for r, rid in enumerate(arrays.reviewer_ids)}
+    n = len(matching.pairs)
+    try:
+        pair_ids = np.fromiter(
+            (i for pair in matching.pairs for i in pair), dtype=np.int64, count=2 * n
+        ).reshape(n, 2)
+    except OverflowError:
+        return None  # beyond int64: no array id can match it
+    p = _positions(np.asarray(arrays.proposer_ids, dtype=np.int64), pair_ids[:, 0])
+    r = _positions(np.asarray(arrays.reviewer_ids, dtype=np.int64), pair_ids[:, 1])
+    if p is None or r is None:
+        return None
     rev_of_prop = np.full(arrays.n_proposers, -1, dtype=np.int64)
     prop_of_rev = np.full(arrays.n_reviewers, -1, dtype=np.int64)
-    for proposer_id, reviewer_id in matching.pairs:
-        p = p_index.get(proposer_id)
-        r = r_index.get(reviewer_id)
-        if p is None or r is None:
-            return None
-        rev_of_prop[p] = r
-        prop_of_rev[r] = p
+    rev_of_prop[p] = r
+    prop_of_rev[r] = p
     return rev_of_prop, prop_of_rev
 
 

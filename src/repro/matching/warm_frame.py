@@ -9,9 +9,9 @@ dummies, an unmatched proposer and an unmatched reviewer cannot be
 mutually acceptable — they would form a blocking pair (both prefer any
 listed partner to the dummy).  The engine departs every matched pair
 together (the taxi drives off with its passenger), so the entities two
-consecutive frames share are exactly the *unmatched* ones, and none of
-them moved.  Hence the retained × retained block of the new frame
-contains **no acceptable pair**, and the new frame's entire edge set
+consecutive frames share are the *unmatched* ones; those whose facts
+did not change are the *retained* ones.  Hence the retained × retained
+block of the new frame contains **no acceptable pair**, and the new frame's entire edge set
 lives on two churn strips: ``new taxis × all requests`` and
 ``retained taxis × new requests``.
 
@@ -32,11 +32,10 @@ What the warm path then saves per frame:
 
 * the full ``taxis × requests`` pickup kernel and acceptability masks —
   only the churn strips are scored;
-* every per-frame Python attribute walk over the queue: entity facts
-  ride across frames as two fused matrices (``(R, 4)`` request
-  ``x, y, party, trip`` and ``(T, 4)`` taxi ``x, y, seats, α``), so a
-  frame's retained-entity gather is one fancy-index per side and
-  per-frame Python-object work is proportional to the churn;
+* every per-frame Python attribute walk over the queue: the frame's
+  facts arrive as the two fused matrices of :class:`FrameOperands`
+  (``(R, 4)`` request ``x, y, party, trip`` and ``(T, 4)`` taxi
+  ``x, y, seats, α``), and the carried state is those same arrays;
 * the reviewer-side preference structure.  Deferred acceptance only
   ever *walks* the proposer lists; reviewer lists are consulted solely
   to compare two suitors.  The solver packs just the proposer CSR (one
@@ -55,27 +54,31 @@ What the warm path then saves per frame:
   raise :class:`~repro.core.errors.WarmStartError` and the frame re-runs
   cold.  Party and seat counts share the same float-exact bound.
 
-Trips are an operand, not a measurement: the caller passes the
-frame's per-request trip vector (the engines read it from the run's
-trip table), and the solver copies only the entrants' rows into the
-carried facts.  Each matched pair's pickup leg is read straight out of
+The frame is an operand, not a walk: each side arrives as arrays
+(:class:`FrameOperands`) — int64 ids plus the fused fact rows
+``x, y, party, trip`` per request and ``x, y, seats, α`` per taxi, row
+``i`` describing item ``i`` of the frame's list.  The engines gather
+them from the run's columns; :func:`frame_operands` builds them from
+the objects everywhere else.  The solver measures no trip and reads no
+entity object.  Each matched pair's pickup leg is read straight out of
 the frame's edge arrays and returned with the matching, so the
 dispatcher can ship a packed schedule without re-deriving it.
 
-Entity identity is what makes misclassification impossible rather than
-merely unlikely: an entity is *retained* only if the **same live
-object** (CPython address, kept alive by the state holding a reference)
-is presented again, and the address index holds only the entities the
-previous matching left *unmatched* — a matched entity that reappears is
-simply not found and re-enters as new.  The engines re-present queued
-request objects verbatim, and taxi agents memoize their snapshot on the
-location object, so an unmoved idle taxi presents the same frozen
-``Taxi`` each frame.  Both entity types are frozen dataclasses, so a
-held address proves every field is unchanged.  The check only ever errs
-toward *new*, which is always sound: a caller that rebuilds equal
-objects each frame merely reclassifies them as new and rebuilds their
-strip rows, while the acceptability masks discard the retained ×
-retained entries the theorem proves empty.
+**Retention by id and bit-equal facts.**  An entity is *retained* only
+when both hold: its id is in the previous matching's sorted index of
+*unmatched* ids, and its fact row is bit-equal to the row the state
+carried for that id.  The second condition is the theorem's real
+precondition: whether a pair is acceptable is a function of the two
+fact rows alone (the oracle and the thresholds are the run's), so two
+entities whose rows are unchanged are as unacceptable to each other as
+they were when the previous stable matching left both unmatched.  A
+matched entity that reappears is not in the index, and an unmatched
+taxi that moved, or whose α changed, fails the comparison: both
+re-enter as new.  Classification can only err toward *new*, which is
+always sound — a new entity's strip rows are scored, and the
+acceptability masks discard the entries the theorem proves empty.
+Repeated ids are rejected before classification, so an id names one
+row per side.
 
 Any violated precondition raises
 :class:`~repro.core.errors.WarmStartError`; the dispatcher redoes the
@@ -85,12 +88,11 @@ coordinate) raises the same ``ValueError`` here, because every distance
 goes through the one batch API of :mod:`repro.geometry.batch`, which
 validates coordinate arrays on the exact kernels.
 
-:func:`warm_frame_solve` runs five module-level phases, in order:
-:func:`_classify_churn` (retained or new, per entity),
-:func:`_entity_facts` (the fused fact matrices, ids and their bounds),
-:func:`_churn_strips` (the frame's edge set, one :func:`_score_strip`
-per churn strip), :func:`_pack_and_solve` (the canonical proposer pack
-plus the shared Gale–Shapley rounds) and :func:`_egress` (matching,
+:func:`warm_frame_solve` runs four module-level phases, in order:
+:func:`_classify_churn` (retained or new, per entity, and the entrants'
+id, count and α checks), :func:`_churn_strips` (the frame's edge set,
+one :func:`_score_strip` per churn strip), :func:`_pack_and_solve` (the
+canonical proposer pack plus the shared Gale–Shapley rounds) and :func:`_egress` (matching,
 matched rows and pickup legs, stats and the next state).
 """
 
@@ -112,9 +114,12 @@ from repro.matching.deferred_acceptance import gale_shapley_rounds
 from repro.matching.result import Matching
 
 __all__ = [
+    "FrameOperands",
     "FrameSolveState",
     "IncrementalBuildStats",
+    "frame_operands",
     "frame_state_from_cold",
+    "taxi_alphas",
     "warm_frame_solve",
 ]
 
@@ -125,6 +130,44 @@ _TX, _TY, _TSEATS, _TALPHA = 0, 1, 2, 3
 
 #: Ids and counts carried in float64 lanes must stay integer-exact.
 _FLOAT_EXACT = float(1 << 53)
+
+
+class FrameOperands(NamedTuple):
+    """One frame's two sides as arrays: row ``i`` of a side describes
+    item ``i`` of that side's list (the idle taxis, the queue)."""
+
+    taxi_ids: np.ndarray
+    """``(T,)`` int64 taxi ids."""
+    taxi_facts: np.ndarray
+    """``(T, 4)`` float64: x, y, seats, α."""
+    request_ids: np.ndarray
+    """``(R,)`` int64 request ids."""
+    request_facts: np.ndarray
+    """``(R, 4)`` float64: pickup x, pickup y, party, trip km."""
+
+    @property
+    def taxi_xy(self) -> np.ndarray:
+        """The taxis' ``(T, 2)`` positions (a view)."""
+        return self.taxi_facts[:, _TX : _TY + 1]
+
+    @property
+    def pickup_xy(self) -> np.ndarray:
+        """The requests' ``(R, 2)`` pickups (a view)."""
+        return self.request_facts[:, _RX : _RY + 1]
+
+    @property
+    def trip_km(self) -> np.ndarray:
+        """The requests' ``(R,)`` trips (a view)."""
+        return self.request_facts[:, _RTRIP]
+
+    def take(self, taxi_rows: np.ndarray, request_rows: np.ndarray) -> FrameOperands:
+        """The operands of the sub-frame at ``taxi_rows`` × ``request_rows``."""
+        return FrameOperands(
+            self.taxi_ids[taxi_rows],
+            self.taxi_facts.take(taxi_rows, axis=0),
+            self.request_ids[request_rows],
+            self.request_facts.take(request_rows, axis=0),
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,35 +202,22 @@ class IncrementalBuildStats:
 class FrameSolveState:
     """Frame-to-frame solver state carried by a warm-started dispatcher.
 
-    Request-side arrays are aligned with the previous frame's queue
-    order and taxi-side arrays with its fleet order.  ``req_objs`` /
-    ``taxi_objs`` pin the frame's objects alive so the CPython addresses
-    in the sorted address arrays stay unambiguous: a *new* object in the
-    next frame can never alias a held address.  The address index covers
-    only the entities the previous matching left *unmatched* —
-    membership in it is the whole retained test.
+    The previous frame's :class:`FrameOperands`, plus, per side, the
+    sorted ids of the entities its matching left *unmatched* and their
+    rows: an entity of the next frame is retained when its id is in
+    that index and its fact row is bit-equal to the carried one.
     """
 
-    req_ids: np.ndarray
-    """``(R,)`` int64 request ids, in the previous frame's queue order."""
-    req_addr_sorted: np.ndarray
-    """Sorted uint64 addresses of the previously *unmatched* requests."""
-    req_addr_rows: np.ndarray
-    """Previous-frame row of each ``req_addr_sorted`` entry."""
-    req_objs: list[PassengerRequest]
-    """The previous queue, pinned so addresses stay live and unique."""
-    rfacts: np.ndarray
-    """``(R, 4)`` float64: pickup x, pickup y, party, trip km."""
-    taxi_ids: np.ndarray
-    """``(T,)`` int64 taxi ids, in the previous frame's fleet order."""
-    taxi_addr_sorted: np.ndarray
-    """Sorted uint64 addresses of the previously *unmatched* taxis."""
-    taxi_addr_rows: np.ndarray
-    """Previous-frame row of each ``taxi_addr_sorted`` entry."""
-    taxi_objs: list[Taxi]
-    """The previous idle fleet, pinned so addresses stay live and unique."""
-    tfacts: np.ndarray
-    """``(T, 4)`` float64: x, y, seats, α."""
+    frame: FrameOperands
+    """The previous frame's operands, in its queue and fleet order."""
+    req_unmatched_ids: np.ndarray
+    """Sorted int64 ids of the previously *unmatched* requests."""
+    req_unmatched_rows: np.ndarray
+    """Previous-frame row of each ``req_unmatched_ids`` entry."""
+    taxi_unmatched_ids: np.ndarray
+    """Sorted int64 ids of the previously *unmatched* taxis."""
+    taxi_unmatched_rows: np.ndarray
+    """Previous-frame row of each ``taxi_unmatched_ids`` entry."""
     ids_bound: float
     """Upper bound on ``max |id|`` over every entity the state has seen.
 
@@ -200,35 +230,21 @@ class FrameSolveState:
 
 
 class _Churn(NamedTuple):
-    """Phase 1's verdict: which of the frame's entities are retained."""
+    """Phase 1's verdict: which of the frame's entities are retained,
+    whether each side's ids ascend, and the carried bounds."""
 
-    req_addrs: np.ndarray
-    taxi_addrs: np.ndarray
-    prev_r_rows: np.ndarray
-    """Previous-frame row of each request (meaningful where retained)."""
-    prev_t_rows: np.ndarray
-    """Previous-frame row of each taxi (meaningful where retained)."""
     new_r_rows: np.ndarray
     ret_r_rows: np.ndarray
     new_t_rows: np.ndarray
     ret_t_rows: np.ndarray
-
-
-class _Facts(NamedTuple):
-    """Phase 2's fused facts, in this frame's order, with id bounds."""
-
-    taxi_ids: np.ndarray
-    tfacts: np.ndarray
     taxi_ids_ascending: bool
-    req_ids: np.ndarray
-    rfacts: np.ndarray
     req_ids_ascending: bool
     ids_bound: float
     counts_bound: float
 
 
 class _Edges(NamedTuple):
-    """Phase 3's acceptable edges: taxi row, request row, both scores."""
+    """Phase 2's acceptable edges: taxi row, request row, both scores."""
 
     ti: np.ndarray
     rj: np.ndarray
@@ -237,7 +253,7 @@ class _Edges(NamedTuple):
 
 
 class _Solved(NamedTuple):
-    """Phase 4's result: the pack permutation and the rounds' outcome."""
+    """Phase 3's result: the pack permutation and the rounds' outcome."""
 
     order: np.ndarray
     """Edge index of each CSR slot (the canonical pack permutation)."""
@@ -245,6 +261,80 @@ class _Solved(NamedTuple):
     """Proposer position each reviewer holds (or :data:`NO_PARTNER`)."""
     final_choice: np.ndarray
     """Per proposer, one past the CSR slot of its last proposal."""
+
+
+def taxi_alphas(
+    taxi_ids: np.ndarray, alpha: float, alpha_by_taxi: Mapping[int, float] | None
+) -> float | np.ndarray:
+    """Each taxi's α: ``alpha``, or the map's value where it names the
+    taxi (a scalar when there is no map)."""
+    if alpha_by_taxi is None:
+        return alpha
+    return np.fromiter(
+        (alpha_by_taxi.get(i, alpha) for i in taxi_ids.tolist()),
+        dtype=np.float64,
+        count=taxi_ids.size,
+    )
+
+
+def frame_operands(
+    taxis: Sequence[Taxi],
+    requests: Sequence[PassengerRequest],
+    *,
+    trip_km: np.ndarray,
+    alpha: float,
+    alpha_by_taxi: Mapping[int, float] | None = None,
+) -> FrameOperands:
+    """The frame's :class:`FrameOperands`, built from the objects.
+
+    ``trip_km`` is ``D(r^s, r^d)`` per request, in ``requests`` order;
+    each taxi's α is ``alpha`` or its ``alpha_by_taxi`` entry.  Raises
+    ``ValueError`` when ``trip_km`` does not hold one trip per request.
+    The engines gather the same arrays from their run's columns
+    instead (:meth:`~repro.simulation.core.RunCore.frame_operands`).
+    """
+    trip = np.asarray(trip_km, dtype=np.float64)
+    if trip.shape != (len(requests),):
+        raise ValueError(f"trip_km has shape {trip.shape}, expected ({len(requests)},)")
+    n_taxis, n_requests = len(taxis), len(requests)
+    taxi_ids = np.fromiter((t.taxi_id for t in taxis), dtype=np.int64, count=n_taxis)
+    taxi_facts = np.empty((n_taxis, 4), dtype=np.float64)
+    taxi_facts[:, :_TALPHA] = np.fromiter(
+        (v for t in taxis for v in (t.location.x, t.location.y, t.seats)),
+        dtype=np.float64,
+        count=3 * n_taxis,
+    ).reshape(n_taxis, 3)
+    taxi_facts[:, _TALPHA] = taxi_alphas(taxi_ids, alpha, alpha_by_taxi)
+    request_ids = np.fromiter(
+        (r.request_id for r in requests), dtype=np.int64, count=n_requests
+    )
+    request_facts = np.empty((n_requests, 4), dtype=np.float64)
+    request_facts[:, _RX : _RY + 1] = as_point_array(
+        [r.pickup for r in requests], check_finite=False
+    )
+    request_facts[:, _RPARTY] = np.fromiter(
+        (r.passengers for r in requests), dtype=np.float64, count=n_requests
+    )
+    request_facts[:, _RTRIP] = trip
+    return FrameOperands(taxi_ids, taxi_facts, request_ids, request_facts)
+
+
+def _check_operands(frame: FrameOperands) -> None:
+    """Raise ``ValueError`` unless each side has one float64 fact row per
+    int64 id."""
+    for what, ids, facts in (
+        ("taxi", frame.taxi_ids, frame.taxi_facts),
+        ("request", frame.request_ids, frame.request_facts),
+    ):
+        if (
+            ids.ndim != 1
+            or ids.dtype != np.int64
+            or facts.shape != (ids.size, 4)
+            or facts.dtype != np.float64
+        ):
+            raise ValueError(
+                f"{what} operands disagree: ids {ids.shape}, facts {facts.shape}"
+            )
 
 
 def _sorted_member_rows(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,53 +346,23 @@ def _sorted_member_rows(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.n
     return sorted_keys[pos] == keys, pos
 
 
-def _addrs_of(objs: Sequence[object]) -> np.ndarray:
-    """CPython addresses of ``objs`` (``map`` keeps the loop in C)."""
-    return np.fromiter(map(id, objs), dtype=np.uint64, count=len(objs))
-
-
-def _taxi_facts(
-    taxis: Sequence[Taxi], config: DispatchConfig, alpha_by_taxi: Mapping[int, float] | None
-) -> np.ndarray:
-    """The ``(k, 4)`` fact rows x, y, seats, α of ``taxis``.
-
-    One C-level loop reads x, y and seats; α is ``config.alpha``, or the
-    map's value where it names the taxi.
-    """
-    k = len(taxis)
-    facts = np.empty((k, 4), dtype=np.float64)
-    facts[:, :_TALPHA] = np.fromiter(
-        (v for t in taxis for v in (t.location.x, t.location.y, t.seats)),
-        dtype=np.float64,
-        count=3 * k,
-    ).reshape(k, 3)
-    if alpha_by_taxi is None:
-        facts[:, _TALPHA] = config.alpha
-    else:
-        facts[:, _TALPHA] = np.fromiter(
-            (alpha_by_taxi.get(t.taxi_id, config.alpha) for t in taxis),
-            dtype=np.float64,
-            count=k,
-        )
-    return facts
-
-
 def _abs_max(values: np.ndarray) -> float:
     """``max |values|`` as a float, 0 for an empty array."""
     return float(np.abs(values).max()) if values.size else 0.0
 
 
-def _unmatched_addr_index(
-    addrs: np.ndarray, matched_rows: np.ndarray, n: int
+def _unmatched_index(
+    ids: np.ndarray, matched_rows: np.ndarray, ascending: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(sorted unmatched addresses, their frame rows)`` for one side."""
-    keep = np.ones(n, dtype=bool)
+    """``(sorted unmatched ids, their frame rows)`` for one side."""
+    keep = np.ones(ids.size, dtype=bool)
     keep[matched_rows] = False
     rows = np.flatnonzero(keep)
-    # Addresses are unique among live objects, so the unstable default
-    # sort yields the same permutation as a stable one, faster.
-    rows = rows[np.argsort(addrs[rows])]
-    return addrs[rows], rows
+    if not ascending:
+        # Ids are unique, so the unstable default sort yields the same
+        # permutation as a stable one, faster.
+        rows = rows[np.argsort(ids[rows])]
+    return ids[rows], rows
 
 
 def _rows_of_ids(ids: np.ndarray, wanted: Sequence[int]) -> np.ndarray:
@@ -314,74 +374,52 @@ def _rows_of_ids(ids: np.ndarray, wanted: Sequence[int]) -> np.ndarray:
     return np.asarray(order[np.searchsorted(ids[order], wanted_arr)], dtype=np.intp)
 
 
-def frame_state_from_cold(
-    taxis: Sequence[Taxi],
-    requests: Sequence[PassengerRequest],
-    matching: Matching,
-    *,
-    trip: np.ndarray,
-    config: DispatchConfig,
-    alpha_by_taxi: Mapping[int, float] | None = None,
-) -> FrameSolveState:
-    """Seed warm state from a cold frame's inputs and solved matching.
+def _ascends(ids: np.ndarray) -> bool:
+    """Whether ``ids`` ascend strictly."""
+    return ids.size < 2 or bool(np.all(ids[1:] > ids[:-1]))
+
+
+def frame_state_from_cold(frame: FrameOperands, matching: Matching) -> FrameSolveState:
+    """Seed warm state from a cold frame's operands and solved matching.
 
     ``matching`` maps request id → taxi id (both NSTD orientations after
-    the dispatcher's flip); ``trip`` is the frame's per-request trip
-    vector in queue order (the cold path computes it anyway).
-    ``config`` and ``alpha_by_taxi`` must be the ones the next
-    :func:`warm_frame_solve` receives: each taxi's α is carried in the
-    state's fact matrix.
+    the dispatcher's flip); ``frame`` must describe the frame the cold
+    solve matched, with the α the next :func:`warm_frame_solve` will
+    see in the taxi facts.
 
-    The returned state pins every ``taxis`` / ``requests`` object alive
-    (so CPython addresses stay unambiguous), indexes only the unmatched
-    entities' addresses (a matched entity re-presented later is treated
-    as *new*), and carries the per-entity facts aligned to this frame's
-    order.  Never raises: any id problem was already rejected by the
-    cold solve that produced ``matching``.
+    The returned state carries the frame's operands and indexes only
+    the unmatched entities' ids (a matched entity presented later is
+    treated as *new*).  Never raises on a frame the cold solve accepted:
+    any id problem was already rejected there.
     """
-    n_requests = len(requests)
-    n_taxis = len(taxis)
-    req_ids = np.fromiter((r.request_id for r in requests), dtype=np.int64, count=n_requests)
-    taxi_ids = np.fromiter((t.taxi_id for t in taxis), dtype=np.int64, count=n_taxis)
-    req_addr_sorted, req_addr_rows = _unmatched_addr_index(
-        _addrs_of(requests), _rows_of_ids(req_ids, [p for p, _ in matching.pairs]), n_requests
+    _check_operands(frame)
+    req_ids, taxi_ids = frame.request_ids, frame.taxi_ids
+    req_unmatched_ids, req_unmatched_rows = _unmatched_index(
+        req_ids, _rows_of_ids(req_ids, [p for p, _ in matching.pairs]), _ascends(req_ids)
     )
-    taxi_addr_sorted, taxi_addr_rows = _unmatched_addr_index(
-        _addrs_of(taxis), _rows_of_ids(taxi_ids, [t for _, t in matching.pairs]), n_taxis
+    taxi_unmatched_ids, taxi_unmatched_rows = _unmatched_index(
+        taxi_ids, _rows_of_ids(taxi_ids, [t for _, t in matching.pairs]), _ascends(taxi_ids)
     )
-    rfacts = np.empty((n_requests, 4), dtype=np.float64)
-    rfacts[:, _RX : _RY + 1] = as_point_array([r.pickup for r in requests], check_finite=False)
-    rfacts[:, _RPARTY] = np.fromiter(
-        (r.passengers for r in requests), dtype=np.int64, count=n_requests
-    )
-    rfacts[:, _RTRIP] = np.asarray(trip, dtype=np.float64)
-    tfacts = _taxi_facts(taxis, config, alpha_by_taxi)
     return FrameSolveState(
-        req_ids=req_ids,
-        req_addr_sorted=req_addr_sorted,
-        req_addr_rows=req_addr_rows,
-        req_objs=list(requests),
-        rfacts=rfacts,
-        taxi_ids=taxi_ids,
-        taxi_addr_sorted=taxi_addr_sorted,
-        taxi_addr_rows=taxi_addr_rows,
-        taxi_objs=list(taxis),
-        tfacts=tfacts,
+        frame=frame,
+        req_unmatched_ids=req_unmatched_ids,
+        req_unmatched_rows=req_unmatched_rows,
+        taxi_unmatched_ids=taxi_unmatched_ids,
+        taxi_unmatched_rows=taxi_unmatched_rows,
         ids_bound=max(_abs_max(req_ids), _abs_max(taxi_ids)),
-        counts_bound=max(_abs_max(rfacts[:, _RPARTY]), _abs_max(tfacts[:, _TSEATS])),
+        counts_bound=max(
+            _abs_max(frame.request_facts[:, _RPARTY]), _abs_max(frame.taxi_facts[:, _TSEATS])
+        ),
     )
 
 
 def warm_frame_solve(
     state: FrameSolveState,
-    taxis: Sequence[Taxi],
-    requests: Sequence[PassengerRequest],
+    frame: FrameOperands,
     oracle: DistanceOracle,
     config: DispatchConfig,
     *,
-    trip_km: np.ndarray,
     optimize_for: str = "passenger",
-    alpha_by_taxi: Mapping[int, float] | None = None,
 ) -> tuple[
     Matching,
     tuple[np.ndarray, np.ndarray],
@@ -394,33 +432,29 @@ def warm_frame_solve(
     Returns ``(matching, matched_rows, matched_pickup_km, stats,
     next_state)``: the frame's stable matching (request id → taxi id,
     in NSTD orientation for both ``optimize_for`` modes); the matched
-    ``(taxi_rows, request_rows)`` as positions into the given sequences,
-    sorted by request id (so a caller can build a schedule without
-    re-keying either side by id); the matched pairs' pickup legs in the
-    same order (the exact-kernel distance of each accepted edge); build
-    stats for telemetry; and the state seeding the next frame.
-    Bit-identical to the cold array path on the same inputs — see the
-    module docstring for the arguments this rests on.
+    ``(taxi_rows, request_rows)`` as rows of ``frame`` (positions into
+    the lists it describes), sorted by request id (so a caller can
+    build a schedule without re-keying either side by id); the matched
+    pairs' pickup legs in the same order (the exact-kernel distance of
+    each accepted edge); build stats for telemetry; and the state
+    seeding the next frame.  Bit-identical to the cold array path on the
+    same inputs — see the module docstring for the arguments this rests
+    on.
 
     Parameters.  ``state`` is the previous frame's
     :class:`FrameSolveState`; it is only *read* (a fresh state is
     returned), so one state object may safely back several lookups —
-    the streaming zone matcher relies on this.  ``taxis`` and
-    ``requests`` are the frame's idle fleet and pending queue;
-    entities carried over from the previous frame must be the *same
-    live objects* for the retained fast path to engage (equal-but-new
-    objects are safely reclassified as new).  ``optimize_for`` selects
-    the proposing side (``"passenger"`` or ``"taxi"``);
-    ``alpha_by_taxi`` overrides ``config.alpha`` per driver.
-    ``trip_km`` is ``D(r^s, r^d)`` per request, in ``requests`` order —
-    the operand the cold builder takes; the solver reads the new
-    requests' rows of it and measures no trip.
+    the streaming zone matcher relies on this.  ``frame`` holds the
+    frame's idle fleet and pending queue as :class:`FrameOperands`,
+    whose taxi facts carry each driver's α.  ``optimize_for`` selects
+    the proposing side (``"passenger"`` or ``"taxi"``).
 
-    Raises :class:`~repro.core.errors.WarmStartError` — and never a
-    partial result — when a precondition fails, carrying a machine-
-    readable ``reason``: ``duplicate-ids`` (either side repeats an id),
-    ``bad-alpha`` (negative per-driver α — surfaced here so the cold
-    fallback reports the canonical ``PreferenceError``) or
+    Raises ``ValueError`` when a side's fact rows do not match its ids
+    one for one.  Raises :class:`~repro.core.errors.WarmStartError` —
+    and never a partial result — when a precondition fails, carrying a
+    machine-readable ``reason``: ``duplicate-ids`` (either side repeats
+    an id), ``bad-alpha`` (negative per-driver α — surfaced here so the
+    cold fallback reports the canonical ``PreferenceError``) or
     ``id-overflow`` (an id or count at or beyond 2^53, outside the
     float-exact range of the fused lanes).  Oracles without exact batch
     kernels are not an error: strip scoring falls back to the scalar
@@ -429,58 +463,11 @@ def warm_frame_solve(
     ``warm_fallbacks`` telemetry event.  A non-finite coordinate raises
     the cold frame's ``ValueError``.
     """
-    churn = _classify_churn(state, taxis, requests)
-    facts = _entity_facts(state, churn, taxis, requests, trip_km, config, alpha_by_taxi)
-    edges = _churn_strips(churn, facts, oracle, config)
-    solved = _pack_and_solve(edges, facts, optimize_for)
-    return _egress(churn, facts, edges, solved, taxis, requests, optimize_for)
-
-
-def _classify_churn(
-    state: FrameSolveState, taxis: Sequence[Taxi], requests: Sequence[PassengerRequest]
-) -> _Churn:
-    """Phase 1: an entity is retained iff its address is in the state's
-    unmatched index (the same live object the previous frame left
-    unmatched); every other entity is new."""
-    req_addrs = _addrs_of(requests)
-    ret_r, req_pos = _sorted_member_rows(state.req_addr_sorted, req_addrs)
-    prev_r_rows = state.req_addr_rows[req_pos] if state.req_addr_rows.size else req_pos
-    taxi_addrs = _addrs_of(taxis)
-    ret_t, taxi_pos = _sorted_member_rows(state.taxi_addr_sorted, taxi_addrs)
-    prev_t_rows = state.taxi_addr_rows[taxi_pos] if state.taxi_addr_rows.size else taxi_pos
-    return _Churn(
-        req_addrs=req_addrs,
-        taxi_addrs=taxi_addrs,
-        prev_r_rows=prev_r_rows,
-        prev_t_rows=prev_t_rows,
-        new_r_rows=np.flatnonzero(~ret_r),
-        ret_r_rows=np.flatnonzero(ret_r),
-        new_t_rows=np.flatnonzero(~ret_t),
-        ret_t_rows=np.flatnonzero(ret_t),
-    )
-
-
-def _fused(
-    prev_ids: np.ndarray,
-    prev_facts: np.ndarray,
-    prev_rows: np.ndarray,
-    ret_rows: np.ndarray,
-    new_rows: np.ndarray,
-    new_ids: np.ndarray,
-    new_facts: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One side's ``(ids, facts)`` in frame order: the retained rows
-    gathered from the previous frame's arrays, the new rows filled in."""
-    n = ret_rows.size + new_rows.size
-    ids = np.empty(n, dtype=np.int64)
-    facts = np.empty((n, 4), dtype=np.float64)
-    if ret_rows.size:
-        src = prev_rows[ret_rows]
-        ids[ret_rows] = prev_ids[src]
-        facts[ret_rows] = prev_facts[src]
-    ids[new_rows] = new_ids
-    facts[new_rows] = new_facts
-    return ids, facts
+    _check_operands(frame)
+    churn = _classify_churn(state, frame)
+    edges = _churn_strips(churn, frame, oracle, config)
+    solved = _pack_and_solve(edges, churn, frame, optimize_for)
+    return _egress(churn, frame, edges, solved, optimize_for)
 
 
 def _ids_ascending(ids: np.ndarray, what: str) -> bool:
@@ -490,89 +477,94 @@ def _ids_ascending(ids: np.ndarray, what: str) -> bool:
     uniqueness check one vectorized comparison; the general path
     (unsorted but unique is fine) only runs on hand-built frames.
     """
-    if ids.size < 2 or bool(np.all(ids[1:] > ids[:-1])):
+    if _ascends(ids):
         return True
     if np.unique(ids).size != ids.size:
         raise WarmStartError(f"duplicate {what} ids in frame", reason="duplicate-ids")
     return False
 
 
-def _entity_facts(
-    state: FrameSolveState,
-    churn: _Churn,
-    taxis: Sequence[Taxi],
-    requests: Sequence[PassengerRequest],
-    trip_km: np.ndarray,
-    config: DispatchConfig,
-    alpha_by_taxi: Mapping[int, float] | None,
-) -> _Facts:
-    """Phase 2: the fused fact matrices, extracting only the new entities.
+def _retained(
+    ids: np.ndarray,
+    facts: np.ndarray,
+    unmatched_ids: np.ndarray,
+    unmatched_rows: np.ndarray,
+    prev_facts: np.ndarray,
+) -> np.ndarray:
+    """The retained mask of one side: the id is in the unmatched index
+    and the fact row is bit-equal to the carried one.
 
-    Retained rows were bounded when they first entered a state, so only
-    the new entities update the carried bounds; one scalar comparison
-    per frame replaces the full scans.  The new requests' trips are
-    their rows of the caller's ``trip_km``.
+    Row gathers use ``take``, which NumPy runs several times faster than
+    fancy indexing on these ``(n, 4)`` matrices.
     """
-    new_taxis = [taxis[i] for i in churn.new_t_rows.tolist()]
-    k = len(new_taxis)
-    new_tids = np.fromiter((t.taxi_id for t in new_taxis), dtype=np.int64, count=k)
-    new_tfacts = _taxi_facts(new_taxis, config, alpha_by_taxi)
+    found, pos = _sorted_member_rows(unmatched_ids, ids)
+    rows = np.flatnonzero(found)
+    if rows.size:
+        prev = unmatched_rows[pos[rows]]
+        # Compare the float64 rows as raw bits: -0.0 against 0.0 (or one
+        # NaN payload against another) counts as a change, erring toward
+        # new, which is always sound.
+        same = facts.take(rows, axis=0).view(np.uint64) == prev_facts.take(
+            prev, axis=0
+        ).view(np.uint64)
+        if not same.all():
+            found[rows[~same.all(axis=1)]] = False
+    return found
+
+
+def _classify_churn(state: FrameSolveState, frame: FrameOperands) -> _Churn:
+    """Phase 1: which entities are retained, and the entrants' checks.
+
+    Repeated ids raise before any lookup.  Retained rows were checked
+    and bounded when they first entered a state, so only the entrants
+    update the carried bounds and face the α check; one scalar
+    comparison per bound replaces the full scans.
+    """
+    taxi_ids_ascending = _ids_ascending(frame.taxi_ids, "taxi")
+    req_ids_ascending = _ids_ascending(frame.request_ids, "request")
+    prev = state.frame
+    ret_t = _retained(
+        frame.taxi_ids,
+        frame.taxi_facts,
+        state.taxi_unmatched_ids,
+        state.taxi_unmatched_rows,
+        prev.taxi_facts,
+    )
+    ret_r = _retained(
+        frame.request_ids,
+        frame.request_facts,
+        state.req_unmatched_ids,
+        state.req_unmatched_rows,
+        prev.request_facts,
+    )
+    new_t_rows, new_r_rows = np.flatnonzero(~ret_t), np.flatnonzero(~ret_r)
+    new_tfacts = frame.taxi_facts.take(new_t_rows, axis=0)
     if bool(np.any(new_tfacts[:, _TALPHA] < 0.0)):
         raise WarmStartError("negative alpha in frame", reason="bad-alpha")
-    taxi_ids, tfacts = _fused(
-        state.taxi_ids,
-        state.tfacts,
-        churn.prev_t_rows,
-        churn.ret_t_rows,
-        churn.new_t_rows,
-        new_tids,
-        new_tfacts,
-    )
-    taxi_ids_ascending = _ids_ascending(taxi_ids, "taxi")
-
-    new_requests = [requests[j] for j in churn.new_r_rows.tolist()]
-    k = len(new_requests)
-    new_rids = np.fromiter((r.request_id for r in new_requests), dtype=np.int64, count=k)
-    new_rfacts = np.empty((k, 4), dtype=np.float64)
-    if k:
-        new_rfacts[:, : _RY + 1] = as_point_array(
-            [r.pickup for r in new_requests], check_finite=False
-        )
-        new_rfacts[:, _RPARTY] = np.fromiter(
-            (r.passengers for r in new_requests), dtype=np.float64, count=k
-        )
-        new_rfacts[:, _RTRIP] = np.asarray(trip_km, dtype=np.float64)[churn.new_r_rows]
-    req_ids, rfacts = _fused(
-        state.req_ids,
-        state.rfacts,
-        churn.prev_r_rows,
-        churn.ret_r_rows,
-        churn.new_r_rows,
-        new_rids,
-        new_rfacts,
-    )
-    req_ids_ascending = _ids_ascending(req_ids, "request")
-
     # Ids ride in the complex keys' imaginary float64 lane and counts in
     # fact-matrix lanes; both must stay integer-exact.  The carried
     # bounds cover every entity this state chain has seen (cold seeds
     # scan their full arrays), so two scalar comparisons suffice.
-    ids_bound = max(state.ids_bound, _abs_max(new_tids), _abs_max(new_rids))
+    ids_bound = max(
+        state.ids_bound,
+        _abs_max(frame.taxi_ids[new_t_rows]),
+        _abs_max(frame.request_ids[new_r_rows]),
+    )
     counts_bound = max(
         state.counts_bound,
         _abs_max(new_tfacts[:, _TSEATS]),
-        _abs_max(new_rfacts[:, _RPARTY]),
+        _abs_max(frame.request_facts[:, _RPARTY].take(new_r_rows)),
     )
     if ids_bound >= _FLOAT_EXACT:
         raise WarmStartError("frame id exceeds float-exact range", reason="id-overflow")
     if counts_bound >= _FLOAT_EXACT:
         raise WarmStartError("frame count exceeds float-exact range", reason="id-overflow")
-    return _Facts(
-        taxi_ids=taxi_ids,
-        tfacts=tfacts,
+    return _Churn(
+        new_r_rows=new_r_rows,
+        ret_r_rows=np.flatnonzero(ret_r),
+        new_t_rows=new_t_rows,
+        ret_t_rows=np.flatnonzero(ret_t),
         taxi_ids_ascending=taxi_ids_ascending,
-        req_ids=req_ids,
-        rfacts=rfacts,
         req_ids_ascending=req_ids_ascending,
         ids_bound=ids_bound,
         counts_bound=counts_bound,
@@ -580,18 +572,18 @@ def _entity_facts(
 
 
 def _churn_strips(
-    churn: _Churn, facts: _Facts, oracle: DistanceOracle, config: DispatchConfig
+    churn: _Churn, frame: FrameOperands, oracle: DistanceOracle, config: DispatchConfig
 ) -> _Edges:
-    """Phase 3: the frame's entire edge set, from the two churn strips.
+    """Phase 2: the frame's entire edge set, from the two churn strips.
 
     Strip A: new taxis × all requests.  Strip B: retained taxis × new
     requests.  Retained × retained is empty by the stability theorem.
     """
     strips: list[_Edges] = []
-    if churn.new_t_rows.size and facts.req_ids.size:
-        strips.append(_score_strip(facts, oracle, config, churn.new_t_rows, None))
+    if churn.new_t_rows.size and frame.request_ids.size:
+        strips.append(_score_strip(frame, oracle, config, churn.new_t_rows, None))
     if churn.ret_t_rows.size and churn.new_r_rows.size:
-        strips.append(_score_strip(facts, oracle, config, churn.ret_t_rows, churn.new_r_rows))
+        strips.append(_score_strip(frame, oracle, config, churn.ret_t_rows, churn.new_r_rows))
     if not strips:
         no_rows, no_scores = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
         return _Edges(no_rows, no_rows, no_scores, no_scores)
@@ -600,7 +592,7 @@ def _churn_strips(
 
 
 def _score_strip(
-    facts: _Facts,
+    frame: FrameOperands,
     oracle: DistanceOracle,
     config: DispatchConfig,
     t_block: np.ndarray,
@@ -614,8 +606,8 @@ def _score_strip(
     only ever materialized at their final size; the driver scores come
     from the same elementwise IEEE operations as the cold pipeline.
     """
-    rfacts = facts.rfacts if r_block is None else facts.rfacts[r_block]
-    tfacts = facts.tfacts[t_block]
+    rfacts = frame.request_facts if r_block is None else frame.request_facts.take(r_block, axis=0)
+    tfacts = frame.taxi_facts.take(t_block, axis=0)
     pick_m = oracle_pairwise(
         oracle, sources=tfacts[:, : _TY + 1], targets=rfacts[:, : _RY + 1], exact=True
     )
@@ -640,8 +632,10 @@ def _score_strip(
     )
 
 
-def _pack_and_solve(edges: _Edges, facts: _Facts, optimize_for: str) -> _Solved:
-    """Phase 4: the proposer-only canonical pack and the shared GS rounds.
+def _pack_and_solve(
+    edges: _Edges, churn: _Churn, frame: FrameOperands, optimize_for: str
+) -> _Solved:
+    """Phase 3: the proposer-only canonical pack and the shared GS rounds.
 
     One lexsort realizes the total (proposer row, score, partner id)
     order of the cold pack regardless of strip emission order — the key
@@ -654,7 +648,8 @@ def _pack_and_solve(edges: _Edges, facts: _Facts, optimize_for: str) -> _Solved:
     encoded in the complex keys.
     """
     ti, rj = edges.ti, edges.rj
-    n_taxis, n_requests = facts.taxi_ids.size, facts.req_ids.size
+    taxi_ids, req_ids = frame.taxi_ids, frame.request_ids
+    n_taxis, n_requests = taxi_ids.size, req_ids.size
     idx_small = max(n_taxis, n_requests) <= 32767
     if optimize_for == "taxi":
         prop_rows, rev_rows = ti, rj
@@ -662,22 +657,22 @@ def _pack_and_solve(edges: _Edges, facts: _Facts, optimize_for: str) -> _Solved:
         prop_score = edges.driver
         partner_tie = (
             rj.astype(np.int16)
-            if (idx_small and facts.req_ids_ascending)
-            else facts.req_ids[rj]
+            if (idx_small and churn.req_ids_ascending)
+            else req_ids[rj]
         )
         rev_score = edges.pick
-        rev_tie_ids = facts.taxi_ids
+        rev_tie_ids = taxi_ids
     else:
         prop_rows, rev_rows = rj, ti
         n_prop, n_rev = n_requests, n_taxis
         prop_score = edges.pick
         partner_tie = (
             ti.astype(np.int16)
-            if (idx_small and facts.taxi_ids_ascending)
-            else facts.taxi_ids[ti]
+            if (idx_small and churn.taxi_ids_ascending)
+            else taxi_ids[ti]
         )
         rev_score = edges.driver
-        rev_tie_ids = facts.req_ids
+        rev_tie_ids = req_ids
     prop_small = prop_rows.astype(np.int16) if idx_small else prop_rows
     order = np.lexsort((partner_tie, prop_score, prop_small))
     indptr = np.zeros(n_prop + 1, dtype=np.int64)
@@ -692,11 +687,9 @@ def _pack_and_solve(edges: _Edges, facts: _Facts, optimize_for: str) -> _Solved:
 
 def _egress(
     churn: _Churn,
-    facts: _Facts,
+    frame: FrameOperands,
     edges: _Edges,
     solved: _Solved,
-    taxis: Sequence[Taxi],
-    requests: Sequence[PassengerRequest],
     optimize_for: str,
 ) -> tuple[
     Matching,
@@ -705,8 +698,8 @@ def _egress(
     IncrementalBuildStats,
     FrameSolveState,
 ]:
-    """Phase 5: :func:`warm_frame_solve`'s return value."""
-    taxi_ids, req_ids = facts.taxi_ids, facts.req_ids
+    """Phase 4: :func:`warm_frame_solve`'s return value."""
+    taxi_ids, req_ids = frame.taxi_ids, frame.request_ids
     n_taxis, n_requests = taxi_ids.size, req_ids.size
     matched_rev = np.flatnonzero(solved.partner != NO_PARTNER)
     matched_prop = solved.partner[matched_rev]
@@ -735,24 +728,19 @@ def _egress(
         full_pairs=n_taxis * n_requests,
     )
 
-    req_addr_sorted, req_addr_rows = _unmatched_addr_index(
-        churn.req_addrs, matched_rows[1], n_requests
+    req_unmatched_ids, req_unmatched_rows = _unmatched_index(
+        req_ids, matched_rows[1], churn.req_ids_ascending
     )
-    taxi_addr_sorted, taxi_addr_rows = _unmatched_addr_index(
-        churn.taxi_addrs, matched_rows[0], n_taxis
+    taxi_unmatched_ids, taxi_unmatched_rows = _unmatched_index(
+        taxi_ids, matched_rows[0], churn.taxi_ids_ascending
     )
     new_state = FrameSolveState(
-        req_ids=req_ids,
-        req_addr_sorted=req_addr_sorted,
-        req_addr_rows=req_addr_rows,
-        req_objs=list(requests),
-        rfacts=facts.rfacts,
-        taxi_ids=taxi_ids,
-        taxi_addr_sorted=taxi_addr_sorted,
-        taxi_addr_rows=taxi_addr_rows,
-        taxi_objs=list(taxis),
-        tfacts=facts.tfacts,
-        ids_bound=facts.ids_bound,
-        counts_bound=facts.counts_bound,
+        frame=frame,
+        req_unmatched_ids=req_unmatched_ids,
+        req_unmatched_rows=req_unmatched_rows,
+        taxi_unmatched_ids=taxi_unmatched_ids,
+        taxi_unmatched_rows=taxi_unmatched_rows,
+        ids_bound=churn.ids_bound,
+        counts_bound=churn.counts_bound,
     )
     return matching, matched_rows, pick_pair[row_order], stats, new_state

@@ -12,10 +12,12 @@ and result assembly.
 Requests and taxis are rows.  A request's row is its position in the
 trace sorted by arrival (:attr:`RunCore.ordered`), a taxi's its
 position in the fleet.  What a frame reads of them — request ids,
-trips, pickups, zone keys (:class:`RequestColumns`) and taxi positions
-— is held in run-long columns, and a frame reads its requests' and idle
-taxis' facts as one gather over their rows.  The queue is a mask over
-request rows; admission follows rows, so queue order is ascending rows.
+trips, pickups, party sizes, zone keys (:class:`RequestColumns`) and
+taxi ids, seats and positions — is held in run-long columns, and a
+frame reads its requests' and idle taxis' facts as one gather over
+their rows.  The warm NSTD solver's operands are such gathers
+(:meth:`RunCore.frame_operands`).  The queue is a mask over request
+rows; admission follows rows, so queue order is ascending rows.
 
 A request's trip ``D(r^s, r^d)`` is a constant of the trace: the cache
 measures every trip of the trace once, at run start, and every later
@@ -38,6 +40,7 @@ run at frame length ``e``.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
@@ -53,6 +56,7 @@ from repro.geometry.batch import as_point_array
 from repro.geometry.distance import DistanceOracle
 from repro.geometry.point import Point
 from repro.geometry.spatial_index import cell_key_column
+from repro.matching.warm_frame import FrameOperands, taxi_alphas
 from repro.resilience.journal import FrameDigest, frame_pairs_crc
 from repro.resilience.report import ResilienceReport, StabilityAuditReport
 from repro.simulation.events import AssignmentRecord, FrameStats, RequestOutcome, TaxiStats
@@ -223,22 +227,26 @@ class RequestColumns:
     Row ``i`` describes ``requests[i]``, so a frame reads its requests'
     facts as one gather over their rows, with no walk over request
     objects.  The request objects themselves (an object column), the
-    int64 ids and the float64 trips are taken at construction.  The
-    pickups and the zone keys, which only the streaming engine reads,
-    are built on their first read, so a batch run builds neither.
+    int64 ``ids`` and the float64 ``trips`` are taken at construction,
+    as given (a run core passes its cache's trace columns, so the run
+    holds one copy of each).  The pickups and party sizes, which only
+    the warm NSTD solver and the streaming engine read, and the zone
+    keys, which only the streaming engine reads, are built on their
+    first read, so a cold batch run builds none of them.
     """
 
-    __slots__ = ("requests", "ids", "trips", "_pickup_xy", "_zone_keys")
+    __slots__ = ("requests", "ids", "trips", "_pickup_xy", "_party", "_zone_keys")
 
-    def __init__(self, requests: Sequence[PassengerRequest], trips: np.ndarray):
-        if len(trips) != len(requests):
-            raise ValueError("one trip per request is needed")
+    def __init__(
+        self, requests: Sequence[PassengerRequest], ids: np.ndarray, trips: np.ndarray
+    ):
+        if len(ids) != len(requests) or len(trips) != len(requests):
+            raise ValueError("one id and one trip per request are needed")
         self.requests = np.fromiter(requests, dtype=object, count=len(requests))
-        self.ids = np.fromiter(
-            (r.request_id for r in requests), dtype=np.int64, count=len(requests)
-        )
+        self.ids = np.asarray(ids, dtype=np.int64)
         self.trips = np.asarray(trips, dtype=np.float64)
         self._pickup_xy: np.ndarray | None = None
+        self._party: np.ndarray | None = None
         # zone edge -> key column
         self._zone_keys: dict[float, np.ndarray] = {}
 
@@ -251,6 +259,25 @@ class RequestColumns:
                 [r.pickup for r in self.requests], check_finite=False
             )
         return self._pickup_xy
+
+    @property
+    def party(self) -> np.ndarray:
+        """The float64 party sizes (``passengers``), exact as integers."""
+        if self._party is None:
+            self._party = np.fromiter(
+                (r.passengers for r in self.requests), dtype=np.float64, count=len(self.requests)
+            )
+        return self._party
+
+    def operands(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ids and the ``(n, 4)`` fact rows pickup x, pickup y,
+        party, trip of the requests at ``rows``: the request side of
+        :class:`~repro.matching.warm_frame.FrameOperands`."""
+        facts = np.empty((rows.size, 4), dtype=np.float64)
+        facts[:, :2] = self.pickup_xy.take(rows, axis=0)
+        facts[:, 2] = self.party[rows]
+        facts[:, 3] = self.trips[rows]
+        return self.ids[rows], facts
 
     def zone_keys(self, zone_km: float) -> np.ndarray:
         """Each pickup's packed zone key on the grid of edge ``zone_km``
@@ -285,6 +312,8 @@ class RunCore:
         "agent_xy": "per-row column of the agents' locations; restore_state rebuilds it from them",
         "idle_rows": "the idle rows of the frame in flight; idle() rewrites them every frame",
         "batch_rows": "the queued rows of the frame in flight; batch() rewrites them every frame",
+        "idle_taxis": "the idle list of the frame in flight; idle() rewrites it every frame",
+        "batch_requests": "the batch of the frame in flight; batch() rewrites it every frame",
     }
 
     def __init__(
@@ -318,8 +347,17 @@ class RunCore:
         )
         #: float64 ``(n, 2)`` agent locations by fleet row.
         self.agent_xy = _locations(self.agent_list)
+        #: int64 taxi ids and seat counts by fleet row (both fixed for the run).
+        self.fleet_ids = np.fromiter(
+            (agent.taxi_id for agent in self.agent_list), dtype=np.int64, count=len(self.agent_list)
+        )
+        self.seats = np.fromiter(
+            (agent.seats for agent in self.agent_list), dtype=np.int64, count=len(self.agent_list)
+        )
         #: Fleet rows of the frame's idle taxis, as :meth:`idle` last listed them.
         self.idle_rows = np.empty(0, dtype=np.int64)
+        #: The list :meth:`idle` last returned.
+        self.idle_taxis: list[Taxi] | None = None
 
         self.ordered = sorted(requests, key=lambda r: (r.request_time_s, r.request_id))
         self.outcomes = [
@@ -338,15 +376,21 @@ class RunCore:
         self.queue_head = 0
         #: Rows of the frame's batch, as :meth:`batch` last listed them.
         self.batch_rows = np.empty(0, dtype=np.int64)
+        #: The list :meth:`batch` last returned.
+        self.batch_requests: list[PassengerRequest] | None = None
         self.assignments: list[AssignmentRecord] = []
         #: Outcomes in the order they resolved (abandoned or dispatched);
         #: each frame's resolutions are a suffix, which frame_rows reads.
         self.resolved: list[RequestOutcome] = []
         self.frame_stats: list[FrameStats] = []
         # The run's distance memo: idle() opens each frame, solvers read
-        # it.  Built with the trace, it measures every trip here.
+        # it.  Built with the trace, it measures every trip here, and
+        # its trace columns are the request columns' ids and trips.
         self.cache = FrameDistanceCache(oracle, self.ordered)
-        self.columns = RequestColumns(self.ordered, self.cache.trip_km(self.ordered))
+        self.cache.gather = weakref.WeakMethod(self.gathered_operands)
+        self.columns = RequestColumns(
+            self.ordered, self.cache.trace_ids, self.cache.trip_km(self.ordered)
+        )
         self.time_s = 0.0
         #: Running CRC chained over every frame's assignment pairs; the
         #: journal's cross-frame integrity digest.
@@ -415,7 +459,8 @@ class RunCore:
         reads, so a frame executes against the batch it last listed.
         """
         self.batch_rows = rows
-        return self.columns.requests[rows].tolist()
+        self.batch_requests = self.columns.requests[rows].tolist()
+        return self.batch_requests
 
     def expire(self) -> int:
         """Drop queued requests whose patience ran out; returns how many."""
@@ -452,9 +497,9 @@ class RunCore:
         """
         rows = np.flatnonzero(self.available_at <= self.time_s)
         self.idle_rows = rows
-        idle = self.snapshots[rows].tolist()
+        self.idle_taxis = self.snapshots[rows].tolist()
         self.cache.begin_frame()
-        return idle
+        return self.idle_taxis
 
     def idle_count(self) -> int:
         """How many taxis are idle at :attr:`time_s`: all a frame with an
@@ -466,6 +511,42 @@ class RunCore:
         """
         self.cache.begin_frame()
         return int(np.count_nonzero(self.available_at <= self.time_s))
+
+    def frame_operands(
+        self, alpha: float, alpha_by_taxi: Mapping[int, float] | None = None
+    ) -> FrameOperands:
+        """The frame's :class:`~repro.matching.warm_frame.FrameOperands`
+        as gathers over :attr:`idle_rows` and :attr:`batch_rows`: row for
+        row the lists :meth:`idle` and :meth:`batch` last returned, each
+        taxi's α being ``alpha`` or its ``alpha_by_taxi`` entry.
+
+        Bit-equal to :func:`~repro.matching.warm_frame.frame_operands`
+        of those lists: the columns hold the very floats the objects do.
+        """
+        t_rows = self.idle_rows
+        taxi_ids = self.fleet_ids[t_rows]
+        taxi_facts = np.empty((t_rows.size, 4), dtype=np.float64)
+        taxi_facts[:, :2] = self.agent_xy.take(t_rows, axis=0)
+        taxi_facts[:, 2] = self.seats[t_rows]
+        taxi_facts[:, 3] = taxi_alphas(taxi_ids, alpha, alpha_by_taxi)
+        return FrameOperands(taxi_ids, taxi_facts, *self.columns.operands(self.batch_rows))
+
+    def gathered_operands(
+        self,
+        taxis: Sequence[Taxi],
+        requests: Sequence[PassengerRequest],
+        alpha: float,
+        alpha_by_taxi: Mapping[int, float] | None,
+    ) -> FrameOperands | None:
+        """:meth:`frame_operands`, when ``taxis`` and ``requests`` are the
+        very lists :meth:`idle` and :meth:`batch` last returned (the
+        identity test :meth:`execute` applies to packed schedules);
+        ``None`` for any other lists.  The run's cache answers
+        :meth:`~repro.simulation.frame_cache.FrameDistanceCache.frame_operands`
+        through it."""
+        if taxis is self.idle_taxis and requests is self.batch_requests:
+            return self.frame_operands(alpha, alpha_by_taxi)
+        return None
 
     def relocate(self, row: int, target: Point, max_km: float) -> None:
         """Drive the idle taxi at fleet ``row`` up to ``max_km`` toward ``target``."""

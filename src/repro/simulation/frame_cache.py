@@ -22,7 +22,19 @@ the run's cache is built with the whole trace and measures every trip
 once, at run start, in one exact call.  From then on a trip read is a
 table lookup, and no frame measures a trip.  A cache built without a
 trace (a dispatcher outside an engine) measures the trips it is asked
-for, in one call per read.
+for, in one call per read.  The trace's ids and trips are held here
+once (:attr:`FrameDistanceCache.trace_ids`,
+:attr:`~FrameDistanceCache.trace_trips`); the run core's request
+columns are the same two arrays.
+
+Frame operands
+--------------
+The warm NSTD solver reads a frame as arrays
+(:class:`~repro.matching.warm_frame.FrameOperands`).
+:meth:`FrameDistanceCache.frame_operands` is where a dispatcher gets
+them: when the frame's lists are the ones the run core listed this
+frame, the core's gather (:attr:`FrameDistanceCache.gather`) reads them
+off the run's columns; otherwise they are built from the objects.
 
 Exactness
 ---------
@@ -37,13 +49,15 @@ fast it is produced.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import weakref
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.types import PassengerRequest, Taxi
 from repro.geometry.batch import oracle_paired, oracle_pairwise
 from repro.geometry.distance import DistanceOracle
+from repro.matching.warm_frame import FrameOperands, frame_operands
 
 __all__ = ["FrameDistanceCache"]
 
@@ -70,13 +84,21 @@ class FrameDistanceCache:
         self.oracle = oracle
         # taxi-dependent: cleared every begin_frame()
         self._pickup: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-        # request-keyed, for the life of the cache: the trace's ids and
-        # trips in trace order, and the permutation that sorts the ids
-        self._trip_ids = np.fromiter(
+        #: The trace's request ids in trace order (read-only).
+        self.trace_ids = np.fromiter(
             (r.request_id for r in trace), dtype=np.int64, count=len(trace)
         )
-        self._trip_order = np.argsort(self._trip_ids, kind="stable")
-        self._trips = _measure_trips(oracle, trace) if len(trace) else np.empty(0)
+        self.trace_ids.setflags(write=False)
+        # The permutation that sorts the ids, for trip_km's lookups.
+        self._trip_order = np.argsort(self.trace_ids, kind="stable")
+        #: The trace's trips ``D(r^s, r^d)`` in trace order (read-only).
+        self.trace_trips = _measure_trips(oracle, trace) if len(trace) else np.empty(0)
+        self.trace_trips.setflags(write=False)
+        #: The owning run core's frame gather
+        #: (:meth:`~repro.simulation.core.RunCore.gathered_operands`), held
+        #: weakly so the cache does not keep its core alive; ``None`` on a
+        #: cache no run core owns.
+        self.gather: weakref.WeakMethod | None = None
         self.frames = 0
         self.hits = 0
         self.misses = 0
@@ -132,16 +154,20 @@ class FrameDistanceCache:
 
         A read the trip table answers whole is a hit; otherwise the
         requests it lacks are measured in one exact call (a miss).  An
-        empty read counts as neither.
+        empty read counts as neither.  A read of the whole trace in
+        trace order returns :attr:`trace_trips` itself.
         """
         if not requests:
             return np.empty(0, dtype=np.float64)
         ids = np.fromiter((r.request_id for r in requests), dtype=np.int64, count=len(requests))
-        known = self._trip_ids
+        known = self.trace_ids
         if known.size:
+            if ids.size == known.size and np.array_equal(ids, known):
+                self.hits += 1
+                return self.trace_trips
             order = self._trip_order
             rows = order[np.minimum(known.searchsorted(ids, sorter=order), known.size - 1)]
-            km, found = self._trips[rows], known[rows] == ids
+            km, found = self.trace_trips[rows], known[rows] == ids
             if found.all():
                 self.hits += 1
                 return km
@@ -151,3 +177,34 @@ class FrameDistanceCache:
         missing = np.flatnonzero(~found)
         km[missing] = _measure_trips(self.oracle, [requests[j] for j in missing.tolist()])
         return km
+
+    # -- the warm solver's operands ------------------------------------------
+
+    def frame_operands(
+        self,
+        taxis: Sequence[Taxi],
+        requests: Sequence[PassengerRequest],
+        *,
+        alpha: float,
+        alpha_by_taxi: Mapping[int, float] | None = None,
+        trip_km: np.ndarray | None = None,
+    ) -> FrameOperands:
+        """The frame's :class:`~repro.matching.warm_frame.FrameOperands`,
+        each taxi's α being ``alpha`` or its ``alpha_by_taxi`` entry.
+
+        Gathered from the run's columns when ``taxis`` and ``requests``
+        are the very lists the owning run core listed this frame; built
+        from the objects by :func:`~repro.matching.warm_frame.frame_operands`
+        otherwise, with ``trip_km`` (the frame's trips, when the caller
+        already read them) or a :meth:`trip_km` read.
+        """
+        gather = self.gather() if self.gather is not None else None
+        if gather is not None:
+            gathered = gather(taxis, requests, alpha, alpha_by_taxi)
+            if gathered is not None:
+                return gathered
+        if trip_km is None:
+            trip_km = self.trip_km(requests)
+        return frame_operands(
+            taxis, requests, trip_km=trip_km, alpha=alpha, alpha_by_taxi=alpha_by_taxi
+        )

@@ -51,8 +51,9 @@ class TaxiAgent:
         change and every movement (``assign``, repositioning) rebinds
         ``location``, so an unchanged location object proves the cached
         view is current.  An agent idle across many frames therefore
-        presents the *same* :class:`Taxi` each frame, which warm-start
-        dispatchers exploit to classify it as retained by identity.
+        presents the *same* :class:`Taxi` each frame and allocates no
+        new one.  (Warm-start dispatchers do not rely on this: they
+        retain a taxi by its id and bit-equal facts.)
         """
         snap = self._snapshot
         if snap is None or snap.location is not self.location:

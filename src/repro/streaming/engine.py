@@ -131,9 +131,9 @@ class StreamingEngine:
                 report = matcher.match_epoch(
                     idle,
                     batch,
+                    frame=core.frame_operands(matcher.config.alpha),
                     rows=rows,
                     columns=core.columns,
-                    taxi_xy=core.agent_xy[core.idle_rows],
                 )
                 dispatch_ms = (telemetry_clock() - dispatch_start) * 1e3
                 plan = report.plan

@@ -14,18 +14,19 @@ resumed against *any* later entity set, not just the exact group that
 seeded it, because the warm solver's two preconditions hold for every
 such pairing:
 
-1. *Retention only by identity.*  An entity is classified retained
-   only if the same live object recurs (CPython address held by the
-   state).  Entities that migrated in from another zone, or were never
-   presented, are simply classified new — the direction the solver
-   proves always sound.
+1. *Retention only by id and bit-equal facts.*  An entity is
+   classified retained only if its id is among the state's unmatched
+   ids and its fact row (position, seats or party, trip, α) is
+   bit-equal to the one the state carried.  Entities that migrated in
+   from another zone, were never presented, or changed are simply
+   classified new — the direction the solver proves always sound.
 2. *Retained × retained is unacceptable.*  Retained entities were
-   unmatched in the seeding group's stable matching and have not moved
-   (idle taxis memoize their snapshot on the location object; queued
-   requests are frozen), and any two entities unmatched by one stable
-   solve are mutually unacceptable — they would have formed a blocking
-   pair.  So the retained block of *this* epoch's group contains no
-   acceptable pair, exactly the warm solver's edge-turnover theorem.
+   unmatched in the seeding group's stable matching and present the
+   same facts, and any two entities unmatched by one stable solve are
+   mutually unacceptable — they would have formed a blocking pair.
+   Acceptability is a function of the two fact rows, so the retained
+   block of *this* epoch's group contains no acceptable pair, exactly
+   the warm solver's edge-turnover theorem.
 
 Together with the warm ≡ cold equivalence of the frame solver and the
 component-decomposition theorem, every epoch's union of group
@@ -52,6 +53,7 @@ from repro.matching.sharding import (
     solve_shard,
 )
 from repro.matching.warm_frame import (
+    FrameOperands,
     FrameSolveState,
     frame_state_from_cold,
     warm_frame_solve,
@@ -92,7 +94,7 @@ class ZoneMatcher:
     zone-keyed :class:`~repro.matching.warm_frame.FrameSolveState`
     (one shared entry per zone a group spans) and replaces it wholesale
     every epoch (groups that vanished this epoch drop their state —
-    zone churn must not pin dead objects).
+    zone churn must not keep dead states alive).
 
     The zone grid edge is derived from the first epoch's median
     acceptability radius and frozen for the run (zones must not move
@@ -161,41 +163,47 @@ class ZoneMatcher:
         self,
         group_taxis: Sequence[Taxi],
         group_requests: Sequence[PassengerRequest],
-        group_trip: np.ndarray,
+        group_frame: FrameOperands,
     ) -> tuple[dict[int, int], FrameSolveState]:
         """One group through the standard cold builders (+ state seed)."""
         matched = solve_shard(
-            group_taxis, group_requests, self.oracle, self.config, trip_km=group_trip
+            group_taxis,
+            group_requests,
+            self.oracle,
+            self.config,
+            trip_km=group_frame.trip_km,
         )
-        state = frame_state_from_cold(
-            group_taxis, group_requests, matched, trip=group_trip, config=self.config
-        )
-        return dict(matched.pairs), state
+        return dict(matched.pairs), frame_state_from_cold(group_frame, matched)
 
     def match_epoch(
         self,
         taxis: Sequence[Taxi],
         requests: Sequence[PassengerRequest],
         *,
+        frame: FrameOperands,
         rows: np.ndarray,
         columns: RequestColumns,
-        taxi_xy: np.ndarray,
     ) -> EpochMatchReport:
         """Solve one matching epoch zone group by zone group.
 
-        ``columns`` holds the run's per-request facts as run-long columns
-        (:class:`~repro.simulation.core.RequestColumns`) and ``rows`` are
-        the epoch's rows in them, one per request in request order: the
-        epoch's ids, trips, pickups and zone keys are gathers over
-        ``rows``, so no epoch converts a point or measures a trip.
-        ``taxi_xy`` is the float64 ``(T, 2)`` array of the taxis'
-        locations, row for row (the engine gathers it from its run
-        core's fleet column).  Both must describe ``taxis`` and
-        ``requests`` row for row.
+        ``frame`` holds the epoch's :class:`~repro.matching.warm_frame.
+        FrameOperands` — ids, positions, seats, α, pickups, party sizes
+        and trips, row for row the ``taxis`` and ``requests`` lists —
+        which the engine gathers from its run core's columns
+        (:meth:`~repro.simulation.core.RunCore.frame_operands`); each
+        group's warm solve reads a slice of them.  ``columns`` holds the
+        run's per-request facts as run-long columns
+        (:class:`~repro.simulation.core.RequestColumns`) and ``rows``
+        are the epoch's rows in them, one per request in request order:
+        the coarse plan reads the epoch's zone keys as a gather over
+        ``rows``.  So no epoch converts a point, measures a trip or
+        walks an entity for a fact; only a group solved cold reads its
+        objects.
 
         Returns the epoch's union matching and group accounting.  The
         union over groups equals the global NSTD-P solve of the same
-        inputs bit for bit, warm or cold.
+        inputs bit for bit, warm or cold.  Raises ``ValueError`` when an
+        operand's length differs from its list's.
         """
         report = EpochMatchReport()
         if not taxis or not requests:
@@ -204,10 +212,14 @@ class ZoneMatcher:
             # can happen before the next non-empty epoch, so churn
             # classification against them stays sound).
             return report
-        if len(rows) != len(requests) or len(taxi_xy) != len(taxis):
-            raise ValueError("epoch rows do not match the taxi and request lists")
-        _, request_ids = _check_global_ids(taxis, columns.ids[rows])
-        trip = columns.trips[rows]
+        if (
+            len(rows) != len(requests)
+            or frame.request_ids.size != len(requests)
+            or frame.taxi_ids.size != len(taxis)
+        ):
+            raise ValueError("epoch operands do not match the taxi and request lists")
+        _, request_ids = _check_global_ids(frame.taxi_ids, frame.request_ids)
+        taxi_xy, trip = frame.taxi_xy, frame.trip_km
         alpha_max = float(self.config.alpha)
         zone_km = self._resolve_zone_km(trip, alpha_max)
         # Replan policy: the full θ-ball component sweep runs on the
@@ -226,7 +238,7 @@ class ZoneMatcher:
         if full:
             plan = plan_epoch_zones(
                 taxi_xy,
-                columns.pickup_xy[rows],
+                frame.pickup_xy,
                 trip,
                 request_ids,
                 self.oracle,
@@ -250,14 +262,12 @@ class ZoneMatcher:
         next_states: dict[int, FrameSolveState] = {}
         claimed: set[int] = set()
         for group in plan.groups:
-            if group.taxi_rows.size == len(taxis) and group.request_rows.size == len(requests):
-                # One group holds every row, in order: the epoch's own
-                # lists and trips are the group's.
-                group_taxis, group_requests, group_trip = taxis, requests, trip
-            else:
-                group_taxis = [taxis[i] for i in group.taxi_rows.tolist()]
-                group_requests = [requests[j] for j in group.request_rows.tolist()]
-                group_trip = trip[group.request_rows]
+            whole = (
+                group.taxi_rows.size == len(taxis) and group.request_rows.size == len(requests)
+            )
+            # One group holding every row holds them in order: the
+            # epoch's own operands are the group's.
+            group_frame = frame if whole else frame.take(group.taxi_rows, group.request_rows)
             # Probe every zone key the group spans, smallest first: a
             # group whose composition shifted (zone drained, neighbour
             # merged in) still finds its carried state under any
@@ -275,12 +285,7 @@ class ZoneMatcher:
             if state is not None:
                 try:
                     matching, _, _, build_stats, new_state = warm_frame_solve(
-                        state,
-                        group_taxis,
-                        group_requests,
-                        self.oracle,
-                        self.config,
-                        trip_km=group_trip,
+                        state, group_frame, self.oracle, self.config
                     )
                 except WarmStartError:
                     self._bump("warm_fallbacks")
@@ -293,15 +298,18 @@ class ZoneMatcher:
                     self._bump("pairs_scored_warm", build_stats.pairs_scored)
                     self._bump("full_pairs_warm", build_stats.full_pairs)
             if pairs is None:
-                pairs, seeded = self._solve_group_cold(
-                    group_taxis, group_requests, group_trip
-                )
+                if whole:
+                    group_taxis, group_requests = taxis, requests
+                else:
+                    group_taxis = [taxis[i] for i in group.taxi_rows.tolist()]
+                    group_requests = [requests[j] for j in group.request_rows.tolist()]
+                pairs, seeded = self._solve_group_cold(group_taxis, group_requests, group_frame)
                 for key in group.zone_keys:
                     next_states[key] = seeded
                 report.cold_groups += 1
                 self._bump("cold_frames")
             report.pairs.update(pairs)
         # Wholesale replacement prunes every anchor that did not recur:
-        # stale states must not pin last epoch's objects alive.
+        # stale states must not outlive their zones.
         self._states = next_states
         return report

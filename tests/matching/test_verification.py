@@ -11,6 +11,7 @@ from repro.matching import (
     is_stable,
     is_valid_matching,
 )
+from tests.oracles import arrays_from_table
 
 
 @pytest.fixture()
@@ -80,3 +81,34 @@ class TestAssertStable:
     def test_is_stable_shortcut(self, square_table):
         assert is_stable(square_table, Matching({0: 100, 1: 101}))
         assert not is_stable(square_table, Matching({0: 101, 1: 100}))
+
+
+class TestArrayPath:
+    """The array verifier answers as the dict verifier does, on a market
+    whose ids are neither contiguous nor listed in ascending order."""
+
+    TABLE = PreferenceTable(
+        proposer_prefs={5: (300, 100), 2: (100,), 9: (200, 300, 100)},
+        reviewer_prefs={300: (9, 5), 100: (2, 9, 5), 200: (9,)},
+    )
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            {},
+            {5: 300, 2: 100, 9: 200},
+            {5: 100, 9: 300},
+            {2: 100},
+            {5: 200},
+            {7: 100},
+            {5: 999},
+        ],
+    )
+    def test_verdicts_equal_the_dict_path(self, pairs):
+        arrays = arrays_from_table(self.TABLE)
+        matching = Matching(pairs)
+        assert is_valid_matching(arrays, matching) == is_valid_matching(self.TABLE, matching)
+        if is_valid_matching(self.TABLE, matching):
+            assert find_blocking_pairs(arrays, matching) == find_blocking_pairs(
+                self.TABLE, matching
+            )

@@ -10,7 +10,11 @@ from repro.dispatch.sharing import build_sharing_table
 from repro.geometry import EuclideanDistance, Point
 from repro.geometry.batch import oracle_paired, oracle_pairwise
 from repro.matching import build_nonsharing_arrays, passenger_optimal
-from repro.matching.warm_frame import frame_state_from_cold, warm_frame_solve
+from repro.matching.warm_frame import (
+    frame_operands,
+    frame_state_from_cold,
+    warm_frame_solve,
+)
 from repro.resilience import FaultInjector, FaultPlan, FaultyOracle
 from repro.routing import build_ride_group
 
@@ -117,7 +121,9 @@ class TestFaultyOracle:
         trip = oracle_paired(
             base, sources=[requests[0].pickup], targets=[requests[0].dropoff], exact=True
         )
-        state = frame_state_from_cold(taxis, requests, matching, trip=trip, config=config)
+        state = frame_state_from_cold(
+            frame_operands(taxis, requests, trip_km=trip, alpha=config.alpha), matching
+        )
         # Taxis 1 and 2 are retained, taxi 3 and request 1 are new: the
         # new-taxi strip and the retained-taxi strip, and no trip call
         # (the new request's trip is the caller's operand).
@@ -128,10 +134,11 @@ class TestFaultyOracle:
         new_trip = oracle_paired(
             base, sources=[frame[1][0].pickup], targets=[frame[1][0].dropoff], exact=True
         )
+        operands = frame_operands(*frame, trip_km=new_trip, alpha=config.alpha)
         injector = FaultInjector(0)
-        faulted = warm_frame_solve(state, *frame, injector.wrap(base), config, trip_km=new_trip)
+        faulted = warm_frame_solve(state, operands, injector.wrap(base), config)
         assert injector.calls == 2
-        assert faulted[0] == warm_frame_solve(state, *frame, base, config, trip_km=new_trip)[0]
+        assert faulted[0] == warm_frame_solve(state, operands, base, config)[0]
 
     def test_sharing_table_counts_its_approach_call(self):
         base = EuclideanDistance()

@@ -3,13 +3,16 @@ gathers from run-long columns.
 
 A request's row is its position in the arrival-sorted trace
 (``RunCore.ordered``) and a taxi's its fleet row.  The queue is a mask
-over request rows; ids, trips, pickups and zone keys are
-:class:`~repro.simulation.core.RequestColumns` and taxi positions the
-``agent_xy`` column.  These tests check, at every frame's gathers and
-after every recorded frame and every restore, that what the rows read
-equals what the objects say: the queue equals the admitted requests no
-outcome resolved yet, and each gathered column is bit-equal to the value
-derived from the request or taxi objects.  The runs cover streaming at
+over request rows; ids, trips, pickups, party sizes and zone keys are
+:class:`~repro.simulation.core.RequestColumns` and taxi ids, seats and
+positions fleet columns.  These tests check, at every frame's gathers
+and after every recorded frame and every restore, that what the rows
+read equals what the objects say: the queue equals the admitted
+requests no outcome resolved yet, each gathered column is bit-equal to
+the value derived from the request or taxi objects, and the warm
+solver's gathered operands are bit-equal to the ones
+:func:`~repro.matching.warm_frame.frame_operands` builds from the
+frame's lists.  The runs cover streaming at
 three epoch lengths with trace ids that do and do not ascend, warm batch
 runs with expiries, a crash-resume and repositioning, and a stream ≡
 batch run on a trace with an unbucketable pickup.
@@ -26,6 +29,7 @@ from repro.experiments import ExperimentScale, build_workload, city_simulation_c
 from repro.geometry import EuclideanDistance, Point
 from repro.geometry.batch import as_point_array
 from repro.geometry.spatial_index import grid_cells, pack_cell_keys
+from repro.matching.warm_frame import frame_operands
 from repro.resilience import DurabilityConfig, DurabilityManager, resume_simulation
 from repro.simulation import DriftToRecentDemand, Simulator
 from repro.simulation.core import RunCore
@@ -90,6 +94,23 @@ def _assert_batch_gathers(core: RunCore, batch: list[PassengerRequest]) -> None:
     assert columns.zone_keys(zone_km)[rows].tolist() == keys.tolist()
 
 
+def _assert_operands(core: RunCore, idle, batch: list[PassengerRequest]) -> None:
+    """The gathered operands equal the object adapter's, bit for bit,
+    under the run's α and under a per-taxi α map."""
+    alpha = core.dispatch_config.alpha
+    trips = np.array([ORACLE.distance(r.pickup, r.dropoff) for r in batch])
+    alpha_by_taxi = {t.taxi_id: 0.25 * (t.taxi_id % 5) for t in idle[::2]}
+    for by_taxi in (None, alpha_by_taxi):
+        gathered = core.frame_operands(alpha, by_taxi)
+        built = frame_operands(idle, batch, trip_km=trips, alpha=alpha, alpha_by_taxi=by_taxi)
+        for got, want in zip(gathered, built, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    assert core.gathered_operands(idle, batch, alpha, None) is not None
+    assert core.gathered_operands(list(idle), batch, alpha, None) is None
+    assert core.gathered_operands(idle, list(batch), alpha, None) is None
+
+
 def _assert_idle_gather(core: RunCore, idle) -> None:
     expected = as_point_array([t.location for t in idle], check_finite=False)
     assert core.agent_xy[core.idle_rows].tobytes() == expected.tobytes()
@@ -123,6 +144,7 @@ def checked_frames(monkeypatch):
     def checked_batch(self, rows):
         listed = batch(self, rows)
         _assert_batch_gathers(self, listed)
+        _assert_operands(self, self.idle_taxis, listed)
         return listed
 
     def checked_idle(self):
@@ -192,19 +214,31 @@ class TestQueueColumns:
         driven = sum(s.driven_km for s in result.taxi_stats.values())
         assert driven > sum(a.total_drive_km for a in result.assignments)
 
-    def test_batch_run_never_builds_the_columns(self, workload, monkeypatch):
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_batch_runs_build_what_they_read(self, workload, monkeypatch, warm):
+        """A cold batch run reads no pickup, party or zone key column; a
+        warm one reads the pickups and party sizes for its solver's
+        operands, and still no zone key."""
         sim_config, fleet, requests = workload
         built: list[bool] = []
         result = RunCore.result
 
         def recording_result(self, *args, **kwargs):
             built.append(self.columns._pickup_xy is not None)
+            built.append(self.columns._party is not None)
             built.append(bool(self.columns._zone_keys))
             return result(self, *args, **kwargs)
 
         monkeypatch.setattr(RunCore, "result", recording_result)
-        _simulator(sim_config).run(fleet, requests)
-        assert built == [False, False]
+        dispatcher = NSTDDispatcher(ORACLE, sim_config.dispatch, warm_start=warm)
+        Simulator(dispatcher, ORACLE, sim_config).run(fleet, requests)
+        assert built == [warm, warm, False]
+
+    def test_the_run_holds_one_copy_of_the_trace_ids_and_trips(self, workload):
+        sim_config, fleet, requests = workload
+        core = RunCore(fleet, requests, ORACLE, sim_config, sim_config.dispatch)
+        assert core.columns.ids is core.cache.trace_ids
+        assert core.columns.trips is core.cache.trace_trips
 
 
 class TestUnbucketablePickup:

@@ -14,6 +14,8 @@ trip reads that measured (or bypassed the cache) became hits, and the
 eviction and trip-entry counters went with the memo they described.
 They moved again when the run core took its trips as a row-order
 column: one read at run start replaced every executed frame's read.
+They moved a third time when warm NSTD frames took their solver's
+operands as gathers over the run's columns: a warm frame reads no trip.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from repro.trace.profiles import nyc_profile
 
 #: Frame-cache counters of every pinned run.  Every trip read is a hit
 #: on the run-start trip table: the run core's one read at run start,
-#: plus NSTD's one per solve; execution gathers trips from the core's
-#: column.  The one miss is the warm run's single cold frame's pickup
-#: matrix.
-CACHE_NSTD = {"cache_frames": 476, "cache_hits": 179, "cache_misses": 1}
+#: plus NSTD's one per cold solve; warm solves and execution gather
+#: trips from the core's column.  The one miss is the warm run's single
+#: cold frame's pickup matrix.
+CACHE_NSTD = {"cache_frames": 476, "cache_hits": 2, "cache_misses": 1}
 #: STD reads no trip distances from the cache: its pickup gaps are
 #: measured by the group enumeration itself.
 CACHE_STD = CACHE_NSTD | {"cache_hits": 1, "cache_misses": 0}

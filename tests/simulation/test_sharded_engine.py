@@ -1,6 +1,6 @@
 """Engine-level identity of the fused warm solver on a small city day.
 
-The fused solver (fact matrices, unmatched-only address index, keyed GS
+The fused solver (fact matrices, unmatched-only id index, keyed GS
 rounds, legs returned with the matching) was once reached only through
 ``sharded=True``; it is now the solver behind every warm frame, and
 every warm frame ships a :class:`PackedSingleSchedule`.  This test

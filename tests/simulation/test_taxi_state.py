@@ -68,13 +68,13 @@ class TestAssign:
 
 
 class TestSnapshotMemoization:
-    """Warm-start retention rides on this: unmoved ⇒ same object."""
+    """An unmoved agent presents the same object: no per-frame allocation."""
 
     def test_idle_agent_presents_the_same_object(self, oracle, config):
         agent = TaxiAgent.from_taxi(Taxi(0, Point(1, 1)))
         first = agent.snapshot()
         # Many frames of idleness: the engine calls snapshot() per
-        # frame and the warm dispatcher classifies by identity.
+        # frame and gets the cached view back each time.
         assert all(agent.snapshot() is first for _ in range(3))
 
     def test_movement_rebinds_the_snapshot(self, oracle, config):

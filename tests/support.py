@@ -11,10 +11,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.core.config import DispatchConfig
 from repro.core.types import PassengerRequest, Taxi
 from repro.geometry import Point
 from repro.geometry.batch import Points, as_point_array
 from repro.matching import PreferenceTable
+from repro.matching.warm_frame import frame_operands
 from repro.network import RoadNetwork
 from repro.simulation.core import RequestColumns
 
@@ -62,16 +64,21 @@ def oneway_ring() -> RoadNetwork:
 
 
 def epoch_columns(
-    taxis: Sequence[Taxi], requests: Sequence[PassengerRequest], trip_km: np.ndarray
+    taxis: Sequence[Taxi],
+    requests: Sequence[PassengerRequest],
+    trip_km: np.ndarray,
+    alpha: float = DispatchConfig().alpha,
 ) -> dict[str, object]:
     """The operands :meth:`~repro.streaming.matcher.ZoneMatcher.match_epoch`
-    takes beside the two lists, as keyword arguments: ``requests`` as the
-    whole run's request columns (with trips ``trip_km``), every row of
-    them, and the taxis' locations."""
+    takes beside the two lists, as keyword arguments: the frame's
+    operands (trips ``trip_km``, each taxi's α ``alpha``), and
+    ``requests`` as the whole run's request columns with every row of
+    them."""
+    ids = np.fromiter((r.request_id for r in requests), dtype=np.int64, count=len(requests))
     return {
+        "frame": frame_operands(taxis, requests, trip_km=trip_km, alpha=alpha),
         "rows": np.arange(len(requests), dtype=np.int64),
-        "columns": RequestColumns(requests, trip_km),
-        "taxi_xy": as_point_array([t.location for t in taxis], check_finite=False),
+        "columns": RequestColumns(requests, ids, trip_km),
     }
 
 
