@@ -56,7 +56,6 @@ EXEMPTIONS: dict[str, tuple[str, ...]] = {
     "resume path: a run restarted from its journal and newest snapshot; "
     "scripts/run_chaos.py --crash-recovery runs it in subprocesses": (
         "repro.resilience.checkpoint:DurabilityManager.prepare_resume",
-        "repro.resilience.checkpoint:DurabilityManager.has_artifacts",
         "repro.resilience.checkpoint:resume_simulation",
         "repro.resilience.journal:history_cursor",
         "repro.resilience.journal:FrameDigest.replay_key",

@@ -49,10 +49,6 @@ class ILPDispatcher(Dispatcher):
 
     name = "ILP"
 
-    #: The group memo and carried family make frames warm, as in
-    #: STDDispatcher.
-    warm_start = True
-
     #: Cross-frame attributes deliberately left out of :meth:`state_payload`.
     DURABILITY_EXCLUSIONS: ClassVar[dict[str, str]] = {
         "_group_cache": (

@@ -257,10 +257,6 @@ class STDDispatcher(Dispatcher):
     carried market, and the cells a full build would have scored.
     """
 
-    #: Frames always run warm: they make fewer oracle calls than cold
-    #: ones, which a resume under an armed fault injector must refuse.
-    warm_start = True
-
     #: Cross-frame attributes deliberately left out of :meth:`state_payload`.
     DURABILITY_EXCLUSIONS: ClassVar[dict[str, str]] = {
         "_group_cache": (

@@ -43,7 +43,7 @@ class FrameBudget:
     def __init__(
         self, duration_s: float, *, clock: Callable[[], float] = time.perf_counter
     ):
-        if duration_s < 0.0:
+        if not duration_s >= 0.0:  # nan, which never expires, fails too
             raise ValueError(f"duration_s must be non-negative, got {duration_s}")
         self.duration_s = float(duration_s)
         self.clock = clock
@@ -61,7 +61,7 @@ class FrameBudget:
         later slice of the same frame; the start anchor is shared so the
         total never exceeds the frame.
         """
-        if duration_s < 0.0:
+        if not duration_s >= 0.0:
             raise ValueError(f"duration_s must be non-negative, got {duration_s}")
         self.duration_s = float(duration_s)
 

@@ -80,10 +80,11 @@ __all__ = [
 #: added the frame cache's trip memo (``trips``), so a resumed run makes
 #: the oracle calls, and draws the faults, of the interrupted one.  /5
 #: dropped it: every run measures its trace's trips at run start, with
-#: no fault injector armed, so a snapshot holds only mutable state.
-#: Older snapshots are refused rather than guessed at, per the
-#: version-skew policy below.
-CHECKPOINT_SCHEMA = "repro-checkpoint/5"
+#: no fault injector armed, so a snapshot holds only mutable state.  /6
+#: dropped the injector's random-stream state: it keeps its counters and
+#: virtual clock.  Older snapshots are refused rather than guessed at,
+#: per the version-skew policy below.
+CHECKPOINT_SCHEMA = "repro-checkpoint/6"
 
 _SNAPSHOT_PREFIX = "snap-"
 _JOURNAL_NAME = "journal.jsonl"
@@ -407,12 +408,6 @@ class DurabilityManager:
         """Replayed frames whose digests matched the journal (resume only)."""
         return self._resume.verified if self._resume is not None else 0
 
-    def has_artifacts(self) -> bool:
-        """Whether a journal or any snapshot exists on disk — the test
-        :func:`resume_simulation` uses to tell "resume" from "nothing
-        to resume"."""
-        return self.journal_path.exists() or bool(self.store.snapshot_paths())
-
 
 def resume_simulation(
     simulator: "Simulator",
@@ -489,21 +484,6 @@ def resume_simulation(
                 "refusing to rebuild a history the snapshot does not describe"
             )
         point = ResumePoint(state=state, digests=digests, history=history)
-
-    policy = simulator.resilience
-    if (
-        policy is not None
-        and policy.fault_injector is not None
-        and getattr(simulator.dispatcher, "warm_start", False)
-    ):
-        # Warm frames make fewer oracle calls than cold ones, so with an
-        # armed fault injector the post-resume replay (which restarts
-        # warm state cold) would consume a different RNG stream than the
-        # original run — replay verification would be vacuous or wrong.
-        raise ResumeError(
-            "resume with an armed fault injector and a warm-start dispatcher "
-            "is unsupported: the replayed fault schedule would diverge"
-        )
 
     manager.prepare_resume(journal, snapshot_frame)
     return simulator.run(taxis, requests, _resume=point)

@@ -12,10 +12,14 @@ production O2O broker actually sees:
   Raised as :class:`~repro.core.errors.TransientFaultError` from the
   wrapped oracle.
 
-The injector is **armed** by default; the simulation engine disarms it
-outside dispatch attempts so post-dispatch accounting (assignment
-metrics, revenue) is never poisoned — real platforms put the retry
-boundary around the decision stage, not the bookkeeping.
+A fault belongs to a dispatch attempt, not to an oracle call: a hash
+of (seed, frame, attempt) decides it when the degradation ladder arms
+the injector, and it lands on the attempt's first armed call, or as the
+attempt returns.  Call counts never move a fault, so warm, cold and
+resumed runs see one schedule.  Outside attempts the injector is
+disarmed, so post-dispatch accounting (assignment metrics, revenue) is
+never poisoned — real platforms put the retry boundary around the
+decision stage, not the bookkeeping.
 
 :class:`FaultPlan` describes a schedule for a whole experiment; each
 experiment cell derives its own injector from the plan and the cell
@@ -24,11 +28,13 @@ key, so every cell sees its own, reproducible fault schedule.
 
 from __future__ import annotations
 
+import hashlib
+import math
 import os
-import random
 import signal
 import zlib
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,6 +51,17 @@ __all__ = [
 ]
 
 
+def _check_fault_rates(spec: FaultInjector | FaultPlan) -> None:
+    """Reject rates outside [0, 1] and non-finite or negative times: a
+    ``nan`` clock would never expire a frame budget."""
+    bounds = {"latency_rate": 1.0, "error_rate": 1.0, "latency_s": math.inf,
+              "per_call_cost_s": math.inf}
+    for name, top in bounds.items():
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and 0.0 <= value <= top):
+            raise ValueError(f"{name} must be finite and in [0, {top}], got {value}")
+
+
 class FaultInjector:
     """Seeded, deterministic fault source shared by one run's oracle calls.
 
@@ -52,6 +69,12 @@ class FaultInjector:
     regardless of rates — the hook tests use to make a dispatch attempt
     fail and its same-rung retry succeed.
     """
+
+    #: Attempt-scoped state, which no snapshot (taken between frames) holds.
+    DURABILITY_EXCLUSIONS: ClassVar[dict[str, str]] = {
+        "armed": "true only inside a dispatch attempt",
+        "_fault": "the open attempt's fault",
+    }
 
     def __init__(
         self,
@@ -63,21 +86,19 @@ class FaultInjector:
         per_call_cost_s: float = 0.0,
         fail_first_calls: int = 0,
     ):
-        for name, rate in (("latency_rate", latency_rate), ("error_rate", error_rate)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
         self.seed = seed
         self.latency_rate = latency_rate
         self.latency_s = latency_s
         self.error_rate = error_rate
         self.per_call_cost_s = per_call_cost_s
+        _check_fault_rates(self)
         self.fail_first_calls = fail_first_calls
-        self.armed = True
+        self.armed = False
         self.calls = 0
         self.latency_spikes = 0
         self.errors_raised = 0
         self._virtual_s = 0.0
-        self._rng = random.Random(seed)
+        self._fault: str | None = None
 
     # -- virtual clock -----------------------------------------------------
 
@@ -91,21 +112,35 @@ class FaultInjector:
 
     # -- arming ------------------------------------------------------------
 
-    def arm(self) -> None:
+    def _hash(self, frame: int, attempt: int) -> int:
+        # Not CRC-32, which is affine in its input: consecutive frames'
+        # draws correlate (86 of 200 seeds drew no fault in 63 frames).
+        key = f"{self.seed}:{frame}:{attempt}".encode()
+        return int.from_bytes(hashlib.blake2b(key, digest_size=4).digest(), "big")
+
+    def arm(self, frame: int, attempt: int) -> None:
+        """Open attempt ``attempt`` of frame ``frame`` and decide its fault."""
+        draw = self._hash(frame, attempt) / 2**32
+        self._fault = "error" if draw < self.error_rate else (
+            "latency" if draw < self.error_rate + self.latency_rate else None
+        )
         self.armed = True
 
     def disarm(self) -> None:
+        """Close the attempt; a fault it did not take is dropped."""
         self.armed = False
+        self._fault = None
+
+    def frame_draws(self, frame: int, attempts: int) -> str:
+        """The hashes behind frame ``frame``'s first ``attempts`` draws,
+        as hex: the journal's record of the frame's fault schedule."""
+        return ":".join(f"{self._hash(frame, a):08x}" for a in range(1, attempts + 1))
 
     # -- fault decisions ---------------------------------------------------
 
     def before_call(self) -> None:
-        """One oracle call is about to run: charge time, maybe fault.
-
-        Disarmed calls still pay the per-call base cost (the oracle does
-        run) but never spike or fail, and do not consume the RNG stream,
-        so the fault schedule depends only on the armed call sequence.
-        """
+        """One oracle call is about to run: charge the per-call cost (a
+        disarmed call too: the oracle does run) and, armed, fault."""
         self.calls += 1
         self._virtual_s += self.per_call_cost_s
         if not self.armed:
@@ -115,11 +150,16 @@ class FaultInjector:
             raise TransientFaultError(
                 f"injected deterministic fault on armed call {self.calls}"
             )
-        draw = self._rng.random()
-        if draw < self.error_rate:
+        self.deliver()
+
+    def deliver(self) -> None:
+        """Land the armed attempt's fault unless a call already took it;
+        the ladder calls this as each attempt returns."""
+        fault, self._fault = self._fault, None
+        if fault == "error":
             self.errors_raised += 1
             raise TransientFaultError(f"injected transient oracle error (call {self.calls})")
-        if draw < self.error_rate + self.latency_rate:
+        if fault == "latency":
             self.latency_spikes += 1
             self._virtual_s += self.latency_s
 
@@ -130,44 +170,20 @@ class FaultInjector:
     # -- checkpoint support --------------------------------------------------
 
     def state_payload(self) -> dict:
-        """JSON-serializable capture of the injector's full mutable state.
-
-        ``random.Random.getstate()`` is a nested tuple of ints; it round-
-        trips through JSON as lists and is converted back on restore, so
-        a resumed run continues the *same* fault schedule the crashed run
-        would have produced.
-        """
-        version, internal, gauss_next = self._rng.getstate()
+        """The injector's counters and virtual clock, as JSON values."""
         return {
-            "seed": self.seed,
-            "armed": self.armed,
             "calls": self.calls,
             "latency_spikes": self.latency_spikes,
             "errors_raised": self.errors_raised,
             "virtual_s": self._virtual_s,
-            "rng": [version, list(internal), gauss_next],
         }
 
     def restore_state(self, payload: dict) -> None:
         """Restore state captured by :meth:`state_payload`."""
-        if payload["seed"] != self.seed:
-            raise ValueError(
-                f"injector seed mismatch: snapshot has {payload['seed']}, "
-                f"this injector was built with {self.seed}"
-            )
-        self.armed = payload["armed"]
         self.calls = payload["calls"]
         self.latency_spikes = payload["latency_spikes"]
         self.errors_raised = payload["errors_raised"]
         self._virtual_s = payload["virtual_s"]
-        version, internal, gauss_next = payload["rng"]
-        self._rng.setstate((version, tuple(internal), gauss_next))
-
-    def state_fingerprint(self) -> str:
-        """Compact digest of the injector state for journal records."""
-        version, internal, gauss_next = self._rng.getstate()
-        crc = zlib.crc32(repr((version, internal, gauss_next)).encode("utf-8"))
-        return f"{self.calls}:{self.errors_raised}:{self.latency_spikes}:{crc:08x}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -179,12 +195,13 @@ class FaultInjector:
 class FaultyOracle:
     """A distance oracle wrapper that consults a :class:`FaultInjector`.
 
-    Every batch call (``pairwise``/``distances``/``paired``) counts as
-    one fault opportunity, mirroring one RPC to a map service.  That
-    holds for every caller, warm NSTD frames and the sharing table
-    included: ``pairwise``/``paired`` are the oracle's only batch entry
-    points, and :mod:`repro.geometry.batch` routes coordinate arrays
-    through them too.  The ``batch_exact`` contract passes through
+    Every batch call (``pairwise``/``paired``) counts as one call,
+    mirroring one RPC to a map service: it pays the per-call cost and
+    may take its attempt's fault.  That holds for every caller, warm
+    NSTD frames and the sharing table included: ``pairwise``/``paired``
+    are the oracle's only batch entry points, and
+    :mod:`repro.geometry.batch` routes coordinate arrays through them
+    too.  The ``batch_exact`` contract passes through
     unchanged, so with the injector disarmed the wrapper is
     observationally identical to its base oracle.
     """
@@ -245,8 +262,11 @@ class FaultPlan:
     error_rate: float = 0.0
     per_call_cost_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        _check_fault_rates(self)
+
     def build_injector(self, cell_key: str) -> FaultInjector:
-        """A fresh injector whose stream is stable in (plan, cell)."""
+        """A fresh injector whose faults are stable in (plan, cell)."""
         # The trailing ":0" is part of the derivation: dropping it would
         # reseed every cell and change every recorded fault schedule.
         derived = zlib.crc32(f"{self.seed}:{cell_key}:0".encode())

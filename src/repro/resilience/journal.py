@@ -8,7 +8,7 @@ record per completed frame, carrying
 * a compact *outcome digest* (:class:`FrameDigest`) — the frame's
   matched pairs folded into a CRC, a running cumulative CRC over every
   assignment so far, the queue/idle/dispatch counters, and (when a
-  fault injector is installed) a fingerprint of its seeded RNG state;
+  fault injector is installed) the frame's fault draws;
 * the frame's ``rows`` — every history row the frame appended, as
   JSON values: its assignment records, the request outcomes it
   resolved (dispatched or abandoned; each outcome is written by
@@ -80,7 +80,9 @@ __all__ = [
 #: stats, resilience and audit rows), the queue, idle, dispatched and
 #: abandoned counts (from the stats row) and the audit row's frame index
 #: and queue and idle counts.  A restore rebuilds them from the digest.
-JOURNAL_SCHEMA = "repro-journal/4"
+#: /5 made ``rng`` the frame's fault draws, one hash per dispatch
+#: attempt, instead of a fingerprint of the injector's random stream.
+JOURNAL_SCHEMA = "repro-journal/5"
 
 _RECORD_KINDS = ("header", "frame", "resume", "end")
 
@@ -145,12 +147,11 @@ class FrameDigest:
     Every field is replay-verified.  ``pairs_crc`` / ``cum_crc`` are
     warm/cold-invariant (the bit-identity theorems of DESIGN.md §10–11
     make the *matching* mode-independent), so a resumed run that
-    restarts warm state cold still reproduces them exactly.  ``rng``,
-    the fault injector's fingerprint, would differ between a warm frame
-    and its cold replay (they make different oracle calls), but a
-    resume refuses warm dispatch under an armed injector, so every
-    replay it verifies is cold, like the run it replays.  The frame's
-    ladder rung and audit verdict live in its ``rows``.
+    restarts warm state cold still reproduces them exactly.  So is
+    ``rng``, the frame's fault draws (one hash per dispatch attempt):
+    a fault is a function of the injector seed, the frame and the
+    attempt, never of how many oracle calls a solver made.  The
+    frame's ladder rung and audit verdict live in its ``rows``.
     """
 
     frame: int

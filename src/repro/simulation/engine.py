@@ -100,12 +100,6 @@ class Simulator:
         """
         config = self.sim_config
         policy = self.resilience
-        if policy is not None and policy.fault_injector is not None:
-            # Faults are confined to dispatch attempts: the ladder arms
-            # the injector per attempt and the engine's own work (the
-            # run-start trip measurement, the accounting) never runs
-            # with it armed.
-            policy.fault_injector.disarm()
         core = RunCore(taxis, requests, self.oracle, config, self.dispatcher.config)
         self.dispatcher.frame_cache = core.cache
         # Warm solver state (if the dispatcher carries any) never outlives
@@ -187,7 +181,7 @@ class Simulator:
                     schedule = self.dispatcher.dispatch(idle, batch)
                 else:
                     schedule, record = self._dispatch_resilient(
-                        policy, rungs, idle, batch, time_s
+                        policy, rungs, idle, batch, time_s, frame_index
                     )
                     report.record(record)
                     frame_record = record
@@ -222,6 +216,7 @@ class Simulator:
             if durability is not None:
                 pairs_crc = core.chain_crc(stats)
                 injector = policy.fault_injector if policy is not None else None
+                attempts = frame_record.attempts if frame_record is not None else 0
                 digest = FrameDigest(
                     frame=frame_index,
                     time_s=time_s,
@@ -231,7 +226,7 @@ class Simulator:
                     abandoned=abandoned,
                     pairs_crc=pairs_crc,
                     cum_crc=core.cum_crc,
-                    rng=injector.state_fingerprint() if injector is not None else None,
+                    rng=None if injector is None else injector.frame_draws(frame_index, attempts),
                 )
                 rows = core.frame_rows(stats)
                 if frame_record is not None:
@@ -325,10 +320,8 @@ class Simulator:
                 ))
         self.dispatcher.restore_state(payload.get("dispatch") or {})
         policy = self.resilience
-        if policy is not None and policy.fault_injector is not None:
-            injector_state = payload.get("fault_injector")
-            if injector_state is not None:
-                policy.fault_injector.restore_state(injector_state)
+        if policy is not None and policy.fault_injector is not None and "fault_injector" in payload:
+            policy.fault_injector.restore_state(payload["fault_injector"])
         if self.repositioning is not None:
             repositioning_state = payload.get("repositioning")
             if repositioning_state is not None:
@@ -341,16 +334,19 @@ class Simulator:
         idle: list[Taxi],
         batch: list[PassengerRequest],
         time_s: float,
+        frame_index: int,
     ) -> tuple[DispatchSchedule, FrameResilienceRecord]:
         """Walk the degradation ladder until some rung answers the frame.
 
         Budgeted rungs share one :class:`FrameBudget` anchored at the
-        frame's start, each extended to its own (later) deadline slice;
-        transient faults retry the same rung up to
-        ``policy.transient_retries`` times; any other dispatcher error
-        falls to the next rung.  If even the terminal rung fails, the
-        frame is answered with an empty schedule and recorded as
-        dropped — the condition chaos runs assert never happens.
+        frame's start, each extended to its own (later) deadline slice
+        and read as each attempt returns; transient faults retry the
+        same rung up to ``policy.transient_retries`` times; any other
+        dispatcher error falls to the next rung.  The fault injector is
+        armed with the frame index and attempt number alone.  If even
+        the terminal rung fails, the frame is answered with an empty
+        schedule and recorded as dropped — the condition chaos runs
+        assert never happens.
         """
         frame = self.sim_config.frame_length_s
         budget = policy.make_budget(frame)
@@ -370,9 +366,13 @@ class Simulator:
                 attempts += 1
                 dispatcher.frame_budget = budget if rung.budgeted else None
                 if injector is not None:
-                    injector.arm()
+                    injector.arm(frame_index, attempts)
                 try:
                     schedule = dispatcher.dispatch(idle, batch)
+                    if injector is not None:
+                        injector.deliver()  # a fault no oracle call took
+                    if rung.budgeted:
+                        budget.checkpoint("attempt returned")
                 except FrameBudgetExceededError:
                     trigger = trigger or "deadline"
                     break  # this rung is out of time: next rung

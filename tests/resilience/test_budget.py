@@ -77,6 +77,17 @@ class TestFrameBudget:
         with pytest.raises(ValueError):
             budget.extend_to(-0.1)
 
+    def test_nan_duration_rejected(self):
+        # A nan deadline compares false with every elapsed time, so it
+        # would never expire.
+        with pytest.raises(ValueError):
+            FrameBudget(math.nan)
+        budget = FrameBudget(1.0)
+        with pytest.raises(ValueError):
+            budget.extend_to(math.nan)
+        budget.extend_to(math.inf)  # "no deadline" stays legal
+        assert budget.duration_s == math.inf
+
 
 class TestWorkBudget:
     def test_node_cap(self):

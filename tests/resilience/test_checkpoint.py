@@ -64,7 +64,7 @@ class TestStore:
         claimed = body.pop("crc")
         canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
         assert text == f'{canonical[:-1]},"crc":{claimed}}}'
-        assert CHECKPOINT_SCHEMA == "repro-checkpoint/5"
+        assert CHECKPOINT_SCHEMA == "repro-checkpoint/6"
 
     def test_damaged_snapshot_is_skipped_with_warning(self, store):
         store.write(1, {"state": state(1)})

@@ -19,30 +19,93 @@ from repro.resilience import FaultInjector, FaultPlan, FaultyOracle
 from repro.routing import build_ride_group
 
 
+def events(injector, frames, calls_per_attempt=1):
+    """Arm attempt 1 of each frame, make the calls, and name what each
+    attempt saw: ``"error"``, ``"spike"`` or ``"ok"``."""
+    seen = []
+    for frame in frames:
+        spikes = injector.latency_spikes
+        injector.arm(frame, 1)
+        try:
+            for _ in range(calls_per_attempt):
+                injector.before_call()
+            injector.deliver()
+        except TransientFaultError:
+            seen.append("error")
+        else:
+            seen.append("spike" if injector.latency_spikes > spikes else "ok")
+        finally:
+            injector.disarm()
+    return seen
+
+
 class TestFaultInjector:
     def test_deterministic_schedule(self):
         def schedule(seed):
-            injector = FaultInjector(seed, latency_rate=0.3, error_rate=0.2)
-            events = []
-            for _ in range(50):
-                spikes = injector.latency_spikes
-                try:
-                    injector.before_call()
-                except TransientFaultError:
-                    events.append("error")
-                else:
-                    events.append("spike" if injector.latency_spikes > spikes else "ok")
-            return events
+            return events(FaultInjector(seed, latency_rate=0.3, error_rate=0.2), range(50))
 
         assert schedule(7) == schedule(7)
         assert schedule(7) != schedule(8)
+        assert {"error", "spike", "ok"} == set(schedule(7))
+
+    def test_call_counts_do_not_move_faults(self):
+        # A fault is a function of (seed, frame, attempt): attempts that
+        # make no call, one call or five calls, with disarmed calls in
+        # between, see the same faults frame for frame.
+        def schedule(calls_per_attempt):
+            injector = FaultInjector(3, latency_rate=0.3, error_rate=0.1)
+            seen = []
+            for frame in range(40):
+                injector.before_call()  # disarmed: never faults
+                seen += events(injector, [frame], calls_per_attempt)
+            return seen
+
+        assert schedule(0) == schedule(1) == schedule(5)
+        # Skipping frames does not re-deal the frames after them.
+        injector = FaultInjector(3, latency_rate=0.3, error_rate=0.1)
+        assert events(injector, range(20, 40)) == schedule(1)[20:]
+
+    def test_draw_decides_error_then_latency(self):
+        injector = FaultInjector(11, latency_rate=0.5, error_rate=0.25)
+        for frame in range(64):
+            draw = int(injector.frame_draws(frame, 1), 16) / 2**32
+            expected = "error" if draw < 0.25 else "spike" if draw < 0.75 else "ok"
+            assert events(injector, [frame]) == [expected]
 
     def test_latency_advances_virtual_clock_only(self):
         injector = FaultInjector(0, latency_rate=1.0, latency_s=5.0)
+        injector.arm(0, 1)
         assert injector.clock() == 0.0
         injector.before_call()
         assert injector.clock() == pytest.approx(5.0)
         assert injector.latency_spikes == 1
+        # The attempt's fault lands once: its later calls are clean.
+        injector.before_call()
+        injector.deliver()
+        assert injector.clock() == pytest.approx(5.0)
+        assert injector.latency_spikes == 1
+
+    def test_an_attempt_without_calls_takes_its_fault_on_return(self):
+        injector = FaultInjector(0, error_rate=1.0)
+        injector.arm(4, 2)
+        with pytest.raises(TransientFaultError):
+            injector.deliver()
+        injector.deliver()  # delivered once
+        assert (injector.calls, injector.errors_raised) == (0, 1)
+
+    def test_disarm_drops_an_untaken_fault(self):
+        injector = FaultInjector(0, error_rate=1.0)
+        injector.arm(0, 1)
+        injector.disarm()
+        injector.deliver()
+        injector.before_call()
+        assert injector.errors_raised == 0
+
+    def test_starts_disarmed(self):
+        injector = FaultInjector(0, error_rate=1.0, fail_first_calls=1)
+        assert not injector.armed
+        injector.before_call()  # would raise if armed
+        assert injector.errors_raised == 0
 
     def test_per_call_cost_charged_even_disarmed(self):
         injector = FaultInjector(0, per_call_cost_s=0.5, error_rate=1.0)
@@ -51,28 +114,38 @@ class TestFaultInjector:
         assert injector.clock() == pytest.approx(0.5)
         assert injector.errors_raised == 0
 
-    def test_disarmed_calls_do_not_consume_rng(self):
-        armed_only = FaultInjector(3, latency_rate=0.5)
-        interleaved = FaultInjector(3, latency_rate=0.5)
-        for _ in range(20):
-            armed_only.before_call()
-        for i in range(40):
-            if i % 2:
-                interleaved.disarm()
-            else:
-                interleaved.arm()
-            interleaved.before_call()
-        # 20 armed calls either way -> identical spike count.
-        assert interleaved.latency_spikes == armed_only.latency_spikes
-
     def test_fail_first_calls(self):
         injector = FaultInjector(0, fail_first_calls=2)
+        injector.arm(0, 1)
         with pytest.raises(TransientFaultError):
             injector.before_call()
+        injector.arm(0, 2)
         with pytest.raises(TransientFaultError):
             injector.before_call()
+        injector.arm(0, 3)
         injector.before_call()  # third call is clean
         assert injector.errors_raised == 2
+
+    def test_frame_draws_name_each_attempt(self):
+        injector = FaultInjector(5)
+        assert injector.frame_draws(9, 0) == ""
+        draws = injector.frame_draws(9, 3).split(":")
+        assert len(draws) == len(set(draws)) == 3
+        assert all(len(d) == 8 for d in draws)
+        assert injector.frame_draws(9, 2) == ":".join(draws[:2])
+        assert FaultInjector(6).frame_draws(9, 3) != injector.frame_draws(9, 3)
+
+    def test_state_payload_is_counters_and_clock(self):
+        injector = FaultInjector(1, latency_rate=1.0, per_call_cost_s=0.25)
+        events(injector, range(3))
+        payload = injector.state_payload()
+        assert payload == {
+            "calls": 3, "latency_spikes": 3, "errors_raised": 0, "virtual_s": 15.75
+        }
+        restored = FaultInjector(1, latency_rate=1.0, per_call_cost_s=0.25)
+        restored.restore_state(payload)
+        assert restored.state_payload() == payload
+        assert events(restored, range(3, 6)) == events(injector, range(3, 6))
 
     def test_advance(self):
         injector = FaultInjector(0)
@@ -84,6 +157,17 @@ class TestFaultInjector:
             FaultInjector(0, latency_rate=1.5)
         with pytest.raises(ValueError):
             FaultInjector(0, error_rate=-0.1)
+
+    @pytest.mark.parametrize("field", ["latency_s", "per_call_cost_s"])
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -100.0])
+    def test_non_finite_or_negative_times_are_rejected(self, field, seconds):
+        # A nan latency would set the virtual clock to nan, and a frame
+        # budget on a nan clock never expires; a negative one runs the
+        # clock backwards.
+        with pytest.raises(ValueError, match=field):
+            FaultInjector(0, latency_rate=1.0, **{field: seconds})
+        with pytest.raises(ValueError, match=field):
+            FaultPlan(seed=0, latency_rate=1.0, **{field: seconds})
 
 
 class TestFaultyOracle:
@@ -99,6 +183,7 @@ class TestFaultyOracle:
     def test_armed_errors_propagate(self):
         injector = FaultInjector(0, error_rate=1.0)
         wrapped = injector.wrap(EuclideanDistance())
+        injector.arm(0, 1)
         with pytest.raises(TransientFaultError):
             wrapped.distance(Point(0, 0), Point(1, 1))
 

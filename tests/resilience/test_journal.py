@@ -209,4 +209,4 @@ class TestSchemaSkew:
         skewed.write_text("".join(lines))
         with pytest.raises(JournalSchemaError, match="repro-journal/99"):
             read_journal(skewed)
-        assert JOURNAL_SCHEMA == "repro-journal/4"
+        assert JOURNAL_SCHEMA == "repro-journal/5"

@@ -108,16 +108,22 @@ def make_simulator(
     )
 
 
-def faulted_simulator(sim_config, durability=None):
-    """Cold NSTD-P under the ladder and a 1/2 auditor, with a seeded fault
-    schedule (resume refuses warm dispatch with an armed injector) that
-    degrades four frames and absorbs two faults on ``active_workload``."""
+def faulted_simulator(sim_config, durability=None, *, warm=True):
+    """NSTD-P under the ladder and a 1/2 auditor, with a seeded fault
+    schedule.  Its first three armed calls fail (``fail_first_calls``),
+    exhausting the primary's retries on the first dispatching frame, so
+    the run absorbs faults and degrades a frame whatever the seed draws."""
     injector = FaultInjector(
-        16, latency_rate=0.05, latency_s=40.0, error_rate=0.02, per_call_cost_s=0.01
+        16,
+        latency_rate=0.05,
+        latency_s=40.0,
+        error_rate=0.02,
+        per_call_cost_s=0.01,
+        fail_first_calls=3,
     )
     return make_simulator(
         sim_config,
-        warm=False,
+        warm=warm,
         oracle=injector.wrap(ORACLE),
         durability=durability,
         auditor=StabilityAuditor(rate=0.5),
@@ -153,6 +159,13 @@ def observable(result):
             replace(r, audit_ms=0.0) for r in result.stability_audit.frames
         ],
     }
+
+
+def without_modes(result):
+    """:func:`observable` less the audit records' solve mode, which a
+    resumed warm run (restarting cold) or a cold run does not share."""
+    seen = observable(result)
+    return seen | {"audit": [replace(r, mode="") for r in seen["audit"]]}
 
 
 class _Interrupt(RuntimeError):
@@ -355,32 +368,39 @@ class TestDurableRun:
     ):
         # Every history row kind at once: degraded ladder frames, audit
         # records and a seeded fault schedule that must line up across
-        # the crash.
+        # the crash, under warm dispatch, whose resumed frames restart
+        # cold and make more oracle calls than the frames they replay.
         sim_config, fleet, requests = active_workload
         make = partial(faulted_simulator, sim_config)
         reference = make().run(fleet, requests)
         assert reference.resilience.degraded_frames
-        assert reference.resilience.faults_absorbed > 0
+        assert reference.resilience.faults_absorbed >= 3
         assert reference.stability_audit.frames
+        assert reference.dispatch_telemetry["warm_frames"] > 0
+        # Faults do not depend on the solver's calls: cold dispatch
+        # gives the same run, but for the audit records' solve mode.
+        cold = faulted_simulator(sim_config, warm=False).run(fleet, requests)
+
+        assert without_modes(cold) == without_modes(reference)
         interrupt(make, fleet, requests, tmp_path, die_at=40)
         resumed = resume(make, fleet, requests, tmp_path)
-        assert observable(resumed) == observable(reference)
+        assert without_modes(resumed) == without_modes(reference)
         assert resumed.perf_stats()["replay_frames_verified"] == 8
 
     def test_fault_injector_resumes_bit_identical_from_a_boundary_snapshot(
         self, active_workload, tmp_path
     ):
-        # No frame is replayed, so the restored state alone must make the
-        # resumed frames draw the uninterrupted run's fault schedule.  The
-        # snapshot at frame 63 holds queued requests; the resumed run
-        # measures their trips again, but at run start, disarmed, so no
-        # frame makes an extra fault opportunity.
+        # No frame is replayed, so the restored counters and virtual
+        # clock alone must carry the uninterrupted run's fault schedule
+        # and budgets across the crash.  The snapshot at frame 63 holds
+        # queued requests; the resumed run measures their trips again,
+        # but at run start, disarmed.
         sim_config, fleet, requests = active_workload
         make = partial(faulted_simulator, sim_config)
         reference = make().run(fleet, requests)
         interrupt(make, fleet, requests, tmp_path, die_at=63, phase="boundary")
         resumed = resume(make, fleet, requests, tmp_path)
-        assert observable(resumed) == observable(reference)
+        assert without_modes(resumed) == without_modes(reference)
 
     def test_tampered_journal_digest_fails_the_resume_loudly(self, workload, tmp_path):
         sim_config, fleet, requests = workload
@@ -414,19 +434,21 @@ class TestDurableRun:
     def test_tampered_fault_fingerprint_fails_the_resume_loudly(
         self, active_workload, tmp_path
     ):
-        # Rewrite a post-snapshot record's fault-injector fingerprint,
-        # keeping the line checksum valid: the replayed frame draws the
-        # honest schedule, so replay verification must catch the edit.
+        # Rewrite a post-snapshot record's fault draws, keeping the line
+        # checksum valid: the replayed frame draws the honest schedule,
+        # so replay verification must catch the edit.
         sim_config, fleet, requests = active_workload
         make = partial(faulted_simulator, sim_config)
-        die_at = 40
-        manager = interrupt(make, fleet, requests, tmp_path, die_at=die_at)
+        # Frames 32–43 replay from the snapshot at 31; frame 41 dispatches.
+        manager = interrupt(make, fleet, requests, tmp_path, die_at=44)
 
         def forge(record):
-            assert record["rng"] is not None
-            record["rng"] = "0:0:0:00000000"
+            record["rng"] = "00000000"
 
-        rewrite_frame_record(manager.journal_path, die_at - 3, forge)
+        # The last replayed frame that dispatched, so it holds draws.
+        replayed = read_journal(manager.journal_path).frames[CHECKPOINT_EVERY * 2:]
+        frame = max(digest.frame for digest in replayed if digest.rng)
+        rewrite_frame_record(manager.journal_path, frame, forge)
         with pytest.raises(ResumeError, match="diverged from the journal"):
             resume(make, fleet, requests, tmp_path)
 
@@ -644,9 +666,5 @@ class TestEngineAudit:
         resumed_modes = {r.frame: r.mode for r in resumed.stability_audit.frames}
         assert modes[64] == "warm" and resumed_modes[64] == "cold"
         assert resumed_modes.keys() == modes.keys()
-
-        def without_modes(result):
-            seen = observable(result)
-            return seen | {"audit": [replace(r, mode="") for r in seen["audit"]]}
 
         assert without_modes(resumed) == without_modes(reference)

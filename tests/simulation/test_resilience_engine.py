@@ -5,10 +5,11 @@ clock (oracle calls charge virtual seconds), so every scenario here is
 bit-reproducible and nothing actually sleeps.
 """
 
-import pytest
+from dataclasses import replace
 
 from repro.core import DispatchConfig, PassengerRequest, SimulationConfig, Taxi
 from repro.dispatch import nstd_p
+from repro.dispatch.nonsharing import NSTDDispatcher
 from repro.geometry import EuclideanDistance, Point
 from repro.resilience import (
     DROPPED_RUNG,
@@ -166,11 +167,12 @@ class TestDegradation:
 
     def test_chaos_run_is_reproducible(self):
         """Same plan, same seed: the full result (and the rung history)
-        must be bit-identical across runs."""
+        must be bit-identical across runs.  Three forced faults exhaust
+        the primary's retries, so the first frame degrades."""
 
         def run():
             injector = FaultInjector(
-                13, latency_rate=0.05, latency_s=40.0, per_call_cost_s=0.2
+                13, latency_rate=0.05, latency_s=40.0, per_call_cost_s=0.2, fail_first_calls=3
             )
             oracle = injector.wrap(EuclideanDistance())
             config = fast_config()
@@ -179,10 +181,40 @@ class TestDegradation:
             result = Simulator(
                 nstd_p(oracle, config.dispatch), oracle, config, resilience=policy
             ).run(taxis, requests)
-            rungs = [(f.rung, f.trigger, f.attempts) for f in result.resilience.frames]
+            report = result.resilience
+            assert report.faults_absorbed == 3
+            assert report.frames[0].rung == "nstd-arrays"
+            assert report.frames[0].trigger == "fault"
+            rungs = [(f.rung, f.trigger, f.attempts) for f in report.frames]
             return comparable(result), rungs
 
         assert run() == run()
+
+    def test_spike_counts_as_deadline_wherever_the_rung_checkpoints(self):
+        """The ladder reads the budget as each attempt returns, so a
+        primary that never checkpoints after its spike degrades the
+        frame exactly as one that checkpoints does."""
+
+        class NoCheckpointNSTD(NSTDDispatcher):
+            def checkpoint(self, label=None):
+                pass
+
+        def resilience_records(dispatcher_cls):
+            injector = FaultInjector(0, latency_rate=1.0, latency_s=40.0)
+            oracle = injector.wrap(EuclideanDistance())
+            config = fast_config()
+            taxis, requests = small_workload()
+            policy = ResiliencePolicy(budget_fraction=0.5).with_injector(injector)
+            dispatcher = dispatcher_cls(oracle, config.dispatch, optimize_for="passenger")
+            result = Simulator(dispatcher, oracle, config, resilience=policy).run(
+                taxis, requests
+            )
+            return [replace(f, elapsed_s=0.0) for f in result.resilience.frames]
+
+        records = resilience_records(NoCheckpointNSTD)
+        assert records and all(f.rung == "greedy" for f in records)
+        assert all(f.trigger == "deadline" for f in records)
+        assert records == resilience_records(NSTDDispatcher)
 
     def test_degraded_frames_still_validate_schedules(self):
         injector = FaultInjector(0, per_call_cost_s=1000.0)
